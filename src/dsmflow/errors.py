@@ -22,8 +22,9 @@ class InadmissibleScheduleError(DsmError):
 class NewtonError(DsmError):
     """Damped Newton ran out of iterations or line-search reductions.
 
-    Carries the best iterate seen so far and its residual norm so callers
-    can diagnose whether the tolerance was too tight for the problem.
+    Carries the best iterate seen so far, its residual norm and the number
+    of Newton iterations taken, so callers can diagnose whether the
+    tolerance was too tight for the problem.
     """
 
     def __init__(self, message, best, residual_norm, iterations):

@@ -71,8 +71,8 @@ def solve_regularized(
     Each step solves (F'(w) + a I) delta = -(F(w) + a w - f) and
     backtracks on the residual norm, so the residual decreases monotonically.
     Exhausting max_iters or the line search raises NewtonError carrying the
-    best iterate; that usually means tol is too tight for the problem's
-    conditioning.
+    best iterate and the Newton iterations taken, the stalled one included;
+    that usually means tol is too tight for the problem's conditioning.
     """
     if not a > 0.0:
         raise ValueError(f"regularization a must be positive, got {a}")
@@ -81,7 +81,7 @@ def solve_regularized(
         raise ValueError(f"w_init has dimension {w.shape[0]}, problem expects {p.dim}")
     r = p.residual(a, w)
     rn = float(np.linalg.norm(r))
-    for _ in range(cfg.max_iters):
+    for it in range(cfg.max_iters):
         if rn <= cfg.tol:
             return w
         delta = solve_shifted(p.jac(w), a, -r)
@@ -98,7 +98,7 @@ def solve_regularized(
                     f"line search stalled at a={a:g} with residual {rn:.3e}",
                     best=w,
                     residual_norm=rn,
-                    iterations=cfg.max_iters,
+                    iterations=it + 1,
                 )
         w, r, rn = w_trial, r_trial, rn_trial
     if rn <= cfg.tol:

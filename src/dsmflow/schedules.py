@@ -6,6 +6,12 @@ condition a(t) -> 0 is additionally needed for the limit to solve the
 unregularized equation. Both conditions are machine-checkable here: the
 three supported families (power, exponential, constant) have closed-form
 ratio suprema, and a sample grid cross-checks them.
+
+Array forms of the closed forms (exp_array, Schedule.derivative_array)
+evaluate every transcendental through the scalar math functions, one
+element at a time: NumPy's vectorized exp and power may differ from them
+in the last bit, and the certificates built on these arrays must match
+the scalar rule bit for bit.
 """
 
 from __future__ import annotations
@@ -25,6 +31,14 @@ RATIO_WARN = 0.45
 
 # Default cap: both decaying families are nonincreasing from a0.
 CAP_MARGIN = 1e-6
+
+_EXP = np.frompyfunc(math.exp, 1, 1)
+_POW = np.frompyfunc(math.pow, 2, 1)
+
+
+def exp_array(x: np.ndarray) -> np.ndarray:
+    """Elementwise math.exp, bit for bit equal to the scalar calls."""
+    return _EXP(x).astype(float)
 
 
 @dataclass(frozen=True, eq=True)
@@ -70,6 +84,21 @@ class Schedule:
         if self.kind == "exponential":
             return -self.param * self.value(t)
         return 0.0
+
+    def derivative_array(self, x: np.ndarray) -> np.ndarray:
+        """derivative() at every element of x, bit for bit.
+
+        Keeps the scalar operation order and evaluates exp and pow through
+        math (see the module docstring). x must be nonnegative.
+        """
+        x = np.asarray(x, dtype=float)
+        if np.any(x < 0.0):
+            raise ValueError("schedule derivative at negative time")
+        if self.kind == "power":
+            return -self.a0 * self.param * _POW(1.0 + x, -self.param - 1.0).astype(float)
+        if self.kind == "exponential":
+            return -self.param * (self.a0 * exp_array(-self.param * x))
+        return np.zeros_like(x)
 
     def ratio(self, t: float) -> float:
         """|a'(t)| / a(t)."""

@@ -1,11 +1,13 @@
 """Small independent oracles used to freeze expected values in tests.
 
 These deliberately avoid the library's own solvers: bisection for scalar
-roots, the adjugate formula for 2x2 inverses, and an eigendecomposition
-pseudoinverse for small symmetric matrices.
+roots, the adjugate formula for 2x2 inverses, an eigendecomposition
+pseudoinverse for small symmetric matrices, and a one-node-at-a-time
+Simpson rule for the certificate envelopes.
 """
 
 import numpy as np
+from scipy.integrate import simpson
 
 
 def bisect_root(g, lo, hi, tol=1e-12):
@@ -41,3 +43,16 @@ def spectral_pinv_apply(a_mat, rhs, cutoff=1e-10):
     lam, q = np.linalg.eigh(a_mat)
     inv = np.where(np.abs(lam) > cutoff, 1.0 / np.where(lam == 0.0, 1.0, lam), 0.0)
     return q @ (inv * (q.T @ rhs))
+
+
+def simpson_integral(f, t, panels=200):
+    """Composite Simpson of a scalar f over [0, t], calling f node by node.
+
+    The scalar rule the batched EQ_2_8 and EQ_3_8 envelope integrals must
+    reproduce bit for bit; 0 for t <= 0.
+    """
+    if t <= 0.0:
+        return 0.0
+    xs = np.linspace(0.0, t, panels + 1)
+    ys = np.array([f(x) for x in xs])
+    return float(simpson(ys, x=xs))

@@ -52,6 +52,27 @@ def test_newton_error_carries_best_iterate():
     assert err.best.shape == (1,)
 
 
+def test_line_search_stall_reports_iterations_taken():
+    # F(u) = u, f = 1, a = 1. The Jacobian below is 3 (true value 1) for
+    # u < 0.3, which still gives descent steps: w = 0.25, then 0.375. There
+    # it turns to -3, so the third Newton direction points uphill and the
+    # line search stalls in iteration 3.
+    p = OperatorProblem(
+        name="wrong_jacobian",
+        dim=1,
+        fun=lambda u: u.copy(),
+        jac=lambda u: np.array([[3.0 if u[0] < 0.3 else -3.0]]),
+        rhs=np.array([1.0]),
+        symmetric_jacobian=True,
+    )
+    with pytest.raises(NewtonError, match="line search stalled") as exc:
+        d.solve_regularized(p, 1.0, np.zeros(1), d.NewtonConfig(max_iters=50))
+    err = exc.value
+    assert err.iterations == 3
+    assert err.best[0] == 0.375
+    assert err.residual_norm == 0.25
+
+
 def test_w_along_constant_schedule_is_constant():
     p = diag_cubic(dim=2)
     out = d.w_along_schedule(p, d.constant(0.5), [0.0, 1.0, 4.0])

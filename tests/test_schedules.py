@@ -121,3 +121,19 @@ def test_derivative_matches_finite_differences(s):
         step = 1e-6 * (1.0 + t)
         fd = (s.value(t + step) - s.value(t - step)) / (2.0 * step)
         assert s.derivative(t) == pytest.approx(fd, rel=1e-6, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "s",
+    [d.power(1.0, 0.25), d.power(2.0, 0.45), d.exponential(1.0, 0.3), d.constant(0.5)],
+    ids=["power25", "power45", "exp30", "const"],
+)
+def test_derivative_array_matches_scalar_bitwise(s):
+    rng = np.random.default_rng(11)
+    x = np.concatenate([[0.0], np.linspace(0.0, 40.0, 801), rng.uniform(0.0, 1e3, 2000)])
+    expected = np.array([s.derivative(v) for v in x])
+    assert np.array_equal(s.derivative_array(x), expected)
+    block = x[:1000].reshape(25, 40)
+    assert np.array_equal(s.derivative_array(block), expected[:1000].reshape(25, 40))
+    with pytest.raises(ValueError, match="negative time"):
+        s.derivative_array(np.array([1.0, -0.5]))

@@ -6,7 +6,8 @@ import pytest
 import dsmflow as d
 from dsmflow.flow import Trajectory
 from dsmflow.operators import identity
-from dsmflow.verify import SLACK
+from dsmflow.verify import SLACK, _envelope_integrals
+from oracles import simpson_integral
 
 
 def test_eq_2_6_fills_distances_and_passes(deep_run):
@@ -156,8 +157,101 @@ def test_margins_reproduce_bitwise_in_fixed_step_mode():
         traj = d.integrate(p, s, np.zeros(4), cfg)
         r1 = d.check_eq_2_6(traj, p, s)
         r2 = d.check_eq_2_10(traj, p, s)
-        margins.append((r1.worst_margin, r2.worst_margin))
+        r3 = d.check_eq_2_8(traj, p)
+        r4 = d.check_eq_3_8(traj, residual_stop=cfg.residual_stop)
+        margins.append((r1.worst_margin, r2.worst_margin, r3.worst_margin, r4.worst_margin))
     assert margins[0] == margins[1]
+
+
+def _w_norm_table(traj, p):
+    """The ||w|| grid check_eq_2_8 tabulates by default."""
+    grid = np.linspace(0.0, traj.final.t, max(401, 4 * len(traj.points) + 1))
+    ws = d.w_along_schedule(p, traj.schedule, grid)
+    return grid, np.array([float(np.linalg.norm(w)) for _, w in ws])
+
+
+def _reference_eq_2_8(traj, p):
+    """EQ_2_8 integrals and (worst margin, worst t) by the scalar rule."""
+    s = traj.schedule
+    grid, w_norms = _w_norm_table(traj, p)
+
+    def integrand(x, t):
+        return math.exp((x - t) / 2.0) * (abs(s.derivative(x)) * float(np.interp(x, grid, w_norms)))
+
+    h0 = traj.points[0].h
+    integrals, margins = [], []
+    for pt in traj.points:
+        integral = simpson_integral(lambda x, t=pt.t: integrand(x, t), pt.t)
+        envelope = h0 * math.exp(-pt.t / 2.0) + integral
+        integrals.append(integral)
+        margins.append((envelope - pt.h) / max(envelope, 1e-30))
+    worst = int(np.argmin(margins))
+    return integrals, (margins[worst], traj.points[worst].t)
+
+
+def _reference_eq_3_8(traj, residual_stop):
+    """EQ_3_8 integrals and (worst margin, worst t) by the scalar rule."""
+    s = traj.schedule
+    h0 = traj.points[0].h
+    c_traj = max(float(np.linalg.norm(pt.u)) for pt in traj.points)
+    integrals, margins = [], []
+    for pt in traj.points:
+        integral = simpson_integral(
+            lambda x, t=pt.t: math.exp(x - t) * abs(s.derivative(x)), pt.t
+        )
+        envelope = h0 * math.exp(-pt.t) + c_traj * integral
+        integrals.append(integral)
+        margins.append((envelope - pt.h) / max(envelope, 1e-30))
+    allowed_final = max(residual_stop, 1e-2 * h0)
+    margins.append((allowed_final - traj.final.h) / max(allowed_final, 1e-30))
+    worst = int(np.argmin(margins))
+    times = [pt.t for pt in traj.points] + [traj.final.t]
+    return integrals, (margins[worst], times[worst])
+
+
+ENVELOPE_SCHEDULES = [d.power(1.0, 0.25), d.exponential(1.0, 0.44), d.constant(0.9)]
+
+
+@pytest.mark.parametrize("method", ["rk4", "dp54"])
+@pytest.mark.parametrize("s", ENVELOPE_SCHEDULES, ids=["power", "exponential", "constant"])
+def test_envelopes_match_scalar_simpson_bitwise(s, method):
+    # Batched envelope integrals against the node-by-node rule, with ==.
+    # The rk4 run gives 76 checkpoints: the t = 0 row plus two full
+    # blocks and a partial one.
+    p = d.make_problem("diag_cubic", dim=4)
+    cfg = d.IntegratorConfig(t_max=6.0, method=method, initial_step=0.08)
+    traj = d.integrate(p, s, np.zeros(4), cfg)
+    assert traj.points[0].t == 0.0 and len(traj.points) > 40
+    times = np.array([pt.t for pt in traj.points])
+
+    ref_integrals, ref_worst = _reference_eq_2_8(traj, p)
+    grid, w_norms = _w_norm_table(traj, p)
+    integrals = _envelope_integrals(s, times, 0.5, lambda x: np.interp(x, grid, w_norms))
+    assert integrals.tolist() == ref_integrals
+    report = d.check_eq_2_8(traj, p)
+    assert (report.worst_margin, report.worst_t) == ref_worst
+    assert report.passed == (report.worst_margin >= -SLACK["EQ_2_8"])
+
+    ref_integrals, ref_worst = _reference_eq_3_8(traj, cfg.residual_stop)
+    assert _envelope_integrals(s, times, 1.0).tolist() == ref_integrals
+    report = d.check_eq_3_8(traj, residual_stop=cfg.residual_stop)
+    assert (report.worst_margin, report.worst_t) == ref_worst
+
+
+def test_envelopes_of_one_point_trajectory():
+    # u0 = 0 solves the identity problem with f = 0, so the run stops at
+    # t = 0 and both integrals are the empty integral.
+    p = d.make_problem("identity", dim=3)
+    cfg = d.IntegratorConfig(t_max=5.0)
+    traj = d.integrate(p, d.power(1.0, 0.25), np.zeros(3), cfg)
+    assert len(traj.points) == 1 and traj.final.t == 0.0
+    assert _envelope_integrals(traj.schedule, np.array([0.0]), 0.5).tolist() == [0.0]
+    _, ref_worst = _reference_eq_2_8(traj, p)
+    report = d.check_eq_2_8(traj, p)
+    assert (report.worst_margin, report.worst_t) == ref_worst
+    _, ref_worst = _reference_eq_3_8(traj, cfg.residual_stop)
+    report = d.check_eq_3_8(traj, residual_stop=cfg.residual_stop)
+    assert (report.worst_margin, report.worst_t) == ref_worst
 
 
 def test_empty_trajectory_rejected():
