@@ -9,9 +9,10 @@ class LinearSolveError(DsmError):
     """Shifted linear solve failed its factorization or residual certificate.
 
     Raised when factorizing J + a*I breaks down or the computed solution
-    fails the residual check. Either way the monotonicity precondition
-    (positive semidefinite symmetric part of J) is suspect; the failure is
-    reported rather than patched.
+    fails the residual check, which every non-finite J, a or rhs does.
+    Otherwise the monotonicity precondition (positive semidefinite
+    symmetric part of J) is suspect; the failure is reported rather than
+    patched.
     """
 
 

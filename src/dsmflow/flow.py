@@ -20,6 +20,7 @@ with altered parameters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,7 +142,7 @@ def rhs(p: OperatorProblem, s: Schedule, t: float, u: np.ndarray) -> np.ndarray:
 def _make_point(p: OperatorProblem, s: Schedule, t: float, u: np.ndarray) -> TrajectoryPoint:
     a = s.value(t)
     psi = p.residual(a, u)
-    return TrajectoryPoint(t=t, u=u.copy(), a=a, psi=psi, h=float(np.linalg.norm(psi)))
+    return TrajectoryPoint(t=t, u=u.copy(), a=a, psi=psi, h=math.sqrt(psi.dot(psi)))
 
 
 def integrate(

@@ -36,6 +36,12 @@ FD_STEP = 1e-5
 FD_TOL = 1e-4
 
 
+def _read_only(m: np.ndarray) -> np.ndarray:
+    """Mark a constant Jacobian read-only, so jac can return the same array every call."""
+    m.setflags(write=False)
+    return m
+
+
 @dataclass(frozen=True, eq=False)
 class OperatorProblem:
     """A monotone operator equation F(u) = f in R^dim.
@@ -62,12 +68,12 @@ class OperatorProblem:
 def identity(dim: int = 10, rhs=None) -> OperatorProblem:
     """F(u) = u. Solution is f itself; default f = 0."""
     f = np.zeros(dim) if rhs is None else as_vector(rhs)
-    eye = np.eye(dim)
+    eye = _read_only(np.eye(dim))
     return OperatorProblem(
         name="identity",
         dim=dim,
         fun=lambda u: u.copy(),
-        jac=lambda u: eye.copy(),
+        jac=lambda u: eye,
         rhs=f,
         symmetric_jacobian=True,
         minimal_norm_solution=f.copy(),
@@ -112,7 +118,7 @@ def psd_rank_deficient(dim: int = 20, seed: int = 0) -> OperatorProblem:
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     lam = np.concatenate([np.linspace(0.5, 2.0, rank), np.zeros(dim - rank)])
     a_mat = (q * lam) @ q.T
-    a_mat = 0.5 * (a_mat + a_mat.T)
+    a_mat = _read_only(0.5 * (a_mat + a_mat.T))
     u_true = rng.standard_normal(dim)
     f = a_mat @ u_true
     q_range = q[:, :rank]
@@ -122,7 +128,7 @@ def psd_rank_deficient(dim: int = 20, seed: int = 0) -> OperatorProblem:
         name="psd_rank_deficient",
         dim=dim,
         fun=lambda u: a_mat @ u,
-        jac=lambda u: a_mat.copy(),
+        jac=lambda u: a_mat,
         rhs=f,
         symmetric_jacobian=True,
         minimal_norm_solution=y,
@@ -141,14 +147,14 @@ def fredholm_first_kind(dim: int = 100) -> OperatorProblem:
     if dim < 4:
         raise ValueError("fredholm_first_kind needs dim >= 4")
     x = (np.arange(dim) + 0.5) / dim
-    a_mat = np.minimum.outer(x, x) / dim
+    a_mat = _read_only(np.minimum.outer(x, x) / dim)
     u_true = np.sin(np.pi * x)
     f = a_mat @ u_true
     return OperatorProblem(
         name="fredholm_first_kind",
         dim=dim,
         fun=lambda u: a_mat @ u,
-        jac=lambda u: a_mat.copy(),
+        jac=lambda u: a_mat,
         rhs=f,
         symmetric_jacobian=True,
         minimal_norm_solution=u_true,
@@ -166,7 +172,7 @@ def skew_perturbed(dim: int = 16) -> OperatorProblem:
         raise ValueError("skew_perturbed needs dim >= 2")
     s_mat = 0.5 * (2.0 * np.eye(dim) - np.eye(dim, k=1) - np.eye(dim, k=-1))
     k_mat = 0.5 * (np.eye(dim, k=1) - np.eye(dim, k=-1))
-    op = s_mat + k_mat
+    op = _read_only(s_mat + k_mat)
     x = np.linspace(0.0, 1.0, dim)
     y = np.sin(2.0 * np.pi * x) + 0.5
     f = op @ y
@@ -174,7 +180,7 @@ def skew_perturbed(dim: int = 16) -> OperatorProblem:
         name="skew_perturbed",
         dim=dim,
         fun=lambda u: op @ u,
-        jac=lambda u: op.copy(),
+        jac=lambda u: op,
         rhs=f,
         symmetric_jacobian=False,
         minimal_norm_solution=y,
@@ -213,12 +219,12 @@ def convex_gradient(dim: int = 12) -> OperatorProblem:
 
 def non_monotone_fixture(dim: int = 6) -> OperatorProblem:
     """Deliberately non-monotone F(u) = -u; must fail check_monotone."""
-    eye = np.eye(dim)
+    neg_eye = _read_only(-np.eye(dim))
     return OperatorProblem(
         name="non_monotone_fixture",
         dim=dim,
         fun=lambda u: -u,
-        jac=lambda u: -eye.copy(),
+        jac=lambda u: neg_eye,
         rhs=np.zeros(dim),
         symmetric_jacobian=True,
     )

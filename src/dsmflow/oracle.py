@@ -16,6 +16,7 @@ is certified: it never touches the integrator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +81,7 @@ def solve_regularized(
     if w.shape[0] != p.dim:
         raise ValueError(f"w_init has dimension {w.shape[0]}, problem expects {p.dim}")
     r = p.residual(a, w)
-    rn = float(np.linalg.norm(r))
+    rn = math.sqrt(r.dot(r))
     for it in range(cfg.max_iters):
         if rn <= cfg.tol:
             return w
@@ -89,8 +90,8 @@ def solve_regularized(
         while True:
             w_trial = w + lam * delta
             r_trial = p.residual(a, w_trial)
-            rn_trial = float(np.linalg.norm(r_trial))
-            if np.isfinite(rn_trial) and rn_trial <= (1.0 - _SUFFICIENT_DECREASE * lam) * rn:
+            rn_trial = math.sqrt(r_trial.dot(r_trial))
+            if math.isfinite(rn_trial) and rn_trial <= (1.0 - _SUFFICIENT_DECREASE * lam) * rn:
                 break
             lam *= _BACKTRACK_FACTOR
             if lam < _MIN_STEP:

@@ -2,8 +2,8 @@
 
 These deliberately avoid the library's own solvers: bisection for scalar
 roots, the adjugate formula for 2x2 inverses, an eigendecomposition
-pseudoinverse for small symmetric matrices, and a one-node-at-a-time
-Simpson rule for the certificate envelopes.
+pseudoinverse for small symmetric matrices, the textbook dense shifted
+solve, and a one-node-at-a-time Simpson rule for the certificate envelopes.
 """
 
 import numpy as np
@@ -43,6 +43,15 @@ def spectral_pinv_apply(a_mat, rhs, cutoff=1e-10):
     lam, q = np.linalg.eigh(a_mat)
     inv = np.where(np.abs(lam) > cutoff, 1.0 / np.where(lam == 0.0, 1.0, lam), 0.0)
     return q @ (inv * (q.T @ rhs))
+
+
+def dense_shifted_solve(j, a, b):
+    """np.linalg.solve(J + a*I, b) with an explicit identity matrix.
+
+    The formula solve_shifted must reproduce bit for bit.
+    """
+    j = np.asarray(j, dtype=float)
+    return np.linalg.solve(j + a * np.eye(j.shape[0]), np.asarray(b, dtype=float))
 
 
 def simpson_integral(f, t, panels=200):

@@ -137,3 +137,27 @@ def test_seed_changes_psd_instance():
 def test_identity_custom_rhs():
     p = identity(dim=2, rhs=[1.0, 2.0])
     np.testing.assert_array_equal(p.minimal_norm_solution, [1.0, 2.0])
+
+
+CONSTANT_JACOBIAN = ("identity", "psd_rank_deficient", "fredholm_first_kind", "skew_perturbed")
+
+
+@pytest.mark.parametrize("name", CONSTANT_JACOBIAN)
+def test_constant_jacobian_is_one_shared_read_only_array(name):
+    p = d.make_problem(name)
+    j = p.jac(np.zeros(p.dim))
+    assert p.jac(np.ones(p.dim)) is j
+    with pytest.raises(ValueError, match="read-only"):
+        j[0, 0] = 1.0
+    assert d.check_jacobian(p, np.linspace(-1.0, 1.0, p.dim)).passed
+
+
+@pytest.mark.parametrize("name", sorted(set(d.GALLERY_NAMES) - set(CONSTANT_JACOBIAN)))
+def test_state_dependent_jacobian_is_fresh_and_writable(name):
+    p = d.make_problem(name)
+    u = np.linspace(-1.0, 1.0, p.dim)
+    j = p.jac(u)
+    expected = j.copy()
+    j[0, 0] = 123.0
+    np.testing.assert_array_equal(p.jac(u), expected)
+    assert d.check_jacobian(p, u).passed
