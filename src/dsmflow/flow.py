@@ -10,22 +10,24 @@ psi(t) = F(u) + a(t) u - f and its norm h(t) = ||psi||; psi obeys the
 equivalent dynamics psi' = a'(t) u - psi, which residual_dynamics_check
 uses as a discretization-independent consistency test.
 
-The default integrator is an embedded Dormand-Prince 5(4) pair with PI
-step-size control. The flow contracts (its linearization near the residual
-manifold is -I), so an explicit pair is adequate at desk scale; a
-fixed-step classical RK4 mode exists for bit-reproducible regression runs.
-Step-size underflow is reported as a termination reason, never retried
-with altered parameters.
+One stepping loop drives two methods, each supplying only its step and its
+step-size rule. The default is an embedded Dormand-Prince 5(4) pair with PI
+step-size control; a trial stage that fails its shifted solve rejects the
+step like a large error estimate does. The flow contracts (its linearization
+near the residual manifold is -I), so an explicit pair is adequate at desk
+scale. A fixed-step classical RK4 mode, at times k * h, exists for
+bit-reproducible regression runs. Step-size underflow is reported as a
+termination reason, never retried with altered parameters.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import InadmissibleScheduleError
+from .errors import InadmissibleScheduleError, LinearSolveError
 from .linalg import as_vector, solve_shifted
 from .operators import OperatorProblem
 from .schedules import Schedule, check_admissible
@@ -88,16 +90,7 @@ class IntegratorConfig:
             raise ValueError(f"unknown method {self.method!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "t_max": self.t_max,
-            "initial_step": self.initial_step,
-            "rel_tol": self.rel_tol,
-            "abs_tol": self.abs_tol,
-            "max_steps": self.max_steps,
-            "residual_stop": self.residual_stop,
-            "record_stride": self.record_stride,
-            "method": self.method,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "IntegratorConfig":
@@ -152,9 +145,15 @@ def integrate(
 
     The schedule must certify admissibility (positivity, cap, ratio below
     1/2) over [0, t_max] before any stepping happens; an inadmissible
-    schedule is refused outright. Every record_stride-th accepted step is
-    recorded, plus always the first and last states. Step-size underflow
-    below 1e-14 * t_max ends the run with terminated_by="step_failure".
+    schedule is refused outright. One loop serves both methods: max_steps
+    caps the attempted steps, and every record_stride-th accepted step is
+    recorded, plus always the first and last states. dp54 steps t += h under
+    PI control; a step whose error is too large or whose trial stage fails
+    its shifted solve is rejected and h shrinks, and step-size underflow
+    below 1e-14 * t_max ends the run with terminated_by="step_failure". rk4
+    takes round(t_max / initial_step) equal steps h, at times k * h, with no
+    error estimate: every step is accepted, and a failed solve raises
+    LinearSolveError.
     """
     u0 = as_vector(u0)
     if u0.shape[0] != p.dim:
@@ -165,12 +164,6 @@ def integrate(
             f"schedule {s.to_dict()} fails admissibility: max |a'|/a = "
             f"{report.max_ratio:.4g} (limit 0.5), positive={report.positive}"
         )
-    if cfg.method == "rk4":
-        return _integrate_rk4(p, s, u0, cfg)
-    return _integrate_dp54(p, s, u0, cfg)
-
-
-def _integrate_dp54(p, s, u0, cfg) -> Trajectory:
     traj = Trajectory(problem_name=p.name, schedule=s)
     t, u = 0.0, u0.copy()
     pt = _make_point(p, s, t, u)
@@ -179,109 +172,90 @@ def _integrate_dp54(p, s, u0, cfg) -> Trajectory:
         traj.terminated_by = TERMINATED_RESIDUAL
         return traj
 
-    def f(tt, uu):
-        return rhs(p, s, tt, uu)
-
-    h = min(cfg.initial_step, cfg.t_max)
-    k1 = f(t, u)
-    err_prev = 1.0
+    fixed = cfg.method == "rk4"
+    if fixed:
+        h = cfg.t_max / max(1, round(cfg.t_max / cfg.initial_step))
+    else:
+        h = min(cfg.initial_step, cfg.t_max)
+        k1 = rhs(p, s, t, u)
+        err_prev = 1.0
     accepted = 0
-    recorded_t = 0.0
     terminated = None
 
     for _ in range(cfg.max_steps):
-        h = min(h, cfg.t_max - t)
-        if h < 1e-14 * cfg.t_max:
-            terminated = TERMINATED_STEP_FAILURE
-            break
-
-        k = [k1]
-        for i in range(1, 7):
-            ui = u + h * sum(aij * kj for aij, kj in zip(_A[i], k))
-            k.append(f(t + _C[i] * h, ui))
-        u_new = u + h * sum(b * kj for b, kj in zip(_B5, k))
-        # FSAL: the 7th stage sits at (t + h, u_new) already.
-        err_vec = h * sum(e * kj for e, kj in zip(_E, k))
-
-        if np.all(np.isfinite(u_new)):
-            tol = cfg.rel_tol * max(np.linalg.norm(u), np.linalg.norm(u_new)) + cfg.abs_tol
-            err_norm = np.linalg.norm(err_vec) / tol
+        if fixed:
+            # No error estimate and no FSAL stage: every step is accepted.
+            u_new, err_norm, k_last = _rk4_step(p, s, t, u, h), 0.0, None
         else:
-            err_norm = np.inf
+            h = min(h, cfg.t_max - t)
+            if h < 1e-14 * cfg.t_max:
+                terminated = TERMINATED_STEP_FAILURE
+                break
+            u_new, err_norm, k_last = _dp54_step(p, s, t, u, h, k1, cfg)
 
         if err_norm <= 1.0:
-            t += h
-            u = u_new
-            k1 = k[6]
             accepted += 1
-            store = accepted % cfg.record_stride == 0
-            finish = None
+            # rk4 times are k * h, not a running sum, so step n meets the t_max test.
+            t = accepted * h if fixed else t + h
+            u, k1 = u_new, k_last
             pt = _make_point(p, s, t, u)
             if pt.h <= cfg.residual_stop:
-                finish = TERMINATED_RESIDUAL
+                terminated = TERMINATED_RESIDUAL
             elif t >= cfg.t_max * (1.0 - 1e-15):
-                finish = TERMINATED_TMAX
-            if store or finish:
+                terminated = TERMINATED_TMAX
+            if terminated or accepted % cfg.record_stride == 0:
                 traj.points.append(pt)
-                recorded_t = t
-            if finish:
-                terminated = finish
+            if terminated:
                 break
-            err_floor = max(err_norm, 1e-10)
-            factor = _SAFETY * err_floor**-_PI_ALPHA * err_prev**_PI_BETA
-            err_prev = err_floor
-        else:
-            factor = max(_FAC_MIN, _SAFETY * err_norm**-0.2)
-            factor = min(factor, 1.0)
-        h *= min(_FAC_MAX, max(_FAC_MIN, factor))
+        if not fixed:
+            h, err_prev = _pi_control(h, err_norm, err_prev)
 
-    if terminated is None:
-        terminated = TERMINATED_MAX_STEPS
-    traj.terminated_by = terminated
-    if recorded_t < t:
-        traj.points.append(_make_point(p, s, t, u))
+    traj.terminated_by = terminated or TERMINATED_MAX_STEPS
+    if traj.points[-1] is not pt:
+        traj.points.append(pt)
     return traj
 
 
-def _integrate_rk4(p, s, u0, cfg) -> Trajectory:
-    """Fixed-step classical RK4 with step initial_step (t_max split evenly)."""
-    traj = Trajectory(problem_name=p.name, schedule=s)
-    u = u0.copy()
-    pt = _make_point(p, s, 0.0, u)
-    traj.points.append(pt)
-    if pt.h <= cfg.residual_stop:
-        traj.terminated_by = TERMINATED_RESIDUAL
-        return traj
+def _dp54_step(p, s, t, u, h, k1, cfg):
+    """One DP5(4) attempt from (t, u): (u_new, err_norm, last stage).
 
-    n_steps = max(1, round(cfg.t_max / cfg.initial_step))
-    h = cfg.t_max / n_steps
-    terminated = None
-    recorded_t = 0.0
-    t = 0.0
-    for step in range(1, n_steps + 1):
-        if step > cfg.max_steps:
-            terminated = TERMINATED_MAX_STEPS
-            break
-        k1 = rhs(p, s, t, u)
-        k2 = rhs(p, s, t + h / 2, u + h / 2 * k1)
-        k3 = rhs(p, s, t + h / 2, u + h / 2 * k2)
-        k4 = rhs(p, s, t + h, u + h * k3)
-        u = u + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = step * h
-        pt = _make_point(p, s, t, u)
-        finished = pt.h <= cfg.residual_stop or step == n_steps
-        if step % cfg.record_stride == 0 or finished:
-            traj.points.append(pt)
-            recorded_t = t
-        if pt.h <= cfg.residual_stop:
-            terminated = TERMINATED_RESIDUAL
-            break
-        if step == n_steps:
-            terminated = TERMINATED_TMAX
-    traj.terminated_by = terminated if terminated is not None else TERMINATED_MAX_STEPS
-    if recorded_t < t:
-        traj.points.append(_make_point(p, s, t, u))
-    return traj
+    k1 is the FSAL stage rhs(t, u). err_norm is inf when u_new is not
+    finite or a trial stage fails its shifted solve.
+    """
+    k = [k1]
+    for i in range(1, 7):
+        ui = u + h * sum(aij * kj for aij, kj in zip(_A[i], k))
+        try:
+            k.append(rhs(p, s, t + _C[i] * h, ui))
+        except LinearSolveError:
+            return None, np.inf, None
+    u_new = u + h * sum(b * kj for b, kj in zip(_B5, k))
+    if not np.all(np.isfinite(u_new)):
+        return None, np.inf, None
+    # FSAL: the 7th stage sits at (t + h, u_new) already.
+    err_vec = h * sum(e * kj for e, kj in zip(_E, k))
+    tol = cfg.rel_tol * max(np.linalg.norm(u), np.linalg.norm(u_new)) + cfg.abs_tol
+    return u_new, np.linalg.norm(err_vec) / tol, k[6]
+
+
+def _pi_control(h, err_norm, err_prev):
+    """Next dp54 step size and error memory after an accepted or rejected step."""
+    if err_norm <= 1.0:
+        err_floor = max(err_norm, 1e-10)
+        factor = _SAFETY * err_floor**-_PI_ALPHA * err_prev**_PI_BETA
+        err_prev = err_floor
+    else:
+        factor = min(max(_FAC_MIN, _SAFETY * err_norm**-0.2), 1.0)
+    return h * min(_FAC_MAX, max(_FAC_MIN, factor)), err_prev
+
+
+def _rk4_step(p, s, t, u, h):
+    """One classical RK4 step from (t, u)."""
+    k1 = rhs(p, s, t, u)
+    k2 = rhs(p, s, t + h / 2, u + h / 2 * k1)
+    k3 = rhs(p, s, t + h / 2, u + h / 2 * k2)
+    k4 = rhs(p, s, t + h, u + h * k3)
+    return u + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ is certified: it never touches the integrator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -49,7 +49,7 @@ class NewtonConfig:
             raise ValueError("max_iters must be at least 1")
 
     def to_dict(self) -> dict:
-        return {"tol": self.tol, "max_iters": self.max_iters}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "NewtonConfig":

@@ -3,11 +3,33 @@
 These deliberately avoid the library's own solvers: bisection for scalar
 roots, the adjugate formula for 2x2 inverses, an eigendecomposition
 pseudoinverse for small symmetric matrices, the textbook dense shifted
-solve, and a one-node-at-a-time Simpson rule for the certificate envelopes.
+solve, a one-node-at-a-time Simpson rule for the certificate envelopes, and
+the two separate dp54 and rk4 stepping loops that the single loop in
+dsmflow.flow.integrate replaced.
 """
 
 import numpy as np
 from scipy.integrate import simpson
+
+from dsmflow.flow import (
+    _A,
+    _B5,
+    _C,
+    _E,
+    _FAC_MAX,
+    _FAC_MIN,
+    _PI_ALPHA,
+    _PI_BETA,
+    _SAFETY,
+    TERMINATED_MAX_STEPS,
+    TERMINATED_RESIDUAL,
+    TERMINATED_STEP_FAILURE,
+    TERMINATED_TMAX,
+    Trajectory,
+    _make_point,
+    rhs,
+)
+from dsmflow.linalg import as_vector
 
 
 def bisect_root(g, lo, hi, tol=1e-12):
@@ -65,3 +87,130 @@ def simpson_integral(f, t, panels=200):
     xs = np.linspace(0.0, t, panels + 1)
     ys = np.array([f(x) for x in xs])
     return float(simpson(ys, x=xs))
+
+
+def reference_integrate(p, s, u0, cfg):
+    """integrate() as two loops, one per method, after its argument checks.
+
+    The trajectories integrate must reproduce bit for bit, except where a
+    dp54 trial stage fails its shifted solve: there this raises, and
+    integrate rejects the step.
+    """
+    u0 = as_vector(u0)
+    if cfg.method == "rk4":
+        return _integrate_rk4(p, s, u0, cfg)
+    return _integrate_dp54(p, s, u0, cfg)
+
+
+def _integrate_dp54(p, s, u0, cfg) -> Trajectory:
+    traj = Trajectory(problem_name=p.name, schedule=s)
+    t, u = 0.0, u0.copy()
+    pt = _make_point(p, s, t, u)
+    traj.points.append(pt)
+    if pt.h <= cfg.residual_stop:
+        traj.terminated_by = TERMINATED_RESIDUAL
+        return traj
+
+    def f(tt, uu):
+        return rhs(p, s, tt, uu)
+
+    h = min(cfg.initial_step, cfg.t_max)
+    k1 = f(t, u)
+    err_prev = 1.0
+    accepted = 0
+    recorded_t = 0.0
+    terminated = None
+
+    for _ in range(cfg.max_steps):
+        h = min(h, cfg.t_max - t)
+        if h < 1e-14 * cfg.t_max:
+            terminated = TERMINATED_STEP_FAILURE
+            break
+
+        k = [k1]
+        for i in range(1, 7):
+            ui = u + h * sum(aij * kj for aij, kj in zip(_A[i], k))
+            k.append(f(t + _C[i] * h, ui))
+        u_new = u + h * sum(b * kj for b, kj in zip(_B5, k))
+        # FSAL: the 7th stage sits at (t + h, u_new) already.
+        err_vec = h * sum(e * kj for e, kj in zip(_E, k))
+
+        if np.all(np.isfinite(u_new)):
+            tol = cfg.rel_tol * max(np.linalg.norm(u), np.linalg.norm(u_new)) + cfg.abs_tol
+            err_norm = np.linalg.norm(err_vec) / tol
+        else:
+            err_norm = np.inf
+
+        if err_norm <= 1.0:
+            t += h
+            u = u_new
+            k1 = k[6]
+            accepted += 1
+            store = accepted % cfg.record_stride == 0
+            finish = None
+            pt = _make_point(p, s, t, u)
+            if pt.h <= cfg.residual_stop:
+                finish = TERMINATED_RESIDUAL
+            elif t >= cfg.t_max * (1.0 - 1e-15):
+                finish = TERMINATED_TMAX
+            if store or finish:
+                traj.points.append(pt)
+                recorded_t = t
+            if finish:
+                terminated = finish
+                break
+            err_floor = max(err_norm, 1e-10)
+            factor = _SAFETY * err_floor**-_PI_ALPHA * err_prev**_PI_BETA
+            err_prev = err_floor
+        else:
+            factor = max(_FAC_MIN, _SAFETY * err_norm**-0.2)
+            factor = min(factor, 1.0)
+        h *= min(_FAC_MAX, max(_FAC_MIN, factor))
+
+    if terminated is None:
+        terminated = TERMINATED_MAX_STEPS
+    traj.terminated_by = terminated
+    if recorded_t < t:
+        traj.points.append(_make_point(p, s, t, u))
+    return traj
+
+
+def _integrate_rk4(p, s, u0, cfg) -> Trajectory:
+    """Fixed-step classical RK4 with step initial_step (t_max split evenly)."""
+    traj = Trajectory(problem_name=p.name, schedule=s)
+    u = u0.copy()
+    pt = _make_point(p, s, 0.0, u)
+    traj.points.append(pt)
+    if pt.h <= cfg.residual_stop:
+        traj.terminated_by = TERMINATED_RESIDUAL
+        return traj
+
+    n_steps = max(1, round(cfg.t_max / cfg.initial_step))
+    h = cfg.t_max / n_steps
+    terminated = None
+    recorded_t = 0.0
+    t = 0.0
+    for step in range(1, n_steps + 1):
+        if step > cfg.max_steps:
+            terminated = TERMINATED_MAX_STEPS
+            break
+        k1 = rhs(p, s, t, u)
+        k2 = rhs(p, s, t + h / 2, u + h / 2 * k1)
+        k3 = rhs(p, s, t + h / 2, u + h / 2 * k2)
+        k4 = rhs(p, s, t + h, u + h * k3)
+        u = u + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        t = step * h
+        pt = _make_point(p, s, t, u)
+        finished = pt.h <= cfg.residual_stop or step == n_steps
+        if step % cfg.record_stride == 0 or finished:
+            traj.points.append(pt)
+            recorded_t = t
+        if pt.h <= cfg.residual_stop:
+            terminated = TERMINATED_RESIDUAL
+            break
+        if step == n_steps:
+            terminated = TERMINATED_TMAX
+    traj.terminated_by = terminated if terminated is not None else TERMINATED_MAX_STEPS
+    if recorded_t < t:
+        traj.points.append(_make_point(p, s, t, u))
+    return traj

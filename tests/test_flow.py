@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 import dsmflow as d
-from dsmflow.errors import InadmissibleScheduleError
+import dsmflow.flow
+from dsmflow.errors import InadmissibleScheduleError, LinearSolveError
 from dsmflow.flow import TERMINATED_MAX_STEPS, TERMINATED_STEP_FAILURE
-from dsmflow.operators import diag_cubic, identity
+from dsmflow.operators import GALLERY_NAMES, OperatorProblem, diag_cubic, identity
+
+from oracles import reference_integrate
 
 
 def test_rhs_identity_scalar():
@@ -93,6 +96,15 @@ def test_max_steps_termination():
     assert traj.final.t < 20.0
 
 
+def test_rk4_max_steps_termination():
+    p = d.make_problem("diag_cubic")
+    cfg = d.IntegratorConfig(t_max=20.0, initial_step=0.05, max_steps=5, method="rk4")
+    traj = d.integrate(p, d.power(1.0, 0.25), np.zeros(p.dim), cfg)
+    assert traj.terminated_by == TERMINATED_MAX_STEPS
+    assert len(traj.points) == 6
+    assert traj.final.t == 5 * (20.0 / 400)
+
+
 def test_step_failure_on_unresolvable_horizon():
     # 1e15 time units cannot be resolved by any explicit step sequence.
     p = d.make_problem("diag_cubic", dim=2)
@@ -103,11 +115,12 @@ def test_step_failure_on_unresolvable_horizon():
 
 def test_residual_stop_terminates_early():
     p = identity(dim=3, rhs=[1.0, 1.0, 1.0])
-    cfg = d.IntegratorConfig(t_max=60.0, residual_stop=1e-8)
-    traj = d.integrate(p, d.exponential(1.0, 0.44), np.zeros(3), cfg)
-    assert traj.terminated_by == "residual_stop"
-    assert traj.final.h <= 1e-8
-    assert traj.final.t < 60.0
+    for method in ("dp54", "rk4"):
+        cfg = d.IntegratorConfig(t_max=60.0, residual_stop=1e-8, method=method)
+        traj = d.integrate(p, d.exponential(1.0, 0.44), np.zeros(3), cfg)
+        assert traj.terminated_by == "residual_stop"
+        assert traj.final.h <= 1e-8
+        assert traj.final.t < 60.0
 
 
 def test_record_stride_thins_output():
@@ -207,3 +220,108 @@ def test_cubic_flow_approaches_cube_root():
     traj = d.integrate(p, s, np.zeros(1), d.IntegratorConfig(t_max=t_star + 0.05))
     assert traj.final.a <= 1e-3
     assert abs(traj.final.u[0] - 2.0) < 1e-3
+
+
+def _assert_same_trajectory(traj, ref):
+    assert traj.terminated_by == ref.terminated_by
+    assert len(traj.points) == len(ref.points)
+    for pt, pr in zip(traj.points, ref.points):
+        assert (pt.t, pt.a, pt.h) == (pr.t, pr.a, pr.h)
+        assert pt.u.tobytes() == pr.u.tobytes()
+        assert pt.psi.tobytes() == pr.psi.tobytes()
+
+
+@pytest.mark.parametrize("name", GALLERY_NAMES)
+def test_one_loop_matches_separate_loops_bitwise(name):
+    # Stride 1 and 3, a max_steps cut (7 is no multiple of 3, so it forces
+    # a trailing point), and finishes at residual_stop and (except identity)
+    # at t_max.
+    p = d.make_problem(name, dim=4)
+    u0 = np.ones(4)
+    finishes = set()
+    for s in (d.power(1.0, 0.25), d.exponential(1.0, 0.44), d.constant(0.8)):
+        for method in ("dp54", "rk4"):
+            for stride, max_steps in ((1, 200_000), (3, 7), (3, 200_000)):
+                cfg = d.IntegratorConfig(
+                    t_max=8.0, initial_step=0.1, residual_stop=1e-2,
+                    max_steps=max_steps, record_stride=stride, method=method,
+                )
+                traj = d.integrate(p, s, u0, cfg)
+                _assert_same_trajectory(traj, reference_integrate(p, s, u0, cfg))
+                finishes.add((method, traj.terminated_by))
+    assert {(m, r) for m in ("dp54", "rk4") for r in (TERMINATED_MAX_STEPS, "residual_stop")} <= finishes
+
+
+def test_one_loop_matches_separate_loops_at_the_edges():
+    # A start at the regularized solution (a stop at t = 0) and step failure.
+    s = d.power(1.0, 0.25)
+    p = d.make_problem("psd_rank_deficient", dim=4)
+    w0 = d.solve_regularized(p, s.value(0.0), np.zeros(4))
+    for method in ("dp54", "rk4"):
+        cfg = d.IntegratorConfig(t_max=5.0, residual_stop=1e-10, method=method)
+        traj = d.integrate(p, s, w0, cfg)
+        assert traj.terminated_by == "residual_stop" and len(traj.points) == 1
+        _assert_same_trajectory(traj, reference_integrate(p, s, w0, cfg))
+    p = d.make_problem("diag_cubic", dim=2)
+    cfg = d.IntegratorConfig(t_max=1e15)
+    traj = d.integrate(p, s, np.zeros(2), cfg)
+    assert traj.terminated_by == TERMINATED_STEP_FAILURE
+    _assert_same_trajectory(traj, reference_integrate(p, s, np.zeros(2), cfg))
+
+
+def _exp_problem():
+    # F(u) = exp(u) is monotone; from u0 = -30 with f = 100 the first dp54
+    # trial stages overshoot far enough that exp overflows.
+    return OperatorProblem(
+        name="exp", dim=1, fun=np.exp, jac=lambda u: np.diag(np.exp(u)),
+        rhs=np.array([100.0]), symmetric_jacobian=True,
+    )
+
+
+def test_failed_trial_stage_rejects_the_dp54_step():
+    p = _exp_problem()
+    cfg = d.IntegratorConfig(t_max=5.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = d.integrate(p, d.constant(1e-3), np.array([-30.0]), cfg)
+    assert traj.terminated_by == "t_max"
+    h0 = traj.points[0].h
+    for pt in traj.points:
+        assert pt.h == pytest.approx(h0 * math.exp(-pt.t), rel=1e-5)
+
+
+def test_failed_stage_still_raises_in_fixed_step_mode():
+    p = _exp_problem()
+    cfg = d.IntegratorConfig(t_max=5.0, method="rk4")
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(LinearSolveError):
+        d.integrate(p, d.constant(1e-3), np.array([-30.0]), cfg)
+
+
+def _count_rhs_calls(monkeypatch, cfg):
+    # Counts calls and the attempted dp54 steps: only a step's last two
+    # stages share a time (c6 = c7 = 1).
+    calls = []
+    real_rhs = dsmflow.flow.rhs
+
+    def counting_rhs(p, s, t, u):
+        calls.append(t)
+        return real_rhs(p, s, t, u)
+
+    monkeypatch.setattr(dsmflow.flow, "rhs", counting_rhs)
+    p = d.make_problem("convex_gradient", dim=5)
+    traj = d.integrate(p, d.power(1.0, 0.25), np.zeros(5), cfg)
+    attempts = sum(t0 == t1 for t0, t1 in zip(calls, calls[1:]))
+    return len(calls), attempts, len(traj.points)
+
+
+def test_rhs_calls_match_rk4_steps(monkeypatch):
+    cfg = d.IntegratorConfig(t_max=3.0, initial_step=0.1, method="rk4")
+    calls, _, points = _count_rhs_calls(monkeypatch, cfg)
+    assert points == 31
+    assert calls == 4 * (points - 1)
+
+
+def test_rhs_calls_match_dp54_attempts(monkeypatch):
+    cfg = d.IntegratorConfig(t_max=3.0, initial_step=1.0)
+    calls, attempts, points = _count_rhs_calls(monkeypatch, cfg)
+    assert calls == 1 + 6 * attempts
+    assert attempts > points - 1  # initial_step 1 is too long: some steps are rejected
