@@ -28,13 +28,17 @@ pass holds iff worst_margin >= -slack(bound_id).
 The EQ_2_8 and EQ_3_8 integrals use the composite Simpson rule with 200
 panels on [0, t] at each checkpoint, evaluated for blocks of checkpoints
 at once: one (rows, 201) node matrix per block, integrated row by row
-along the last axis. Every transcendental goes through math, one element
-at a time (schedules.exp_array, Schedule.derivative_array), because
-NumPy's vectorized exp and power can differ in the last bit and margins
-in fixed-step rk4 runs must reproduce bit for bit. A checkpoint at t <= 0
-has integral 0 and is left out of the node matrix: a zero-length row
-would send np.linspace down its zero-step branch for the whole block and
-move every other row's nodes in the last bit.
+along the last axis by _simpson: SciPy's irregular-spacing Simpson rule
+(scipy.integrate.simpson with x given, odd node count) kept op for op, so
+margins stay bit for bit those of the SciPy rule. SciPy is only the tests'
+reference and is not imported at runtime. Every transcendental goes
+through math, one element at a time (schedules.exp_array,
+Schedule.derivative_array), because NumPy's vectorized exp and power can
+differ in the last bit and margins in fixed-step rk4 runs must reproduce
+bit for bit. A checkpoint at t <= 0 has integral 0 and is left out of the
+node matrix: a zero-length row would send np.linspace down its zero-step
+branch for the whole block and move every other row's nodes in the last
+bit.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .flow import TERMINATED_RESIDUAL, TERMINATED_TMAX, Trajectory
 from .operators import OperatorProblem
@@ -95,6 +98,33 @@ def _worst(margins, times):
     return float(margins[idx]), float(times[idx])
 
 
+def _simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Composite Simpson of each row of y over the nodes in the same row of x.
+
+    SciPy's irregular-spacing rule for an odd number of nodes, kept op for
+    op (same guarded divisions, same term order, one contiguous sum per
+    row), so the result equals scipy.integrate.simpson(y, x=x, axis=-1)
+    byte for byte and margins stay bit for bit; SciPy is only the
+    reference the tests compare against. The where= guards keep panels
+    with a zero spacing or spacing product (a subnormal t) finite, as in
+    SciPy.
+    """
+    h = np.diff(x, axis=-1)
+    h0 = h[..., 0::2]
+    h1 = h[..., 1::2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = np.true_divide(h0, h1, out=np.zeros_like(h0), where=h1 != 0)
+    h1divh0 = np.true_divide(1.0, h0divh1, out=np.zeros_like(h0divh1), where=h0divh1 != 0)
+    hsum_hprod = np.true_divide(hsum, hprod, out=np.zeros_like(hsum), where=hprod != 0)
+    tmp = hsum / 6.0 * (
+        y[..., 0:-2:2] * (2.0 - h1divh0)
+        + y[..., 1:-1:2] * (hsum * hsum_hprod)
+        + y[..., 2::2] * (2.0 - h0divh1)
+    )
+    return np.sum(tmp, axis=-1)
+
+
 def _envelope_integrals(s: Schedule, times: np.ndarray, rate: float, weight=None) -> np.ndarray:
     """int_0^t e^{rate (x - t)} |a'(x)| weight(x) dx for every t in times.
 
@@ -107,13 +137,13 @@ def _envelope_integrals(s: Schedule, times: np.ndarray, rate: float, weight=None
     for start in range(0, len(rows), _BLOCK_ROWS):
         idx = rows[start : start + _BLOCK_ROWS]
         t = times[idx]
-        # C order, so simpson sums each row contiguously, as for one 1-D row.
+        # C order, so _simpson sums each row contiguously, as for one 1-D row.
         x = np.ascontiguousarray(np.linspace(0.0, t, _PANELS + 1, axis=-1))
         y = np.abs(s.derivative_array(x))
         if weight is not None:
             y = y * weight(x)
         y = exp_array((x - t[:, None]) * rate) * y
-        out[idx] = simpson(y, x=x, axis=-1)
+        out[idx] = _simpson(y, x)
     return out
 
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dsmflow
 import dsmflow.cli as cli
 from dsmflow.cli import RunConfig
 
@@ -200,3 +205,16 @@ def test_float_format_has_17_significant_digits():
     x = float(np.pi)
     assert cli._fmt(x) == "3.1415926535897931e+00"
     assert len(cli._fmt(x).split("e")[0].replace(".", "").lstrip("-")) == 17
+
+
+def test_cold_start_imports_no_scipy():
+    # SciPy is a test-only reference; importing it would cost a cold
+    # `dsmflow verify` about half a second and double its peak RSS.
+    src = str(Path(dsmflow.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import dsmflow, dsmflow.cli, dsmflow.verify, sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.integrate import simpson
 
 import dsmflow as d
 from dsmflow.flow import Trajectory
 from dsmflow.operators import identity
-from dsmflow.verify import SLACK, _envelope_integrals
+from dsmflow.verify import _PANELS, SLACK, _envelope_integrals, _simpson
 from oracles import simpson_integral
 
 
@@ -236,6 +239,43 @@ def test_envelopes_match_scalar_simpson_bitwise(s, method):
     assert _envelope_integrals(s, times, 1.0).tolist() == ref_integrals
     report = d.check_eq_3_8(traj, residual_stop=cfg.residual_stop)
     assert (report.worst_margin, report.worst_t) == ref_worst
+
+
+def _simpson_nodes(times):
+    # The node matrix exactly as _envelope_integrals builds it.
+    return np.ascontiguousarray(np.linspace(0.0, np.asarray(times), _PANELS + 1, axis=-1))
+
+
+def _simpson_values(rng, rows):
+    # Signed values over many magnitudes, with some exact zeros of either sign.
+    y = rng.standard_normal((rows, _PANELS + 1)) * 10.0 ** rng.uniform(-6, 6, (rows, 1))
+    zeros = rng.uniform(size=y.shape) < 0.05
+    y[zeros] = np.where(rng.uniform(size=zeros.sum()) < 0.5, 0.0, -0.0)
+    return y
+
+
+@given(st.lists(st.floats(1e-8, 1e3), min_size=1, max_size=40), st.integers(0, 10_000))
+def test_simpson_matches_scipy_bitwise(times, seed):
+    x = _simpson_nodes(times)
+    y = _simpson_values(np.random.default_rng(seed), len(times))
+    assert _simpson(y, x).tobytes() == simpson(y, x=x, axis=-1).tobytes()
+
+
+@pytest.mark.parametrize("t", [5e-324, 1e-310])
+def test_simpson_matches_scipy_at_zero_spacings(t):
+    # A subnormal t gives panels whose spacing product is zero: at 5e-324
+    # all spacings but one are zero, at 1e-310 the 5e-313 spacings
+    # underflow when multiplied. Only the where= guards keep those panels
+    # finite. Rows 1 and 3 are ordinary ones, row 1 all -0.0.
+    x = _simpson_nodes([t, 1.0, t, 3.0])
+    h = np.diff(x[0])
+    assert (h[0::2] * h[1::2] == 0.0).all()
+    y = _simpson_values(np.random.default_rng(7), 4)
+    y[0, ::3] = -0.0
+    y[1] = -0.0
+    expected = simpson(y, x=x, axis=-1)
+    assert np.isfinite(expected).all()
+    assert _simpson(y, x).tobytes() == expected.tobytes()
 
 
 def test_envelopes_of_one_point_trajectory():
