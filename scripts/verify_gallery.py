@@ -2,8 +2,8 @@
 """Certify every bound on every gallery problem and tabulate the margins.
 
 Runs the flow with a (1/2-admissible) exponential regularizer deep enough
-that the limit checks apply, then prints one row per (problem, bound) and
-writes the full reports as JSON.
+that the limit checks apply, certifies it with dsmflow.certify, then
+prints one row per (problem, bound) and writes the full reports as JSON.
 
 Usage: python scripts/verify_gallery.py [--out DIR] [--t-max T] [--decay K]
 """
@@ -15,27 +15,6 @@ from pathlib import Path
 import numpy as np
 
 import dsmflow as d
-from dsmflow.cli import LEMMA_GRID, EPS_Y_OVERRIDES
-
-
-def verify_one(name, schedule, cfg):
-    p = d.make_problem(name)
-    traj = d.integrate(p, schedule, np.zeros(p.dim), cfg)
-    continuation = d.minimal_norm_limit(p)
-    reports = [
-        d.check_eq_2_6(traj, p, schedule),
-        d.check_eq_2_10(traj, p, schedule),
-        d.check_eq_3_8(traj, residual_stop=cfg.residual_stop),
-        d.check_thm_3_1(
-            traj,
-            p,
-            continuation,
-            residual_stop=cfg.residual_stop,
-            eps_y_rel=EPS_Y_OVERRIDES.get(name, 1e-2),
-        ),
-    ]
-    sweep = d.lemma_2_1_sweep(p, LEMMA_GRID)
-    return traj, reports, sweep
 
 
 def main():
@@ -55,20 +34,18 @@ def main():
     print(f"{'problem':22s} {'bound':9s} {'pass':5s} {'worst_margin':>13s} {'at':>9s}")
     all_ok = True
     for name in d.GALLERY_NAMES:
-        traj, reports, sweep = verify_one(name, schedule, cfg)
+        p = d.make_problem(name)
+        traj = d.integrate(p, schedule, np.zeros(p.dim), cfg)
+        reports, _, _ = d.certify(traj, p, schedule, d.NewtonConfig(), cfg.residual_stop)
         for r in reports:
             all_ok &= r.passed
             print(f"{name:22s} {r.bound_id:9s} {str(r.passed):5s} {r.worst_margin:+13.3e} {r.worst_t:9.3g}")
-        all_ok &= sweep.monotone_nondecreasing_in_a
-        print(f"{name:22s} LEMMA_2_1 {str(sweep.monotone_nondecreasing_in_a):5s} "
-              f"{'(a*||w_a|| nondecreasing)':>23s}")
         payload = {
             "problem": name,
             "terminated_by": traj.terminated_by,
             "t_final": traj.final.t,
             "h_final": traj.final.h,
             "bounds": [r.to_dict() for r in reports],
-            "lemma_values": sweep.values,
         }
         (out_dir / f"{name}.json").write_text(json.dumps(payload, indent=2) + "\n")
 

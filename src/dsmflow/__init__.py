@@ -27,7 +27,7 @@ from .flow import (
     residual_dynamics_check,
     rhs,
 )
-from .linalg import EPS_LIN, inner, norm, solve_shifted
+from .linalg import EPS_LIN, solve_shifted
 from .operators import (
     GALLERY_NAMES,
     OperatorProblem,
@@ -47,6 +47,8 @@ from .oracle import (
 from .schedules import Schedule, check_admissible, constant, exponential, power
 from .verify import (
     BoundReport,
+    cap_term,
+    certify,
     check_eq_2_6,
     check_eq_2_8,
     check_eq_2_10,
@@ -70,6 +72,8 @@ __all__ = [
     "Schedule",
     "Trajectory",
     "TrajectoryPoint",
+    "cap_term",
+    "certify",
     "check_admissible",
     "check_eq_2_6",
     "check_eq_2_8",
@@ -81,12 +85,10 @@ __all__ = [
     "constant",
     "exponential",
     "gallery",
-    "inner",
     "integrate",
     "lemma_2_1_sweep",
     "make_problem",
     "minimal_norm_limit",
-    "norm",
     "power",
     "residual_dynamics_check",
     "rhs",

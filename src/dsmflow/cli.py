@@ -29,24 +29,30 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContinuationError, DsmError, NewtonError
+from .errors import DsmError, NewtonError
 from .flow import TERMINATED_STEP_FAILURE, IntegratorConfig, Trajectory, integrate
 from .operators import OperatorProblem, check_monotone, gallery, make_problem
-from .oracle import NewtonConfig, lemma_2_1_sweep, minimal_norm_limit, solve_regularized
+from .oracle import NewtonConfig, minimal_norm_limit
 from .schedules import Schedule, check_admissible
-from .verify import BoundReport, check_eq_2_6, check_eq_2_10, check_eq_3_8, check_thm_3_1
+from .verify import cap_term, certify
+
+# Not used here: perfbench imports EPS_Y_OVERRIDES and LEMMA_GRID from this
+# module and its tracer patches the other names on it. Drop these once the
+# tracer reads counters the library records itself.
+from .oracle import lemma_2_1_sweep, solve_regularized  # noqa: F401
+from .verify import (  # noqa: F401
+    EPS_Y_OVERRIDES,
+    LEMMA_GRID,
+    check_eq_2_6,
+    check_eq_2_10,
+    check_eq_3_8,
+    check_thm_3_1,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
-
-# Standard grid for the a * ||w_a|| monotonicity sweep.
-LEMMA_GRID = (10.0, 3.0, 1.0, 0.3, 0.1, 0.03, 0.01, 0.003, 0.001)
-
-# Slowly converging ill-posed problems get a relaxed limit-match tolerance;
-# the value used is always recorded in the THM_3_1 report notes.
-EPS_Y_OVERRIDES = {"fredholm_first_kind": 5e-2}
 
 TRAJECTORY_COLUMNS = ("t", "a", "h", "norm_u", "dist_to_w", "bound_2_6_rhs", "bound_2_10_rhs")
 
@@ -108,21 +114,23 @@ def load_config(path) -> RunConfig:
     return RunConfig.from_dict(raw)
 
 
-def _build_problem(cfg: RunConfig) -> OperatorProblem:
-    try:
-        return make_problem(cfg.problem, dim=cfg.dim, seed=cfg.seed)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+def _load(config_path):
+    """(config, schedule admissibility report, problem) of a config file.
 
-
-def _require_admissible(cfg: RunConfig):
-    report = check_admissible(cfg.schedule, horizon=cfg.integrator.t_max)
-    if not report.pass_2_2:
+    Raises ConfigError on a bad file, a schedule that is not admissible
+    over [0, t_max], or an unknown problem or dimension.
+    """
+    cfg = load_config(config_path)
+    adm = check_admissible(cfg.schedule, horizon=cfg.integrator.t_max)
+    if not adm.pass_2_2:
         raise ConfigError(
             f"schedule {cfg.schedule.to_dict()} is inadmissible: sup |a'|/a = "
-            f"{report.max_ratio:.4g} must stay below 0.5 with 0 < a(t) < cap"
+            f"{adm.max_ratio:.4g} must stay below 0.5 with 0 < a(t) < cap"
         )
-    return report
+    try:
+        return cfg, adm, make_problem(cfg.problem, dim=cfg.dim, seed=cfg.seed)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
 
 
 def _atomic_write(path: Path, text: str):
@@ -135,7 +143,7 @@ def _fmt(x: float) -> str:
     return f"{x:.16e}"
 
 
-def _trajectory_csv(traj: Trajectory, cap_term: float) -> str:
+def _trajectory_csv(traj: Trajectory, cap: float) -> str:
     h0 = traj.points[0].h
     lines = [",".join(TRAJECTORY_COLUMNS)]
     for pt in traj.points:
@@ -147,7 +155,7 @@ def _trajectory_csv(traj: Trajectory, cap_term: float) -> str:
             _fmt(float(np.linalg.norm(pt.u))),
             "" if pt.dist_to_w is None else _fmt(pt.dist_to_w),
             _fmt(pt.h / pt.a),
-            "" if not math.isfinite(cap_term) else _fmt(h0 * decay + (1.0 - decay) * cap_term),
+            "" if not math.isfinite(cap) else _fmt(h0 * decay + (1.0 - decay) * cap),
         )
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
@@ -162,9 +170,9 @@ def _continuation_csv(p: OperatorProblem, result) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_run_outputs(out_dir: Path, cfg: RunConfig, traj: Trajectory, cap_term: float):
+def _write_run_outputs(out_dir: Path, cfg: RunConfig, traj: Trajectory, cap: float):
     out_dir.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out_dir / "trajectory.csv", _trajectory_csv(traj, cap_term))
+    _atomic_write(out_dir / "trajectory.csv", _trajectory_csv(traj, cap))
     run_meta = {
         "config": cfg.to_dict(),
         "terminated_by": traj.terminated_by,
@@ -175,32 +183,17 @@ def _write_run_outputs(out_dir: Path, cfg: RunConfig, traj: Trajectory, cap_term
     _atomic_write(out_dir / "run.json", json.dumps(run_meta, indent=2) + "\n")
 
 
-def _cap_term(p: OperatorProblem, cfg: RunConfig) -> float:
-    w_cap = solve_regularized(p, cfg.schedule.cap, np.zeros(p.dim), cfg.oracle)
-    return cfg.schedule.cap * float(np.linalg.norm(w_cap))
-
-
 def cmd_run(config_path) -> int:
+    cfg, _, p = _load(config_path)
+    traj = integrate(p, cfg.schedule, np.zeros(p.dim), cfg.integrator)
     try:
-        cfg = load_config(config_path)
-        _require_admissible(cfg)
-        p = _build_problem(cfg)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        traj = integrate(p, cfg.schedule, np.zeros(p.dim), cfg.integrator)
-    except DsmError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
-    try:
-        cap_term = _cap_term(p, cfg)
+        cap = cap_term(p, cfg.schedule, cfg.oracle)
     except NewtonError as err:
         # Cap-envelope column degrades to empty; the run itself still lands.
         print(f"warning: cap solve failed, bound_2_10_rhs left empty ({err})", file=sys.stderr)
-        cap_term = float("nan")
+        cap = float("nan")
     out_dir = Path(cfg.output_dir)
-    _write_run_outputs(out_dir, cfg, traj, cap_term)
+    _write_run_outputs(out_dir, cfg, traj, cap)
     print(
         f"{p.name}: terminated_by={traj.terminated_by} t_final={traj.final.t:.6g} "
         f"h_final={traj.final.h:.3e} -> {out_dir / 'trajectory.csv'}"
@@ -211,36 +204,8 @@ def cmd_run(config_path) -> int:
     return EXIT_OK
 
 
-def _lemma_report(p: OperatorProblem, cfg: RunConfig) -> BoundReport:
-    sweep = lemma_2_1_sweep(p, LEMMA_GRID, cfg.oracle)
-    increasing = sweep.values[::-1]
-    increments = [v2 - v1 for v1, v2 in zip(increasing, increasing[1:])]
-    worst = min(increments) + sweep.slack
-    grid_increasing = list(sweep.a_grid[::-1])
-    worst_a = grid_increasing[1 + int(np.argmin(increments))]
-    return BoundReport(
-        bound_id="LEMMA_2_1",
-        passed=sweep.monotone_nondecreasing_in_a,
-        worst_margin=worst,
-        worst_t=worst_a,
-        checkpoints=len(sweep.a_grid),
-        notes=(
-            "a*||w_a|| nondecreasing in a over grid "
-            f"{list(sweep.a_grid)}; margin = min increment + slack {sweep.slack:g}; "
-            "worst_t is the a-value at the worst increment"
-        ),
-    )
-
-
 def cmd_verify(config_path) -> int:
-    try:
-        cfg = load_config(config_path)
-        adm = _require_admissible(cfg)
-        p = _build_problem(cfg)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
-
+    cfg, adm, p = _load(config_path)
     out_dir = Path(cfg.output_dir)
     mono = check_monotone(p, samples=200, radius=5.0, seed=cfg.seed)
     payload = {
@@ -260,55 +225,25 @@ def cmd_verify(config_path) -> int:
         print(f"FAIL monotonicity: min pairing {mono.min_pairing:.3e} < 0", file=sys.stderr)
         return EXIT_CHECK_FAILED
 
-    try:
-        traj = integrate(p, cfg.schedule, np.zeros(p.dim), cfg.integrator)
-    except DsmError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
+    traj = integrate(p, cfg.schedule, np.zeros(p.dim), cfg.integrator)
     if traj.terminated_by == TERMINATED_STEP_FAILURE:
         _write_run_outputs(out_dir, cfg, traj, float("nan"))
         print("error: step size underflow (step_failure)", file=sys.stderr)
         return EXIT_RUNTIME
 
-    eps_y = EPS_Y_OVERRIDES.get(p.name, 1e-2)
-    reports = []
-    continuation = None
-    try:
-        reports.append(check_eq_2_6(traj, p, cfg.schedule, cfg.oracle))
-        reports.append(check_eq_2_10(traj, p, cfg.schedule, cfg.oracle))
-        reports.append(check_eq_3_8(traj, residual_stop=cfg.integrator.residual_stop))
-        if adm.pass_3_3:
-            # Limit identification only applies when a(t) actually decays.
-            continuation = minimal_norm_limit(p, cfg=cfg.oracle)
-            reports.append(
-                check_thm_3_1(
-                    traj,
-                    p,
-                    continuation,
-                    residual_stop=cfg.integrator.residual_stop,
-                    eps_y_rel=eps_y,
-                )
-            )
-        else:
-            payload["skipped"] = ["THM_3_1: schedule does not decay to zero"]
-        reports.append(_lemma_report(p, cfg))
-    except (NewtonError, ContinuationError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
-
+    reports, cap, continuation = certify(
+        traj, p, cfg.schedule, cfg.oracle, cfg.integrator.residual_stop
+    )
     payload["bounds"] = [r.to_dict() for r in reports]
-    if continuation is not None:
+    if continuation is None:
+        payload["skipped"] = ["THM_3_1: schedule does not decay to zero"]
+    else:
         payload["continuation"] = {
             "a_final": continuation.a_values[-1],
             "norm_y": float(np.linalg.norm(continuation.y_estimate)),
             "converged": continuation.converged,
         }
-    try:
-        cap_term = _cap_term(p, cfg)
-    except NewtonError:
-        cap_term = float("nan")
-    _write_run_outputs(out_dir, cfg, traj, cap_term)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_run_outputs(out_dir, cfg, traj, cap)
     _atomic_write(out_dir / "bounds.json", json.dumps(payload, indent=2) + "\n")
 
     failing = [r.bound_id for r in reports if not r.passed]
@@ -346,17 +281,8 @@ def cmd_check_schedule(kind: str, a0: float, param: float) -> int:
 
 
 def cmd_oracle(config_path) -> int:
-    try:
-        cfg = load_config(config_path)
-        p = _build_problem(cfg)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        result = minimal_norm_limit(p, cfg=cfg.oracle)
-    except (NewtonError, ContinuationError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
+    cfg, _, p = _load(config_path)
+    result = minimal_norm_limit(p, cfg=cfg.oracle)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _atomic_write(out_dir / "continuation.csv", _continuation_csv(p, result))
@@ -387,15 +313,19 @@ def main(argv=None) -> int:
     p_oracle.add_argument("config")
     args = parser.parse_args(argv)
 
-    if args.command == "run":
-        return cmd_run(args.config)
-    if args.command == "verify":
-        return cmd_verify(args.config)
     if args.command == "gallery":
         return cmd_gallery()
     if args.command == "check-schedule":
         return cmd_check_schedule(args.kind, args.a0, args.param)
-    return cmd_oracle(args.config)
+    command = {"run": cmd_run, "verify": cmd_verify, "oracle": cmd_oracle}[args.command]
+    try:
+        return command(args.config)
+    except ConfigError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except DsmError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 def entrypoint():

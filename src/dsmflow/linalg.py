@@ -1,7 +1,7 @@
-"""Euclidean inner product, norm, and the shifted dense linear solve.
+"""Vector coercion and the shifted dense linear solve.
 
-Vectors are 1-D float64 arrays and matrices are square 2-D arrays. inner
-and norm check finiteness, as do the entry points that take vectors from
+Vectors are 1-D float64 arrays and matrices are square 2-D arrays.
+as_vector checks finiteness at the entry points that take vectors from
 outside (integrate's u0, solve_regularized's w_init). solve_shifted, which
 every flow stage and every oracle Newton step calls, does not scan its
 inputs: its residual certificate is the finiteness check. A NaN or Inf in
@@ -42,20 +42,6 @@ def as_vector(x) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError("vector contains non-finite entries")
     return v
-
-
-def inner(u, v) -> float:
-    """Euclidean inner product sum_i u_i v_i."""
-    u = as_vector(u)
-    v = as_vector(v)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape[0]} vs {v.shape[0]}")
-    return float(np.dot(u, v))
-
-
-def norm(u) -> float:
-    """Euclidean norm sqrt(inner(u, u))."""
-    return float(np.linalg.norm(as_vector(u)))
 
 
 def solve_shifted(J, a: float, rhs) -> np.ndarray:

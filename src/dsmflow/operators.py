@@ -18,12 +18,13 @@ negative tests but is not part of the gallery.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .linalg import MAX_DIM, as_vector, inner, norm
+from .linalg import MAX_DIM, as_vector
 
 # Working box for sampling-based checks; trajectories stay well inside.
 R_BOX = 100.0
@@ -299,8 +300,8 @@ def check_monotone(
     """Sample pairs (u, v) in the ball and test <F(u) - F(v), u - v> >= 0.
 
     Each pairing is allowed a slack of EPS_MONO * (1 + ||F(u)|| * ||u - v||)
-    to absorb rounding. The seed is recorded so failing draws can be
-    replayed.
+    to absorb rounding; a NaN pairing fails. The seed is recorded so
+    failing draws can be replayed.
     """
     if samples < 1:
         raise ValueError("need at least one sample pair")
@@ -313,10 +314,13 @@ def check_monotone(
         u = _sample_in_ball(rng, p.dim, radius)
         v = _sample_in_ball(rng, p.dim, radius)
         fu = p.fun(u)
-        pairing = inner(fu - p.fun(v), u - v)
-        min_pairing = min(min_pairing, pairing)
-        slack = EPS_MONO * (1.0 + norm(fu) * norm(u - v))
-        if pairing < -slack:
+        step = u - v
+        pairing = float(np.dot(fu - p.fun(v), step))
+        # A NaN pairing sticks as the reported minimum.
+        if pairing < min_pairing or math.isnan(pairing):
+            min_pairing = pairing
+        slack = EPS_MONO * (1.0 + float(np.linalg.norm(fu)) * float(np.linalg.norm(step)))
+        if not pairing >= -slack:
             passed = False
     return MonotonicityReport(
         min_pairing=float(min_pairing), passed=passed, samples=samples, radius=radius, seed=seed

@@ -24,6 +24,12 @@ pass holds iff worst_margin >= -slack(bound_id).
            max(1e3 * residual_stop, 1e-6 (1 + ||f||)) and
            ||u_final - y|| <= eps_y_rel * (1 + ||y||) against the
            continuation oracle's y. Slack 0 (tolerances already explicit).
+  LEMMA_2_1 a ||w_a|| nondecreasing in a over LEMMA_GRID: margin is each
+           increment plus the sweep's slack 10 * tol, worst_t the a at the
+           worst one. Slack 0.
+
+certify runs every bound but EQ_2_8 on one trajectory, in that order, and
+is the pipeline behind `dsmflow verify` and scripts/verify_gallery.py.
 
 The EQ_2_8 and EQ_3_8 integrals use the composite Simpson rule with 200
 panels on [0, t] at each checkpoint, evaluated for blocks of checkpoints
@@ -48,6 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import oracle
 from .flow import TERMINATED_RESIDUAL, TERMINATED_TMAX, Trajectory
 from .operators import OperatorProblem
 from .oracle import ContinuationResult, NewtonConfig, solve_regularized, w_along_schedule
@@ -72,6 +79,13 @@ _BLOCK_ROWS = 32
 # THM_3_1 requires the regularizer to have genuinely decayed.
 _A_FINAL_MAX = 1e-3
 
+# Standard grid for the LEMMA_2_1 a * ||w_a|| monotonicity sweep.
+LEMMA_GRID = (10.0, 3.0, 1.0, 0.3, 0.1, 0.03, 0.01, 0.003, 0.001)
+
+# Slowly converging ill-posed problems get a relaxed THM_3_1 limit-match
+# tolerance; the value used is always recorded in the report notes.
+EPS_Y_OVERRIDES = {"fredholm_first_kind": 5e-2}
+
 
 @dataclass(eq=False)
 class BoundReport:
@@ -93,9 +107,13 @@ class BoundReport:
         }
 
 
-def _worst(margins, times):
+def _report(bound_id: str, margins, times, checkpoints: int, notes: str) -> BoundReport:
+    """Report the worst margin and its time; a NaN margin is the worst and fails."""
     idx = int(np.argmin(margins))
-    return float(margins[idx]), float(times[idx])
+    worst = float(margins[idx])
+    return BoundReport(
+        bound_id, worst >= -SLACK[bound_id], worst, float(times[idx]), checkpoints, notes
+    )
 
 
 def _simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -165,44 +183,40 @@ def check_eq_2_6(
         pt.dist_to_w = lhs
         rhs_bound = pt.h / pt.a
         margins.append((rhs_bound - lhs) / (1.0 + rhs_bound))
-    worst, worst_t = _worst(margins, times)
-    return BoundReport(
-        bound_id="EQ_2_6",
-        passed=worst >= -SLACK["EQ_2_6"],
-        worst_margin=worst,
-        worst_t=worst_t,
-        checkpoints=len(times),
-        notes="lhs=||u-w||, rhs=h/a; margin=(rhs-lhs)/(1+rhs)",
+    return _report(
+        "EQ_2_6", margins, times, len(times), "lhs=||u-w||, rhs=h/a; margin=(rhs-lhs)/(1+rhs)"
     )
+
+
+def cap_term(p: OperatorProblem, s: Schedule, cfg: NewtonConfig) -> float:
+    """C ||w_C||, where w_C solves F(w) + C w = f at the schedule cap C."""
+    w_cap = solve_regularized(p, s.cap, np.zeros(p.dim), cfg)
+    return s.cap * float(np.linalg.norm(w_cap))
 
 
 def check_eq_2_10(
     traj: Trajectory, p: OperatorProblem, s: Schedule, cfg: NewtonConfig = NewtonConfig()
 ) -> BoundReport:
     """Cap envelope h(t) <= h(0) e^{-t/2} + (1 - e^{-t/2}) C ||w_C||."""
+    return _eq_2_10(traj, s, cap_term(p, s, cfg))
+
+
+def _eq_2_10(traj: Trajectory, s: Schedule, cap: float) -> BoundReport:
+    """EQ_2_10 with the cap term C ||w_C|| already solved."""
     if not traj.points:
         raise ValueError("empty trajectory")
     report = check_admissible(s, horizon=max(traj.final.t, 1.0))
     if not report.pass_2_2:
         raise ValueError("schedule is inadmissible; the cap envelope does not apply")
-    w_cap = solve_regularized(p, s.cap, np.zeros(p.dim), cfg)
-    cap_term = s.cap * float(np.linalg.norm(w_cap))
     h0 = traj.points[0].h
     times = [pt.t for pt in traj.points]
     margins = []
     for pt in traj.points:
         decay = math.exp(-pt.t / 2.0)
-        rhs_bound = h0 * decay + (1.0 - decay) * cap_term
+        rhs_bound = h0 * decay + (1.0 - decay) * cap
         margins.append((rhs_bound - pt.h) / (1.0 + rhs_bound))
-    worst, worst_t = _worst(margins, times)
-    return BoundReport(
-        bound_id="EQ_2_10",
-        passed=worst >= -SLACK["EQ_2_10"],
-        worst_margin=worst,
-        worst_t=worst_t,
-        checkpoints=len(times),
-        notes=f"C={s.cap:.6g}, C*||w_C||={cap_term:.6g}; margin=(rhs-h)/(1+rhs)",
-    )
+    notes = f"C={s.cap:.6g}, C*||w_C||={cap:.6g}; margin=(rhs-h)/(1+rhs)"
+    return _report("EQ_2_10", margins, times, len(times), notes)
 
 
 def check_eq_2_8(
@@ -235,15 +249,8 @@ def check_eq_2_8(
     for pt, integral in zip(traj.points, integrals):
         envelope = h0 * math.exp(-pt.t / 2.0) + float(integral)
         margins.append((envelope - pt.h) / max(envelope, 1e-30))
-    worst, worst_t = _worst(margins, times)
-    return BoundReport(
-        bound_id="EQ_2_8",
-        passed=worst >= -SLACK["EQ_2_8"],
-        worst_margin=worst,
-        worst_t=worst_t,
-        checkpoints=len(times),
-        notes="envelope h0*e^(-t/2) + int e^((s-t)/2)|a'| ||w(s)|| ds; margin=(env-h)/env",
-    )
+    notes = "envelope h0*e^(-t/2) + int e^((s-t)/2)|a'| ||w(s)|| ds; margin=(env-h)/env"
+    return _report("EQ_2_8", margins, times, len(times), notes)
 
 
 def check_eq_3_8(traj: Trajectory, residual_stop: float = 1e-10) -> BoundReport:
@@ -262,14 +269,8 @@ def check_eq_3_8(traj: Trajectory, residual_stop: float = 1e-10) -> BoundReport:
     s = traj.schedule
     notes = "envelope h0*e^(-t) + c_traj*int e^(s-t)|a'(s)| ds; integral term scaled by c_traj=max ||u||"
     if traj.terminated_by not in (TERMINATED_RESIDUAL, TERMINATED_TMAX):
-        return BoundReport(
-            bound_id="EQ_3_8",
-            passed=False,
-            worst_margin=-1.0,
-            worst_t=traj.final.t,
-            checkpoints=len(traj.points),
-            notes=f"cannot certify: terminated_by={traj.terminated_by}; " + notes,
-        )
+        notes = f"cannot certify: terminated_by={traj.terminated_by}; " + notes
+        return _report("EQ_3_8", [-1.0], [traj.final.t], len(traj.points), notes)
     h0 = traj.points[0].h
     c_traj = max(float(np.linalg.norm(pt.u)) for pt in traj.points)
     times = [pt.t for pt in traj.points]
@@ -281,15 +282,8 @@ def check_eq_3_8(traj: Trajectory, residual_stop: float = 1e-10) -> BoundReport:
     h_final = traj.final.h
     allowed_final = max(residual_stop, 1e-2 * h0)
     margins.append((allowed_final - h_final) / max(allowed_final, 1e-30))
-    worst, worst_t = _worst(margins, times + [traj.final.t])
-    return BoundReport(
-        bound_id="EQ_3_8",
-        passed=worst >= -SLACK["EQ_3_8"],
-        worst_margin=worst,
-        worst_t=worst_t,
-        checkpoints=len(times),
-        notes=f"c_traj={c_traj:.6g}, final h={h_final:.3e} vs {allowed_final:.3e}; " + notes,
-    )
+    notes = f"c_traj={c_traj:.6g}, final h={h_final:.3e} vs {allowed_final:.3e}; " + notes
+    return _report("EQ_3_8", margins, times + [traj.final.t], len(times), notes)
 
 
 def check_thm_3_1(
@@ -319,17 +313,11 @@ def check_thm_3_1(
     if traj.terminated_by not in (TERMINATED_RESIDUAL, TERMINATED_TMAX) or (
         traj.final.a > _A_FINAL_MAX and not stationary
     ):
-        return BoundReport(
-            bound_id="THM_3_1",
-            passed=False,
-            worst_margin=-1.0,
-            worst_t=traj.final.t,
-            checkpoints=len(traj.points),
-            notes=(
-                f"cannot certify: terminated_by={traj.terminated_by}, "
-                f"a_final={traj.final.a:.3e} (need <= {_A_FINAL_MAX:g}); " + base
-            ),
+        notes = (
+            f"cannot certify: terminated_by={traj.terminated_by}, "
+            f"a_final={traj.final.a:.3e} (need <= {_A_FINAL_MAX:g}); " + base
         )
+        return _report("THM_3_1", [-1.0], [traj.final.t], len(traj.points), notes)
     u_final = traj.final.u
     res_sol = float(np.linalg.norm(p.fun(u_final) - p.rhs))
     eps_sol = max(1e3 * residual_stop, 1e-6 * (1.0 + float(np.linalg.norm(p.rhs))))
@@ -340,15 +328,48 @@ def check_thm_3_1(
         (eps_sol - res_sol) / (1.0 + eps_sol),
         (eps_y - dist_y) / (1.0 + eps_y),
     ]
-    worst = min(margins)
-    return BoundReport(
-        bound_id="THM_3_1",
-        passed=worst >= -SLACK["THM_3_1"],
-        worst_margin=worst,
-        worst_t=traj.final.t,
-        checkpoints=len(traj.points),
-        notes=(
-            f"||F(u)-f||={res_sol:.3e} (allowed {eps_sol:.3e}), "
-            f"||u-y||={dist_y:.3e} (allowed {eps_y:.3e}); " + base
-        ),
+    notes = (
+        f"||F(u)-f||={res_sol:.3e} (allowed {eps_sol:.3e}), "
+        f"||u-y||={dist_y:.3e} (allowed {eps_y:.3e}); " + base
     )
+    return _report("THM_3_1", margins, [traj.final.t] * 2, len(traj.points), notes)
+
+
+def _lemma_report(p: OperatorProblem, cfg: NewtonConfig) -> BoundReport:
+    """LEMMA_2_1 over LEMMA_GRID, its increments taken in increasing-a order."""
+    sweep = oracle.lemma_2_1_sweep(p, LEMMA_GRID, cfg)
+    increasing = sweep.values[::-1]
+    margins = [v2 - v1 + sweep.slack for v1, v2 in zip(increasing, increasing[1:])]
+    notes = (
+        "a*||w_a|| nondecreasing in a over grid "
+        f"{list(sweep.a_grid)}; margin = min increment + slack {sweep.slack:g}; "
+        "worst_t is the a-value at the worst increment"
+    )
+    return _report("LEMMA_2_1", margins, sweep.a_grid[::-1][1:], len(sweep.a_grid), notes)
+
+
+def certify(
+    traj: Trajectory, p: OperatorProblem, s: Schedule, cfg: NewtonConfig, residual_stop: float
+) -> tuple[list[BoundReport], float, ContinuationResult | None]:
+    """EQ_2_6, EQ_2_10, EQ_3_8, THM_3_1 and LEMMA_2_1 on one trajectory, in order.
+
+    THM_3_1 runs only when s decays to zero: the limit it identifies needs
+    a -> 0. Returns (reports, C ||w_C||, continuation); the cap term is
+    solved once, and continuation is None when THM_3_1 is skipped. Oracle
+    failures (NewtonError, ContinuationError, LinearSolveError) propagate.
+    minimal_norm_limit and lemma_2_1_sweep are looked up on the oracle
+    module at each call, so a wrapper installed there sees them.
+    """
+    reports = [check_eq_2_6(traj, p, s, cfg)]
+    cap = cap_term(p, s, cfg)
+    reports.append(_eq_2_10(traj, s, cap))
+    reports.append(check_eq_3_8(traj, residual_stop=residual_stop))
+    continuation = None
+    if s.decays_to_zero():
+        continuation = oracle.minimal_norm_limit(p, cfg=cfg)
+        eps_y = EPS_Y_OVERRIDES.get(p.name, 1e-2)
+        reports.append(
+            check_thm_3_1(traj, p, continuation, residual_stop=residual_stop, eps_y_rel=eps_y)
+        )
+    reports.append(_lemma_report(p, cfg))
+    return reports, cap, continuation

@@ -3,10 +3,13 @@
 These deliberately avoid the library's own solvers: bisection for scalar
 roots, the adjugate formula for 2x2 inverses, an eigendecomposition
 pseudoinverse for small symmetric matrices, the textbook dense shifted
-solve, a one-node-at-a-time Simpson rule for the certificate envelopes, and
-the two separate dp54 and rk4 stepping loops that the single loop in
-dsmflow.flow.integrate replaced.
+solve, a one-node-at-a-time Simpson rule for the certificate envelopes, the
+two separate dp54 and rk4 stepping loops that the single loop in
+dsmflow.flow.integrate replaced, and the bound sequence of `dsmflow
+verify` that dsmflow.verify.certify replaced.
 """
+
+import math
 
 import numpy as np
 from scipy.integrate import simpson
@@ -30,6 +33,17 @@ from dsmflow.flow import (
     rhs,
 )
 from dsmflow.linalg import as_vector
+from dsmflow.oracle import lemma_2_1_sweep, minimal_norm_limit, solve_regularized
+from dsmflow.schedules import check_admissible
+from dsmflow.verify import (
+    EPS_Y_OVERRIDES,
+    LEMMA_GRID,
+    SLACK,
+    BoundReport,
+    check_eq_2_6,
+    check_eq_3_8,
+    check_thm_3_1,
+)
 
 
 def bisect_root(g, lo, hi, tol=1e-12):
@@ -214,3 +228,70 @@ def _integrate_rk4(p, s, u0, cfg) -> Trajectory:
     if recorded_t < t:
         traj.points.append(_make_point(p, s, t, u))
     return traj
+
+
+def reference_certify(traj, p, s, cfg, residual_stop):
+    """The bound sequence of `dsmflow verify` before certify, kept verbatim.
+
+    EQ_2_10 and the cap term are solved separately, as the CLI did, and
+    EQ_2_10 and LEMMA_2_1 are built by their old bodies. Returns
+    (reports, cap_term, continuation) like certify.
+    """
+    eps_y = EPS_Y_OVERRIDES.get(p.name, 1e-2)
+    reports = []
+    continuation = None
+    reports.append(check_eq_2_6(traj, p, s, cfg))
+    reports.append(_reference_eq_2_10(traj, p, s, cfg))
+    reports.append(check_eq_3_8(traj, residual_stop=residual_stop))
+    if check_admissible(s, horizon=traj.final.t + 1.0).pass_3_3:
+        continuation = minimal_norm_limit(p, cfg=cfg)
+        reports.append(
+            check_thm_3_1(traj, p, continuation, residual_stop=residual_stop, eps_y_rel=eps_y)
+        )
+    reports.append(_reference_lemma_report(p, cfg))
+    w_cap = solve_regularized(p, s.cap, np.zeros(p.dim), cfg)
+    cap_term = s.cap * float(np.linalg.norm(w_cap))
+    return reports, cap_term, continuation
+
+
+def _reference_eq_2_10(traj, p, s, cfg):
+    w_cap = solve_regularized(p, s.cap, np.zeros(p.dim), cfg)
+    cap_term = s.cap * float(np.linalg.norm(w_cap))
+    h0 = traj.points[0].h
+    times = [pt.t for pt in traj.points]
+    margins = []
+    for pt in traj.points:
+        decay = math.exp(-pt.t / 2.0)
+        rhs_bound = h0 * decay + (1.0 - decay) * cap_term
+        margins.append((rhs_bound - pt.h) / (1.0 + rhs_bound))
+    idx = int(np.argmin(margins))
+    worst, worst_t = float(margins[idx]), float(times[idx])
+    return BoundReport(
+        bound_id="EQ_2_10",
+        passed=worst >= -SLACK["EQ_2_10"],
+        worst_margin=worst,
+        worst_t=worst_t,
+        checkpoints=len(times),
+        notes=f"C={s.cap:.6g}, C*||w_C||={cap_term:.6g}; margin=(rhs-h)/(1+rhs)",
+    )
+
+
+def _reference_lemma_report(p, cfg):
+    sweep = lemma_2_1_sweep(p, LEMMA_GRID, cfg)
+    increasing = sweep.values[::-1]
+    increments = [v2 - v1 for v1, v2 in zip(increasing, increasing[1:])]
+    worst = min(increments) + sweep.slack
+    grid_increasing = list(sweep.a_grid[::-1])
+    worst_a = grid_increasing[1 + int(np.argmin(increments))]
+    return BoundReport(
+        bound_id="LEMMA_2_1",
+        passed=sweep.monotone_nondecreasing_in_a,
+        worst_margin=worst,
+        worst_t=worst_a,
+        checkpoints=len(sweep.a_grid),
+        notes=(
+            "a*||w_a|| nondecreasing in a over grid "
+            f"{list(sweep.a_grid)}; margin = min increment + slack {sweep.slack:g}; "
+            "worst_t is the a-value at the worst increment"
+        ),
+    )

@@ -112,7 +112,7 @@ def test_criterion_7_minimal_norm_limit():
     traj = d.integrate(p, DEEP_SCHEDULE, np.zeros(20), cfg)
     u_final = traj.final.u
     un = float(np.linalg.norm(u_final))
-    worst_ortho = max(abs(d.inner(u_final, z)) for z in p.null_space_basis)
+    worst_ortho = max(abs(np.dot(u_final, z)) for z in p.null_space_basis)
     a_mat = p.jac(np.zeros(20))
     y_pinv = spectral_pinv_apply(a_mat, p.rhs, cutoff=1e-8)
     dist = float(np.linalg.norm(u_final - y_pinv))

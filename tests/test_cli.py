@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 import dsmflow
 import dsmflow.cli as cli
 from dsmflow.cli import RunConfig
+from dsmflow.errors import LinearSolveError
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -111,6 +113,49 @@ def test_verify_non_monotone_fixture_names_the_check(tmp_path, capsys):
     payload = json.loads((tmp_path / "out" / "bounds.json").read_text())
     assert not payload["monotonicity"]["pass"]
     assert payload["bounds"] == []
+
+
+def test_verify_nan_operator_fails_monotonicity(tmp_path, capsys, monkeypatch):
+    make = cli.make_problem
+
+    def nan_problem(*args, **kwargs):
+        p = make(*args, **kwargs)
+        return dataclasses.replace(p, fun=lambda u: np.full(p.dim, np.nan))
+
+    monkeypatch.setattr(cli, "make_problem", nan_problem)
+    path, _ = write_config(tmp_path)
+    assert cli.main(["verify", str(path)]) == 1
+    assert "FAIL monotonicity: min pairing nan < 0" in capsys.readouterr().err
+    payload = json.loads((tmp_path / "out" / "bounds.json").read_text())
+    assert not payload["monotonicity"]["pass"]
+
+
+def test_verify_oracle_solve_failure_is_runtime_error(tmp_path, capsys, monkeypatch):
+    def failing_solve(*args):
+        raise LinearSolveError("injected oracle solve failure")
+
+    # The flow looks solve_shifted up on its own module, so only the oracle fails.
+    monkeypatch.setattr(dsmflow.oracle, "solve_shifted", failing_solve)
+    path, _ = write_config(tmp_path)
+    assert cli.main(["verify", str(path)]) == 3
+    assert capsys.readouterr().err == "error: injected oracle solve failure\n"
+
+
+def test_verify_solves_cap_once(tmp_path, monkeypatch):
+    path, _ = write_config(tmp_path)
+    cap = cli.load_config(path).schedule.cap
+    shifts = []
+    solve = dsmflow.oracle.solve_regularized
+
+    def counting(p, a, *args, **kwargs):
+        shifts.append(a)
+        return solve(p, a, *args, **kwargs)
+
+    # Every module that binds the name, so no lookup site escapes the count.
+    for mod in (dsmflow.oracle, dsmflow.verify, cli):
+        monkeypatch.setattr(mod, "solve_regularized", counting, raising=False)
+    assert cli.main(["verify", str(path)]) == 0
+    assert shifts.count(cap) == 1
 
 
 def test_verify_relaxed_eps_for_fredholm_noted(tmp_path):

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -30,7 +33,7 @@ def test_manual_rank_deficient_semantics():
     a_mat = np.diag([1.0, 0.0])
     y = np.array([1.0, 0.0])
     np.testing.assert_allclose(a_mat @ y, [1.0, 0.0])
-    assert d.inner(y, [0.0, 1.0]) == 0.0
+    assert np.dot(y, [0.0, 1.0]) == 0.0
 
 
 def test_psd_rank_deficient_structure():
@@ -42,7 +45,7 @@ def test_psd_rank_deficient_structure():
     # f lies in the range: the stored solution reproduces it exactly.
     np.testing.assert_allclose(p.jac(np.zeros(20)) @ p.minimal_norm_solution, p.rhs, atol=1e-12)
     for z in p.null_space_basis:
-        assert abs(d.inner(p.minimal_norm_solution, z)) < 1e-12
+        assert abs(np.dot(p.minimal_norm_solution, z)) < 1e-12
 
 
 def test_fredholm_matrix_is_spd_and_solvable():
@@ -63,8 +66,8 @@ def test_skew_perturbed_pairing_ignores_skew_part():
     rng = np.random.default_rng(3)
     for _ in range(10):
         u = rng.standard_normal(p.dim)
-        assert d.inner(p.fun(u), u) == pytest.approx(d.inner(u, sym @ u), rel=1e-12)
-        assert d.inner(p.fun(u), u) >= 0.0
+        assert np.dot(p.fun(u), u) == pytest.approx(np.dot(u, sym @ u), rel=1e-12)
+        assert np.dot(p.fun(u), u) >= 0.0
 
 
 def test_convex_gradient_jacobian_symmetric():
@@ -91,6 +94,13 @@ def test_non_monotone_fixture_fails():
     report = d.check_monotone(non_monotone_fixture(), samples=50, seed=0)
     assert not report.passed
     assert report.min_pairing < 0.0
+
+
+def test_nan_operator_fails_monotonicity():
+    p = dataclasses.replace(identity(dim=3), fun=lambda u: np.full(3, np.nan))
+    report = d.check_monotone(p, samples=5, seed=0)
+    assert not report.passed
+    assert math.isnan(report.min_pairing)
 
 
 @pytest.mark.parametrize("name", d.GALLERY_NAMES)

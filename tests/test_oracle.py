@@ -141,7 +141,7 @@ def test_continuation_identity():
 def test_continuation_rank_deficient_minimal_norm():
     result = d.minimal_norm_limit(make_diag_linear([1.0, 0.0], [1.0, 0.0]))
     np.testing.assert_allclose(result.y_estimate, [1.0, 0.0], atol=1e-7)
-    assert abs(d.inner(result.y_estimate, [0.0, 1.0])) < 1e-12
+    assert abs(np.dot(result.y_estimate, [0.0, 1.0])) < 1e-12
 
 
 def test_continuation_gallery_rank_deficient_orthogonality():
@@ -149,7 +149,7 @@ def test_continuation_gallery_rank_deficient_orthogonality():
     result = d.minimal_norm_limit(p)
     assert result.converged
     for z in p.null_space_basis:
-        assert abs(d.inner(result.y_estimate, z)) < 1e-6
+        assert abs(np.dot(result.y_estimate, z)) < 1e-6
     np.testing.assert_allclose(result.y_estimate, p.minimal_norm_solution, atol=1e-6)
 
 

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ import dsmflow as d
 from dsmflow.flow import Trajectory
 from dsmflow.operators import identity
 from dsmflow.verify import _PANELS, SLACK, _envelope_integrals, _simpson
-from oracles import simpson_integral
+from oracles import reference_certify, simpson_integral
 
 
 def test_eq_2_6_fills_distances_and_passes(deep_run):
@@ -311,3 +312,51 @@ def test_serialized_report_round_trips(deep_run):
     assert blob["bound_id"] == "EQ_2_10"
     assert blob["pass"] is True
     assert set(blob) == {"bound_id", "pass", "worst_margin", "worst_t", "checkpoints", "notes"}
+
+
+_CERTIFY_SCHEDULES = {
+    "exponential": d.exponential(1.0, 0.44),
+    "power": d.power(1.0, 0.25),
+    "constant": d.constant(0.8),
+}
+
+
+@pytest.mark.parametrize("method", ["dp54", "rk4"])
+@pytest.mark.parametrize("schedule", sorted(_CERTIFY_SCHEDULES))
+@pytest.mark.parametrize("name", d.GALLERY_NAMES)
+def test_certify_matches_reference_bitwise(name, schedule, method):
+    p = d.make_problem(name, dim=4)
+    s = _CERTIFY_SCHEDULES[schedule]
+    # t_max 18 takes exponential(1, 0.44) below THM_3_1's a <= 1e-3.
+    cfg = d.IntegratorConfig(
+        t_max=18.0, initial_step=0.1, method=method, rel_tol=1e-8, abs_tol=1e-10, residual_stop=1e-8
+    )
+    traj = d.integrate(p, s, np.zeros(p.dim), cfg)
+    ref_traj = copy.deepcopy(traj)
+    reports, cap, continuation = d.certify(traj, p, s, d.NewtonConfig(), cfg.residual_stop)
+    ref_reports, ref_cap, ref_continuation = reference_certify(
+        ref_traj, p, s, d.NewtonConfig(), cfg.residual_stop
+    )
+    assert [vars(r) for r in reports] == [vars(r) for r in ref_reports]
+    assert cap == ref_cap
+    assert [pt.dist_to_w for pt in traj.points] == [pt.dist_to_w for pt in ref_traj.points]
+    assert (continuation is None) == (schedule == "constant")
+    assert ("THM_3_1" in [r.bound_id for r in reports]) == (continuation is not None)
+    if continuation is not None:
+        assert np.array_equal(continuation.y_estimate, ref_continuation.y_estimate)
+
+
+def test_certify_solves_cap_once(deep_run, monkeypatch):
+    p, s, cfg, traj = deep_run
+    shifts = []
+    solve = d.oracle.solve_regularized
+
+    def counting(p, a, *args, **kwargs):
+        shifts.append(a)
+        return solve(p, a, *args, **kwargs)
+
+    monkeypatch.setattr(d.oracle, "solve_regularized", counting)
+    monkeypatch.setattr(d.verify, "solve_regularized", counting)
+    _, cap, _ = d.certify(copy.deepcopy(traj), p, s, d.NewtonConfig(), cfg.residual_stop)
+    assert shifts.count(s.cap) == 1
+    assert cap == d.cap_term(p, s, d.NewtonConfig())
