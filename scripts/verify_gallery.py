@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Certify every bound on every gallery problem and tabulate the margins.
 
-Runs the flow with a (1/2-admissible) exponential regularizer deep enough
-that the limit checks apply, certifies it with dsmflow.certify, then
-prints one row per (problem, bound) and writes the full reports as JSON.
+Runs the flow to T_MAX with the (1/2-admissible) exponential regularizer
+a(t) = exp(-DECAY t), deep enough that the limit checks apply, certifies
+it with dsmflow.certify, then prints one row per (problem, bound) and
+writes the full reports as JSON.
 
-Usage: python scripts/verify_gallery.py [--out DIR] [--t-max T] [--decay K]
+Usage: python scripts/verify_gallery.py [--out DIR]
 """
 
 import argparse
@@ -16,18 +17,17 @@ import numpy as np
 
 import dsmflow as d
 
+T_MAX = 32.0
+DECAY = 0.44
+
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="runs/gallery_verification", help="report directory")
-    ap.add_argument("--t-max", type=float, default=32.0)
-    ap.add_argument("--decay", type=float, default=0.44, help="exponential rate k")
     args = ap.parse_args()
 
-    schedule = d.exponential(1.0, args.decay)
-    cfg = d.IntegratorConfig(
-        t_max=args.t_max, rel_tol=1e-10, abs_tol=1e-12, residual_stop=1e-8
-    )
+    schedule = d.exponential(1.0, DECAY)
+    cfg = d.IntegratorConfig(t_max=T_MAX, rel_tol=1e-10, abs_tol=1e-12, residual_stop=1e-8)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 

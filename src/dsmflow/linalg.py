@@ -81,7 +81,9 @@ def solve_shifted(J, a: float, rhs) -> np.ndarray:
             "the symmetric part of J is likely not positive semidefinite"
         ) from err
 
-    r = shifted @ x - b
+    # A non-finite J or a makes the product warn; the certificate reports it.
+    with np.errstate(invalid="ignore", over="ignore"):
+        r = shifted @ x - b
     residual = math.sqrt(r.dot(r))
     bound = EPS_LIN * (math.sqrt(b.dot(b)) + 1.0)
     if not residual <= bound:

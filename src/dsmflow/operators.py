@@ -267,9 +267,9 @@ def make_problem(name: str, dim: int | None = None, seed: int = 0) -> OperatorPr
     return builder(**kwargs)
 
 
-def gallery(seed: int = 0) -> list[OperatorProblem]:
+def gallery() -> list[OperatorProblem]:
     """The six stock problems at their default dimensions."""
-    return [make_problem(name, seed=seed) for name in GALLERY_NAMES]
+    return [make_problem(name) for name in GALLERY_NAMES]
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,11 @@ _SUFFICIENT_DECREASE = 1e-4
 # is diverging" rather than ground for more iterations.
 _DIVERGENCE_NORM = 1e6
 
+# Continuation levels a = 1, 1/2, 1/4, ... down to the first at or below 1e-8.
+_A_START = 1.0
+_A_FACTOR = 0.5
+_A_FLOOR = 1e-8
+
 
 @dataclass(frozen=True)
 class NewtonConfig:
@@ -113,11 +118,7 @@ def solve_regularized(
 
 
 def w_along_schedule(
-    p: OperatorProblem,
-    s: Schedule,
-    times,
-    cfg: NewtonConfig = NewtonConfig(),
-    w_init=None,
+    p: OperatorProblem, s: Schedule, times, cfg: NewtonConfig = NewtonConfig()
 ) -> list[tuple[float, np.ndarray]]:
     """Solve F(w) + a(t) w = f at each time, warm-starting from the last w."""
     times = list(times)
@@ -125,7 +126,7 @@ def w_along_schedule(
         raise ValueError("times must be nonnegative")
     if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
         raise ValueError("times must be nondecreasing")
-    w = np.zeros(p.dim) if w_init is None else as_vector(w_init).copy()
+    w = np.zeros(p.dim)
     out = []
     for t in times:
         try:
@@ -181,29 +182,22 @@ def lemma_2_1_sweep(
 
 
 def minimal_norm_limit(
-    p: OperatorProblem,
-    a_start: float = 1.0,
-    a_factor: float = 0.5,
-    a_floor: float = 1e-8,
-    cfg: NewtonConfig = NewtonConfig(),
+    p: OperatorProblem, cfg: NewtonConfig = NewtonConfig()
 ) -> ContinuationResult:
     """Drive a -> 0 geometrically and return the limit of w_a.
 
-    Warm starts are mandatory: each level seeds the next. When F(y) = f is
-    solvable the iterates converge to its minimal-norm solution; when it is
-    not, ||w_a|| grows without bound, which is detected at _DIVERGENCE_NORM
-    and reported as a likely-unsolvable diagnostic instead of looping.
-    Convergence is declared when the last two levels agree to
-    1e-6 * (1 + ||w||).
+    Solves at the fixed levels a = 1, 1/2, 1/4, ... down to 2^-27, the
+    first at or below 1e-8: 28 levels, each warm-starting the next. When
+    F(y) = f is solvable the iterates converge to its minimal-norm
+    solution; when it is not, ||w_a|| grows without bound, which is
+    detected at _DIVERGENCE_NORM and reported as a likely-unsolvable
+    diagnostic instead of looping. Convergence is declared when the last
+    two levels agree to 1e-6 * (1 + ||w||).
     """
-    if not 0.0 < a_floor < a_start:
-        raise ValueError(f"need 0 < a_floor < a_start, got {a_floor}, {a_start}")
-    if not 0.0 < a_factor < 1.0:
-        raise ValueError(f"a_factor must be in (0, 1), got {a_factor}")
     a_values: list[float] = []
     w_values: list[np.ndarray] = []
     w = np.zeros(p.dim)
-    a = a_start
+    a = _A_START
     while True:
         try:
             w = solve_regularized(p, a, w, cfg)
@@ -228,9 +222,9 @@ def minimal_norm_limit(
                 "the equation F(u) = f is likely unsolvable",
                 partial=partial,
             )
-        if a <= a_floor:
+        if a <= _A_FLOOR:
             break
-        a *= a_factor
+        a *= _A_FACTOR
     converged = False
     if len(w_values) >= 2:
         diff = float(np.linalg.norm(w_values[-1] - w_values[-2]))

@@ -5,7 +5,9 @@ ratio |a'(t)|/a(t) stays strictly below 1/2 on [0, infinity); the decay
 condition a(t) -> 0 is additionally needed for the limit to solve the
 unregularized equation. Both conditions are machine-checkable here: the
 three supported families (power, exponential, constant) have closed-form
-ratio suprema, and a sample grid cross-checks them.
+ratio suprema, and a sample grid cross-checks them. Every schedule is
+nonincreasing (param >= 0), so the cap is derived, not set:
+C = a0 * (1 + CAP_MARGIN), just above a(0).
 
 Array forms of the closed forms (exp_array, Schedule.derivative_array)
 evaluate every transcendental through the scalar math functions, one
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,7 +31,7 @@ KINDS = ("power", "exponential", "constant")
 RATIO_LIMIT = 0.5
 RATIO_WARN = 0.45
 
-# Default cap: both decaying families are nonincreasing from a0.
+# The cap C = a0 * (1 + CAP_MARGIN): every schedule is nonincreasing from a0.
 CAP_MARGIN = 1e-6
 
 _EXP = np.frompyfunc(math.exp, 1, 1)
@@ -48,22 +50,27 @@ class Schedule:
     kind "power"       a(t) = a0 * (1 + t)^(-param)
     kind "exponential" a(t) = a0 * exp(-param * t)
     kind "constant"    a(t) = a0            (param unused)
+
+    param must be nonnegative: a growing schedule is rejected here, which
+    keeps a(t) <= a(0) below the derived cap.
     """
 
     kind: str
     a0: float
     param: float = 0.0
-    cap: float = 0.0  # 0.0 means "use the default a0 * (1 + CAP_MARGIN)"
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}, expected one of {KINDS}")
         if not self.a0 > 0.0:
             raise ValueError(f"a0 must be positive, got {self.a0}")
-        if self.cap == 0.0:
-            object.__setattr__(self, "cap", self.a0 * (1.0 + CAP_MARGIN))
-        elif not self.cap > 0.0:
-            raise ValueError(f"cap must be positive, got {self.cap}")
+        if not self.param >= 0.0:
+            raise ValueError(f"param must be nonnegative, got {self.param}")
+
+    @property
+    def cap(self) -> float:
+        """C = a0 * (1 + CAP_MARGIN), the level EQ_2_10's envelope uses."""
+        return self.a0 * (1.0 + CAP_MARGIN)
 
     def value(self, t: float) -> float:
         """a(t); t must be nonnegative."""
@@ -110,9 +117,7 @@ class Schedule:
         Power: the ratio is |b|/(1+t), maximal at t = 0. Exponential: the
         ratio is constant |k|. Constant: zero.
         """
-        if self.kind == "power":
-            return abs(self.param)
-        if self.kind == "exponential":
+        if self.kind in ("power", "exponential"):
             return abs(self.param)
         return 0.0
 
@@ -151,15 +156,7 @@ class AdmissibilityReport:
     grid_points: int
 
     def to_dict(self) -> dict:
-        return {
-            "max_ratio": self.max_ratio,
-            "positive": self.positive,
-            "decays": self.decays,
-            "pass_2_2": self.pass_2_2,
-            "pass_3_3": self.pass_3_3,
-            "horizon": self.horizon,
-            "grid_points": self.grid_points,
-        }
+        return asdict(self)
 
 
 def check_admissible(s: Schedule, horizon: float, grid_points: int = 129) -> AdmissibilityReport:

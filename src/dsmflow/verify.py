@@ -220,23 +220,23 @@ def _eq_2_10(traj: Trajectory, s: Schedule, cap: float) -> BoundReport:
 
 
 def check_eq_2_8(
-    traj: Trajectory, p: OperatorProblem, cfg: NewtonConfig = NewtonConfig(), grid_points: int = 0
+    traj: Trajectory, p: OperatorProblem, cfg: NewtonConfig = NewtonConfig()
 ) -> BoundReport:
     """Oracle-weighted envelope with integrand e^{(s-t)/2} |a'(s)| ||w(s)||.
 
-    ||w(s)|| is tabulated once on a uniform grid (warm-started oracle
-    solves) and interpolated linearly at the Simpson nodes. The integral at
-    every checkpoint is the batched 200-panel Simpson rule of the module
-    docstring: bit for bit the scalar rule, with transcendentals through
-    math and checkpoints at t = 0 contributing 0. Costs one oracle solve
-    per grid node; meant for small problems.
+    ||w(s)|| is tabulated once on a uniform grid of max(401, 4 * points + 1)
+    nodes (warm-started oracle solves) and interpolated linearly at the
+    Simpson nodes. The integral at every checkpoint is the batched
+    200-panel Simpson rule of the module docstring: bit for bit the scalar
+    rule, with transcendentals through math and checkpoints at t = 0
+    contributing 0. Costs one oracle solve per grid node; meant for small
+    problems.
     """
     if not traj.points:
         raise ValueError("empty trajectory")
     s = traj.schedule
     t_end = traj.final.t
-    n_grid = grid_points if grid_points >= 2 else max(401, 4 * len(traj.points) + 1)
-    grid = np.linspace(0.0, t_end, n_grid)
+    grid = np.linspace(0.0, t_end, max(401, 4 * len(traj.points) + 1))
     ws = w_along_schedule(p, s, grid, cfg)
     w_norms = np.array([float(np.linalg.norm(w)) for _, w in ws])
 

@@ -70,6 +70,21 @@ def test_run_rejects_inadmissible_ratio(tmp_path, capsys):
     assert "0.75" in err and "0.5" in err
 
 
+@pytest.mark.parametrize("command", ["run", "verify", "oracle"])
+def test_growing_schedule_is_validation_error(tmp_path, capsys, command):
+    # The derived cap, and with it EQ_2_10, holds only for a nonincreasing
+    # a(t): a growing one must stop at the config gate, not in a check.
+    path, _ = write_config(
+        tmp_path,
+        schedule={"kind": "power", "a0": 1.0, "param": -0.25},
+        integrator={"t_max": 1e-6},
+    )
+    assert cli.main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "param must be nonnegative" in err
+    assert "Traceback" not in err
+
+
 def test_run_step_failure_exit_code(tmp_path):
     path, _ = write_config(
         tmp_path,
@@ -198,6 +213,7 @@ def test_check_schedule_pass_and_fail(capsys):
     assert cli.main(["check-schedule", "power", "1.0", "0.75"]) == 1
     assert cli.main(["check-schedule", "constant", "2.0"]) == 0
     assert cli.main(["check-schedule", "power", "-1.0", "0.25"]) == 2
+    assert cli.main(["check-schedule", "power", "1.0", "-0.25"]) == 2
 
 
 def test_oracle_writes_continuation(tmp_path):

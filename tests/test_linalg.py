@@ -65,8 +65,9 @@ def test_solve_shifted_rejects_bad_shapes():
 # The residual certificate is solve_shifted's only finiteness check, and
 # each of these must fail it. J = [[inf, 0], [0, 1]] has the finite
 # solution x = [0, 0.5] and the residual [nan, 0], which `residual > bound`
-# would let through; `not residual <= bound` does not.
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+# would let through; `not residual <= bound` does not. Warnings are errors:
+# a RuntimeWarning raised as one would replace the LinearSolveError.
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "j, a, rhs",
     [

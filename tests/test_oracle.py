@@ -160,14 +160,6 @@ def test_continuation_cubic_reaches_cube_root():
     assert result.y_estimate[0] == pytest.approx(y_ref, abs=1e-6)
 
 
-def test_continuation_validates_parameters():
-    p = identity(dim=1, rhs=[1.0])
-    with pytest.raises(ValueError):
-        d.minimal_norm_limit(p, a_start=1.0, a_floor=2.0)
-    with pytest.raises(ValueError):
-        d.minimal_norm_limit(p, a_factor=1.5)
-
-
 def test_continuation_detects_unsolvable():
     # f has a component outside range(A): w_a = f_1/a blows up.
     p = make_diag_linear([1.0, 0.0], [1.0, 1.0])

@@ -70,10 +70,14 @@ def test_constant_passes_ratio_but_never_decays():
     assert not r.pass_3_3
 
 
-def test_cap_below_a0_fails():
-    s = Schedule(kind="power", a0=1.0, param=0.25, cap=0.5)
-    r = d.check_admissible(s, horizon=10.0)
-    assert not r.pass_2_2
+def test_growing_schedule_rejected():
+    # The cap a0 * (1 + CAP_MARGIN) holds only for a nonincreasing a(t).
+    with pytest.raises(ValueError, match="nonnegative"):
+        d.power(1.0, -0.25)
+    with pytest.raises(ValueError, match="nonnegative"):
+        d.exponential(1.0, -0.1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        d.power(1.0, float("nan"))
 
 
 def test_warning_near_ratio_limit():
