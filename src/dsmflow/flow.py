@@ -18,17 +18,22 @@ near the residual manifold is -I), so an explicit pair is adequate at desk
 scale. A fixed-step classical RK4 mode, at times k * h, exists for
 bit-reproducible regression runs. Step-size underflow is reported as a
 termination reason, never retried with altered parameters.
+
+Only dp54 runs use the structure of the Jacobian that the problem states
+(see structured): rk4 keeps dense LU so that its runs stay bit for bit, and
+the oracle keeps it so that EQ_2_6 and THM_3_1 still compare two
+independent solvers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .errors import InadmissibleScheduleError, LinearSolveError
-from .linalg import as_vector, solve_shifted
+from .linalg import DIAGONAL, as_vector, solve_shifted
 from .operators import OperatorProblem
 from .schedules import Schedule, check_admissible
 
@@ -129,7 +134,26 @@ class Trajectory:
 def rhs(p: OperatorProblem, s: Schedule, t: float, u: np.ndarray) -> np.ndarray:
     """Flow direction -(F'(u) + a(t) I)^{-1} (F(u) + a(t) u - f)."""
     a = s.value(t)
-    return -solve_shifted(p.jac(u), a, p.residual(a, u))
+    return -solve_shifted(p.jac(u), a, p.residual(a, u), p.solve_structure)
+
+
+def structured(p: OperatorProblem, u: np.ndarray) -> OperatorProblem:
+    """p with the solve structure its Jacobian facts allow, for a dp54 run.
+
+    A diagonal Jacobian is solved by division; a constant symmetric one by
+    one np.linalg.eigh of jac(u) that serves every shift. Anything else,
+    the nonsymmetric constant skew_perturbed included (numpy has no Schur
+    form), keeps dense LU, and so does a Jacobian eigh cannot take: its
+    first solve fails the certificate instead.
+    """
+    if p.diagonal_jacobian:
+        return replace(p, solve_structure=DIAGONAL)
+    if p.constant_jacobian and p.symmetric_jacobian:
+        try:
+            return replace(p, solve_structure=np.linalg.eigh(p.jac(u)))
+        except np.linalg.LinAlgError:
+            pass
+    return p
 
 
 def _make_point(p: OperatorProblem, s: Schedule, t: float, u: np.ndarray) -> TrajectoryPoint:
@@ -153,7 +177,8 @@ def integrate(
     below 1e-14 * t_max ends the run with terminated_by="step_failure". rk4
     takes round(t_max / initial_step) equal steps h, at times k * h, with no
     error estimate: every step is accepted, and a failed solve raises
-    LinearSolveError.
+    LinearSolveError. Only dp54 solves with the structure the problem states
+    (see structured), after the t = 0 residual_stop exit.
     """
     u0 = as_vector(u0)
     if u0.shape[0] != p.dim:
@@ -176,6 +201,7 @@ def integrate(
     if fixed:
         h = cfg.t_max / max(1, round(cfg.t_max / cfg.initial_step))
     else:
+        p = structured(p, u)
         h = min(cfg.initial_step, cfg.t_max)
         k1 = rhs(p, s, t, u)
         err_prev = 1.0

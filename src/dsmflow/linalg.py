@@ -1,4 +1,4 @@
-"""Vector coercion and the shifted dense linear solve.
+"""Vector coercion and the shifted linear solve.
 
 Vectors are 1-D float64 arrays and matrices are square 2-D arrays.
 as_vector checks finiteness at the entry points that take vectors from
@@ -10,13 +10,16 @@ against a finite bound, and the test `not residual <= bound` fails on
 both.
 
 Solves are dense LU with partial pivoting through NumPy's LAPACK
-(np.linalg.solve). That choice is deliberate: fixed-step RK4 runs are
-reproduced bit for bit, and SciPy's LU (lu_factor/lu_solve) differs from
-np.linalg.solve in the last bit on a large share of gallery-sized systems
-(273 of 1,000 random monotone ones with n = 8-20, OpenBLAS 0.3.31 on an
-x86-64 Xeon), so reusing a SciPy factorization would change those bits.
-Gallery dimensions stay small enough (n <= 512) that no sparse or
-matrix-free path is needed.
+(np.linalg.solve) unless the caller passes a structure of J. That default
+is deliberate: fixed-step RK4 runs are reproduced bit for bit, and SciPy's
+LU (lu_factor/lu_solve) differs from np.linalg.solve in the last bit on a
+large share of gallery-sized systems (273 of 1,000 random monotone ones
+with n = 8-20, OpenBLAS 0.3.31 on an x86-64 Xeon), so reusing a SciPy
+factorization would change those bits. A diagonal J is solved in O(n) by
+division, and a constant symmetric J by one eigendecomposition that serves
+every shift a, in O(n^2) a solve (Golub & Van Loan on shifted systems;
+Hansen's one SVD for a whole Tikhonov path). Either way the residual is
+certified against J itself.
 """
 
 from __future__ import annotations
@@ -33,6 +36,9 @@ EPS_LIN = 1e-10
 # Largest problem dimension the dense path is intended for.
 MAX_DIM = 512
 
+# solve_shifted's structure for a diagonal J.
+DIAGONAL = "diagonal"
+
 
 def as_vector(x) -> np.ndarray:
     """Coerce to a finite 1-D float array, rejecting NaN/Inf and bad shapes."""
@@ -44,19 +50,22 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
-def solve_shifted(J, a: float, rhs) -> np.ndarray:
-    """Solve (J + a*I) x = rhs by dense LU with partial pivoting.
+def solve_shifted(J, a: float, rhs, structure=None) -> np.ndarray:
+    """Solve (J + a*I) x = rhs, by dense LU with partial pivoting unless told J's structure.
 
     The shift a must be positive and J is expected to have a positive
     semidefinite symmetric part, which makes J + a*I invertible. J is read,
-    never written, so a shared read-only Jacobian is fine. The solution
-    must pass the residual certificate ||(J + a*I) x - rhs|| <= EPS_LIN *
-    (||rhs|| + 1); the comparison is written so that a NaN residual fails
-    it, which makes it the finiteness check of J, rhs and x as well. A
-    factorization breakdown, a failed certificate or a non-finite input
-    raises LinearSolveError: it signals that the precondition was violated,
-    and is never silently patched. The result is bit for bit that of
-    np.linalg.solve(J + a*np.eye(n), rhs).
+    never written, so a shared read-only Jacobian is fine. structure picks
+    the method: None is dense LU, bit for bit np.linalg.solve(J +
+    a*np.eye(n), rhs); DIAGONAL is rhs / (diag(J) + a); an eigendecomposition
+    (lam, Q) of J, as np.linalg.eigh returns it, gives x = Q ((Q^T rhs) /
+    (lam + a)). Whatever the method, the solution must pass the residual
+    certificate ||J x + a x - rhs|| <= EPS_LIN * (||rhs|| + 1) against J
+    itself, so a structure that J does not have fails it. The comparison is
+    written so that a NaN residual fails it, which makes it the finiteness
+    check of J, a, rhs and x as well. A factorization breakdown, a failed
+    certificate or a non-finite input raises LinearSolveError: it signals
+    that the precondition was violated, and is never silently patched.
     """
     J = np.asarray(J, dtype=float)
     b = np.asarray(rhs, dtype=float)
@@ -70,26 +79,33 @@ def solve_shifted(J, a: float, rhs) -> np.ndarray:
     if not a > 0.0:
         raise ValueError(f"shift must be positive, got {a}")
 
-    # J + 0.0 flushes -0.0 to +0.0 off the diagonal exactly as J + a*eye does.
-    shifted = J + 0.0
-    shifted.flat[:: n + 1] += a
-    try:
-        x = np.linalg.solve(shifted, b)
-    except np.linalg.LinAlgError as err:
-        raise LinearSolveError(
-            f"factorization of J + {a}*I failed ({err}); "
-            "the symmetric part of J is likely not positive semidefinite"
-        ) from err
-
-    # A non-finite J or a makes the product warn; the certificate reports it.
-    with np.errstate(invalid="ignore", over="ignore"):
-        r = shifted @ x - b
+    # A non-finite J, a or rhs makes these warn; the certificate reports it.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if structure is None:
+            # J + 0.0 flushes -0.0 to +0.0 off the diagonal exactly as J + a*eye does.
+            shifted = J + 0.0
+            shifted.flat[:: n + 1] += a
+            try:
+                x = np.linalg.solve(shifted, b)
+            except np.linalg.LinAlgError as err:
+                raise LinearSolveError(
+                    f"factorization of J + {a}*I failed ({err}); "
+                    "the symmetric part of J is likely not positive semidefinite"
+                ) from err
+            r = shifted @ x - b
+        else:
+            if structure is DIAGONAL:
+                x = b / (J.diagonal() + a)
+            else:
+                lam, q = structure
+                x = q @ ((q.T @ b) / (lam + a))
+            r = J @ x + a * x - b
     residual = math.sqrt(r.dot(r))
     bound = EPS_LIN * (math.sqrt(b.dot(b)) + 1.0)
     if not residual <= bound:
         raise LinearSolveError(
             f"shifted solve residual {residual:.3e} exceeds certificate {bound:.3e}; "
-            "J, a or rhs is not finite, or the symmetric part of J is likely "
-            "not positive semidefinite"
+            "J, a or rhs is not finite, J lacks the structure the solve assumed, "
+            "or the symmetric part of J is likely not positive semidefinite"
         )
     return x

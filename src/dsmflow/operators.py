@@ -49,7 +49,12 @@ class OperatorProblem:
 
     fun and jac must be defined for all ||u|| <= R_BOX; fun must satisfy
     <F(u) - F(v), u - v> >= 0 (see check_monotone) and jac must match the
-    finite differences of fun (see check_jacobian).
+    finite differences of fun (see check_jacobian). The facts about the
+    Jacobian must be true for every u: symmetric, constant (jac(u) the same
+    matrix everywhere) and diagonal. constant and diagonal only route the
+    shifted solves of a dp54 flow run, which sets solve_structure (see
+    flow.structured and linalg.solve_shifted); left False, or None, every
+    solve is dense LU. A false fact fails the solve's residual certificate.
     """
 
     name: str
@@ -60,6 +65,9 @@ class OperatorProblem:
     symmetric_jacobian: bool
     minimal_norm_solution: np.ndarray | None = None
     null_space_basis: list[np.ndarray] | None = None
+    constant_jacobian: bool = False
+    diagonal_jacobian: bool = False
+    solve_structure: object = None
 
     def residual(self, a: float, u: np.ndarray) -> np.ndarray:
         """F(u) + a*u - f, the regularized residual driving the flow."""
@@ -77,6 +85,8 @@ def identity(dim: int = 10, rhs=None) -> OperatorProblem:
         jac=lambda u: eye,
         rhs=f,
         symmetric_jacobian=True,
+        constant_jacobian=True,
+        diagonal_jacobian=True,
         minimal_norm_solution=f.copy(),
     )
 
@@ -100,6 +110,7 @@ def diag_cubic(dim: int = 8, rhs=None) -> OperatorProblem:
         jac=lambda u: np.diag(3.0 * u**2),
         rhs=f,
         symmetric_jacobian=True,
+        diagonal_jacobian=True,
         minimal_norm_solution=y,
     )
 
@@ -132,6 +143,7 @@ def psd_rank_deficient(dim: int = 20, seed: int = 0) -> OperatorProblem:
         jac=lambda u: a_mat,
         rhs=f,
         symmetric_jacobian=True,
+        constant_jacobian=True,
         minimal_norm_solution=y,
         null_space_basis=basis,
     )
@@ -158,6 +170,7 @@ def fredholm_first_kind(dim: int = 100) -> OperatorProblem:
         jac=lambda u: a_mat,
         rhs=f,
         symmetric_jacobian=True,
+        constant_jacobian=True,
         minimal_norm_solution=u_true,
     )
 
@@ -184,6 +197,7 @@ def skew_perturbed(dim: int = 16) -> OperatorProblem:
         jac=lambda u: op,
         rhs=f,
         symmetric_jacobian=False,
+        constant_jacobian=True,
         minimal_norm_solution=y,
     )
 

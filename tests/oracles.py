@@ -108,7 +108,8 @@ def reference_integrate(p, s, u0, cfg):
 
     The trajectories integrate must reproduce bit for bit, except where a
     dp54 trial stage fails its shifted solve: there this raises, and
-    integrate rejects the step.
+    integrate rejects the step. The loops solve as p says, so in dp54 pass
+    flow.structured(p, u0), the problem integrate solves with there.
     """
     u0 = as_vector(u0)
     if cfg.method == "rk4":

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 import dsmflow as d
 import dsmflow.flow
 from dsmflow.errors import InadmissibleScheduleError, LinearSolveError
-from dsmflow.flow import TERMINATED_MAX_STEPS, TERMINATED_STEP_FAILURE
+from dsmflow.flow import TERMINATED_MAX_STEPS, TERMINATED_STEP_FAILURE, structured
+from dsmflow.linalg import DIAGONAL
 from dsmflow.operators import GALLERY_NAMES, OperatorProblem, diag_cubic, identity
 
 from oracles import reference_integrate
@@ -235,9 +237,11 @@ def _assert_same_trajectory(traj, ref):
 def test_one_loop_matches_separate_loops_bitwise(name):
     # Stride 1 and 3, a max_steps cut (7 is no multiple of 3, so it forces
     # a trailing point), and finishes at residual_stop and (except identity)
-    # at t_max.
+    # at t_max. The reference loop gets the problem that integrate solves
+    # with in each method, so the test checks the loop, not the solver.
     p = d.make_problem(name, dim=4)
     u0 = np.ones(4)
+    solved_with = {"dp54": structured(p, u0), "rk4": p}
     finishes = set()
     for s in (d.power(1.0, 0.25), d.exponential(1.0, 0.44), d.constant(0.8)):
         for method in ("dp54", "rk4"):
@@ -247,7 +251,8 @@ def test_one_loop_matches_separate_loops_bitwise(name):
                     max_steps=max_steps, record_stride=stride, method=method,
                 )
                 traj = d.integrate(p, s, u0, cfg)
-                _assert_same_trajectory(traj, reference_integrate(p, s, u0, cfg))
+                ref = reference_integrate(solved_with[method], s, u0, cfg)
+                _assert_same_trajectory(traj, ref)
                 finishes.add((method, traj.terminated_by))
     assert {(m, r) for m in ("dp54", "rk4") for r in (TERMINATED_MAX_STEPS, "residual_stop")} <= finishes
 
@@ -325,3 +330,149 @@ def test_rhs_calls_match_dp54_attempts(monkeypatch):
     calls, attempts, points = _count_rhs_calls(monkeypatch, cfg)
     assert calls == 1 + 6 * attempts
     assert attempts > points - 1  # initial_step 1 is too long: some steps are rejected
+
+
+def _record_structures(monkeypatch, module):
+    """The structure argument of every solve_shifted call made from module."""
+    seen = []
+    real = module.solve_shifted
+
+    def recording(j, a, b, structure=None):
+        seen.append(structure)
+        return real(j, a, b, structure)
+
+    monkeypatch.setattr(module, "solve_shifted", recording)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "name, path",
+    [
+        ("identity", "diagonal"),
+        ("diag_cubic", "diagonal"),
+        ("psd_rank_deficient", "eigh"),
+        ("fredholm_first_kind", "eigh"),
+        ("skew_perturbed", "lu"),
+        ("convex_gradient", "lu"),
+    ],
+)
+def test_only_dp54_solves_with_the_stated_structure(monkeypatch, name, path):
+    flow_solves = _record_structures(monkeypatch, dsmflow.flow)
+    oracle_solves = _record_structures(monkeypatch, dsmflow.oracle)
+    p = d.make_problem(name, dim=6)
+    s, u0 = d.power(1.0, 0.25), np.full(6, 0.5)
+    d.integrate(p, s, u0, d.IntegratorConfig(t_max=2.0))
+    assert flow_solves
+    if path == "eigh":
+        # One eigendecomposition serves the whole run.
+        assert flow_solves[0].eigenvalues.shape == (6,)
+        assert all(st is flow_solves[0] for st in flow_solves)
+    else:
+        assert set(flow_solves) == {DIAGONAL if path == "diagonal" else None}
+    flow_solves.clear()
+    d.integrate(p, s, u0, d.IntegratorConfig(t_max=2.0, initial_step=0.1, method="rk4"))
+    d.solve_regularized(p, 0.5, u0)
+    assert flow_solves and oracle_solves
+    assert all(st is None for st in flow_solves + oracle_solves)
+
+
+def test_stop_at_t0_decomposes_nothing(monkeypatch):
+    # The eigendecomposition comes after the t = 0 residual_stop exit.
+    calls = []
+    monkeypatch.setattr(dsmflow.flow, "structured", lambda p, u: calls.append(p) or p)
+    p = d.make_problem("fredholm_first_kind", dim=6)
+    w = d.solve_regularized(p, 1.0, np.zeros(6))
+    traj = d.integrate(p, d.constant(1.0), w, d.IntegratorConfig(t_max=1.0))
+    assert traj.terminated_by == "residual_stop" and not calls
+    d.integrate(p, d.constant(1.0), np.ones(6), d.IntegratorConfig(t_max=1.0))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["diag_cubic", "psd_rank_deficient", "fredholm_first_kind"])
+def test_problem_without_the_facts_integrates_as_before(monkeypatch, name):
+    # Stripped of constant and diagonal, a problem stays on dense LU in
+    # dp54 too, and its run is bit for bit the reference loop's on LU.
+    flow_solves = _record_structures(monkeypatch, dsmflow.flow)
+    p = dataclasses.replace(
+        d.make_problem(name, dim=6), constant_jacobian=False, diagonal_jacobian=False
+    )
+    u0 = np.full(6, 0.5)
+    assert structured(p, u0) is p
+    cfg = d.IntegratorConfig(t_max=8.0, rel_tol=1e-10, abs_tol=1e-12)
+    traj = d.integrate(p, d.exponential(1.0, 0.44), u0, cfg)
+    assert all(st is None for st in flow_solves)
+    _assert_same_trajectory(traj, reference_integrate(p, d.exponential(1.0, 0.44), u0, cfg))
+
+
+@pytest.mark.parametrize("fact", ["constant_jacobian", "diagonal_jacobian"])
+def test_false_structure_fact_fails_the_certificate(fact):
+    # convex_gradient's Jacobian is neither constant nor diagonal. Each solve
+    # is certified against the Jacobian at its own state, so the false fact
+    # raises where it would give a wrong direction.
+    p = dataclasses.replace(d.make_problem("convex_gradient", dim=5), **{fact: True})
+    s, u0 = d.constant(0.5), np.zeros(5)
+    run = structured(p, u0)
+    u = np.linspace(-1.0, 1.0, 5)
+    with pytest.raises(LinearSolveError, match="structure"):
+        d.rhs(run, s, 0.0, u)
+    if fact == "diagonal_jacobian":
+        with pytest.raises(LinearSolveError, match="structure"):
+            d.integrate(p, s, u0, d.IntegratorConfig(t_max=5.0))
+    else:
+        # Right only at the state it was taken at, the eigendecomposition
+        # fails every trial stage away from it, and the run ends there.
+        np.testing.assert_allclose(d.rhs(run, s, 0.0, u0), d.rhs(p, s, 0.0, u0), atol=1e-12)
+        traj = d.integrate(p, s, u0, d.IntegratorConfig(t_max=5.0))
+        assert traj.terminated_by == TERMINATED_STEP_FAILURE and traj.final.t < 1e-3
+
+
+# perfbench's margin tolerances for dp54 runs.
+MARGIN_ATOL = 1e-6
+MARGIN_ATOL_BY_BOUND = {"EQ_3_8": 1e-4}
+
+
+@pytest.mark.parametrize(
+    "name, schedule, t_max",
+    [
+        ("identity", d.exponential(1.0, 0.44), 32.0),
+        ("diag_cubic", d.exponential(1.0, 0.44), 32.0),
+        ("diag_cubic", d.power(1.0, 0.25), 20.0),
+        ("psd_rank_deficient", d.exponential(1.0, 0.44), 32.0),
+        ("fredholm_first_kind", d.exponential(1.0, 0.44), 33.0),
+        ("skew_perturbed", d.exponential(1.0, 0.44), 32.0),
+    ],
+)
+def test_structured_and_dense_dp54_give_the_same_verdicts(name, schedule, t_max):
+    # The stock configs' settings, from u0 = 0.5 so that identity moves too.
+    p = d.make_problem(name)
+    dense = dataclasses.replace(p, constant_jacobian=False, diagonal_jacobian=False)
+    cfg = d.IntegratorConfig(t_max=t_max, rel_tol=1e-10, abs_tol=1e-12, residual_stop=1e-8)
+    u0 = np.full(p.dim, 0.5)
+    results = []
+    for q in (p, dense):
+        traj = d.integrate(q, schedule, u0, cfg)
+        reports, _, _ = d.certify(traj, q, schedule, d.NewtonConfig(), cfg.residual_stop)
+        results.append((traj.terminated_by, reports))
+    (stop, reports), (dense_stop, dense_reports) = results
+    assert stop == dense_stop
+    assert [(r.bound_id, r.passed) for r in reports] == [
+        (r.bound_id, r.passed) for r in dense_reports
+    ]
+    for r, rd in zip(reports, dense_reports):
+        atol = MARGIN_ATOL_BY_BOUND.get(r.bound_id, MARGIN_ATOL)
+        assert r.worst_margin == pytest.approx(rd.worst_margin, rel=0.0, abs=atol), r.bound_id
+
+
+@pytest.mark.filterwarnings("error")
+def test_jacobian_eigh_cannot_take_stays_on_lu_and_fails_its_certificate():
+    # eigh raises LinAlgError on a NaN matrix; the run keeps dense LU, whose
+    # certificate turns the NaN into a LinearSolveError (exit 3), not a
+    # stray traceback.
+    nan_jac = np.full((3, 3), np.nan)
+    p = OperatorProblem(
+        name="nan_linear", dim=3, fun=lambda u: u, jac=lambda u: nan_jac,
+        rhs=np.ones(3), symmetric_jacobian=True, constant_jacobian=True,
+    )
+    assert structured(p, np.zeros(3)) is p
+    with pytest.raises(LinearSolveError, match="residual nan"):
+        d.integrate(p, d.constant(1.0), np.zeros(3), d.IntegratorConfig(t_max=1.0))

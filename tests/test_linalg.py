@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 import dsmflow as d
 from dsmflow.errors import LinearSolveError
-from dsmflow.linalg import as_vector
+from dsmflow.linalg import DIAGONAL, as_vector
 from oracles import dense_shifted_solve, inverse_2x2
+
+EPS = np.finfo(float).eps
 
 
 def test_as_vector_rejects_non_finite():
@@ -160,3 +162,112 @@ def test_solve_shifted_matches_dense_formula_bitwise(kind, n, a, seed):
     assert j.tobytes() == j_bytes
     j.setflags(write=False)
     assert d.solve_shifted(j, a, rhs).tobytes() == expected.tobytes()
+
+
+def _structured_case(kind, n, a, seed):
+    """A J for one structured path, its structure argument and a right-hand
+    side shaped like the flow's residual.
+
+    psd_* are symmetric PSD with a random eigenbasis: rank-deficient, or with
+    a fredholm-like 1/k^2 spectrum. diagonal has zeros and -0.0 on and off
+    its diagonal. The right-hand side is J y + a z, as psi = F(u) + a u - f
+    is for linear F with f in range(J): its null-space part is O(a), so x
+    stays O(1) and the certificate can be met as a -> 1e-8.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "diagonal":
+        diag = rng.uniform(0.0, 4.0, n)
+        diag[rng.uniform(size=n) < 0.3] = 0.0
+        diag[rng.uniform(size=n) < 0.3] = -0.0
+        j = np.full((n, n), -0.0)
+        j[np.arange(n), np.arange(n)] = diag
+        structure = DIAGONAL
+    else:
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        if kind == "psd_rank_deficient":
+            lam = rng.uniform(0.0, 4.0, n)
+            lam[rng.uniform(size=n) < 0.4] = 0.0
+        else:
+            lam = 1.0 / np.arange(1, n + 1) ** 2
+        j = (q * lam) @ q.T
+        j = 0.5 * (j + j.T)
+        structure = np.linalg.eigh(j)
+    rhs = j @ rng.standard_normal(n) + a * rng.standard_normal(n)
+    return j, structure, rhs
+
+
+STRUCTURED_KINDS = ["psd_rank_deficient", "psd_fredholm", "diagonal"]
+
+
+@given(
+    st.sampled_from(STRUCTURED_KINDS),
+    st.integers(1, 60),
+    st.floats(1e-8, 10.0),
+    st.integers(0, 10_000),
+)
+def test_structured_solves_match_dense_formula(kind, n, a, seed):
+    # Tolerance: the diagonal path is one correctly rounded division per
+    # entry, so it may differ from LU by an ulp or two. The eigendecomposition
+    # and LU are both backward stable, so they may differ by the first-order
+    # forward error bound, 16 n eps cond(J + aI) ||x||; over 3,000 draws the
+    # largest difference seen was 1.1 n eps cond ||x||.
+    j, structure, rhs = _structured_case(kind, n, a, seed)
+    j_bytes = j.tobytes()
+    expected = dense_shifted_solve(j, a, rhs)
+    x = d.solve_shifted(j, a, rhs, structure)
+    assert j.tobytes() == j_bytes
+    if kind == "diagonal":
+        np.testing.assert_allclose(x, expected, rtol=4 * EPS, atol=0.0)
+    else:
+        cond = (np.abs(structure.eigenvalues).max() + a) / a
+        tol = 16 * n * EPS * cond * np.linalg.norm(expected)
+        assert np.linalg.norm(x - expected) <= tol
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", STRUCTURED_KINDS)
+@pytest.mark.parametrize(
+    "spoil",
+    ["nan_entry", "inf_entry", "inf_diagonal", "nan_rhs", "inf_rhs", "inf_shift"],
+)
+def test_structured_non_finite_input_fails_certificate(kind, spoil):
+    j, structure, rhs = _structured_case(kind, 5, 0.5, 3)
+    a = np.inf if spoil == "inf_shift" else 0.5
+    if spoil in ("nan_entry", "inf_entry"):
+        j[1, 3] = np.nan if spoil == "nan_entry" else np.inf
+    elif spoil == "inf_diagonal":
+        j[2, 2] = np.inf
+    elif spoil in ("nan_rhs", "inf_rhs"):
+        rhs[0] = np.nan if spoil == "nan_rhs" else np.inf
+    # An inf entry of J meets a finite x in the product: the residual is inf.
+    with pytest.raises(LinearSolveError, match="residual (nan|inf) exceeds"):
+        d.solve_shifted(j, a, rhs, structure)
+
+
+@pytest.mark.parametrize("kind", STRUCTURED_KINDS)
+def test_structured_solves_keep_the_argument_checks(kind):
+    j, structure, rhs = _structured_case(kind, 4, 0.5, 5)
+    for a in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="positive"):
+            d.solve_shifted(j, a, rhs, structure)
+    with pytest.raises(ValueError, match="square"):
+        d.solve_shifted(j[:, :3], 0.5, rhs, structure)
+    with pytest.raises(ValueError, match="1-D"):
+        d.solve_shifted(j, 0.5, rhs[:, None], structure)
+    with pytest.raises(ValueError, match="mismatch"):
+        d.solve_shifted(j, 0.5, rhs[:3], structure)
+
+
+def test_structure_the_jacobian_lacks_fails_certificate():
+    # The certificate is taken against the J passed in, so an
+    # eigendecomposition of another matrix, or DIAGONAL for a J with
+    # off-diagonal entries, raises instead of solving another system.
+    j, structure, rhs = _structured_case("psd_fredholm", 6, 0.5, 1)
+    other, _, _ = _structured_case("psd_fredholm", 6, 0.5, 2)
+    for wrong in (np.linalg.eigh(other), DIAGONAL):
+        with pytest.raises(LinearSolveError, match="structure"):
+            d.solve_shifted(j, 0.5, rhs, wrong)
+    # A nonsymmetric J: eigh reads one triangle only.
+    skew = d.make_problem("skew_perturbed", dim=6).jac(None)
+    with pytest.raises(LinearSolveError, match="structure"):
+        d.solve_shifted(skew, 0.5, rhs, np.linalg.eigh(skew))

@@ -171,3 +171,43 @@ def test_state_dependent_jacobian_is_fresh_and_writable(name):
     j[0, 0] = 123.0
     np.testing.assert_array_equal(p.jac(u), expected)
     assert d.check_jacobian(p, u).passed
+
+
+def test_constant_jacobian_fact_names_the_constant_problems():
+    stated = tuple(n for n in d.GALLERY_NAMES if d.make_problem(n).constant_jacobian)
+    assert stated == CONSTANT_JACOBIAN
+
+
+# (constant, diagonal) as each problem states them; symmetric_jacobian is
+# older and checked with the rest below.
+JACOBIAN_FACTS = {
+    "identity": (True, True),
+    "diag_cubic": (False, True),
+    "psd_rank_deficient": (True, False),
+    "fredholm_first_kind": (True, False),
+    "skew_perturbed": (True, False),
+    "convex_gradient": (False, False),
+    "non_monotone_fixture": (False, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JACOBIAN_FACTS))
+@pytest.mark.parametrize("dim", [None, 5])
+def test_jacobian_facts_hold_at_random_points(name, dim):
+    # The dp54 flow solves with these facts, so each must be true wherever
+    # the flow can go: constant is byte for byte, symmetric is exact, and
+    # diagonal means every off-diagonal entry is zero.
+    p = d.make_problem(name, dim=dim)
+    assert (p.constant_jacobian, p.diagonal_jacobian) == JACOBIAN_FACTS[name]
+    assert p.solve_structure is None
+    off_diagonal = ~np.eye(p.dim, dtype=bool)
+    rng = np.random.default_rng(len(name))
+    for _ in range(10):
+        u, v = rng.uniform(-3.0, 3.0, (2, p.dim))
+        j = np.asarray(p.jac(u))
+        if p.constant_jacobian:
+            assert j.tobytes() == np.asarray(p.jac(v)).tobytes()
+        if p.symmetric_jacobian:
+            assert np.array_equal(j, j.T)
+        if p.diagonal_jacobian:
+            assert not np.any(j[off_diagonal])
