@@ -18,6 +18,7 @@ from .errors import (
     InadmissibleScheduleError,
     LinearSolveError,
     NewtonError,
+    TooFewPointsError,
 )
 from .flow import (
     IntegratorConfig,
@@ -70,6 +71,7 @@ __all__ = [
     "NewtonError",
     "OperatorProblem",
     "Schedule",
+    "TooFewPointsError",
     "Trajectory",
     "TrajectoryPoint",
     "cap_term",

@@ -20,6 +20,14 @@ class InadmissibleScheduleError(DsmError):
     """Regularizer schedule violates the admissibility conditions."""
 
 
+class TooFewPointsError(DsmError):
+    """A trajectory has too few recorded points for a check to apply.
+
+    residual_dynamics_check needs three, so a run that stops at t = 0 (one
+    point) cannot be tested against the residual dynamics.
+    """
+
+
 class NewtonError(DsmError):
     """Damped Newton ran out of iterations or line-search reductions.
 

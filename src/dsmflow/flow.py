@@ -13,11 +13,16 @@ uses as a discretization-independent consistency test.
 One stepping loop drives two methods, each supplying only its step and its
 step-size rule. The default is an embedded Dormand-Prince 5(4) pair with PI
 step-size control; a trial stage that fails its shifted solve rejects the
-step like a large error estimate does. The flow contracts (its linearization
-near the residual manifold is -I), so an explicit pair is adequate at desk
-scale. A fixed-step classical RK4 mode, at times k * h, exists for
-bit-reproducible regression runs. Step-size underflow is reported as a
-termination reason, never retried with altered parameters.
+step like a large error estimate does. Each dp54 attempt fills one (7, n)
+stage array, one product with a row of the tableau per stage. The pair is
+first-same-as-last (Hairer, Norsett & Wanner, Solving ODEs I, II.4-5): its
+7th stage is evaluated at the new state, so that state is taken from the
+stage rather than recomputed, and the stage serves as the next step's
+first. The flow contracts (its linearization near the residual manifold is
+-I), so an explicit pair is adequate at desk scale. A fixed-step classical
+RK4 mode, at times k * h, exists for bit-reproducible regression runs.
+Step-size underflow is reported as a termination reason, never retried
+with altered parameters.
 
 Only dp54 runs use the structure of the Jacobian that the problem states
 (see structured): rk4 keeps dense LU so that its runs stay bit for bit, and
@@ -32,7 +37,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .errors import InadmissibleScheduleError, LinearSolveError
+from .errors import InadmissibleScheduleError, LinearSolveError, TooFewPointsError
 from .linalg import DIAGONAL, as_vector, solve_shifted
 from .operators import OperatorProblem
 from .schedules import Schedule, check_admissible
@@ -43,8 +48,8 @@ TERMINATED_MAX_STEPS = "max_steps"
 TERMINATED_STEP_FAILURE = "step_failure"
 
 # Dormand-Prince 5(4) tableau. Row i of _A holds the stage-i coupling
-# coefficients; _B5 propagates (and equals the last stage, giving FSAL),
-# _E is the 5th-minus-4th order error weight vector.
+# coefficients; the last row is the 5th-order weights, so the 7th stage sits
+# at the new state (FSAL). _E is the 5th-minus-4th order error weight vector.
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _A = [
     np.array([]),
@@ -55,7 +60,6 @@ _A = [
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
 _SAFETY = 0.9
@@ -245,23 +249,28 @@ def integrate(
 def _dp54_step(p, s, t, u, h, k1, cfg):
     """One DP5(4) attempt from (t, u): (u_new, err_norm, last stage).
 
-    k1 is the FSAL stage rhs(t, u). err_norm is inf when u_new is not
-    finite or a trial stage fails its shifted solve.
+    The stages fill the rows of one (7, n) array k, from the FSAL stage
+    k[0] = k1 = rhs(t, u); stage i is rhs at u + h * (_A[i] @ k[:i]). The
+    last row of _A is the 5th-order weight row, so the 7th stage's state is
+    u_new itself (FSAL), and the error estimate is h * (_E @ k). err_norm is
+    inf when a trial stage fails its shifted solve, or when u_new (or its
+    squared norm) is not finite; the 7th stage is then never evaluated.
     """
-    k = [k1]
+    k = np.empty((7, u.shape[0]))
+    k[0] = k1
     for i in range(1, 7):
-        ui = u + h * sum(aij * kj for aij, kj in zip(_A[i], k))
+        ui = u + h * (_A[i] @ k[:i])
+        if i == 6:
+            norm_new = math.sqrt(ui.dot(ui))
+            if not math.isfinite(norm_new):
+                return None, math.inf, None
         try:
-            k.append(rhs(p, s, t + _C[i] * h, ui))
+            k[i] = rhs(p, s, t + _C[i] * h, ui)
         except LinearSolveError:
-            return None, np.inf, None
-    u_new = u + h * sum(b * kj for b, kj in zip(_B5, k))
-    if not np.all(np.isfinite(u_new)):
-        return None, np.inf, None
-    # FSAL: the 7th stage sits at (t + h, u_new) already.
-    err_vec = h * sum(e * kj for e, kj in zip(_E, k))
-    tol = cfg.rel_tol * max(np.linalg.norm(u), np.linalg.norm(u_new)) + cfg.abs_tol
-    return u_new, np.linalg.norm(err_vec) / tol, k[6]
+            return None, math.inf, None
+    err = h * (_E @ k)
+    tol = cfg.rel_tol * max(math.sqrt(u.dot(u)), norm_new) + cfg.abs_tol
+    return ui, math.sqrt(err.dot(err)) / tol, k[6]
 
 
 def _pi_control(h, err_norm, err_prev):
@@ -302,11 +311,12 @@ def residual_dynamics_check(
     and compared with the closed-form right-hand side. The defect tolerance
     is C_DYN * dt^2 * scale + 10 * rel_tol * scale, where dt is the largest
     half-window and scale the largest recorded h, so halving the recording
-    step must shrink the defect roughly fourfold.
+    step must shrink the defect roughly fourfold. Fewer than 3 recorded
+    points raise TooFewPointsError.
     """
     pts = traj.points
     if len(pts) < 3:
-        raise ValueError("need at least 3 recorded points to estimate psi'")
+        raise TooFewPointsError("need at least 3 recorded points to estimate psi'")
     max_defect = 0.0
     max_dt = 0.0
     scale = max(pt.h for pt in pts)

@@ -32,9 +32,14 @@ R_BOX = 100.0
 # Monotonicity slack per sampled pair, scaled by the pair's magnitude.
 EPS_MONO = 1e-9
 
-# Finite-difference Jacobian validation defaults.
+# Finite-difference Jacobian validation defaults. A Jacobian whose error
+# misses FD_TOL still passes if the error falls by FD_SHRINK or more at each
+# of FD_LEVELS quarterings of the step: F' need only be continuous, and a
+# Hoelder-continuous F' gives no C^2 rate.
 FD_STEP = 1e-5
 FD_TOL = 1e-4
+FD_SHRINK = 0.75
+FD_LEVELS = 2
 
 
 def _read_only(m: np.ndarray) -> np.ndarray:
@@ -300,6 +305,7 @@ class JacobianReport:
     max_entry_error: float
     passed: bool
     step: float
+    finer_errors: tuple[float, ...] = ()
 
 
 def _sample_in_ball(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray:
@@ -342,16 +348,36 @@ def check_monotone(
 
 
 def check_jacobian(p: OperatorProblem, point, step: float = FD_STEP) -> JacobianReport:
-    """Compare jac against central finite differences of fun at a point."""
+    """Compare jac against central finite differences of fun at a point.
+
+    The Jacobian passes if the largest entry error at step is within
+    FD_TOL * (1 + max |J|), the accuracy a C^2 operator reaches there. If it
+    is not, the check repeats at step / 4, step / 16, ... (FD_LEVELS times,
+    errors in finer_errors) and passes if each error is at most FD_SHRINK
+    times the last: the differences of an operator with a merely Hoelder
+    F' converge to the Jacobian slowly but do converge, while those of a
+    wrong Jacobian stall at its error. A NaN error fails.
+    """
     if not step > 0.0:
         raise ValueError("step must be positive")
     x = as_vector(point)
     analytic = np.asarray(p.jac(x), dtype=float)
+    error = _fd_error(p, x, analytic, step)
+    tol = FD_TOL * (1.0 + float(np.max(np.abs(analytic))))
+    finer = ()
+    passed = error <= tol
+    if not passed:
+        finer = tuple(_fd_error(p, x, analytic, step / 4**k) for k in range(1, FD_LEVELS + 1))
+        errors = (error, *finer)
+        passed = all(e1 <= FD_SHRINK * e0 for e0, e1 in zip(errors, errors[1:]))
+    return JacobianReport(max_entry_error=error, passed=passed, step=step, finer_errors=finer)
+
+
+def _fd_error(p: OperatorProblem, x: np.ndarray, analytic: np.ndarray, step: float) -> float:
+    """Largest entry of |central differences of fun at x - analytic|."""
     numeric = np.empty_like(analytic)
     for j in range(p.dim):
         e = np.zeros(p.dim)
         e[j] = step
         numeric[:, j] = (p.fun(x + e) - p.fun(x - e)) / (2.0 * step)
-    max_entry_error = float(np.max(np.abs(numeric - analytic)))
-    tol = FD_TOL * (1.0 + float(np.max(np.abs(analytic))))
-    return JacobianReport(max_entry_error=max_entry_error, passed=max_entry_error <= tol, step=step)
+    return float(np.max(np.abs(numeric - analytic)))

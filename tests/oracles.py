@@ -5,8 +5,9 @@ roots, the adjugate formula for 2x2 inverses, an eigendecomposition
 pseudoinverse for small symmetric matrices, the textbook dense shifted
 solve, a one-node-at-a-time Simpson rule for the certificate envelopes, the
 two separate dp54 and rk4 stepping loops that the single loop in
-dsmflow.flow.integrate replaced, and the bound sequence of `dsmflow
-verify` that dsmflow.verify.certify replaced.
+dsmflow.flow.integrate replaced, the dp54 step that built each stage as a
+Python sum over a list, and the bound sequence of `dsmflow verify` that
+dsmflow.verify.certify replaced.
 """
 
 import math
@@ -14,9 +15,9 @@ import math
 import numpy as np
 from scipy.integrate import simpson
 
+from dsmflow.errors import LinearSolveError
 from dsmflow.flow import (
     _A,
-    _B5,
     _C,
     _E,
     _FAC_MAX,
@@ -142,13 +143,15 @@ def _integrate_dp54(p, s, u0, cfg) -> Trajectory:
             terminated = TERMINATED_STEP_FAILURE
             break
 
-        k = [k1]
+        k = np.empty((7, u.shape[0]))
+        k[0] = k1
         for i in range(1, 7):
-            ui = u + h * sum(aij * kj for aij, kj in zip(_A[i], k))
-            k.append(f(t + _C[i] * h, ui))
-        u_new = u + h * sum(b * kj for b, kj in zip(_B5, k))
-        # FSAL: the 7th stage sits at (t + h, u_new) already.
-        err_vec = h * sum(e * kj for e, kj in zip(_E, k))
+            ui = u + h * (_A[i] @ k[:i])
+            k[i] = f(t + _C[i] * h, ui)
+        # FSAL: the last row of _A is the 5th-order weights, so the 7th
+        # stage sits at (t + h, u_new).
+        u_new = ui
+        err_vec = h * (_E @ k)
 
         if np.all(np.isfinite(u_new)):
             tol = cfg.rel_tol * max(np.linalg.norm(u), np.linalg.norm(u_new)) + cfg.abs_tol
@@ -188,6 +191,32 @@ def _integrate_dp54(p, s, u0, cfg) -> Trajectory:
     if recorded_t < t:
         traj.points.append(_make_point(p, s, t, u))
     return traj
+
+
+# The 5th-order weights of the DP5(4) pair, padded for the 7th stage.
+_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+
+
+def generator_sum_dp54_step(p, s, t, u, h, k1, cfg):
+    """flow._dp54_step as it was, each stage a Python sum over a list.
+
+    Same contract as flow._dp54_step; u_new is recomputed from the 5th-order
+    weights rather than taken from the 7th stage's state, so trajectories
+    differ from the stage-array step in the last bits only.
+    """
+    k = [k1]
+    for i in range(1, 7):
+        ui = u + h * sum(aij * kj for aij, kj in zip(_A[i], k))
+        try:
+            k.append(rhs(p, s, t + _C[i] * h, ui))
+        except LinearSolveError:
+            return None, np.inf, None
+    u_new = u + h * sum(b * kj for b, kj in zip(_B5, k))
+    if not np.all(np.isfinite(u_new)):
+        return None, np.inf, None
+    err_vec = h * sum(e * kj for e, kj in zip(_E, k))
+    tol = cfg.rel_tol * max(np.linalg.norm(u), np.linalg.norm(u_new)) + cfg.abs_tol
+    return u_new, np.linalg.norm(err_vec) / tol, k[6]
 
 
 def _integrate_rk4(p, s, u0, cfg) -> Trajectory:

@@ -3,15 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dsmflow as d
 import dsmflow.flow
-from dsmflow.errors import InadmissibleScheduleError, LinearSolveError
-from dsmflow.flow import TERMINATED_MAX_STEPS, TERMINATED_STEP_FAILURE, structured
+from dsmflow.errors import InadmissibleScheduleError, LinearSolveError, TooFewPointsError
+from dsmflow.flow import _C, _FAC_MIN, TERMINATED_MAX_STEPS, TERMINATED_STEP_FAILURE, structured
 from dsmflow.linalg import DIAGONAL
 from dsmflow.operators import GALLERY_NAMES, OperatorProblem, diag_cubic, identity
 
-from oracles import reference_integrate
+from oracles import generator_sum_dp54_step, reference_integrate
+from problems import monotone_problem, psd_plus_skew
 
 
 def test_rhs_identity_scalar():
@@ -154,7 +157,7 @@ def test_dynamics_check_needs_three_points():
     traj = d.integrate(p, d.constant(1.0), np.array([1.0]), d.IntegratorConfig(t_max=1.0))
     short = d.Trajectory(points=traj.points[:2], terminated_by="t_max",
                          problem_name="identity", schedule=traj.schedule)
-    with pytest.raises(ValueError, match="3 recorded points"):
+    with pytest.raises(TooFewPointsError, match="3 recorded points"):
         d.residual_dynamics_check(short, p, traj.schedule)
 
 
@@ -299,6 +302,36 @@ def test_failed_stage_still_raises_in_fixed_step_mode():
     cfg = d.IntegratorConfig(t_max=5.0, method="rk4")
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(LinearSolveError):
         d.integrate(p, d.constant(1e-3), np.array([-30.0]), cfg)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("stage", [6, 7])
+def test_non_finite_late_stage_rejects_the_dp54_step(monkeypatch, stage):
+    # rhs returns inf, without raising, at one stage of the first attempt.
+    # At stage 6 the 7th stage's state u_new is inf; at stage 7 the error
+    # estimate is. Either way the step is rejected and h shrinks, no stage
+    # is evaluated at a non-finite state, and no RuntimeWarning is raised.
+    calls = []
+    real_rhs = dsmflow.flow.rhs
+
+    def poisoned_rhs(p, s, t, u):
+        # Call 1 is k1 at t = 0; calls 2-7 are stages 2-7 of the first attempt.
+        calls.append((t, bool(np.all(np.isfinite(u)))))
+        if len(calls) == stage:
+            return np.full_like(u, np.inf)
+        return real_rhs(p, s, t, u)
+
+    monkeypatch.setattr(dsmflow.flow, "rhs", poisoned_rhs)
+    p = d.make_problem("convex_gradient", dim=5)
+    cfg = d.IntegratorConfig(t_max=3.0, initial_step=0.5)
+    traj = d.integrate(p, d.power(1.0, 0.25), np.zeros(5), cfg)
+    assert all(finite for _, finite in calls)
+    # The poisoned attempt ends there: the next call is stage 2 of a new
+    # attempt from t = 0 with h cut by _FAC_MIN.
+    assert calls[stage][0] == _C[1] * (_FAC_MIN * cfg.initial_step)
+    assert traj.terminated_by == "t_max"
+    assert traj.points[1].t < cfg.initial_step
+    assert all(np.all(np.isfinite(pt.u)) for pt in traj.points)
 
 
 def _count_rhs_calls(monkeypatch, cfg):
@@ -476,3 +509,57 @@ def test_jacobian_eigh_cannot_take_stays_on_lu_and_fails_its_certificate():
     assert structured(p, np.zeros(3)) is p
     with pytest.raises(LinearSolveError, match="residual nan"):
         d.integrate(p, d.constant(1.0), np.zeros(3), d.IntegratorConfig(t_max=1.0))
+
+
+@pytest.mark.parametrize(
+    "schedule, t_max",
+    [(d.exponential(1.0, 0.44), 32.0), (d.power(1.0, 0.25), 20.0)],
+    ids=["exponential", "power"],
+)
+@pytest.mark.parametrize("name", GALLERY_NAMES)
+def test_stage_array_step_gives_the_generator_sum_step_verdicts(monkeypatch, name, schedule, t_max):
+    # The stock settings, from u0 = 0.5 so that identity moves too. The old
+    # step reaches the same stop, point count and verdicts, with margins
+    # within perfbench's tolerances.
+    p = d.make_problem(name)
+    cfg = d.IntegratorConfig(t_max=t_max, rel_tol=1e-10, abs_tol=1e-12, residual_stop=1e-8)
+    u0 = np.full(p.dim, 0.5)
+    runs = []
+    for step in (dsmflow.flow._dp54_step, generator_sum_dp54_step):
+        monkeypatch.setattr(dsmflow.flow, "_dp54_step", step)
+        traj = d.integrate(p, schedule, u0, cfg)
+        reports, _, _ = d.certify(traj, p, schedule, d.NewtonConfig(), cfg.residual_stop)
+        runs.append((traj, reports))
+    (traj, reports), (old_traj, old_reports) = runs
+    assert traj.terminated_by == old_traj.terminated_by
+    assert len(traj.points) == len(old_traj.points)
+    assert [(r.bound_id, r.passed) for r in reports] == [
+        (r.bound_id, r.passed) for r in old_reports
+    ]
+    for r, ro in zip(reports, old_reports):
+        atol = MARGIN_ATOL_BY_BOUND.get(r.bound_id, MARGIN_ATOL)
+        assert r.worst_margin == pytest.approx(ro.worst_margin, rel=0.0, abs=atol), r.bound_id
+
+
+@settings(max_examples=12)
+@given(
+    n=st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+    term=st.sampled_from(["cube", "sinh", "holder"]),
+)
+def test_stage_array_step_on_random_monotone_problems(n, seed, term):
+    # PSD + skew + a monotone diagonal term, "holder" with an F' that is
+    # only Hoelder continuous: both steps end the same way, and EQ_2_6 and
+    # EQ_2_10 hold on the stage-array run.
+    rng = np.random.default_rng(seed)
+    p = monotone_problem(psd_plus_skew(rng, n), term, rng.uniform(-1.0, 1.0, n))
+    s = d.exponential(1.0, 0.44)
+    cfg = d.IntegratorConfig(t_max=8.0, rel_tol=1e-10, abs_tol=1e-12, residual_stop=1e-8)
+    u0 = np.full(n, 0.5)
+    traj = d.integrate(p, s, u0, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dsmflow.flow, "_dp54_step", generator_sum_dp54_step)
+        old_traj = d.integrate(p, s, u0, cfg)
+    assert traj.terminated_by == old_traj.terminated_by
+    assert d.check_eq_2_6(traj, p, s).passed
+    assert d.check_eq_2_10(traj, p, s).passed

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import dsmflow as d
-from dsmflow.operators import diag_cubic, identity, non_monotone_fixture, psd_rank_deficient
+from dsmflow.operators import FD_TOL, diag_cubic, identity, non_monotone_fixture, psd_rank_deficient
+
+from problems import monotone_problem, psd_plus_skew
 
 
 def test_gallery_has_six_members(stock_problems):
@@ -124,6 +126,38 @@ def test_identity_jacobian_exact():
     report = d.check_jacobian(d.make_problem("identity", dim=4), np.array([1.0, -2.0, 0.5, 3.0]))
     assert report.passed
     assert report.max_entry_error < 1e-10
+
+
+def _holder_problem():
+    # F(u) = A u + sign(u)|u|^(3/2), A = PSD + skew: F' is only Hoelder-1/2 at 0.
+    rng = np.random.default_rng(5)
+    return monotone_problem(psd_plus_skew(rng, 6), "holder", rng.standard_normal(6))
+
+
+def test_holder_jacobian_passes_as_its_error_shrinks():
+    # The central difference of sign(u)|u|^(3/2) at 0 is step^(1/2): far
+    # above the C^2 tolerance, but halving at each quartering of the step.
+    p = _holder_problem()
+    u = np.zeros(p.dim)
+    report = d.check_jacobian(p, u)
+    assert report.passed
+    assert report.max_entry_error > FD_TOL * (1.0 + np.max(np.abs(p.jac(u))))
+    errors = (report.max_entry_error, *report.finer_errors)
+    np.testing.assert_allclose(errors, [1e-5**0.5 / 2**k for k in range(len(errors))], rtol=1e-3)
+
+
+def test_wrong_jacobian_fails_although_steps_shrink():
+    p = _holder_problem()
+    scaled = dataclasses.replace(p, jac=lambda u: 1.1 * p.jac(u))
+    for u in (np.zeros(p.dim), np.linspace(-1.0, 1.0, p.dim)):
+        report = d.check_jacobian(scaled, u)
+        assert not report.passed
+        assert len(report.finer_errors) == 2
+
+
+def test_nan_jacobian_fails():
+    p = dataclasses.replace(identity(dim=3), jac=lambda u: np.full((3, 3), np.nan))
+    assert not d.check_jacobian(p, np.zeros(3)).passed
 
 
 def test_make_problem_unknown_name():
