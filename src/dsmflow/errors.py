@@ -6,13 +6,13 @@ class DsmError(Exception):
 
 
 class LinearSolveError(DsmError):
-    """Shifted linear solve failed its factorization or residual certificate.
+    """Shifted linear solve failed its residual certificate.
 
-    Raised when factorizing J + a*I breaks down or the computed solution
-    fails the residual check, which every non-finite J, a or rhs does.
-    Otherwise the monotonicity precondition (positive semidefinite
-    symmetric part of J) is suspect; the failure is reported rather than
-    patched.
+    Raised when the computed solution fails the residual check, which a
+    singular J + a*I (its solution is NaN) and every non-finite J, a or
+    rhs do. Otherwise the monotonicity precondition (positive
+    semidefinite symmetric part of J) is suspect; the failure is reported
+    rather than patched.
     """
 
 

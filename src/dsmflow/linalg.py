@@ -9,17 +9,25 @@ J, a, the right-hand side or the solution leaves the residual NaN, or Inf
 against a finite bound, and the test `not residual <= bound` fails on
 both.
 
-Solves are dense LU with partial pivoting through NumPy's LAPACK
-(np.linalg.solve) unless the caller passes a structure of J. That default
-is deliberate: fixed-step RK4 runs are reproduced bit for bit, and SciPy's
-LU (lu_factor/lu_solve) differs from np.linalg.solve in the last bit on a
+Solves are dense LU with partial pivoting through NumPy's LAPACK unless
+the caller passes a structure of J. That default is deliberate:
+fixed-step RK4 runs are reproduced bit for bit, and SciPy's LU
+(lu_factor/lu_solve) differs from np.linalg.solve in the last bit on a
 large share of gallery-sized systems (273 of 1,000 random monotone ones
 with n = 8-20, OpenBLAS 0.3.31 on an x86-64 Xeon), so reusing a SciPy
-factorization would change those bits. A diagonal J is solved in O(n) by
-division, and a constant symmetric J by one eigendecomposition that serves
-every shift a, in O(n^2) a solve (Golub & Van Loan on shifted systems;
-Hansen's one SVD for a whole Tikhonov path). Either way the residual is
-certified against J itself.
+factorization would change those bits. The dense path calls the gesv
+gufunc that np.linalg.solve itself calls for a 1-D right-hand side,
+numpy.linalg._umath_linalg.solve1 with signature "dd->d": the same
+LAPACK call on the same float64 arrays, so x has the same bytes, without
+the wrapper's type checks and error-state set-up (at n = 8-20, 2-8 us a
+call against 5-13 us; 2-core Xeon, one BLAS thread). On a
+singular matrix the gufunc returns NaN where np.linalg.solve raises
+LinAlgError, and the residual certificate rejects it like any other
+non-finite solution. A diagonal J is solved in O(n) by division, and a
+constant symmetric J by one eigendecomposition that serves every shift a,
+in O(n^2) a solve (Golub & Van Loan on shifted systems; Hansen's one SVD
+for a whole Tikhonov path). Either way the residual is certified against
+J itself.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import LinearSolveError
 
@@ -45,7 +54,7 @@ def as_vector(x) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector contains non-finite entries")
     return v
 
@@ -63,9 +72,15 @@ def solve_shifted(J, a: float, rhs, structure=None) -> np.ndarray:
     certificate ||J x + a x - rhs|| <= EPS_LIN * (||rhs|| + 1) against J
     itself, so a structure that J does not have fails it. The comparison is
     written so that a NaN residual fails it, which makes it the finiteness
-    check of J, a, rhs and x as well. A factorization breakdown, a failed
-    certificate or a non-finite input raises LinearSolveError: it signals
-    that the precondition was violated, and is never silently patched.
+    check of J, a, rhs and x as well. A singular J + a*I fails it too: the
+    dense solve returns NaN for it, with no exception and no warning. A
+    failed certificate raises LinearSolveError: it signals that the
+    precondition was violated, and is never silently patched.
+
+    The dense path calls np.linalg.solve's own gufunc (see the module
+    docstring). It is a private NumPy name, but the bit-for-bit Hypothesis
+    test against np.linalg.solve(J + a*np.eye(n), rhs) fails if NumPy ever
+    changes what it computes, and an import error shows if it moves.
     """
     J = np.asarray(J, dtype=float)
     b = np.asarray(rhs, dtype=float)
@@ -79,19 +94,14 @@ def solve_shifted(J, a: float, rhs, structure=None) -> np.ndarray:
     if not a > 0.0:
         raise ValueError(f"shift must be positive, got {a}")
 
-    # A non-finite J, a or rhs makes these warn; the certificate reports it.
+    # A non-finite J, a or rhs, or a singular J + a*I, makes these warn;
+    # the certificate reports it.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if structure is None:
             # J + 0.0 flushes -0.0 to +0.0 off the diagonal exactly as J + a*eye does.
             shifted = J + 0.0
             shifted.flat[:: n + 1] += a
-            try:
-                x = np.linalg.solve(shifted, b)
-            except np.linalg.LinAlgError as err:
-                raise LinearSolveError(
-                    f"factorization of J + {a}*I failed ({err}); "
-                    "the symmetric part of J is likely not positive semidefinite"
-                ) from err
+            x = _umath_linalg.solve1(shifted, b, signature="dd->d")
             r = shifted @ x - b
         else:
             if structure is DIAGONAL:

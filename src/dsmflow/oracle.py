@@ -130,6 +130,7 @@ def w_along_schedule(
     out = []
     for t in times:
         try:
+            # A fresh array each time, so the table needs no copies.
             w = solve_regularized(p, s.value(t), w, cfg)
         except NewtonError as err:
             raise NewtonError(
@@ -138,7 +139,7 @@ def w_along_schedule(
                 residual_norm=err.residual_norm,
                 iterations=err.iterations,
             ) from err
-        out.append((t, w.copy()))
+        out.append((t, w))
     return out
 
 
@@ -170,7 +171,7 @@ def lemma_2_1_sweep(
     values = []
     for a in a_grid:
         w = solve_regularized(p, a, w, cfg)
-        values.append(a * float(np.linalg.norm(w)))
+        values.append(a * math.sqrt(w.dot(w)))
     slack = 10.0 * cfg.tol
     increasing_order = values[::-1]
     monotone = all(

@@ -179,7 +179,8 @@ def check_eq_2_6(
     ws = w_along_schedule(p, s, times, cfg)
     margins = []
     for pt, (_, w) in zip(traj.points, ws):
-        lhs = float(np.linalg.norm(pt.u - w))
+        diff = pt.u - w
+        lhs = math.sqrt(diff.dot(diff))
         pt.dist_to_w = lhs
         rhs_bound = pt.h / pt.a
         margins.append((rhs_bound - lhs) / (1.0 + rhs_bound))
@@ -238,7 +239,7 @@ def check_eq_2_8(
     t_end = traj.final.t
     grid = np.linspace(0.0, t_end, max(401, 4 * len(traj.points) + 1))
     ws = w_along_schedule(p, s, grid, cfg)
-    w_norms = np.array([float(np.linalg.norm(w)) for _, w in ws])
+    w_norms = np.array([math.sqrt(w.dot(w)) for _, w in ws])
 
     h0 = traj.points[0].h
     times = [pt.t for pt in traj.points]
@@ -272,7 +273,7 @@ def check_eq_3_8(traj: Trajectory, residual_stop: float = 1e-10) -> BoundReport:
         notes = f"cannot certify: terminated_by={traj.terminated_by}; " + notes
         return _report("EQ_3_8", [-1.0], [traj.final.t], len(traj.points), notes)
     h0 = traj.points[0].h
-    c_traj = max(float(np.linalg.norm(pt.u)) for pt in traj.points)
+    c_traj = max(math.sqrt(pt.u.dot(pt.u)) for pt in traj.points)
     times = [pt.t for pt in traj.points]
     integrals = _envelope_integrals(s, np.array(times), 1.0)
     margins = []

@@ -87,10 +87,17 @@ def test_solve_shifted_non_finite_input_fails_certificate(j, a, rhs):
         d.solve_shifted(np.array(j), a, rhs)
 
 
+# The dense solve returns NaN for a singular J + aI and raises no
+# LinAlgError; the NaN residual fails the certificate, with no warning.
+@pytest.mark.filterwarnings("error")
 def test_solve_shifted_exactly_singular_reports_violation():
     # J = -I with a = 1 makes J + aI the zero matrix.
-    with pytest.raises(LinearSolveError):
+    with pytest.raises(LinearSolveError, match="residual nan"):
         d.solve_shifted(-np.eye(2), 1.0, [1.0, 1.0])
+    # A nonsymmetric J whose J + I = [[2, 4], [1, 2]] has an exactly zero
+    # second pivot (2 - 0.5 * 4) in partial-pivoting LU.
+    with pytest.raises(LinearSolveError, match="residual nan"):
+        d.solve_shifted(np.array([[1.0, 4.0], [1.0, 1.0]]), 1.0, [1.0, 1.0])
 
 
 @given(st.integers(0, 10_000))
@@ -116,6 +123,43 @@ def test_solve_shifted_flushes_negative_zeros_like_dense_formula():
     x = d.solve_shifted(j, 0.5, [-0.0, -0.0])
     assert x.tobytes() == dense_shifted_solve(j, 0.5, [-0.0, -0.0]).tobytes()
     assert not np.signbit(x[1])
+
+
+def _layouts(n, seed):
+    """One monotone J (PSD plus skew, integer entries) in several memory
+    layouts: C order, F order, a transposed view, a strided slice, and
+    the integer array itself."""
+    rng = np.random.default_rng(seed)
+    k = rng.integers(-3, 4, (n, n))
+    m = rng.integers(-3, 4, (n, n))
+    integer = k @ k.T + (m - m.T)
+    base = integer.astype(float)
+    strided = np.zeros((2 * n, 3 * n))
+    strided[::2, 1::3] = base
+    return {
+        "c_order": base,
+        "f_order": np.asfortranarray(base),
+        "transposed_view": np.ascontiguousarray(base.T).T,
+        "strided_slice": strided[::2, 1::3],
+        "integer": integer,
+    }
+
+
+@pytest.mark.parametrize(
+    "layout", ["c_order", "f_order", "transposed_view", "strided_slice", "integer"]
+)
+@pytest.mark.parametrize("n", [1, 2, 7, 20])
+def test_dense_solve_any_layout_matches_dense_formula_bitwise(layout, n):
+    # The shift goes on the diagonal whatever J's memory layout: a shifted
+    # matrix built as a raveled copy would miss it for some layouts, and the
+    # certificate, which checks the matrix that was factored, could not tell.
+    j = _layouts(n, 10 * n)[layout]
+    a = 2.5
+    rhs = np.random.default_rng(n).standard_normal(n)
+    expected = np.linalg.solve(j + a * np.eye(n), rhs)
+    j_bytes = j.tobytes()
+    assert d.solve_shifted(j, a, rhs).tobytes() == expected.tobytes()
+    assert j.tobytes() == j_bytes
 
 
 def _shifted_solve_case(kind, n, seed):
