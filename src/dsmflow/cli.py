@@ -152,7 +152,7 @@ def _trajectory_csv(traj: Trajectory, cap: float) -> str:
             _fmt(pt.t),
             _fmt(pt.a),
             _fmt(pt.h),
-            _fmt(float(np.linalg.norm(pt.u))),
+            _fmt(math.sqrt(pt.u.dot(pt.u))),
             "" if pt.dist_to_w is None else _fmt(pt.dist_to_w),
             _fmt(pt.h / pt.a),
             "" if not math.isfinite(cap) else _fmt(h0 * decay + (1.0 - decay) * cap),

@@ -2,12 +2,12 @@
 
 Vectors are 1-D float64 arrays and matrices are square 2-D arrays.
 as_vector checks finiteness at the entry points that take vectors from
-outside (integrate's u0, solve_regularized's w_init). solve_shifted, which
-every flow stage and every oracle Newton step calls, does not scan its
-inputs: its residual certificate is the finiteness check. A NaN or Inf in
-J, a, the right-hand side or the solution leaves the residual NaN, or Inf
-against a finite bound, and the test `not residual <= bound` fails on
-both.
+outside (integrate's u0; solve_regularized's w_init, once its residual
+comes out non-finite). solve_shifted, which every flow stage and every
+oracle Newton step calls, does not scan its inputs: its residual
+certificate is the finiteness check. A NaN or Inf in J, a, the
+right-hand side or the solution leaves the residual NaN, or Inf against a
+finite bound, and the test `not residual <= bound` fails on both.
 
 Solves are dense LU with partial pivoting through NumPy's LAPACK unless
 the caller passes a structure of J. That default is deliberate:

@@ -79,14 +79,22 @@ def solve_regularized(
     Exhausting max_iters or the line search raises NewtonError carrying the
     best iterate and the Newton iterations taken, the stalled one included;
     that usually means tol is too tight for the problem's conditioning.
+
+    w_init is never written, so it is not copied, and it is returned as
+    is when it already meets tol. Nor is it scanned up front: a NaN or Inf
+    in it leaves the first residual non-finite, and only then does
+    as_vector look for one, so the warm-start loops below, which pass the
+    finite array the previous solve returned, pay for neither.
     """
     if not a > 0.0:
         raise ValueError(f"regularization a must be positive, got {a}")
-    w = as_vector(w_init).copy()
-    if w.shape[0] != p.dim:
-        raise ValueError(f"w_init has dimension {w.shape[0]}, problem expects {p.dim}")
+    w = np.asarray(w_init, dtype=float)
+    if w.ndim != 1 or w.shape[0] != p.dim:
+        raise ValueError(f"w_init has shape {w.shape}, problem expects ({p.dim},)")
     r = p.residual(a, w)
     rn = math.sqrt(r.dot(r))
+    if not math.isfinite(rn):
+        as_vector(w)
     for it in range(cfg.max_iters):
         if rn <= cfg.tol:
             return w

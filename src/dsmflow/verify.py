@@ -9,7 +9,8 @@ pass holds iff worst_margin >= -slack(bound_id).
            solves F(w) + a(t) w = f. Margin normalized by 1 + RHS,
            slack 1e-8.
   EQ_2_8   h(t) <= h(0) e^{-t/2} + int_0^t e^{(s-t)/2} |a'(s)| ||w(s)|| ds,
-           with w(s) from the oracle. Margin normalized by the envelope,
+           with w(s) from the oracle at the recorded times, integrated
+           as a lower sum (below). Margin normalized by the envelope,
            slack 1e-2.
   EQ_2_10  h(t) <= h(0) e^{-t/2} + (1 - e^{-t/2}) * C ||w_C||, where w_C
            solves the static equation at the schedule cap C. Margin
@@ -31,10 +32,25 @@ pass holds iff worst_margin >= -slack(bound_id).
 certify runs every bound but EQ_2_8 on one trajectory, in that order, and
 is the pipeline behind `dsmflow verify` and scripts/verify_gallery.py.
 
-The EQ_2_8 and EQ_3_8 integrals use the composite Simpson rule with 200
-panels on [0, t] at each checkpoint, evaluated for blocks of checkpoints
-at once: one (rows, 201) node matrix per block, integrated row by row
-along the last axis by _simpson: SciPy's irregular-spacing Simpson rule
+EQ_2_8's envelope is a lower sum over the recorded times t_j, built in
+one pass. ||w_a|| is nonincreasing in a for monotone F (Ramm, Dynamical
+Systems Method for Solving Operator Equations, 2007), so ||w(t)|| is
+nondecreasing along a nonincreasing schedule, and on each cell
+[t_j, t_{j+1}] it is at least L_j = max(0, ||w_j|| - tol/a(t_j)): the
+oracle's residual tol bounds its error in w by tol/a. With
+C_j = int_cell e^{(s - t_{j+1})/2} |a'(s)| ds, the recursion
+E_0 = h(0), E_{j+1} = e^{-(t_{j+1} - t_j)/2} E_j + L_j C_j stays below the
+envelope at every t_j, so passing it implies (2.8). It needs one oracle
+solve per recorded point, the table EQ_2_6 tabulates too. C_j is exact for
+the constant and exponential schedules and composite Simpson with
+_CELL_PANELS panels for the power schedule. A table whose norms fall by
+more than the oracle's error allows contradicts monotonicity, and the
+lower sum is then no bound: EQ_2_8 fails.
+
+The EQ_3_8 integral uses the composite Simpson rule with 200 panels on
+[0, t] at each checkpoint, evaluated for blocks of checkpoints at once:
+one (rows, 201) node matrix per block, integrated row by row along the
+last axis by _simpson: SciPy's irregular-spacing Simpson rule
 (scipy.integrate.simpson with x given, odd node count) kept op for op, so
 margins stay bit for bit those of the SciPy rule. SciPy is only the tests'
 reference and is not imported at runtime. Every transcendental goes
@@ -71,6 +87,14 @@ SLACK = {
 
 # Simpson panels per checkpoint integral.
 _PANELS = 200
+
+# Simpson panels per recorded cell for EQ_2_8 under a power schedule:
+# its cell integral is an incomplete gamma function.
+_CELL_PANELS = 8
+_CELL_NODES = np.linspace(0.0, 1.0, _CELL_PANELS + 1)
+_CELL_WEIGHTS = np.array([1.0] + [4.0, 2.0] * (_CELL_PANELS // 2 - 1) + [4.0, 1.0]) / (
+    3.0 * _CELL_PANELS
+)
 
 # Checkpoints integrated per block: bounds the node-matrix temporaries
 # (a few hundred KB) whatever the trajectory length.
@@ -143,12 +167,11 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.sum(tmp, axis=-1)
 
 
-def _envelope_integrals(s: Schedule, times: np.ndarray, rate: float, weight=None) -> np.ndarray:
-    """int_0^t e^{rate (x - t)} |a'(x)| weight(x) dx for every t in times.
+def _envelope_integrals(s: Schedule, times: np.ndarray, rate: float) -> np.ndarray:
+    """int_0^t e^{rate (x - t)} |a'(x)| dx for every t in times.
 
-    Composite Simpson with _PANELS panels per checkpoint; weight maps a
-    node matrix to its values and defaults to 1. Rows with t <= 0 stay 0
-    (see the module docstring).
+    Composite Simpson with _PANELS panels per checkpoint. Rows with t <= 0
+    stay 0 (see the module docstring).
     """
     out = np.zeros(len(times))
     rows = np.flatnonzero(times > 0.0)
@@ -157,12 +180,46 @@ def _envelope_integrals(s: Schedule, times: np.ndarray, rate: float, weight=None
         t = times[idx]
         # C order, so _simpson sums each row contiguously, as for one 1-D row.
         x = np.ascontiguousarray(np.linspace(0.0, t, _PANELS + 1, axis=-1))
-        y = np.abs(s.derivative_array(x))
-        if weight is not None:
-            y = y * weight(x)
-        y = exp_array((x - t[:, None]) * rate) * y
+        y = exp_array((x - t[:, None]) * rate) * np.abs(s.derivative_array(x))
         out[idx] = _simpson(y, x)
     return out
+
+
+def _cell_integrals(s: Schedule, times: np.ndarray) -> np.ndarray:
+    """C_j = int_{t_j}^{t_{j+1}} e^{(x - t_{j+1})/2} |a'(x)| dx for each cell of times.
+
+    Exact for the constant and exponential schedules, composite Simpson
+    with _CELL_PANELS panels for the power schedule.
+    """
+    t0, t1 = times[:-1], times[1:]
+    dt = t1 - t0
+    if s.kind == "constant":
+        return np.zeros(len(dt))
+    if s.kind == "exponential":
+        # |a'(t_{j+1})| int_0^dt e^{-r v} dv with r = 1/2 - k, by x = t_{j+1} - v;
+        # the integral is dt itself at r = 0.
+        r = 0.5 - s.param
+        if r == 0.0:
+            return np.abs(s.derivative_array(t1)) * dt
+        grow = (-math.expm1(-r * h) / r for h in dt.tolist())
+        return np.abs(s.derivative_array(t1)) * np.fromiter(grow, float, len(dt))
+    x = t0[:, None] + dt[:, None] * _CELL_NODES
+    y = exp_array((x - t1[:, None]) * 0.5) * np.abs(s.derivative_array(x))
+    return (y @ _CELL_WEIGHTS) * dt
+
+
+def _lower_envelope(s: Schedule, times: np.ndarray, h0: float, weights: np.ndarray) -> list[float]:
+    """E_0 = h0, E_{j+1} = e^{-(t_{j+1} - t_j)/2} E_j + weights[j] C_j at every time.
+
+    This is h0 e^{-t/2} + int_0^t e^{(x-t)/2} |a'(x)| weight(x) dx for the
+    step function weight = weights[j] on cell j.
+    """
+    decay = exp_array(-0.5 * np.diff(times))
+    terms = weights * _cell_integrals(s, times)
+    envelope = [h0]
+    for d, c in zip(decay.tolist(), terms.tolist()):
+        envelope.append(d * envelope[-1] + c)
+    return envelope
 
 
 def check_eq_2_6(
@@ -225,32 +282,33 @@ def check_eq_2_8(
 ) -> BoundReport:
     """Oracle-weighted envelope with integrand e^{(s-t)/2} |a'(s)| ||w(s)||.
 
-    ||w(s)|| is tabulated once on a uniform grid of max(401, 4 * points + 1)
-    nodes (warm-started oracle solves) and interpolated linearly at the
-    Simpson nodes. The integral at every checkpoint is the batched
-    200-panel Simpson rule of the module docstring: bit for bit the scalar
-    rule, with transcendentals through math and checkpoints at t = 0
-    contributing 0. Costs one oracle solve per grid node; meant for small
-    problems.
+    Solves for w at every recorded time (warm-started, one oracle solve a
+    point) and checks h at each one against the lower sum of the module
+    docstring. Fails, with margin -1 at the first offending time, when the
+    table's ||w|| falls by more than the oracle's error tol/a allows,
+    because the lower sum is then no bound.
     """
     if not traj.points:
         raise ValueError("empty trajectory")
-    s = traj.schedule
-    t_end = traj.final.t
-    grid = np.linspace(0.0, t_end, max(401, 4 * len(traj.points) + 1))
-    ws = w_along_schedule(p, s, grid, cfg)
-    w_norms = np.array([math.sqrt(w.dot(w)) for _, w in ws])
-
-    h0 = traj.points[0].h
     times = [pt.t for pt in traj.points]
-    integrals = _envelope_integrals(
-        s, np.array(times), 0.5, lambda x: np.interp(x, grid, w_norms)
+    ws = w_along_schedule(p, traj.schedule, times, cfg)
+    norms = np.array([math.sqrt(w.dot(w)) for _, w in ws])
+    err = cfg.tol / np.array([pt.a for pt in traj.points])
+    notes = (
+        "envelope h0*e^(-t/2) + lower sum of int e^((s-t)/2)|a'| ||w(s)|| ds; "
+        "margin=(env-h)/env"
     )
-    margins = []
-    for pt, integral in zip(traj.points, integrals):
-        envelope = h0 * math.exp(-pt.t / 2.0) + float(integral)
-        margins.append((envelope - pt.h) / max(envelope, 1e-30))
-    notes = "envelope h0*e^(-t/2) + int e^((s-t)/2)|a'| ||w(s)|| ds; margin=(env-h)/env"
+    falls = np.flatnonzero(norms[1:] < norms[:-1] - err[:-1] - err[1:])
+    if falls.size:
+        j = int(falls[0])
+        notes = (
+            f"cannot certify: ||w|| falls from {norms[j]:.6g} at t={times[j]:g} "
+            f"to {norms[j + 1]:.6g} at t={times[j + 1]:g}; " + notes
+        )
+        return _report("EQ_2_8", [-1.0], [times[j + 1]], len(times), notes)
+    lower = np.maximum(norms[:-1] - err[:-1], 0.0)
+    envelope = _lower_envelope(traj.schedule, np.array(times), traj.points[0].h, lower)
+    margins = [(e - pt.h) / max(e, 1e-30) for pt, e in zip(traj.points, envelope)]
     return _report("EQ_2_8", margins, times, len(times), notes)
 
 

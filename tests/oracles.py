@@ -94,8 +94,9 @@ def dense_shifted_solve(j, a, b):
 def simpson_integral(f, t, panels=200):
     """Composite Simpson of a scalar f over [0, t], calling f node by node.
 
-    The scalar rule the batched EQ_2_8 and EQ_3_8 envelope integrals must
-    reproduce bit for bit; 0 for t <= 0.
+    The scalar rule the batched EQ_3_8 envelope integrals must reproduce
+    bit for bit, and the tests' interpolated reference for EQ_2_8's lower
+    sum; 0 for t <= 0.
     """
     if t <= 0.0:
         return 0.0

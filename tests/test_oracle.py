@@ -73,6 +73,32 @@ def test_line_search_stall_reports_iterations_taken():
     assert err.residual_norm == 0.25
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_w_init_rejected(bad):
+    p = diag_cubic(dim=2, rhs=[1.0, 2.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        d.solve_regularized(p, 0.5, [0.0, bad])
+
+
+def test_w_init_shape_checked():
+    p = diag_cubic(dim=2)
+    with pytest.raises(ValueError, match="shape"):
+        d.solve_regularized(p, 0.5, np.zeros(3))
+    with pytest.raises(ValueError, match="shape"):
+        d.solve_regularized(p, 0.5, np.zeros((2, 1)))
+
+
+def test_w_init_neither_copied_nor_written():
+    # A w_init that already meets tol comes back as the same array, and a
+    # warm start that takes Newton steps leaves its w_init as it was.
+    p = diag_cubic(dim=3, rhs=[1.0, -2.0, 0.5])
+    w = d.solve_regularized(p, 0.5, np.zeros(3))
+    assert d.solve_regularized(p, 0.5, w) is w
+    before = w.copy()
+    d.solve_regularized(p, 0.25, w)
+    assert np.array_equal(w, before)
+
+
 def test_w_along_constant_schedule_is_constant():
     p = diag_cubic(dim=2)
     out = d.w_along_schedule(p, d.constant(0.5), [0.0, 1.0, 4.0])
