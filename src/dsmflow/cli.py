@@ -89,14 +89,16 @@ class RunConfig:
             schedule = Schedule.from_dict(d.get("schedule", {"kind": "power", "a0": 1.0, "param": 0.25}))
             integrator = IntegratorConfig.from_dict({"t_max": 20.0, **d.get("integrator", {})})
             oracle = NewtonConfig.from_dict(d.get("oracle", {}))
-            dim = d.get("dim")
+            dim, seed = d.get("dim"), d.get("seed", 0)
+            if not (dim is None or isinstance(dim, int)) or not isinstance(seed, int):
+                raise ValueError(f"dim and seed must be integers, got {dim!r} and {seed!r}")
             return cls(
                 problem=problem,
-                dim=int(dim) if dim is not None else None,
+                dim=dim,
                 schedule=schedule,
                 integrator=integrator,
                 oracle=oracle,
-                seed=int(d.get("seed", 0)),
+                seed=seed,
                 output_dir=str(d.get("output_dir", "runs")),
             )
         except (KeyError, TypeError, ValueError) as err:

@@ -86,15 +86,13 @@ class IntegratorConfig:
     method: str = "dp54"  # "dp54" adaptive or "rk4" fixed-step
 
     def __post_init__(self):
-        if not self.t_max > 0.0:
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
-        for name in ("initial_step", "rel_tol", "abs_tol", "residual_stop"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be at least 1")
+        for name in ("t_max", "initial_step", "rel_tol", "abs_tol", "residual_stop"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        for name in ("max_steps", "record_stride"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.method not in ("dp54", "rk4"):
             raise ValueError(f"unknown method {self.method!r}")
 

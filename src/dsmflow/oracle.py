@@ -48,10 +48,10 @@ class NewtonConfig:
     max_iters: int = 100
 
     def __post_init__(self):
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

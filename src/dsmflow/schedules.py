@@ -9,20 +9,14 @@ ratio suprema, and a sample grid cross-checks them. Every schedule is
 nonincreasing (param >= 0), so the cap is derived, not set:
 C = a0 * (1 + CAP_MARGIN), just above a(0).
 
-Array forms of the closed forms (exp_array, Schedule.derivative_array)
-evaluate every transcendental through the scalar math functions, one
-element at a time: NumPy's vectorized exp and power may differ from them
-in the last bit, and the certificates built on these arrays must match
-the scalar rule bit for bit. The elements go through map over a Python
-list into np.fromiter, which makes the same scalar calls as
-np.frompyfunc without its object array: about 580 us against 820 us for
-a 32 x 201 block of exp (2-core Xeon). Any shape works, 0-d included, and a math range error
-still raises OverflowError.
+value and derivative are scalar closed forms. The EQ_2_8 and EQ_3_8
+envelopes in verify call them once per recorded cell: at its right end
+for the exponential schedule, whose cell integrals are exact, and at the
+nodes of an 8-panel Simpson rule for the power schedule.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import asdict, dataclass
@@ -38,18 +32,6 @@ RATIO_WARN = 0.45
 
 # The cap C = a0 * (1 + CAP_MARGIN): every schedule is nonincreasing from a0.
 CAP_MARGIN = 1e-6
-
-
-def _elementwise(fn, x: np.ndarray, *args) -> np.ndarray:
-    """fn(element, *args) at every element of x, as a float array of x's shape."""
-    x = np.asarray(x, dtype=float)
-    values = map(fn, x.ravel().tolist(), *(itertools.repeat(v) for v in args))
-    return np.fromiter(values, float, x.size).reshape(x.shape)
-
-
-def exp_array(x: np.ndarray) -> np.ndarray:
-    """Elementwise math.exp, bit for bit equal to the scalar calls."""
-    return _elementwise(math.exp, x)
 
 
 @dataclass(frozen=True, eq=True)
@@ -100,27 +82,6 @@ class Schedule:
         if self.kind == "exponential":
             return -self.param * self.value(t)
         return 0.0
-
-    def derivative_array(self, x: np.ndarray) -> np.ndarray:
-        """derivative() at every element of x, bit for bit.
-
-        Keeps the scalar operation order and evaluates exp and pow through
-        math (see the module docstring). x must be nonnegative.
-        """
-        x = np.asarray(x, dtype=float)
-        if np.any(x < 0.0):
-            raise ValueError("schedule derivative at negative time")
-        # In place, so a 0-d x gives a 0-d array, not a NumPy scalar.
-        if self.kind == "power":
-            out = _elementwise(math.pow, 1.0 + x, -self.param - 1.0)
-            out *= -self.a0 * self.param
-            return out
-        if self.kind == "exponential":
-            out = exp_array(-self.param * x)
-            out *= self.a0
-            out *= -self.param
-            return out
-        return np.zeros_like(x)
 
     def ratio(self, t: float) -> float:
         """|a'(t)| / a(t)."""

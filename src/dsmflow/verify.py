@@ -32,39 +32,30 @@ pass holds iff worst_margin >= -slack(bound_id).
 certify runs every bound but EQ_2_8 on one trajectory, in that order, and
 is the pipeline behind `dsmflow verify` and scripts/verify_gallery.py.
 
-EQ_2_8's envelope is a lower sum over the recorded times t_j, built in
-one pass. ||w_a|| is nonincreasing in a for monotone F (Ramm, Dynamical
-Systems Method for Solving Operator Equations, 2007), so ||w(t)|| is
-nondecreasing along a nonincreasing schedule, and on each cell
-[t_j, t_{j+1}] it is at least L_j = max(0, ||w_j|| - tol/a(t_j)): the
-oracle's residual tol bounds its error in w by tol/a. With
-C_j = int_cell e^{(s - t_{j+1})/2} |a'(s)| ds, the recursion
-E_0 = h(0), E_{j+1} = e^{-(t_{j+1} - t_j)/2} E_j + L_j C_j stays below the
-envelope at every t_j, so passing it implies (2.8). It needs one oracle
-solve per recorded point, the table EQ_2_6 tabulates too. C_j is exact for
-the constant and exponential schedules and composite Simpson with
-_CELL_PANELS panels for the power schedule. A table whose norms fall by
-more than the oracle's error allows contradicts monotonicity, and the
-lower sum is then no bound: EQ_2_8 fails.
+EQ_2_8 and EQ_3_8 share one envelope, h(0) e^{-r t} plus
+int_0^t e^{r(s-t)} |a'(s)| weight(s) ds with r = 1/2 and r = 1, built by
+_envelope in one pass over the recorded times t_j: E_0 = h(0),
+E_{j+1} = e^{-r (t_{j+1} - t_j)} E_j + weight_j C_j, with the cell
+integral C_j = int_{t_j}^{t_{j+1}} e^{r(s - t_{j+1})} |a'(s)| ds. C_j is
+exact for the constant and exponential schedules and composite Simpson
+with _CELL_PANELS panels for the power schedule, one scalar math call per
+node.
 
-The EQ_3_8 integral uses the composite Simpson rule with 200 panels on
-[0, t] at each checkpoint, evaluated for blocks of checkpoints at once:
-one (rows, 201) node matrix per block, integrated row by row along the
-last axis by _simpson: SciPy's irregular-spacing Simpson rule
-(scipy.integrate.simpson with x given, odd node count) kept op for op, so
-margins stay bit for bit those of the SciPy rule. SciPy is only the tests'
-reference and is not imported at runtime. Every transcendental goes
-through math, one element at a time (schedules.exp_array,
-Schedule.derivative_array), because NumPy's vectorized exp and power can
-differ in the last bit and margins in fixed-step rk4 runs must reproduce
-bit for bit. A checkpoint at t <= 0 has integral 0 and is left out of the
-node matrix: a zero-length row would send np.linspace down its zero-step
-branch for the whole block and move every other row's nodes in the last
-bit.
+EQ_3_8's weight is the constant c_traj. EQ_2_8's is a lower sum:
+||w_a|| is nonincreasing in a for monotone F (Ramm, Dynamical Systems
+Method for Solving Operator Equations, 2007), so ||w(t)|| is
+nondecreasing along a nonincreasing schedule, and on each cell it is at
+least L_j = max(0, ||w_j|| - tol/a(t_j)): the oracle's residual tol bounds
+its error in w by tol/a. The envelope with weight L_j stays below (2.8)'s
+at every t_j, so passing it implies (2.8). It needs one oracle solve per
+recorded point, the table EQ_2_6 tabulates too. A table whose norms fall
+by more than the oracle's error allows contradicts monotonicity, and the
+lower sum is then no bound: EQ_2_8 fails.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -74,7 +65,7 @@ from . import oracle
 from .flow import TERMINATED_RESIDUAL, TERMINATED_TMAX, Trajectory
 from .operators import OperatorProblem
 from .oracle import ContinuationResult, NewtonConfig, solve_regularized, w_along_schedule
-from .schedules import Schedule, check_admissible, exp_array
+from .schedules import Schedule, check_admissible
 
 SLACK = {
     "EQ_2_6": 1e-8,
@@ -85,20 +76,10 @@ SLACK = {
     "LEMMA_2_1": 0.0,
 }
 
-# Simpson panels per checkpoint integral.
-_PANELS = 200
-
-# Simpson panels per recorded cell for EQ_2_8 under a power schedule:
-# its cell integral is an incomplete gamma function.
+# Simpson panels per recorded cell under a power schedule, whose cell
+# integral is an incomplete gamma function.
 _CELL_PANELS = 8
-_CELL_NODES = np.linspace(0.0, 1.0, _CELL_PANELS + 1)
-_CELL_WEIGHTS = np.array([1.0] + [4.0, 2.0] * (_CELL_PANELS // 2 - 1) + [4.0, 1.0]) / (
-    3.0 * _CELL_PANELS
-)
-
-# Checkpoints integrated per block: bounds the node-matrix temporaries
-# (a few hundred KB) whatever the trajectory length.
-_BLOCK_ROWS = 32
+_CELL_WEIGHTS = [1.0] + [4.0, 2.0] * (_CELL_PANELS // 2 - 1) + [4.0, 1.0]
 
 # THM_3_1 requires the regularizer to have genuinely decayed.
 _A_FINAL_MAX = 1e-3
@@ -140,85 +121,37 @@ def _report(bound_id: str, margins, times, checkpoints: int, notes: str) -> Boun
     )
 
 
-def _simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Composite Simpson of each row of y over the nodes in the same row of x.
-
-    SciPy's irregular-spacing rule for an odd number of nodes, kept op for
-    op (same guarded divisions, same term order, one contiguous sum per
-    row), so the result equals scipy.integrate.simpson(y, x=x, axis=-1)
-    byte for byte and margins stay bit for bit; SciPy is only the
-    reference the tests compare against. The where= guards keep panels
-    with a zero spacing or spacing product (a subnormal t) finite, as in
-    SciPy.
-    """
-    h = np.diff(x, axis=-1)
-    h0 = h[..., 0::2]
-    h1 = h[..., 1::2]
-    hsum = h0 + h1
-    hprod = h0 * h1
-    h0divh1 = np.true_divide(h0, h1, out=np.zeros_like(h0), where=h1 != 0)
-    h1divh0 = np.true_divide(1.0, h0divh1, out=np.zeros_like(h0divh1), where=h0divh1 != 0)
-    hsum_hprod = np.true_divide(hsum, hprod, out=np.zeros_like(hsum), where=hprod != 0)
-    tmp = hsum / 6.0 * (
-        y[..., 0:-2:2] * (2.0 - h1divh0)
-        + y[..., 1:-1:2] * (hsum * hsum_hprod)
-        + y[..., 2::2] * (2.0 - h0divh1)
-    )
-    return np.sum(tmp, axis=-1)
-
-
-def _envelope_integrals(s: Schedule, times: np.ndarray, rate: float) -> np.ndarray:
-    """int_0^t e^{rate (x - t)} |a'(x)| dx for every t in times.
-
-    Composite Simpson with _PANELS panels per checkpoint. Rows with t <= 0
-    stay 0 (see the module docstring).
-    """
-    out = np.zeros(len(times))
-    rows = np.flatnonzero(times > 0.0)
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        idx = rows[start : start + _BLOCK_ROWS]
-        t = times[idx]
-        # C order, so _simpson sums each row contiguously, as for one 1-D row.
-        x = np.ascontiguousarray(np.linspace(0.0, t, _PANELS + 1, axis=-1))
-        y = exp_array((x - t[:, None]) * rate) * np.abs(s.derivative_array(x))
-        out[idx] = _simpson(y, x)
-    return out
-
-
-def _cell_integrals(s: Schedule, times: np.ndarray) -> np.ndarray:
-    """C_j = int_{t_j}^{t_{j+1}} e^{(x - t_{j+1})/2} |a'(x)| dx for each cell of times.
+def _cell_integral(s: Schedule, t0: float, t1: float, rate: float) -> float:
+    """int_{t0}^{t1} e^{rate (x - t1)} |a'(x)| dx.
 
     Exact for the constant and exponential schedules, composite Simpson
     with _CELL_PANELS panels for the power schedule.
     """
-    t0, t1 = times[:-1], times[1:]
     dt = t1 - t0
     if s.kind == "constant":
-        return np.zeros(len(dt))
+        return 0.0
     if s.kind == "exponential":
-        # |a'(t_{j+1})| int_0^dt e^{-r v} dv with r = 1/2 - k, by x = t_{j+1} - v;
+        # |a'(t1)| int_0^dt e^{-r v} dv with r = rate - k, by x = t1 - v;
         # the integral is dt itself at r = 0.
-        r = 0.5 - s.param
-        if r == 0.0:
-            return np.abs(s.derivative_array(t1)) * dt
-        grow = (-math.expm1(-r * h) / r for h in dt.tolist())
-        return np.abs(s.derivative_array(t1)) * np.fromiter(grow, float, len(dt))
-    x = t0[:, None] + dt[:, None] * _CELL_NODES
-    y = exp_array((x - t1[:, None]) * 0.5) * np.abs(s.derivative_array(x))
-    return (y @ _CELL_WEIGHTS) * dt
+        r = rate - s.param
+        return abs(s.derivative(t1)) * (-math.expm1(-r * dt) / r if r else dt)
+    total = 0.0
+    for i, weight in enumerate(_CELL_WEIGHTS):
+        x = t0 + dt * (i / _CELL_PANELS)
+        total += weight * math.exp(rate * (x - t1)) * abs(s.derivative(x))
+    return total * dt / (3 * _CELL_PANELS)
 
 
-def _lower_envelope(s: Schedule, times: np.ndarray, h0: float, weights: np.ndarray) -> list[float]:
-    """E_0 = h0, E_{j+1} = e^{-(t_{j+1} - t_j)/2} E_j + weights[j] C_j at every time.
+def _envelope(s: Schedule, times, h0: float, weights, rate: float) -> list[float]:
+    """h0 e^{-rate t} + int_0^t e^{rate (x - t)} |a'(x)| weight(x) dx at every time.
 
-    This is h0 e^{-t/2} + int_0^t e^{(x-t)/2} |a'(x)| weight(x) dx for the
-    step function weight = weights[j] on cell j.
+    weight is the step function weights[j] on [t_j, t_{j+1}], and the sum
+    is the one-pass recursion of the module docstring.
     """
-    decay = exp_array(-0.5 * np.diff(times))
-    terms = weights * _cell_integrals(s, times)
     envelope = [h0]
-    for d, c in zip(decay.tolist(), terms.tolist()):
-        envelope.append(d * envelope[-1] + c)
+    for t0, t1, weight in zip(times, times[1:], weights):
+        term = weight * _cell_integral(s, t0, t1, rate)
+        envelope.append(math.exp(-rate * (t1 - t0)) * envelope[-1] + term)
     return envelope
 
 
@@ -307,7 +240,7 @@ def check_eq_2_8(
         )
         return _report("EQ_2_8", [-1.0], [times[j + 1]], len(times), notes)
     lower = np.maximum(norms[:-1] - err[:-1], 0.0)
-    envelope = _lower_envelope(traj.schedule, np.array(times), traj.points[0].h, lower)
+    envelope = _envelope(traj.schedule, times, traj.points[0].h, lower, 0.5)
     margins = [(e - pt.h) / max(e, 1e-30) for pt, e in zip(traj.points, envelope)]
     return _report("EQ_2_8", margins, times, len(times), notes)
 
@@ -318,14 +251,12 @@ def check_eq_3_8(traj: Trajectory, residual_stop: float = 1e-10) -> BoundReport:
     The integral term is scaled by c_traj = max recorded ||u(t)||: the bare
     envelope h(0)e^{-t} + int e^{s-t} |a'(s)| ds omits the state-norm
     factor of the underlying differential inequality, so it is restored
-    here explicitly (noted in every report). The integral at every
-    checkpoint is the batched 200-panel Simpson rule of the module
-    docstring: bit for bit the scalar rule, with transcendentals through
-    math and checkpoints at t = 0 contributing 0.
+    here explicitly (noted in every report). The envelope at every
+    checkpoint is the cell recursion of the module docstring at rate 1,
+    with the constant weight c_traj.
     """
     if not traj.points:
         raise ValueError("empty trajectory")
-    s = traj.schedule
     notes = "envelope h0*e^(-t) + c_traj*int e^(s-t)|a'(s)| ds; integral term scaled by c_traj=max ||u||"
     if traj.terminated_by not in (TERMINATED_RESIDUAL, TERMINATED_TMAX):
         notes = f"cannot certify: terminated_by={traj.terminated_by}; " + notes
@@ -333,11 +264,8 @@ def check_eq_3_8(traj: Trajectory, residual_stop: float = 1e-10) -> BoundReport:
     h0 = traj.points[0].h
     c_traj = max(math.sqrt(pt.u.dot(pt.u)) for pt in traj.points)
     times = [pt.t for pt in traj.points]
-    integrals = _envelope_integrals(s, np.array(times), 1.0)
-    margins = []
-    for pt, integral in zip(traj.points, integrals):
-        envelope = h0 * math.exp(-pt.t) + c_traj * float(integral)
-        margins.append((envelope - pt.h) / max(envelope, 1e-30))
+    envelope = _envelope(traj.schedule, times, h0, itertools.repeat(c_traj), 1.0)
+    margins = [(e - pt.h) / max(e, 1e-30) for pt, e in zip(traj.points, envelope)]
     h_final = traj.final.h
     allowed_final = max(residual_stop, 1e-2 * h0)
     margins.append((allowed_final - h_final) / max(allowed_final, 1e-30))

@@ -3,17 +3,17 @@
 These deliberately avoid the library's own solvers: bisection for scalar
 roots, the adjugate formula for 2x2 inverses, an eigendecomposition
 pseudoinverse for small symmetric matrices, the textbook dense shifted
-solve, a one-node-at-a-time Simpson rule for the certificate envelopes, the
-two separate dp54 and rk4 stepping loops that the single loop in
-dsmflow.flow.integrate replaced, the dp54 step that built each stage as a
-Python sum over a list, and the bound sequence of `dsmflow verify` that
-dsmflow.verify.certify replaced.
+solve, adaptive quadrature and a one-node-at-a-time Simpson rule for the
+certificate envelopes, the two separate dp54 and rk4 stepping loops that
+the single loop in dsmflow.flow.integrate replaced, the dp54 step that
+built each stage as a Python sum over a list, and the bound sequence of
+`dsmflow verify` that dsmflow.verify.certify replaced.
 """
 
 import math
 
 import numpy as np
-from scipy.integrate import simpson
+from scipy.integrate import quad, simpson
 
 from dsmflow.errors import LinearSolveError
 from dsmflow.flow import (
@@ -94,15 +94,35 @@ def dense_shifted_solve(j, a, b):
 def simpson_integral(f, t, panels=200):
     """Composite Simpson of a scalar f over [0, t], calling f node by node.
 
-    The scalar rule the batched EQ_3_8 envelope integrals must reproduce
-    bit for bit, and the tests' interpolated reference for EQ_2_8's lower
-    sum; 0 for t <= 0.
+    The tests' reference for EQ_2_8's envelope with ||w|| linearly
+    interpolated between oracle solves, whose kinks adaptive quadrature
+    handles poorly; 0 for t <= 0.
     """
     if t <= 0.0:
         return 0.0
     xs = np.linspace(0.0, t, panels + 1)
     ys = np.array([f(x) for x in xs])
     return float(simpson(ys, x=xs))
+
+
+def envelope_integral(s, t, rate):
+    """int_0^t e^{rate (x - t)} |a'(x)| dx by adaptive quadrature; 0 for t <= 0.
+
+    The reference for the cell recursion behind the EQ_2_8 and EQ_3_8
+    envelopes, good to about 1e-15 relative on the smooth integrands of
+    the three schedules.
+    """
+    if t <= 0.0:
+        return 0.0
+    value, _ = quad(
+        lambda x: math.exp(rate * (x - t)) * abs(s.derivative(x)),
+        0.0,
+        t,
+        epsabs=0.0,
+        epsrel=1e-13,
+        limit=200,
+    )
+    return value
 
 
 def reference_integrate(p, s, u0, cfg):

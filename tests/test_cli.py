@@ -85,6 +85,41 @@ def test_growing_schedule_is_validation_error(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"integrator": {"t_max": float("inf"), "method": "rk4"}},
+        {"integrator": {"t_max": float("nan")}},
+        {"integrator": {"t_max": 4.0, "initial_step": float("inf"), "method": "rk4"}},
+        {"integrator": {"t_max": 4.0, "residual_stop": float("inf")}},
+        {"oracle": {"tol": float("inf")}},
+        {"integrator": {"t_max": 1.0, "max_steps": 1.5}},
+        {"integrator": {"t_max": 1.0, "record_stride": 2.5}},
+        {"oracle": {"max_iters": 2.5}},
+        {"dim": 4.7},
+        {"seed": 0.5},
+    ],
+    ids=[
+        "t_max-inf",
+        "t_max-nan",
+        "initial_step-inf",
+        "residual_stop-inf",
+        "tol-inf",
+        "max_steps",
+        "record_stride",
+        "max_iters",
+        "dim",
+        "seed",
+    ],
+)
+def test_malformed_numbers_are_validation_errors(tmp_path, capsys, overrides):
+    # json writes inf and nan as Infinity and NaN, which json.loads reads back.
+    path, _ = write_config(tmp_path, **overrides)
+    assert cli.main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_run_step_failure_exit_code(tmp_path):
     path, _ = write_config(
         tmp_path,
