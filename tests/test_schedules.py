@@ -125,3 +125,65 @@ def test_derivative_matches_finite_differences(s):
         step = 1e-6 * (1.0 + t)
         fd = (s.value(t + step) - s.value(t - step)) / (2.0 * step)
         assert s.derivative(t) == pytest.approx(fd, rel=1e-6, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "s",
+    [d.power(1.0, 0.25), d.power(2.0, 0.45), d.exponential(1.0, 0.3), d.constant(0.5)],
+    ids=["power25", "power45", "exp30", "const"],
+)
+def test_derivative_array_matches_scalar_bitwise(s):
+    rng = np.random.default_rng(11)
+    x = np.concatenate([[0.0], np.linspace(0.0, 40.0, 801), rng.uniform(0.0, 1e3, 2000)])
+    expected = np.array([s.derivative(v) for v in x])
+    assert s.derivative_array(x).tobytes() == expected.tobytes()
+    block = x[:1000].reshape(25, 40)
+    assert s.derivative_array(block).tobytes() == expected[:1000].tobytes()
+    with pytest.raises(ValueError, match="negative time"):
+        s.derivative_array(np.array([1.0, -0.5]))
+
+
+def _array_inputs(values):
+    """Inputs of every shape and layout derivative_array must handle, filled
+    from values: 0-d, a Python float, empty, 1-D, a 32 x 201 block, that
+    block in F order, and a strided slice."""
+    block = np.resize(values, (32, 201))
+    wide = np.resize(values, (32, 603))
+    return {
+        "0d": np.array(values[1]),
+        "float": float(values[2]),
+        "empty": np.array([]),
+        "1d": np.resize(values, 7),
+        "block": block,
+        "f_order": np.asfortranarray(block),
+        "strided": wide[::2, ::3],
+    }
+
+
+LAYOUTS = ["0d", "float", "empty", "1d", "block", "f_order", "strided"]
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize(
+    "s",
+    [
+        d.power(1.0, 0.25),
+        d.power(1.0, 0.0),
+        d.exponential(1.0, 0.3),
+        d.exponential(2.0, 0.0),
+        d.constant(0.5),
+    ],
+    ids=["power25", "power0", "exp30", "exp0", "const"],
+)
+def test_derivative_array_any_layout_matches_scalar_bitwise(s, layout):
+    # A zero param makes every derivative -0.0, which tobytes() tells from
+    # +0.0 and np.array_equal does not.
+    values = np.concatenate(
+        [[0.0, -0.0, 1e-300, 40.0], np.random.default_rng(5).uniform(0.0, 1e3, 99)]
+    )
+    x = _array_inputs(values)[layout]
+    expected = np.array([s.derivative(v) for v in np.ravel(x).tolist()], dtype=float)
+    out = s.derivative_array(x)
+    # A 0-d input gives a 0-d array, not a NumPy scalar.
+    assert type(out) is np.ndarray and out.shape == np.shape(x)
+    assert out.tobytes() == expected.tobytes()
