@@ -33,7 +33,7 @@ from .errors import DsmError, NewtonError
 from .flow import TERMINATED_STEP_FAILURE, IntegratorConfig, Trajectory, integrate
 from .operators import OperatorProblem, check_monotone, gallery, make_problem
 from .oracle import NewtonConfig, minimal_norm_limit
-from .schedules import Schedule, check_admissible
+from .schedules import KINDS, Schedule, check_admissible
 from .verify import cap_term, certify
 
 # Not used here: perfbench imports EPS_Y_OVERRIDES and LEMMA_GRID from this
@@ -273,7 +273,7 @@ def cmd_check_schedule(kind: str, a0: float, param: float) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
-    report = check_admissible(s, horizon=100.0, grid_points=201)
+    report = check_admissible(s, horizon=100.0)
     print(f"schedule: {s.to_dict()}")
     print(
         f"max_ratio={report.max_ratio:.6g} positive={report.positive} "
@@ -308,7 +308,7 @@ def main(argv=None) -> int:
     p_verify.add_argument("config")
     sub.add_parser("gallery", help="list stock problems")
     p_sched = sub.add_parser("check-schedule", help="admissibility report")
-    p_sched.add_argument("kind", choices=("power", "exponential", "constant"))
+    p_sched.add_argument("kind", choices=KINDS)
     p_sched.add_argument("a0", type=float)
     p_sched.add_argument("param", type=float, nargs="?", default=0.0)
     p_oracle = sub.add_parser("oracle", help="continuation a -> 0 toward the minimal-norm solution")

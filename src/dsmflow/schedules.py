@@ -3,18 +3,18 @@
 A schedule is admissible for the flow when a(t) stays in (0, cap) and the
 ratio |a'(t)|/a(t) stays strictly below 1/2 on [0, infinity); the decay
 condition a(t) -> 0 is additionally needed for the limit to solve the
-unregularized equation. Both conditions are machine-checkable here: the
-three supported families (power, exponential, constant) have closed-form
-ratio suprema, and a sample grid cross-checks them. Every schedule is
-nonincreasing (param >= 0), so the cap is derived, not set:
-C = a0 * (1 + CAP_MARGIN), just above a(0).
+unregularized equation. Both conditions are decided in closed form: the
+three supported families (power, exponential, constant) have exact ratio
+suprema, and every schedule is nonincreasing (param >= 0), so a(t) is
+least at the end of a horizon and the cap is derived, not set:
+C = a0 * (1 + CAP_MARGIN), just above a(0). A schedule whose ratio
+supremum lies between RATIO_WARN and the limit warns once, when built.
 
-value and derivative are scalar closed forms. The EQ_2_8 and EQ_3_8
-envelopes in verify call them once per recorded cell: at its right end
-for the exponential schedule, whose cell integrals are exact, and at the
-nodes of an 8-panel Simpson rule for the power schedule.
-derivative_array maps the scalar derivative over an array of any shape,
-so each element is the scalar value bit for bit.
+value and derivative are scalar closed forms. cell_integral, the cell
+term of the EQ_2_8 and EQ_3_8 envelopes in verify, calls them once per
+recorded cell: at its right end for the exponential schedule, whose cell
+integrals are exact, and at the nodes of an 8-panel Simpson rule for the
+power schedule.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, dataclass
-
-import numpy as np
 
 KINDS = ("power", "exponential", "constant")
 
@@ -34,6 +32,11 @@ RATIO_WARN = 0.45
 
 # The cap C = a0 * (1 + CAP_MARGIN): every schedule is nonincreasing from a0.
 CAP_MARGIN = 1e-6
+
+# Simpson panels per recorded cell under a power schedule, whose cell
+# integral is an incomplete gamma function.
+_CELL_PANELS = 8
+_CELL_WEIGHTS = [1.0] + [4.0, 2.0] * (_CELL_PANELS // 2 - 1) + [4.0, 1.0]
 
 
 @dataclass(frozen=True, eq=True)
@@ -59,6 +62,12 @@ class Schedule:
             raise ValueError(f"a0 must be positive, got {self.a0}")
         if not self.param >= 0.0:
             raise ValueError(f"param must be nonnegative, got {self.param}")
+        if RATIO_WARN + 1e-12 < self.ratio_supremum() < RATIO_LIMIT:
+            warnings.warn(
+                f"schedule ratio sup |a'|/a = {self.ratio_supremum():.3f} is close to the "
+                "1/2 limit; the certified residual decay rate degrades accordingly",
+                stacklevel=3,
+            )
 
     @property
     def cap(self) -> float:
@@ -85,11 +94,25 @@ class Schedule:
             return -self.param * self.value(t)
         return 0.0
 
-    def derivative_array(self, x) -> np.ndarray:
-        """derivative() at every element of x, as a float array of x's shape."""
-        x = np.asarray(x, dtype=float)
-        values = map(self.derivative, x.ravel().tolist())
-        return np.fromiter(values, float, x.size).reshape(x.shape)
+    def cell_integral(self, t0: float, t1: float, rate: float) -> float:
+        """int_{t0}^{t1} e^{rate (x - t1)} |a'(x)| dx.
+
+        Exact for the constant and exponential schedules, composite Simpson
+        with _CELL_PANELS panels for the power schedule.
+        """
+        dt = t1 - t0
+        if self.kind == "constant":
+            return 0.0
+        if self.kind == "exponential":
+            # |a'(t1)| int_0^dt e^{-r v} dv with r = rate - k, by x = t1 - v;
+            # the integral is dt itself at r = 0.
+            r = rate - self.param
+            return abs(self.derivative(t1)) * (-math.expm1(-r * dt) / r if r else dt)
+        total = 0.0
+        for i, weight in enumerate(_CELL_WEIGHTS):
+            x = t0 + dt * (i / _CELL_PANELS)
+            total += weight * math.exp(rate * (x - t1)) * abs(self.derivative(x))
+        return total * dt / (3 * _CELL_PANELS)
 
     def ratio(self, t: float) -> float:
         """|a'(t)| / a(t)."""
@@ -137,46 +160,31 @@ class AdmissibilityReport:
     pass_2_2: bool
     pass_3_3: bool
     horizon: float
-    grid_points: int
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-def check_admissible(s: Schedule, horizon: float, grid_points: int = 129) -> AdmissibilityReport:
-    """Certify 0 < a(t) < cap and sup |a'|/a < 1/2, plus decay to zero.
+def check_admissible(s: Schedule, horizon: float) -> AdmissibilityReport:
+    """Certify 0 < a(t) < cap on [0, horizon] and sup |a'|/a < 1/2, plus decay to zero.
 
-    max_ratio combines the closed-form supremum with a sample-grid sweep;
+    Every schedule is nonincreasing from a(0) = a0 (param >= 0 is enforced
+    at construction), so a(t) is least at the horizon and greatest at 0:
+    positivity is a(horizon) > 0, which an underflowing exponential fails,
+    and the cap test is a0 < cap. max_ratio is the exact supremum;
     pass_2_2 requires the strict ratio inequality together with positivity
-    and the cap, pass_3_3 requires decay. Emits a warning when the ratio
-    supremum exceeds RATIO_WARN, where the certified decay rate degrades.
+    and the cap, pass_3_3 requires decay.
     """
     if not horizon > 0.0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    if grid_points < 2:
-        raise ValueError(f"need at least 2 grid points, got {grid_points}")
-
-    grid = np.linspace(0.0, horizon, grid_points)
-    values = np.array([s.value(t) for t in grid])
-    ratios = np.abs(s.derivative_array(grid)) / values
-    max_ratio = max(float(ratios.max()), s.ratio_supremum())
-    positive = bool(np.all(values > 0.0))
-    below_cap = bool(np.all(values < s.cap))
+    max_ratio = s.ratio_supremum()
+    positive = s.value(horizon) > 0.0
     decays = s.decays_to_zero()
-
-    pass_2_2 = positive and below_cap and max_ratio < RATIO_LIMIT
-    if pass_2_2 and max_ratio > RATIO_WARN + 1e-12:
-        warnings.warn(
-            f"schedule ratio sup |a'|/a = {max_ratio:.3f} is close to the 1/2 limit; "
-            "the certified residual decay rate degrades accordingly",
-            stacklevel=2,
-        )
     return AdmissibilityReport(
         max_ratio=max_ratio,
         positive=positive,
         decays=decays,
-        pass_2_2=pass_2_2,
+        pass_2_2=positive and s.a0 < s.cap and max_ratio < RATIO_LIMIT,
         pass_3_3=decays,
         horizon=horizon,
-        grid_points=grid_points,
     )

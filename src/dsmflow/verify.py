@@ -36,10 +36,9 @@ EQ_2_8 and EQ_3_8 share one envelope, h(0) e^{-r t} plus
 int_0^t e^{r(s-t)} |a'(s)| weight(s) ds with r = 1/2 and r = 1, built by
 _envelope in one pass over the recorded times t_j: E_0 = h(0),
 E_{j+1} = e^{-r (t_{j+1} - t_j)} E_j + weight_j C_j, with the cell
-integral C_j = int_{t_j}^{t_{j+1}} e^{r(s - t_{j+1})} |a'(s)| ds. C_j is
-exact for the constant and exponential schedules and composite Simpson
-with _CELL_PANELS panels for the power schedule, one scalar math call per
-node.
+integral C_j = int_{t_j}^{t_{j+1}} e^{r(s - t_{j+1})} |a'(s)| ds from
+Schedule.cell_integral: exact for the constant and exponential schedules,
+composite Simpson for the power schedule.
 
 EQ_3_8's weight is the constant c_traj. EQ_2_8's is a lower sum:
 ||w_a|| is nonincreasing in a for monotone F (Ramm, Dynamical Systems
@@ -75,11 +74,6 @@ SLACK = {
     "THM_3_1": 0.0,
     "LEMMA_2_1": 0.0,
 }
-
-# Simpson panels per recorded cell under a power schedule, whose cell
-# integral is an incomplete gamma function.
-_CELL_PANELS = 8
-_CELL_WEIGHTS = [1.0] + [4.0, 2.0] * (_CELL_PANELS // 2 - 1) + [4.0, 1.0]
 
 # THM_3_1 requires the regularizer to have genuinely decayed.
 _A_FINAL_MAX = 1e-3
@@ -121,27 +115,6 @@ def _report(bound_id: str, margins, times, checkpoints: int, notes: str) -> Boun
     )
 
 
-def _cell_integral(s: Schedule, t0: float, t1: float, rate: float) -> float:
-    """int_{t0}^{t1} e^{rate (x - t1)} |a'(x)| dx.
-
-    Exact for the constant and exponential schedules, composite Simpson
-    with _CELL_PANELS panels for the power schedule.
-    """
-    dt = t1 - t0
-    if s.kind == "constant":
-        return 0.0
-    if s.kind == "exponential":
-        # |a'(t1)| int_0^dt e^{-r v} dv with r = rate - k, by x = t1 - v;
-        # the integral is dt itself at r = 0.
-        r = rate - s.param
-        return abs(s.derivative(t1)) * (-math.expm1(-r * dt) / r if r else dt)
-    total = 0.0
-    for i, weight in enumerate(_CELL_WEIGHTS):
-        x = t0 + dt * (i / _CELL_PANELS)
-        total += weight * math.exp(rate * (x - t1)) * abs(s.derivative(x))
-    return total * dt / (3 * _CELL_PANELS)
-
-
 def _envelope(s: Schedule, times, h0: float, weights, rate: float) -> list[float]:
     """h0 e^{-rate t} + int_0^t e^{rate (x - t)} |a'(x)| weight(x) dx at every time.
 
@@ -150,7 +123,7 @@ def _envelope(s: Schedule, times, h0: float, weights, rate: float) -> list[float
     """
     envelope = [h0]
     for t0, t1, weight in zip(times, times[1:], weights):
-        term = weight * _cell_integral(s, t0, t1, rate)
+        term = weight * s.cell_integral(t0, t1, rate)
         envelope.append(math.exp(-rate * (t1 - t0)) * envelope[-1] + term)
     return envelope
 

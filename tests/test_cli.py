@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -233,6 +234,25 @@ def test_verify_constant_schedule_skips_limit_check(tmp_path):
     assert "THM_3_1" not in ids
     assert payload["skipped"] == ["THM_3_1: schedule does not decay to zero"]
     assert all(b["pass"] for b in payload["bounds"])
+
+
+def test_verify_warns_once_near_the_ratio_limit(tmp_path):
+    # The schedule is checked in _load, integrate and EQ_2_10; the
+    # near-limit warning comes once, from building the schedule.
+    path, _ = write_config(
+        tmp_path,
+        schedule={"kind": "exponential", "a0": 1.0, "param": 0.47},
+        integrator={"t_max": 4.0},
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        # THM_3_1 cannot certify a regularizer still at a(4) = 0.15: exit 1.
+        assert cli.main(["verify", str(path)]) == 1
+    near = [w for w in caught if "close to the 1/2 limit" in str(w.message)]
+    assert len(near) == 1
+    payload = json.loads((tmp_path / "out" / "bounds.json").read_text())
+    admissibility = payload["schedule_admissibility"]
+    assert admissibility["max_ratio"] == 0.47 and "grid_points" not in admissibility
 
 
 def test_gallery_lists_six_rows(capsys):

@@ -324,32 +324,36 @@ def test_eq_2_8_makes_one_oracle_solve_per_point(deep_run, monkeypatch):
 
 
 NEAR_RATIO_LIMITS = [
-    (d.exponential(1.0, 0.449), False),
-    (d.power(1.0, 0.449), False),
-    (d.exponential(1.0, 0.499), True),
-    (d.power(1.0, 0.499), True),
+    (d.exponential, 0.449, False),
+    (d.power, 0.449, False),
+    (d.exponential, 0.499, True),
+    (d.power, 0.499, True),
 ]
 
 
 @pytest.mark.parametrize(
-    "s, warns", NEAR_RATIO_LIMITS, ids=["exp-0.449", "power-0.449", "exp-0.499", "power-0.499"]
+    "family, param, warns",
+    NEAR_RATIO_LIMITS,
+    ids=["exp-0.449", "power-0.449", "exp-0.499", "power-0.499"],
 )
-def test_schedules_just_under_the_ratio_thresholds(s, warns):
-    # Just under RATIO_WARN no warning; just under the 1/2 limit a warning
-    # from check_admissible and from integrate's own check, and the run is
-    # admissible either way. EQ_2_8 and EQ_3_8 hold on a short rk4 run, long
-    # enough for EQ_3_8's final h to fall below 1e-2 h(0) under the slow
-    # power schedule (t_max 8 is not).
+def test_schedules_just_under_the_ratio_thresholds(family, param, warns):
+    # Just under RATIO_WARN no warning; just under the 1/2 limit one warning,
+    # when the schedule is built, and none from check_admissible or
+    # integrate. The run is admissible either way. EQ_2_8 and EQ_3_8 hold
+    # on a short rk4 run, long enough for EQ_3_8's final h to fall below
+    # 1e-2 h(0) under the slow power schedule (t_max 8 is not).
     p = d.make_problem("diag_cubic", dim=4)
     cfg = d.IntegratorConfig(t_max=16.0, method="rk4", initial_step=0.05)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
+        s = family(1.0, param)
+        built = len(caught)
         report = d.check_admissible(s, horizon=cfg.t_max)
         traj = d.integrate(p, s, np.zeros(4), cfg)
     assert report.pass_2_2 and report.max_ratio < RATIO_LIMIT
     assert (report.max_ratio > RATIO_WARN) == warns
     near = [w for w in caught if "close to the 1/2 limit" in str(w.message)]
-    assert len(near) == (2 if warns else 0)
+    assert built == len(near) == (1 if warns else 0)
     assert traj.terminated_by == "t_max"
     assert d.check_eq_2_8(traj, p).passed
     assert d.check_eq_3_8(traj, residual_stop=cfg.residual_stop).passed
