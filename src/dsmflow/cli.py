@@ -33,7 +33,7 @@ from .errors import DsmError, NewtonError
 from .flow import TERMINATED_STEP_FAILURE, IntegratorConfig, Trajectory, integrate
 from .operators import OperatorProblem, check_monotone, gallery, make_problem
 from .oracle import NewtonConfig, minimal_norm_limit
-from .schedules import KINDS, Schedule, check_admissible
+from .schedules import KINDS, RATIO_LIMIT, Schedule, check_admissible
 from .verify import cap_term, certify
 
 # Not used here: perfbench imports EPS_Y_OVERRIDES and LEMMA_GRID from this
@@ -120,15 +120,21 @@ def _load(config_path):
     """(config, schedule admissibility report, problem) of a config file.
 
     Raises ConfigError on a bad file, a schedule that is not admissible
-    over [0, t_max], or an unknown problem or dimension.
+    over [0, t_max] (naming each condition it fails), or an unknown problem
+    or dimension.
     """
     cfg = load_config(config_path)
-    adm = check_admissible(cfg.schedule, horizon=cfg.integrator.t_max)
+    s, t_max = cfg.schedule, cfg.integrator.t_max
+    adm = check_admissible(s, horizon=t_max)
     if not adm.pass_2_2:
-        raise ConfigError(
-            f"schedule {cfg.schedule.to_dict()} is inadmissible: sup |a'|/a = "
-            f"{adm.max_ratio:.4g} must stay below 0.5 with 0 < a(t) < cap"
-        )
+        failed = []
+        if not adm.max_ratio < RATIO_LIMIT:
+            failed.append(f"sup |a'|/a = {adm.max_ratio:.4g} must stay below {RATIO_LIMIT:g}")
+        if not adm.positive:
+            failed.append(f"a(t_max) = a({t_max:g}) = {s.value(t_max):.4g} must be positive")
+        if not s.a0 < s.cap:
+            failed.append(f"a0 = {s.a0:.4g} must lie below the cap {s.cap:.4g}")
+        raise ConfigError(f"schedule {s.to_dict()} is inadmissible: " + "; ".join(failed))
     try:
         return cfg, adm, make_problem(cfg.problem, dim=cfg.dim, seed=cfg.seed)
     except ValueError as err:

@@ -120,10 +120,23 @@ class TrajectoryPoint:
 
 @dataclass(eq=False)
 class Trajectory:
+    """Recorded states of one run.
+
+    w_table is the verifier's memo of the oracle's w at the recorded times
+    (see verify._w_table): None until EQ_2_6 or EQ_2_8 first solves it,
+    then (problem, schedule, NewtonConfig, times, table). A later check is
+    given the table again only when it passes the same problem object, an
+    equal schedule and NewtonConfig, and the recorded times are unchanged;
+    otherwise the table is solved anew and replaces the memo. It is not an
+    argument of the constructor, so dataclasses.replace(traj) starts
+    without one.
+    """
+
     points: list[TrajectoryPoint] = field(default_factory=list)
     terminated_by: str = TERMINATED_TMAX
     problem_name: str = ""
     schedule: Schedule | None = None
+    w_table: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def final(self) -> TrajectoryPoint:
@@ -206,6 +219,7 @@ def integrate(
         p = structured(p, u)
         h = min(cfg.initial_step, cfg.t_max)
         k1 = rhs(p, s, t, u)
+        u_norm = math.sqrt(u.dot(u))
         err_prev = 1.0
     accepted = 0
     terminated = None
@@ -213,19 +227,19 @@ def integrate(
     for _ in range(cfg.max_steps):
         if fixed:
             # No error estimate and no FSAL stage: every step is accepted.
-            u_new, err_norm, k_last = _rk4_step(p, s, t, u, h), 0.0, None
+            u_new, err_norm, k_last, norm_new = _rk4_step(p, s, t, u, h), 0.0, None, None
         else:
             h = min(h, cfg.t_max - t)
             if h < 1e-14 * cfg.t_max:
                 terminated = TERMINATED_STEP_FAILURE
                 break
-            u_new, err_norm, k_last = _dp54_step(p, s, t, u, h, k1, cfg)
+            u_new, err_norm, k_last, norm_new = _dp54_step(p, s, t, u, u_norm, h, k1, cfg)
 
         if err_norm <= 1.0:
             accepted += 1
             # rk4 times are k * h, not a running sum, so step n meets the t_max test.
             t = accepted * h if fixed else t + h
-            u, k1 = u_new, k_last
+            u, k1, u_norm = u_new, k_last, norm_new
             pt = _make_point(p, s, t, u)
             if pt.h <= cfg.residual_stop:
                 terminated = TERMINATED_RESIDUAL
@@ -244,15 +258,17 @@ def integrate(
     return traj
 
 
-def _dp54_step(p, s, t, u, h, k1, cfg):
-    """One DP5(4) attempt from (t, u): (u_new, err_norm, last stage).
+def _dp54_step(p, s, t, u, u_norm, h, k1, cfg):
+    """One DP5(4) attempt from (t, u): (u_new, err_norm, last stage, ||u_new||).
 
     The stages fill the rows of one (7, n) array k, from the FSAL stage
     k[0] = k1 = rhs(t, u); stage i is rhs at u + h * (_A[i] @ k[:i]). The
     last row of _A is the 5th-order weight row, so the 7th stage's state is
-    u_new itself (FSAL), and the error estimate is h * (_E @ k). err_norm is
-    inf when a trial stage fails its shifted solve, or when u_new (or its
-    squared norm) is not finite; the 7th stage is then never evaluated.
+    u_new itself (FSAL), and the error estimate is h * (_E @ k). u_norm is
+    ||u||, carried like k1 from the attempt that accepted u. err_norm is
+    inf, and the rest None, when a trial stage fails its shifted solve, or
+    when u_new (or its squared norm) is not finite; the 7th stage is then
+    never evaluated.
     """
     k = np.empty((7, u.shape[0]))
     k[0] = k1
@@ -261,14 +277,14 @@ def _dp54_step(p, s, t, u, h, k1, cfg):
         if i == 6:
             norm_new = math.sqrt(ui.dot(ui))
             if not math.isfinite(norm_new):
-                return None, math.inf, None
+                return None, math.inf, None, None
         try:
             k[i] = rhs(p, s, t + _C[i] * h, ui)
         except LinearSolveError:
-            return None, math.inf, None
+            return None, math.inf, None, None
     err = h * (_E @ k)
-    tol = cfg.rel_tol * max(math.sqrt(u.dot(u)), norm_new) + cfg.abs_tol
-    return ui, math.sqrt(err.dot(err)) / tol, k[6]
+    tol = cfg.rel_tol * max(u_norm, norm_new) + cfg.abs_tol
+    return ui, math.sqrt(err.dot(err)) / tol, k[6], norm_new
 
 
 def _pi_control(h, err_norm, err_prev):

@@ -47,8 +47,10 @@ class Schedule:
     kind "exponential" a(t) = a0 * exp(-param * t)
     kind "constant"    a(t) = a0            (param unused)
 
-    param must be nonnegative: a growing schedule is rejected here, which
-    keeps a(t) <= a(0) below the derived cap.
+    a0 must be finite and large enough that the derived cap lies above it
+    (a subnormal a0 rounds the cap back to a0), and param must be
+    nonnegative: a growing schedule is rejected here, which keeps
+    a(t) <= a(0) below the derived cap.
     """
 
     kind: str
@@ -58,8 +60,12 @@ class Schedule:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}, expected one of {KINDS}")
-        if not self.a0 > 0.0:
-            raise ValueError(f"a0 must be positive, got {self.a0}")
+        if not 0.0 < self.a0 < math.inf:
+            raise ValueError(f"a0 must be positive and finite, got {self.a0}")
+        if not self.a0 < self.cap:
+            raise ValueError(
+                f"a0 = {self.a0} is too small to lie below its cap a0 * (1 + {CAP_MARGIN:g})"
+            )
         if not self.param >= 0.0:
             raise ValueError(f"param must be nonnegative, got {self.param}")
         if RATIO_WARN + 1e-12 < self.ratio_supremum() < RATIO_LIMIT:

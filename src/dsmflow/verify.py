@@ -46,10 +46,16 @@ Method for Solving Operator Equations, 2007), so ||w(t)|| is
 nondecreasing along a nonincreasing schedule, and on each cell it is at
 least L_j = max(0, ||w_j|| - tol/a(t_j)): the oracle's residual tol bounds
 its error in w by tol/a. The envelope with weight L_j stays below (2.8)'s
-at every t_j, so passing it implies (2.8). It needs one oracle solve per
-recorded point, the table EQ_2_6 tabulates too. A table whose norms fall
+at every t_j, so passing it implies (2.8). A table whose norms fall
 by more than the oracle's error allows contradicts monotonicity, and the
 lower sum is then no bound: EQ_2_8 fails.
+
+EQ_2_6 and EQ_2_8 read one table of w at the recorded times, one
+warm-started oracle solve a point. _w_table solves it when a trajectory
+is first checked and keeps it on the trajectory (Trajectory.w_table),
+keyed by the problem object, the schedule, the NewtonConfig and the
+recorded times; the second check on the same key reads it, and a check
+with any other key solves the table anew.
 """
 
 from __future__ import annotations
@@ -128,18 +134,37 @@ def _envelope(s: Schedule, times, h0: float, weights, rate: float) -> list[float
     return envelope
 
 
+def _w_table(
+    traj: Trajectory, p: OperatorProblem, s: Schedule, cfg: NewtonConfig
+) -> list[tuple[float, np.ndarray]]:
+    """w at every recorded time of traj, solved once per key (module docstring).
+
+    The key is p by identity, s and cfg by equality, and the recorded
+    times; a match returns the memo traj.w_table holds, anything else
+    solves the table (warm-started) and stores it there.
+    """
+    times = [pt.t for pt in traj.points]
+    if traj.w_table is not None:
+        memo_p, memo_s, memo_cfg, memo_times, ws = traj.w_table
+        if memo_p is p and memo_s == s and memo_cfg == cfg and memo_times == times:
+            return ws
+    ws = w_along_schedule(p, s, times, cfg)
+    traj.w_table = (p, s, cfg, times, ws)
+    return ws
+
+
 def check_eq_2_6(
     traj: Trajectory, p: OperatorProblem, s: Schedule, cfg: NewtonConfig = NewtonConfig()
 ) -> BoundReport:
     """Distance-to-regularized-solution bound ||u - w|| <= h/a per checkpoint.
 
-    Solves for w(t) at every recorded time (warm-started) and fills each
-    point's dist_to_w as a side effect.
+    Reads w(t) at every recorded time from the trajectory's shared table
+    (_w_table) and fills each point's dist_to_w as a side effect.
     """
     if not traj.points:
         raise ValueError("empty trajectory")
     times = [pt.t for pt in traj.points]
-    ws = w_along_schedule(p, s, times, cfg)
+    ws = _w_table(traj, p, s, cfg)
     margins = []
     for pt, (_, w) in zip(traj.points, ws):
         diff = pt.u - w
@@ -188,8 +213,9 @@ def check_eq_2_8(
 ) -> BoundReport:
     """Oracle-weighted envelope with integrand e^{(s-t)/2} |a'(s)| ||w(s)||.
 
-    Solves for w at every recorded time (warm-started, one oracle solve a
-    point) and checks h at each one against the lower sum of the module
+    Reads w at every recorded time from the trajectory's shared table
+    (_w_table: one oracle solve a point, none if EQ_2_6 already solved it)
+    and checks h at each one against the lower sum of the module
     docstring. Fails, with margin -1 at the first offending time, when the
     table's ||w|| falls by more than the oracle's error tol/a allows,
     because the lower sum is then no bound.
@@ -197,7 +223,7 @@ def check_eq_2_8(
     if not traj.points:
         raise ValueError("empty trajectory")
     times = [pt.t for pt in traj.points]
-    ws = w_along_schedule(p, traj.schedule, times, cfg)
+    ws = _w_table(traj, p, traj.schedule, cfg)
     norms = np.array([math.sqrt(w.dot(w)) for _, w in ws])
     err = cfg.tol / np.array([pt.a for pt in traj.points])
     notes = (

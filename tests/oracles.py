@@ -218,12 +218,13 @@ def _integrate_dp54(p, s, u0, cfg) -> Trajectory:
 _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 
 
-def generator_sum_dp54_step(p, s, t, u, h, k1, cfg):
+def generator_sum_dp54_step(p, s, t, u, u_norm, h, k1, cfg):
     """flow._dp54_step as it was, each stage a Python sum over a list.
 
     Same contract as flow._dp54_step; u_new is recomputed from the 5th-order
     weights rather than taken from the 7th stage's state, so trajectories
-    differ from the stage-array step in the last bits only.
+    differ from the stage-array step in the last bits only. Both norms are
+    computed here, the carried u_norm is not used.
     """
     k = [k1]
     for i in range(1, 7):
@@ -231,13 +232,14 @@ def generator_sum_dp54_step(p, s, t, u, h, k1, cfg):
         try:
             k.append(rhs(p, s, t + _C[i] * h, ui))
         except LinearSolveError:
-            return None, np.inf, None
+            return None, np.inf, None, None
     u_new = u + h * sum(b * kj for b, kj in zip(_B5, k))
     if not np.all(np.isfinite(u_new)):
-        return None, np.inf, None
+        return None, np.inf, None, None
     err_vec = h * sum(e * kj for e, kj in zip(_E, k))
-    tol = cfg.rel_tol * max(np.linalg.norm(u), np.linalg.norm(u_new)) + cfg.abs_tol
-    return u_new, np.linalg.norm(err_vec) / tol, k[6]
+    norm_new = np.linalg.norm(u_new)
+    tol = cfg.rel_tol * max(np.linalg.norm(u), norm_new) + cfg.abs_tol
+    return u_new, np.linalg.norm(err_vec) / tol, k[6], norm_new
 
 
 def _integrate_rk4(p, s, u0, cfg) -> Trajectory:

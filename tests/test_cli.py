@@ -71,6 +71,38 @@ def test_run_rejects_inadmissible_ratio(tmp_path, capsys):
     assert "0.75" in err and "0.5" in err
 
 
+def test_inadmissible_message_names_the_failed_condition(tmp_path, capsys):
+    # exponential(1, 0.44) underflows to a = 0 long before t = 2000: the
+    # message blames positivity, not the ratio, which is admissible.
+    path, _ = write_config(tmp_path, integrator={"t_max": 2000.0})
+    assert cli.main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "a(t_max) = a(2000) = 0 must be positive" in err
+    assert "sup |a'|/a" not in err
+    # With a ratio of 0.75 as well, both conditions are named.
+    path, _ = write_config(
+        tmp_path,
+        schedule={"kind": "exponential", "a0": 1.0, "param": 0.75},
+        integrator={"t_max": 2000.0},
+    )
+    assert cli.main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "sup |a'|/a = 0.75 must stay below 0.5; a(t_max)" in err
+    assert "cap" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "oracle"])
+def test_subnormal_a0_is_validation_error(tmp_path, capsys, command):
+    # a0 * (1 + CAP_MARGIN) == a0 at a0 = 1e-320, so no cap lies above a0.
+    path, _ = write_config(
+        tmp_path, schedule={"kind": "exponential", "a0": 1e-320, "param": 0.44}
+    )
+    assert cli.main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid run config:") and "below its cap" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "verify", "oracle"])
 def test_growing_schedule_is_validation_error(tmp_path, capsys, command):
     # The derived cap, and with it EQ_2_10, holds only for a nonincreasing
@@ -269,6 +301,14 @@ def test_check_schedule_pass_and_fail(capsys):
     assert cli.main(["check-schedule", "constant", "2.0"]) == 0
     assert cli.main(["check-schedule", "power", "-1.0", "0.25"]) == 2
     assert cli.main(["check-schedule", "power", "1.0", "-0.25"]) == 2
+
+
+def test_check_schedule_rejects_infinite_a0(capsys):
+    # argparse reads 1e309 as inf.
+    assert cli.main(["check-schedule", "exponential", "1e309", "0.44"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a0 must be positive and finite, got inf\n"
 
 
 def test_oracle_writes_continuation(tmp_path):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import warnings
 
@@ -308,8 +309,8 @@ def test_eq_2_8_fails_when_the_w_table_falls(fall, passes, monkeypatch):
         assert "cannot certify: ||w|| falls" in report.notes
 
 
-def test_eq_2_8_makes_one_oracle_solve_per_point(deep_run, monkeypatch):
-    p, s, cfg, traj = deep_run
+def _counting_solves(monkeypatch):
+    """Record the shift of every oracle solve into the list returned."""
     calls = []
     solve = d.oracle.solve_regularized
 
@@ -319,8 +320,72 @@ def test_eq_2_8_makes_one_oracle_solve_per_point(deep_run, monkeypatch):
 
     monkeypatch.setattr(d.oracle, "solve_regularized", counting)
     monkeypatch.setattr(d.verify, "solve_regularized", counting)
+    return calls
+
+
+def test_eq_2_8_makes_one_oracle_solve_per_point(deep_run, monkeypatch):
+    # deep_run is shared, and an earlier check may have left its w table on
+    # it; a replace of it starts without one.
+    p, s, cfg, traj = deep_run
+    traj = dataclasses.replace(traj)
+    calls = _counting_solves(monkeypatch)
     assert d.check_eq_2_8(traj, p).passed
     assert calls == [pt.a for pt in traj.points]
+
+
+def _short_rk4_run():
+    p = d.make_problem("diag_cubic", dim=4)
+    s = d.exponential(1.0, 0.44)
+    cfg = d.IntegratorConfig(t_max=4.0, method="rk4", initial_step=0.1)
+    return p, s, d.integrate(p, s, np.zeros(4), cfg)
+
+
+def test_eq_2_6_and_eq_2_8_share_one_w_table(monkeypatch):
+    p, s, traj = _short_rk4_run()
+    calls = _counting_solves(monkeypatch)
+    assert d.check_eq_2_6(traj, p, s).passed
+    assert d.check_eq_2_8(traj, p).passed
+    assert len(calls) == len(traj.points)
+
+
+@pytest.mark.parametrize("eq_2_8_first", [False, True], ids=["eq_2_6-first", "eq_2_8-first"])
+def test_shared_w_table_gives_the_reports_of_lone_checks(eq_2_8_first):
+    p, s, traj = _short_rk4_run()
+    alone_2_6, alone_2_8, shared = (copy.deepcopy(traj) for _ in range(3))
+    ref_2_6 = d.check_eq_2_6(alone_2_6, p, s)
+    ref_2_8 = d.check_eq_2_8(alone_2_8, p)
+    if eq_2_8_first:
+        r_2_8 = d.check_eq_2_8(shared, p)
+        r_2_6 = d.check_eq_2_6(shared, p, s)
+    else:
+        r_2_6 = d.check_eq_2_6(shared, p, s)
+        r_2_8 = d.check_eq_2_8(shared, p)
+    assert vars(r_2_6) == vars(ref_2_6)
+    assert vars(r_2_8) == vars(ref_2_8)
+    assert [pt.dist_to_w for pt in shared.points] == [pt.dist_to_w for pt in alone_2_6.points]
+    assert all(pt.dist_to_w is None for pt in alone_2_8.points)
+
+
+@pytest.mark.parametrize("change", ["tol", "schedule", "problem"])
+def test_w_table_is_solved_again_for_another_key(change, monkeypatch):
+    # Same times, but another oracle tolerance, a schedule of another rate,
+    # or an equal but distinct problem object: the memo does not apply, and
+    # the second check solves its own table.
+    p, s, traj = _short_rk4_run()
+    other_p, other_s, other_cfg = p, s, d.NewtonConfig()
+    if change == "tol":
+        other_cfg = d.NewtonConfig(tol=1e-11)
+    elif change == "schedule":
+        other_s = d.exponential(1.0, 0.4)
+    else:
+        other_p = dataclasses.replace(p)
+    calls = _counting_solves(monkeypatch)
+    d.check_eq_2_6(traj, p, s)
+    d.check_eq_2_6(traj, other_p, other_s, other_cfg)
+    assert len(calls) == 2 * len(traj.points)
+    # The second key is now the memo: the same check again reads it.
+    d.check_eq_2_6(traj, other_p, other_s, other_cfg)
+    assert len(calls) == 2 * len(traj.points)
 
 
 NEAR_RATIO_LIMITS = [
@@ -429,15 +494,7 @@ def test_certify_matches_reference_bitwise(name, schedule, method):
 
 def test_certify_solves_cap_once(deep_run, monkeypatch):
     p, s, cfg, traj = deep_run
-    shifts = []
-    solve = d.oracle.solve_regularized
-
-    def counting(p, a, *args, **kwargs):
-        shifts.append(a)
-        return solve(p, a, *args, **kwargs)
-
-    monkeypatch.setattr(d.oracle, "solve_regularized", counting)
-    monkeypatch.setattr(d.verify, "solve_regularized", counting)
+    shifts = _counting_solves(monkeypatch)
     _, cap, _ = d.certify(copy.deepcopy(traj), p, s, d.NewtonConfig(), cfg.residual_stop)
     assert shifts.count(s.cap) == 1
     assert cap == d.cap_term(p, s, d.NewtonConfig())
