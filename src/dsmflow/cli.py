@@ -24,7 +24,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ from .errors import DsmError, NewtonError
 from .flow import TERMINATED_STEP_FAILURE, IntegratorConfig, Trajectory, integrate
 from .operators import OperatorProblem, check_monotone, gallery, make_problem
 from .oracle import NewtonConfig, minimal_norm_limit
-from .schedules import KINDS, RATIO_LIMIT, Schedule, check_admissible
+from .schedules import KINDS, Schedule, check_admissible
 from .verify import cap_term, certify
 
 # Not used here: perfbench imports EPS_Y_OVERRIDES and LEMMA_GRID from this
@@ -71,26 +71,18 @@ class RunConfig:
     seed: int
     output_dir: str
 
-    def to_dict(self) -> dict:
-        return {
-            "problem": self.problem,
-            "dim": self.dim,
-            "schedule": self.schedule.to_dict(),
-            "integrator": self.integrator.to_dict(),
-            "oracle": self.oracle.to_dict(),
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         try:
             problem = d["problem"]
             schedule = Schedule.from_dict(d.get("schedule", {"kind": "power", "a0": 1.0, "param": 0.25}))
-            integrator = IntegratorConfig.from_dict({"t_max": 20.0, **d.get("integrator", {})})
-            oracle = NewtonConfig.from_dict(d.get("oracle", {}))
+            integrator = IntegratorConfig(**{"t_max": 20.0, **d.get("integrator", {})})
+            oracle = NewtonConfig(**d.get("oracle", {}))
             dim, seed = d.get("dim"), d.get("seed", 0)
-            if not (dim is None or isinstance(dim, int)) or not isinstance(seed, int):
+            if not isinstance(problem, str):
+                raise ValueError(f"problem must be a string, got {problem!r}")
+            # type(...) is int, not isinstance: a JSON true is a bool, no integer.
+            if not (dim is None or type(dim) is int) or type(seed) is not int:
                 raise ValueError(f"dim and seed must be integers, got {dim!r} and {seed!r}")
             return cls(
                 problem=problem,
@@ -120,21 +112,13 @@ def _load(config_path):
     """(config, schedule admissibility report, problem) of a config file.
 
     Raises ConfigError on a bad file, a schedule that is not admissible
-    over [0, t_max] (naming each condition it fails), or an unknown problem
-    or dimension.
+    over [0, t_max] (with the report's reason), or an unknown problem or
+    dimension.
     """
     cfg = load_config(config_path)
-    s, t_max = cfg.schedule, cfg.integrator.t_max
-    adm = check_admissible(s, horizon=t_max)
+    adm = check_admissible(cfg.schedule, horizon=cfg.integrator.t_max)
     if not adm.pass_2_2:
-        failed = []
-        if not adm.max_ratio < RATIO_LIMIT:
-            failed.append(f"sup |a'|/a = {adm.max_ratio:.4g} must stay below {RATIO_LIMIT:g}")
-        if not adm.positive:
-            failed.append(f"a(t_max) = a({t_max:g}) = {s.value(t_max):.4g} must be positive")
-        if not s.a0 < s.cap:
-            failed.append(f"a0 = {s.a0:.4g} must lie below the cap {s.cap:.4g}")
-        raise ConfigError(f"schedule {s.to_dict()} is inadmissible: " + "; ".join(failed))
+        raise ConfigError(adm.reason)
     try:
         return cfg, adm, make_problem(cfg.problem, dim=cfg.dim, seed=cfg.seed)
     except ValueError as err:
@@ -182,7 +166,7 @@ def _write_run_outputs(out_dir: Path, cfg: RunConfig, traj: Trajectory, cap: flo
     out_dir.mkdir(parents=True, exist_ok=True)
     _atomic_write(out_dir / "trajectory.csv", _trajectory_csv(traj, cap))
     run_meta = {
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "terminated_by": traj.terminated_by,
         "points_recorded": len(traj.points),
         "t_final": traj.final.t,
@@ -218,7 +202,7 @@ def cmd_verify(config_path) -> int:
     mono = check_monotone(p, samples=200, radius=5.0, seed=cfg.seed)
     payload = {
         "problem": p.name,
-        "schedule_admissibility": adm.to_dict(),
+        "schedule_admissibility": asdict(adm),
         "monotonicity": {
             "min_pairing": mono.min_pairing,
             "pass": mono.passed,

@@ -33,7 +33,7 @@ independent solvers.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -86,22 +86,17 @@ class IntegratorConfig:
     method: str = "dp54"  # "dp54" adaptive or "rk4" fixed-step
 
     def __post_init__(self):
+        # bool is an int subclass: a JSON true is no number here.
         for name in ("t_max", "initial_step", "rel_tol", "abs_tol", "residual_stop"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         for name in ("max_steps", "record_stride"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.method not in ("dp54", "rk4"):
             raise ValueError(f"unknown method {self.method!r}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "IntegratorConfig":
-        return cls(**d)
 
 
 @dataclass(eq=False)
@@ -182,28 +177,26 @@ def integrate(
 ) -> Trajectory:
     """Integrate the flow from u0 until residual_stop, t_max, or max_steps.
 
-    The schedule must certify admissibility (positivity, cap, ratio below
-    1/2) over [0, t_max] before any stepping happens; an inadmissible
-    schedule is refused outright. One loop serves both methods: max_steps
-    caps the attempted steps, and every record_stride-th accepted step is
-    recorded, plus always the first and last states. dp54 steps t += h under
-    PI control; a step whose error is too large or whose trial stage fails
-    its shifted solve is rejected and h shrinks, and step-size underflow
-    below 1e-14 * t_max ends the run with terminated_by="step_failure". rk4
-    takes round(t_max / initial_step) equal steps h, at times k * h, with no
-    error estimate: every step is accepted, and a failed solve raises
-    LinearSolveError. Only dp54 solves with the structure the problem states
-    (see structured), after the t = 0 residual_stop exit.
+    The schedule must certify admissibility (positivity, ratio below 1/2)
+    over [0, t_max] before any stepping happens; an inadmissible schedule
+    is refused outright, with the report's reason. One loop serves both
+    methods: max_steps caps the attempted steps, and every
+    record_stride-th accepted step is recorded, plus always the first and
+    last states. dp54 steps t += h under PI control; a step whose error is
+    too large or whose trial stage fails its shifted solve is rejected and
+    h shrinks, and step-size underflow below 1e-14 * t_max ends the run
+    with terminated_by="step_failure". rk4 takes round(t_max /
+    initial_step) equal steps h, at times k * h, with no error estimate:
+    every step is accepted, and a failed solve raises LinearSolveError.
+    Only dp54 solves with the structure the problem states (see
+    structured), after the t = 0 residual_stop exit.
     """
     u0 = as_vector(u0)
     if u0.shape[0] != p.dim:
         raise ValueError(f"u0 has dimension {u0.shape[0]}, problem expects {p.dim}")
     report = check_admissible(s, horizon=cfg.t_max)
     if not report.pass_2_2:
-        raise InadmissibleScheduleError(
-            f"schedule {s.to_dict()} fails admissibility: max |a'|/a = "
-            f"{report.max_ratio:.4g} (limit 0.5), positive={report.positive}"
-        )
+        raise InadmissibleScheduleError(report.reason)
     traj = Trajectory(problem_name=p.name, schedule=s)
     t, u = 0.0, u0.copy()
     pt = _make_point(p, s, t, u)

@@ -17,7 +17,7 @@ is certified: it never touches the integrator.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,17 +48,12 @@ class NewtonConfig:
     max_iters: int = 100
 
     def __post_init__(self):
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
-            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NewtonConfig":
-        return cls(**d)
+        # bool is an int subclass: a JSON true is no number here.
+        if isinstance(self.tol, bool) or not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
+        iters = self.max_iters
+        if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {iters!r}")
 
 
 @dataclass(eq=False)
@@ -221,10 +216,11 @@ def minimal_norm_limit(
                 f"continuation failed at a={a:g}: {err}", partial=partial
             ) from err
         a_values.append(a)
-        w_values.append(w.copy())
+        # solve_regularized never writes its w_init: no copy needed.
+        w_values.append(w)
         if float(np.linalg.norm(w)) > _DIVERGENCE_NORM:
             partial = ContinuationResult(
-                a_values=a_values, w_values=w_values, y_estimate=w.copy(), converged=False
+                a_values=a_values, w_values=w_values, y_estimate=w, converged=False
             )
             raise ContinuationError(
                 f"||w_a|| exceeded {_DIVERGENCE_NORM:g} at a={a:g}; "
@@ -234,10 +230,9 @@ def minimal_norm_limit(
         if a <= _A_FLOOR:
             break
         a *= _A_FACTOR
-    converged = False
-    if len(w_values) >= 2:
-        diff = float(np.linalg.norm(w_values[-1] - w_values[-2]))
-        converged = diff <= 1e-6 * (1.0 + float(np.linalg.norm(w_values[-1])))
+    # The ladder always has 28 levels, so w_values[-2] exists.
+    diff = float(np.linalg.norm(w - w_values[-2]))
+    converged = diff <= 1e-6 * (1.0 + float(np.linalg.norm(w)))
     return ContinuationResult(
-        a_values=a_values, w_values=w_values, y_estimate=w_values[-1].copy(), converged=converged
+        a_values=a_values, w_values=w_values, y_estimate=w, converged=converged
     )

@@ -15,13 +15,17 @@ term of the EQ_2_8 and EQ_3_8 envelopes in verify, calls them once per
 recorded cell: at its right end for the exponential schedule, whose cell
 integrals are exact, and at the nodes of an 8-panel Simpson rule for the
 power schedule.
+
+check_admissible's report explains its own verdict: reason names each
+condition a failed pass_2_2 misses, and is the one text the CLI, integrate
+and the EQ_2_10 certificate raise with.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 KINDS = ("power", "exponential", "constant")
 
@@ -167,8 +171,16 @@ class AdmissibilityReport:
     pass_3_3: bool
     horizon: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+    @property
+    def reason(self) -> str:
+        """Why pass_2_2 fails, naming each failed condition; "" when it holds."""
+        failed = []
+        if not self.max_ratio < RATIO_LIMIT:
+            failed.append(f"sup |a'|/a = {self.max_ratio:.4g} must stay below {RATIO_LIMIT:g}")
+        if not self.positive:
+            # a(t) is nonincreasing and never negative: it underflowed to 0.
+            failed.append(f"a(t_max) = a({self.horizon:g}) = 0 must be positive")
+        return "schedule is inadmissible: " + "; ".join(failed) if failed else ""
 
 
 def check_admissible(s: Schedule, horizon: float) -> AdmissibilityReport:
@@ -177,9 +189,9 @@ def check_admissible(s: Schedule, horizon: float) -> AdmissibilityReport:
     Every schedule is nonincreasing from a(0) = a0 (param >= 0 is enforced
     at construction), so a(t) is least at the horizon and greatest at 0:
     positivity is a(horizon) > 0, which an underflowing exponential fails,
-    and the cap test is a0 < cap. max_ratio is the exact supremum;
-    pass_2_2 requires the strict ratio inequality together with positivity
-    and the cap, pass_3_3 requires decay.
+    and a0 < cap holds by construction. max_ratio is the exact supremum;
+    pass_2_2 requires the strict ratio inequality together with
+    positivity, pass_3_3 requires decay.
     """
     if not horizon > 0.0:
         raise ValueError(f"horizon must be positive, got {horizon}")
@@ -190,7 +202,7 @@ def check_admissible(s: Schedule, horizon: float) -> AdmissibilityReport:
         max_ratio=max_ratio,
         positive=positive,
         decays=decays,
-        pass_2_2=positive and s.a0 < s.cap and max_ratio < RATIO_LIMIT,
+        pass_2_2=positive and max_ratio < RATIO_LIMIT,
         pass_3_3=decays,
         horizon=horizon,
     )

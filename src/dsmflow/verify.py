@@ -191,12 +191,12 @@ def check_eq_2_10(
 
 
 def _eq_2_10(traj: Trajectory, s: Schedule, cap: float) -> BoundReport:
-    """EQ_2_10 with the cap term C ||w_C|| already solved."""
+    """EQ_2_10 with C ||w_C|| solved; an inadmissible s raises ValueError(reason)."""
     if not traj.points:
         raise ValueError("empty trajectory")
     report = check_admissible(s, horizon=max(traj.final.t, 1.0))
     if not report.pass_2_2:
-        raise ValueError("schedule is inadmissible; the cap envelope does not apply")
+        raise ValueError(report.reason)
     h0 = traj.points[0].h
     times = [pt.t for pt in traj.points]
     margins = []

@@ -12,7 +12,8 @@ import pytest
 import dsmflow
 import dsmflow.cli as cli
 from dsmflow.cli import RunConfig
-from dsmflow.errors import LinearSolveError
+from dsmflow.errors import InadmissibleScheduleError, LinearSolveError
+from dsmflow.flow import Trajectory, TrajectoryPoint
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -52,7 +53,7 @@ def test_run_json_round_trips_config(tmp_path):
     meta = json.loads((tmp_path / "out" / "run.json").read_text())
     rebuilt = RunConfig.from_dict(meta["config"])
     assert rebuilt == cli.load_config(path)
-    assert rebuilt.to_dict() == meta["config"]
+    assert dataclasses.asdict(rebuilt) == meta["config"]
 
 
 def test_run_missing_config_is_validation_error(tmp_path):
@@ -89,6 +90,25 @@ def test_inadmissible_message_names_the_failed_condition(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "sup |a'|/a = 0.75 must stay below 0.5; a(t_max)" in err
     assert "cap" not in err
+
+
+@pytest.mark.parametrize(
+    "kind,param", [("exponential", 0.44), ("power", 0.75), ("exponential", 0.75)]
+)
+def test_integrate_and_eq_2_10_raise_the_text_the_cli_prints(tmp_path, capsys, kind, param):
+    # One reason text, from the admissibility report, for every refusal.
+    schedule = {"kind": kind, "a0": 1.0, "param": param}
+    path, _ = write_config(tmp_path, schedule=schedule, integrator={"t_max": 2000.0})
+    assert cli.main(["run", str(path)]) == 2
+    printed = capsys.readouterr().err
+    s, p = dsmflow.Schedule.from_dict(schedule), dsmflow.make_problem("diag_cubic", dim=4)
+    with pytest.raises(InadmissibleScheduleError) as flow_err:
+        dsmflow.integrate(p, s, np.zeros(p.dim), dsmflow.IntegratorConfig(t_max=2000.0))
+    zero = np.zeros(p.dim)
+    traj = Trajectory([TrajectoryPoint(t, zero, s.value(t), zero, 1.0) for t in (0.0, 2000.0)])
+    with pytest.raises(ValueError) as verify_err:
+        dsmflow.check_eq_2_10(traj, p, s)
+    assert printed == f"error: {flow_err.value}\n" == f"error: {verify_err.value}\n"
 
 
 @pytest.mark.parametrize("command", ["run", "verify", "oracle"])
@@ -131,6 +151,11 @@ def test_growing_schedule_is_validation_error(tmp_path, capsys, command):
         {"oracle": {"max_iters": 2.5}},
         {"dim": 4.7},
         {"seed": 0.5},
+        {"problem": ["x"]},
+        {"dim": True},
+        {"integrator": {"t_max": True}},
+        {"seed": True},
+        {"oracle": {"max_iters": True}},
     ],
     ids=[
         "t_max-inf",
@@ -143,6 +168,11 @@ def test_growing_schedule_is_validation_error(tmp_path, capsys, command):
         "max_iters",
         "dim",
         "seed",
+        "problem-list",
+        "dim-true",
+        "t_max-true",
+        "seed-true",
+        "max_iters-true",
     ],
 )
 def test_malformed_numbers_are_validation_errors(tmp_path, capsys, overrides):

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dsmflow as d
@@ -148,6 +148,27 @@ def test_closed_form_report_agrees_with_a_sampled_grid(kind, a0, param, horizon)
     if abs(sampled - RATIO_LIMIT) > 1e-12:
         below_cap = bool(np.all(values < s.cap))
         assert report.pass_2_2 == (positive and below_cap and sampled < RATIO_LIMIT)
+
+
+@settings(max_examples=200)
+@given(
+    st.sampled_from(KINDS),
+    st.floats(1e-3, 10.0),
+    st.floats(0.0, 1.0),
+    st.floats(1e-3, 5000.0),
+)
+@example("exponential", 1.0, RATIO_LIMIT, 10.0)
+@example("exponential", 1.0, 0.44, 2000.0)
+@example("exponential", 1.0, 0.75, 2000.0)
+def test_reason_is_empty_exactly_when_pass_2_2_holds(kind, a0, param, horizon):
+    # Each clause of the reason names one failed condition, and no other.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        s = Schedule(kind=kind, a0=a0, param=param)
+    report = d.check_admissible(s, horizon=horizon)
+    assert (report.reason == "") == report.pass_2_2
+    assert ("sup |a'|/a" in report.reason) == (not s.ratio_supremum() < RATIO_LIMIT)
+    assert ("must be positive" in report.reason) == (s.value(horizon) == 0.0)
 
 
 def test_dict_round_trip():
