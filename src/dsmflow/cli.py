@@ -75,7 +75,7 @@ class RunConfig:
     def from_dict(cls, d: dict) -> "RunConfig":
         try:
             problem = d["problem"]
-            schedule = Schedule.from_dict(d.get("schedule", {"kind": "power", "a0": 1.0, "param": 0.25}))
+            schedule = Schedule(**d.get("schedule", {"kind": "power", "a0": 1.0, "param": 0.25}))
             integrator = IntegratorConfig(**{"t_max": 20.0, **d.get("integrator", {})})
             oracle = NewtonConfig(**d.get("oracle", {}))
             dim, seed = d.get("dim"), d.get("seed", 0)
@@ -93,7 +93,8 @@ class RunConfig:
                 seed=seed,
                 output_dir=str(d.get("output_dir", "runs")),
             )
-        except (KeyError, TypeError, ValueError) as err:
+        # OverflowError: a JSON integer too large for a float, as a schedule's a0.
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise ConfigError(f"invalid run config: {err}") from err
 
 
@@ -249,11 +250,11 @@ def cmd_verify(config_path) -> int:
 
 
 def cmd_gallery() -> int:
-    print(f"{'name':22s} {'dim':>4s} {'symmetric':>9s} {'known_y':>7s} {'null_dim':>8s}")
+    print(f"{'name':22s} {'dim':>4s} {'jacobian_structure':>18s} {'known_y':>7s} {'null_dim':>8s}")
     for p in gallery():
         null_dim = len(p.null_space_basis) if p.null_space_basis else 0
         known = "yes" if p.minimal_norm_solution is not None else "no"
-        print(f"{p.name:22s} {p.dim:4d} {str(p.symmetric_jacobian):>9s} {known:>7s} {null_dim:8d}")
+        print(f"{p.name:22s} {p.dim:4d} {p.jacobian_structure:>18s} {known:>7s} {null_dim:8d}")
     return EXIT_OK
 
 
@@ -264,7 +265,7 @@ def cmd_check_schedule(kind: str, a0: float, param: float) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
     report = check_admissible(s, horizon=100.0)
-    print(f"schedule: {s.to_dict()}")
+    print(f"schedule: {asdict(s)}")
     print(
         f"max_ratio={report.max_ratio:.6g} positive={report.positive} "
         f"decays={report.decays} pass_2_2={report.pass_2_2} pass_3_3={report.pass_3_3}"

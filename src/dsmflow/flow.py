@@ -25,9 +25,9 @@ Step-size underflow is reported as a termination reason, never retried
 with altered parameters.
 
 Only dp54 runs use the structure of the Jacobian that the problem states
-(see structured): rk4 keeps dense LU so that its runs stay bit for bit, and
-the oracle keeps it so that EQ_2_6 and THM_3_1 still compare two
-independent solvers.
+(see OperatorProblem.solve_structure): rk4 solves with a "dense" copy of
+the problem so that its runs stay bit for bit, and the oracle keeps dense
+LU so that EQ_2_6 and THM_3_1 still compare two independent solvers.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InadmissibleScheduleError, LinearSolveError, TooFewPointsError
-from .linalg import DIAGONAL, as_vector, solve_shifted
+from .linalg import DENSE, as_vector, solve_shifted
 from .operators import OperatorProblem
 from .schedules import Schedule, check_admissible
 
@@ -147,25 +147,6 @@ def rhs(p: OperatorProblem, s: Schedule, t: float, u: np.ndarray) -> np.ndarray:
     return -solve_shifted(p.jac(u), a, p.residual(a, u), p.solve_structure)
 
 
-def structured(p: OperatorProblem, u: np.ndarray) -> OperatorProblem:
-    """p with the solve structure its Jacobian facts allow, for a dp54 run.
-
-    A diagonal Jacobian is solved by division; a constant symmetric one by
-    one np.linalg.eigh of jac(u) that serves every shift. Anything else,
-    the nonsymmetric constant skew_perturbed included (numpy has no Schur
-    form), keeps dense LU, and so does a Jacobian eigh cannot take: its
-    first solve fails the certificate instead.
-    """
-    if p.diagonal_jacobian:
-        return replace(p, solve_structure=DIAGONAL)
-    if p.constant_jacobian and p.symmetric_jacobian:
-        try:
-            return replace(p, solve_structure=np.linalg.eigh(p.jac(u)))
-        except np.linalg.LinAlgError:
-            pass
-    return p
-
-
 def _make_point(p: OperatorProblem, s: Schedule, t: float, u: np.ndarray) -> TrajectoryPoint:
     a = s.value(t)
     psi = p.residual(a, u)
@@ -188,8 +169,8 @@ def integrate(
     with terminated_by="step_failure". rk4 takes round(t_max /
     initial_step) equal steps h, at times k * h, with no error estimate:
     every step is accepted, and a failed solve raises LinearSolveError.
-    Only dp54 solves with the structure the problem states (see
-    structured), after the t = 0 residual_stop exit.
+    Only dp54 solves with the structure the problem states, which the
+    problem works out at its first solve, after the t = 0 residual_stop exit.
     """
     u0 = as_vector(u0)
     if u0.shape[0] != p.dim:
@@ -207,9 +188,9 @@ def integrate(
 
     fixed = cfg.method == "rk4"
     if fixed:
+        p = replace(p, jacobian_structure=DENSE)
         h = cfg.t_max / max(1, round(cfg.t_max / cfg.initial_step))
     else:
-        p = structured(p, u)
         h = min(cfg.initial_step, cfg.t_max)
         k1 = rhs(p, s, t, u)
         u_norm = math.sqrt(u.dot(u))

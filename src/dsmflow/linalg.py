@@ -45,8 +45,14 @@ EPS_LIN = 1e-10
 # Largest problem dimension the dense path is intended for.
 MAX_DIM = 512
 
-# solve_shifted's structure for a diagonal J.
+# The Jacobian structures an OperatorProblem can state: dense (no fact),
+# diagonal, or constant and symmetric. A constant nonsymmetric J, as in
+# skew_perturbed, is dense: numpy has no Schur form to reuse. DIAGONAL is
+# also solve_shifted's structure argument for a diagonal J.
+DENSE = "dense"
 DIAGONAL = "diagonal"
+SYMMETRIC_CONSTANT = "symmetric_constant"
+STRUCTURES = (DENSE, DIAGONAL, SYMMETRIC_CONSTANT)
 
 
 def as_vector(x) -> np.ndarray:

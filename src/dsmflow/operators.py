@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .linalg import MAX_DIM, as_vector
+from .linalg import DENSE, DIAGONAL, MAX_DIM, STRUCTURES, SYMMETRIC_CONSTANT, as_vector
 
 # Working box for sampling-based checks; trajectories stay well inside.
 R_BOX = 100.0
@@ -54,12 +55,12 @@ class OperatorProblem:
 
     fun and jac must be defined for all ||u|| <= R_BOX; fun must satisfy
     <F(u) - F(v), u - v> >= 0 (see check_monotone) and jac must match the
-    finite differences of fun (see check_jacobian). The facts about the
-    Jacobian must be true for every u: symmetric, constant (jac(u) the same
-    matrix everywhere) and diagonal. constant and diagonal only route the
-    shifted solves of a dp54 flow run, which sets solve_structure (see
-    flow.structured and linalg.solve_shifted); left False, or None, every
-    solve is dense LU. A false fact fails the solve's residual certificate.
+    finite differences of fun (see check_jacobian). jacobian_structure is
+    what more is known of jac(u) for every u: nothing ("dense", the
+    default), "diagonal", or "symmetric_constant" (one symmetric matrix
+    everywhere); see linalg.STRUCTURES. It routes only the shifted solves
+    of dp54 flow runs (see solve_structure), and a false fact fails their
+    residual certificate.
     """
 
     name: str
@@ -67,12 +68,30 @@ class OperatorProblem:
     fun: Callable[[np.ndarray], np.ndarray]
     jac: Callable[[np.ndarray], np.ndarray]
     rhs: np.ndarray
-    symmetric_jacobian: bool
     minimal_norm_solution: np.ndarray | None = None
     null_space_basis: list[np.ndarray] | None = None
-    constant_jacobian: bool = False
-    diagonal_jacobian: bool = False
-    solve_structure: object = None
+    jacobian_structure: str = DENSE
+
+    def __post_init__(self):
+        if self.jacobian_structure not in STRUCTURES:
+            raise ValueError(
+                f"unknown jacobian_structure {self.jacobian_structure!r}; known: {STRUCTURES}"
+            )
+
+    @cached_property
+    def solve_structure(self):
+        """linalg.solve_shifted's structure argument, worked out on first use.
+
+        DIAGONAL for "diagonal"; for "symmetric_constant", one np.linalg.eigh
+        of the constant J that serves every shift. Otherwise, and for a J eigh
+        cannot take, None: dense LU, whose certificate rejects such a J.
+        """
+        if self.jacobian_structure == SYMMETRIC_CONSTANT:
+            try:
+                return np.linalg.eigh(self.jac(np.zeros(self.dim)))
+            except np.linalg.LinAlgError:
+                return None
+        return DIAGONAL if self.jacobian_structure == DIAGONAL else None
 
     def residual(self, a: float, u: np.ndarray) -> np.ndarray:
         """F(u) + a*u - f, the regularized residual driving the flow."""
@@ -89,9 +108,7 @@ def identity(dim: int = 10, rhs=None) -> OperatorProblem:
         fun=lambda u: u.copy(),
         jac=lambda u: eye,
         rhs=f,
-        symmetric_jacobian=True,
-        constant_jacobian=True,
-        diagonal_jacobian=True,
+        jacobian_structure=DIAGONAL,
         minimal_norm_solution=f.copy(),
     )
 
@@ -114,8 +131,7 @@ def diag_cubic(dim: int = 8, rhs=None) -> OperatorProblem:
         fun=lambda u: u**3,
         jac=lambda u: np.diag(3.0 * u**2),
         rhs=f,
-        symmetric_jacobian=True,
-        diagonal_jacobian=True,
+        jacobian_structure=DIAGONAL,
         minimal_norm_solution=y,
     )
 
@@ -147,8 +163,7 @@ def psd_rank_deficient(dim: int = 20, seed: int = 0) -> OperatorProblem:
         fun=lambda u: a_mat @ u,
         jac=lambda u: a_mat,
         rhs=f,
-        symmetric_jacobian=True,
-        constant_jacobian=True,
+        jacobian_structure=SYMMETRIC_CONSTANT,
         minimal_norm_solution=y,
         null_space_basis=basis,
     )
@@ -174,8 +189,7 @@ def fredholm_first_kind(dim: int = 100) -> OperatorProblem:
         fun=lambda u: a_mat @ u,
         jac=lambda u: a_mat,
         rhs=f,
-        symmetric_jacobian=True,
-        constant_jacobian=True,
+        jacobian_structure=SYMMETRIC_CONSTANT,
         minimal_norm_solution=u_true,
     )
 
@@ -201,8 +215,6 @@ def skew_perturbed(dim: int = 16) -> OperatorProblem:
         fun=lambda u: op @ u,
         jac=lambda u: op,
         rhs=f,
-        symmetric_jacobian=False,
-        constant_jacobian=True,
         minimal_norm_solution=y,
     )
 
@@ -232,7 +244,6 @@ def convex_gradient(dim: int = 12) -> OperatorProblem:
         fun=fun,
         jac=jac,
         rhs=fun(y),
-        symmetric_jacobian=True,
         minimal_norm_solution=y,
     )
 
@@ -246,7 +257,6 @@ def non_monotone_fixture(dim: int = 6) -> OperatorProblem:
         fun=lambda u: -u,
         jac=lambda u: neg_eye,
         rhs=np.zeros(dim),
-        symmetric_jacobian=True,
     )
 
 

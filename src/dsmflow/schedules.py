@@ -24,6 +24,7 @@ and the EQ_2_10 certificate raise with.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -51,7 +52,8 @@ class Schedule:
     kind "exponential" a(t) = a0 * exp(-param * t)
     kind "constant"    a(t) = a0            (param unused)
 
-    a0 must be finite and large enough that the derived cap lies above it
+    a0 and param must be real numbers (a bool is none); a0 must be
+    finite and large enough that the derived cap lies above it
     (a subnormal a0 rounds the cap back to a0), and param must be
     nonnegative: a growing schedule is rejected here, which keeps
     a(t) <= a(0) below the derived cap.
@@ -64,6 +66,11 @@ class Schedule:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}, expected one of {KINDS}")
+        for name in ("a0", "param"):
+            value = getattr(self, name)
+            # bool is an int subclass: a JSON true is no number here.
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not 0.0 < self.a0 < math.inf:
             raise ValueError(f"a0 must be positive and finite, got {self.a0}")
         if not self.a0 < self.cap:
@@ -140,14 +147,6 @@ class Schedule:
 
     def decays_to_zero(self) -> bool:
         return self.kind in ("power", "exponential") and self.param > 0.0
-
-    def to_dict(self) -> dict:
-        """Config-file form {kind, a0, param}; the cap is derived."""
-        return {"kind": self.kind, "a0": self.a0, "param": self.param}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Schedule":
-        return cls(kind=d["kind"], a0=float(d["a0"]), param=float(d.get("param", 0.0)))
 
 
 def power(a0: float, b: float) -> Schedule:

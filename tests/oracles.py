@@ -11,6 +11,7 @@ built each stage as a Python sum over a list, and the bound sequence of
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.integrate import quad, simpson
@@ -33,7 +34,7 @@ from dsmflow.flow import (
     _make_point,
     rhs,
 )
-from dsmflow.linalg import as_vector
+from dsmflow.linalg import DENSE, as_vector
 from dsmflow.oracle import lemma_2_1_sweep, minimal_norm_limit, solve_regularized
 from dsmflow.schedules import check_admissible
 from dsmflow.verify import (
@@ -130,12 +131,12 @@ def reference_integrate(p, s, u0, cfg):
 
     The trajectories integrate must reproduce bit for bit, except where a
     dp54 trial stage fails its shifted solve: there this raises, and
-    integrate rejects the step. The loops solve as p says, so in dp54 pass
-    flow.structured(p, u0), the problem integrate solves with there.
+    integrate rejects the step. Like integrate, the dp54 loop solves with the
+    Jacobian structure p states, and the rk4 loop with a "dense" copy of p.
     """
     u0 = as_vector(u0)
     if cfg.method == "rk4":
-        return _integrate_rk4(p, s, u0, cfg)
+        return _integrate_rk4(replace(p, jacobian_structure=DENSE), s, u0, cfg)
     return _integrate_dp54(p, s, u0, cfg)
 
 

@@ -101,7 +101,7 @@ def test_integrate_and_eq_2_10_raise_the_text_the_cli_prints(tmp_path, capsys, k
     path, _ = write_config(tmp_path, schedule=schedule, integrator={"t_max": 2000.0})
     assert cli.main(["run", str(path)]) == 2
     printed = capsys.readouterr().err
-    s, p = dsmflow.Schedule.from_dict(schedule), dsmflow.make_problem("diag_cubic", dim=4)
+    s, p = dsmflow.Schedule(**schedule), dsmflow.make_problem("diag_cubic", dim=4)
     with pytest.raises(InadmissibleScheduleError) as flow_err:
         dsmflow.integrate(p, s, np.zeros(p.dim), dsmflow.IntegratorConfig(t_max=2000.0))
     zero = np.zeros(p.dim)
@@ -181,6 +181,29 @@ def test_malformed_numbers_are_validation_errors(tmp_path, capsys, overrides):
     assert cli.main(["verify", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "oracle"])
+@pytest.mark.parametrize(
+    "schedule, message",
+    [
+        ({"kind": "exponential", "a0": True, "param": 0.44}, "a0 must be a number, got True"),
+        ({"kind": "exponential", "a0": 1.0, "param": True}, "param must be a number, got True"),
+        ({"kind": "exponential", "a0": 1.0, "param": "0.44"}, "param must be a number, got '0.44'"),
+        ({"kind": "exponential", "a0": "1.0", "param": 0.44}, "a0 must be a number, got '1.0'"),
+        ({"kind": "exponential", "a0": 1.0, "rate": 0.44}, "unexpected keyword argument 'rate'"),
+        ({"kind": "exponential", "a0": 10**400, "param": 0.44}, "too large to convert to float"),
+    ],
+    ids=["a0-true", "param-true", "param-string", "a0-string", "unknown-key", "a0-huge-int"],
+)
+def test_schedule_numbers_are_strict(tmp_path, capsys, command, schedule, message):
+    # A JSON true or a string is no schedule number, and an unknown key is
+    # no schedule field: no coercion, and nothing written.
+    path, _ = write_config(tmp_path, schedule=schedule)
+    assert cli.main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid run config:") and message in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_step_failure_exit_code(tmp_path):
@@ -321,12 +344,17 @@ def test_gallery_lists_six_rows(capsys):
     assert cli.main(["gallery"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert len(out) == 7  # header + six problems
-    assert out[1].startswith("identity")
+    assert out[0].split() == ["name", "dim", "jacobian_structure", "known_y", "null_dim"]
+    rows = {row.split()[0]: row.split()[2] for row in out[1:]}
+    assert rows == {p.name: p.jacobian_structure for p in dsmflow.gallery()}
+    assert out[1].split()[:3] == ["identity", "10", "diagonal"]
 
 
 def test_check_schedule_pass_and_fail(capsys):
     assert cli.main(["check-schedule", "power", "1.0", "0.25"]) == 0
-    assert "max_ratio=0.25" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out.startswith("schedule: {'kind': 'power', 'a0': 1.0, 'param': 0.25}\n")
+    assert "max_ratio=0.25" in out
     assert cli.main(["check-schedule", "power", "1.0", "0.75"]) == 1
     assert cli.main(["check-schedule", "constant", "2.0"]) == 0
     assert cli.main(["check-schedule", "power", "-1.0", "0.25"]) == 2

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 import dsmflow as d
 import dsmflow.flow
 from dsmflow.errors import InadmissibleScheduleError, LinearSolveError, TooFewPointsError
-from dsmflow.flow import _C, _FAC_MIN, TERMINATED_MAX_STEPS, TERMINATED_STEP_FAILURE, structured
-from dsmflow.linalg import DIAGONAL
+from dsmflow.flow import _C, _FAC_MIN, TERMINATED_MAX_STEPS, TERMINATED_STEP_FAILURE
+from dsmflow.linalg import DENSE, DIAGONAL, SYMMETRIC_CONSTANT
 from dsmflow.operators import GALLERY_NAMES, OperatorProblem, diag_cubic, identity
 
 from oracles import generator_sum_dp54_step, reference_integrate
-from problems import monotone_problem, psd_plus_skew
+from problems import componentwise_monotone_problem, monotone_problem, psd_linear_problem, psd_plus_skew
 
 
 def test_rhs_identity_scalar():
@@ -240,11 +240,10 @@ def _assert_same_trajectory(traj, ref):
 def test_one_loop_matches_separate_loops_bitwise(name):
     # Stride 1 and 3, a max_steps cut (7 is no multiple of 3, so it forces
     # a trailing point), and finishes at residual_stop and (except identity)
-    # at t_max. The reference loop gets the problem that integrate solves
-    # with in each method, so the test checks the loop, not the solver.
+    # at t_max. The reference loops solve as integrate does in each method,
+    # so the test checks the loop, not the solver.
     p = d.make_problem(name, dim=4)
     u0 = np.ones(4)
-    solved_with = {"dp54": structured(p, u0), "rk4": p}
     finishes = set()
     for s in (d.power(1.0, 0.25), d.exponential(1.0, 0.44), d.constant(0.8)):
         for method in ("dp54", "rk4"):
@@ -254,7 +253,7 @@ def test_one_loop_matches_separate_loops_bitwise(name):
                     max_steps=max_steps, record_stride=stride, method=method,
                 )
                 traj = d.integrate(p, s, u0, cfg)
-                ref = reference_integrate(solved_with[method], s, u0, cfg)
+                ref = reference_integrate(p, s, u0, cfg)
                 _assert_same_trajectory(traj, ref)
                 finishes.add((method, traj.terminated_by))
     assert {(m, r) for m in ("dp54", "rk4") for r in (TERMINATED_MAX_STEPS, "residual_stop")} <= finishes
@@ -282,7 +281,7 @@ def _exp_problem():
     # trial stages overshoot far enough that exp overflows.
     return OperatorProblem(
         name="exp", dim=1, fun=np.exp, jac=lambda u: np.diag(np.exp(u)),
-        rhs=np.array([100.0]), symmetric_jacobian=True,
+        rhs=np.array([100.0]),
     )
 
 
@@ -409,10 +408,16 @@ def test_only_dp54_solves_with_the_stated_structure(monkeypatch, name, path):
     assert all(st is None for st in flow_solves + oracle_solves)
 
 
+def _record_eigh(monkeypatch):
+    calls = []
+    real_eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or real_eigh(m))
+    return calls
+
+
 def test_stop_at_t0_decomposes_nothing(monkeypatch):
     # The eigendecomposition comes after the t = 0 residual_stop exit.
-    calls = []
-    monkeypatch.setattr(dsmflow.flow, "structured", lambda p, u: calls.append(p) or p)
+    calls = _record_eigh(monkeypatch)
     p = d.make_problem("fredholm_first_kind", dim=6)
     w = d.solve_regularized(p, 1.0, np.zeros(6))
     traj = d.integrate(p, d.constant(1.0), w, d.IntegratorConfig(t_max=1.0))
@@ -421,42 +426,58 @@ def test_stop_at_t0_decomposes_nothing(monkeypatch):
     assert len(calls) == 1
 
 
+def test_eigh_runs_at_most_once_per_problem(monkeypatch):
+    # One eigendecomposition serves every dp54 run of the same problem
+    # object; rk4 solves with a "dense" copy and takes none.
+    calls = _record_eigh(monkeypatch)
+    p = d.make_problem("psd_rank_deficient", dim=6)
+    s, u0 = d.exponential(1.0, 0.44), np.ones(6)
+    d.integrate(p, s, u0, d.IntegratorConfig(t_max=1.0, initial_step=0.1, method="rk4"))
+    assert not calls
+    for t_max in (1.0, 2.0):
+        d.integrate(p, s, u0, d.IntegratorConfig(t_max=t_max))
+    assert len(calls) == 1
+    d.integrate(d.make_problem("psd_rank_deficient", dim=6), s, u0, d.IntegratorConfig(t_max=1.0))
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("name", ["diag_cubic", "psd_rank_deficient", "fredholm_first_kind"])
 def test_problem_without_the_facts_integrates_as_before(monkeypatch, name):
-    # Stripped of constant and diagonal, a problem stays on dense LU in
-    # dp54 too, and its run is bit for bit the reference loop's on LU.
+    # Stated "dense", a problem stays on dense LU in dp54 too, and its run
+    # is bit for bit the reference loop's on LU.
     flow_solves = _record_structures(monkeypatch, dsmflow.flow)
-    p = dataclasses.replace(
-        d.make_problem(name, dim=6), constant_jacobian=False, diagonal_jacobian=False
-    )
+    p = dataclasses.replace(d.make_problem(name, dim=6), jacobian_structure=DENSE)
     u0 = np.full(6, 0.5)
-    assert structured(p, u0) is p
+    assert p.solve_structure is None
     cfg = d.IntegratorConfig(t_max=8.0, rel_tol=1e-10, abs_tol=1e-12)
     traj = d.integrate(p, d.exponential(1.0, 0.44), u0, cfg)
     assert all(st is None for st in flow_solves)
     _assert_same_trajectory(traj, reference_integrate(p, d.exponential(1.0, 0.44), u0, cfg))
 
 
-@pytest.mark.parametrize("fact", ["constant_jacobian", "diagonal_jacobian"])
-def test_false_structure_fact_fails_the_certificate(fact):
+@pytest.mark.parametrize("structure", [SYMMETRIC_CONSTANT, DIAGONAL])
+def test_false_structure_fact_fails_the_certificate(structure):
     # convex_gradient's Jacobian is neither constant nor diagonal. Each solve
     # is certified against the Jacobian at its own state, so the false fact
     # raises where it would give a wrong direction.
-    p = dataclasses.replace(d.make_problem("convex_gradient", dim=5), **{fact: True})
+    dense = d.make_problem("convex_gradient", dim=5)
+    p = dataclasses.replace(dense, jacobian_structure=structure)
     s, u0 = d.constant(0.5), np.zeros(5)
-    run = structured(p, u0)
     u = np.linspace(-1.0, 1.0, 5)
     with pytest.raises(LinearSolveError, match="structure"):
-        d.rhs(run, s, 0.0, u)
-    if fact == "diagonal_jacobian":
+        d.rhs(p, s, 0.0, u)
+    if structure == DIAGONAL:
         with pytest.raises(LinearSolveError, match="structure"):
             d.integrate(p, s, u0, d.IntegratorConfig(t_max=5.0))
     else:
-        # Right only at the state it was taken at, the eigendecomposition
-        # fails every trial stage away from it, and the run ends there.
-        np.testing.assert_allclose(d.rhs(run, s, 0.0, u0), d.rhs(p, s, 0.0, u0), atol=1e-12)
+        # Taken at the origin, u0 here, the eigendecomposition is right only
+        # there: it fails every trial stage away from it, and the run ends.
+        np.testing.assert_allclose(d.rhs(p, s, 0.0, u0), d.rhs(dense, s, 0.0, u0), atol=1e-12)
         traj = d.integrate(p, s, u0, d.IntegratorConfig(t_max=5.0))
         assert traj.terminated_by == TERMINATED_STEP_FAILURE and traj.final.t < 1e-3
+    # rk4 solves on dense LU whatever the problem states, so it never trips.
+    rk4 = d.IntegratorConfig(t_max=1.0, initial_step=0.1, method="rk4")
+    _assert_same_trajectory(d.integrate(p, s, u0, rk4), d.integrate(dense, s, u0, rk4))
 
 
 # perfbench's margin tolerances for dp54 runs.
@@ -476,9 +497,31 @@ MARGIN_ATOL_BY_BOUND = {"EQ_3_8": 1e-4}
     ],
 )
 def test_structured_and_dense_dp54_give_the_same_verdicts(name, schedule, t_max):
-    # The stock configs' settings, from u0 = 0.5 so that identity moves too.
-    p = d.make_problem(name)
-    dense = dataclasses.replace(p, constant_jacobian=False, diagonal_jacobian=False)
+    _assert_structure_keeps_the_verdicts(d.make_problem(name), schedule, t_max)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("build", [psd_linear_problem, componentwise_monotone_problem])
+def test_structure_keeps_the_verdicts_on_random_problems(build, seed):
+    # Random draws beyond the gallery: dp54 as stated against dense LU, and
+    # rk4 byte for byte whichever structure is stated.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 13))
+    p = build(rng, n)
+    s = d.exponential(1.0, 0.44)
+    _assert_structure_keeps_the_verdicts(p, s, 16.0)
+    rk4 = d.IntegratorConfig(t_max=4.0, initial_step=0.05, method="rk4")
+    u0 = np.full(n, 0.5)
+    for structure in (DENSE, DIAGONAL, SYMMETRIC_CONSTANT):
+        q = dataclasses.replace(p, jacobian_structure=structure)
+        _assert_same_trajectory(d.integrate(q, s, u0, rk4), d.integrate(p, s, u0, rk4))
+
+
+def _assert_structure_keeps_the_verdicts(p, schedule, t_max):
+    """dp54 on p as stated and on a "dense" copy: the same stop and verdicts,
+    and margins within perfbench's tolerances, at the stock configs'
+    settings from u0 = 0.5 (so that identity moves too)."""
+    dense = dataclasses.replace(p, jacobian_structure=DENSE)
     cfg = d.IntegratorConfig(t_max=t_max, rel_tol=1e-10, abs_tol=1e-12, residual_stop=1e-8)
     u0 = np.full(p.dim, 0.5)
     results = []
@@ -504,9 +547,9 @@ def test_jacobian_eigh_cannot_take_stays_on_lu_and_fails_its_certificate():
     nan_jac = np.full((3, 3), np.nan)
     p = OperatorProblem(
         name="nan_linear", dim=3, fun=lambda u: u, jac=lambda u: nan_jac,
-        rhs=np.ones(3), symmetric_jacobian=True, constant_jacobian=True,
+        rhs=np.ones(3), jacobian_structure=SYMMETRIC_CONSTANT,
     )
-    assert structured(p, np.zeros(3)) is p
+    assert p.solve_structure is None
     with pytest.raises(LinearSolveError, match="residual nan"):
         d.integrate(p, d.constant(1.0), np.zeros(3), d.IntegratorConfig(t_max=1.0))
 

@@ -214,9 +214,10 @@ def _structured_case(kind, n, a, seed):
 
     psd_* are symmetric PSD with a random eigenbasis: rank-deficient, or with
     a fredholm-like 1/k^2 spectrum. diagonal has zeros and -0.0 on and off
-    its diagonal. The right-hand side is J y + a z, as psi = F(u) + a u - f
-    is for linear F with f in range(J): its null-space part is O(a), so x
-    stays O(1) and the certificate can be met as a -> 1e-8.
+    its diagonal, and +0.0 and -0.0 entries in its right-hand side. The
+    right-hand side is J y + a z, as psi = F(u) + a u - f is for linear F
+    with f in range(J): its null-space part is O(a), so x stays O(1) and
+    the certificate can be met as a -> 1e-8.
     """
     rng = np.random.default_rng(seed)
     if kind == "diagonal":
@@ -237,6 +238,9 @@ def _structured_case(kind, n, a, seed):
         j = 0.5 * (j + j.T)
         structure = np.linalg.eigh(j)
     rhs = j @ rng.standard_normal(n) + a * rng.standard_normal(n)
+    if kind == "diagonal":
+        rhs[rng.uniform(size=n) < 0.2] = 0.0
+        rhs[rng.uniform(size=n) < 0.2] = -0.0
     return j, structure, rhs
 
 
@@ -251,7 +255,9 @@ STRUCTURED_KINDS = ["psd_rank_deficient", "psd_fredholm", "diagonal"]
 )
 def test_structured_solves_match_dense_formula(kind, n, a, seed):
     # Tolerance: the diagonal path is one correctly rounded division per
-    # entry, so it may differ from LU by an ulp or two. The eigendecomposition
+    # entry, so it may differ from LU by an ulp or two, and where the
+    # right-hand side holds a zero, in the sign of that zero (which
+    # assert_allclose does not see). The eigendecomposition
     # and LU are both backward stable, so they may differ by the first-order
     # forward error bound, 16 n eps cond(J + aI) ||x||; over 3,000 draws the
     # largest difference seen was 1.1 n eps cond ||x||.

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 import dsmflow as d
-from dsmflow.operators import FD_TOL, diag_cubic, identity, non_monotone_fixture, psd_rank_deficient
+from dsmflow.linalg import DENSE, DIAGONAL, SYMMETRIC_CONSTANT
+from dsmflow.operators import (
+    FD_TOL,
+    OperatorProblem,
+    diag_cubic,
+    identity,
+    non_monotone_fixture,
+    psd_rank_deficient,
+)
 
 from problems import monotone_problem, psd_plus_skew
 
@@ -183,11 +191,11 @@ def test_identity_custom_rhs():
     np.testing.assert_array_equal(p.minimal_norm_solution, [1.0, 2.0])
 
 
-CONSTANT_JACOBIAN = ("identity", "psd_rank_deficient", "fredholm_first_kind", "skew_perturbed")
+LINEAR_PROBLEMS = ("identity", "psd_rank_deficient", "fredholm_first_kind", "skew_perturbed")
 
 
-@pytest.mark.parametrize("name", CONSTANT_JACOBIAN)
-def test_constant_jacobian_is_one_shared_read_only_array(name):
+@pytest.mark.parametrize("name", LINEAR_PROBLEMS)
+def test_linear_problem_jacobian_is_one_shared_read_only_array(name):
     p = d.make_problem(name)
     j = p.jac(np.zeros(p.dim))
     assert p.jac(np.ones(p.dim)) is j
@@ -196,7 +204,7 @@ def test_constant_jacobian_is_one_shared_read_only_array(name):
     assert d.check_jacobian(p, np.linspace(-1.0, 1.0, p.dim)).passed
 
 
-@pytest.mark.parametrize("name", sorted(set(d.GALLERY_NAMES) - set(CONSTANT_JACOBIAN)))
+@pytest.mark.parametrize("name", sorted(set(d.GALLERY_NAMES) - set(LINEAR_PROBLEMS)))
 def test_state_dependent_jacobian_is_fresh_and_writable(name):
     p = d.make_problem(name)
     u = np.linspace(-1.0, 1.0, p.dim)
@@ -207,41 +215,45 @@ def test_state_dependent_jacobian_is_fresh_and_writable(name):
     assert d.check_jacobian(p, u).passed
 
 
-def test_constant_jacobian_fact_names_the_constant_problems():
-    stated = tuple(n for n in d.GALLERY_NAMES if d.make_problem(n).constant_jacobian)
-    assert stated == CONSTANT_JACOBIAN
-
-
-# (constant, diagonal) as each problem states them; symmetric_jacobian is
-# older and checked with the rest below.
+# The Jacobian structure each problem states.
 JACOBIAN_FACTS = {
-    "identity": (True, True),
-    "diag_cubic": (False, True),
-    "psd_rank_deficient": (True, False),
-    "fredholm_first_kind": (True, False),
-    "skew_perturbed": (True, False),
-    "convex_gradient": (False, False),
-    "non_monotone_fixture": (False, False),
+    "identity": DIAGONAL,
+    "diag_cubic": DIAGONAL,
+    "psd_rank_deficient": SYMMETRIC_CONSTANT,
+    "fredholm_first_kind": SYMMETRIC_CONSTANT,
+    "skew_perturbed": DENSE,
+    "convex_gradient": DENSE,
+    "non_monotone_fixture": DENSE,
 }
 
 
 @pytest.mark.parametrize("name", sorted(JACOBIAN_FACTS))
 @pytest.mark.parametrize("dim", [None, 5])
 def test_jacobian_facts_hold_at_random_points(name, dim):
-    # The dp54 flow solves with these facts, so each must be true wherever
-    # the flow can go: constant is byte for byte, symmetric is exact, and
-    # diagonal means every off-diagonal entry is zero.
+    # The dp54 flow solves with the stated structure, so it must be true
+    # wherever the flow can go: symmetric_constant is byte for byte the same
+    # matrix and exactly symmetric, and diagonal means every off-diagonal
+    # entry is zero. Nothing is decomposed until a solve asks.
     p = d.make_problem(name, dim=dim)
-    assert (p.constant_jacobian, p.diagonal_jacobian) == JACOBIAN_FACTS[name]
-    assert p.solve_structure is None
+    assert p.jacobian_structure == JACOBIAN_FACTS[name]
+    assert "solve_structure" not in vars(p)
     off_diagonal = ~np.eye(p.dim, dtype=bool)
     rng = np.random.default_rng(len(name))
     for _ in range(10):
         u, v = rng.uniform(-3.0, 3.0, (2, p.dim))
         j = np.asarray(p.jac(u))
-        if p.constant_jacobian:
+        if p.jacobian_structure == SYMMETRIC_CONSTANT:
             assert j.tobytes() == np.asarray(p.jac(v)).tobytes()
-        if p.symmetric_jacobian:
             assert np.array_equal(j, j.T)
-        if p.diagonal_jacobian:
+        if p.jacobian_structure == DIAGONAL:
             assert not np.any(j[off_diagonal])
+
+
+def test_jacobian_structure_is_validated_at_construction():
+    p = d.make_problem("convex_gradient", dim=3)
+    assert dataclasses.replace(p, jacobian_structure=DENSE).jacobian_structure == DENSE
+    assert OperatorProblem("f", 1, p.fun, p.jac, np.zeros(1)).jacobian_structure == DENSE
+    for bad in ("symmetric", "Dense", None, ["dense"]):
+        with pytest.raises(ValueError, match="unknown jacobian_structure"):
+            dataclasses.replace(p, jacobian_structure=bad)
+

@@ -16,7 +16,6 @@ def make_diag_linear(entries, rhs):
         fun=lambda u: a_mat @ u,
         jac=lambda u: a_mat.copy(),
         rhs=np.asarray(rhs, dtype=float),
-        symmetric_jacobian=True,
     )
 
 
@@ -63,7 +62,6 @@ def test_line_search_stall_reports_iterations_taken():
         fun=lambda u: u.copy(),
         jac=lambda u: np.array([[3.0 if u[0] < 0.3 else -3.0]]),
         rhs=np.array([1.0]),
-        symmetric_jacobian=True,
     )
     with pytest.raises(NewtonError, match="line search stalled") as exc:
         d.solve_regularized(p, 1.0, np.zeros(1), d.NewtonConfig(max_iters=50))

@@ -1,5 +1,6 @@
 import sys
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -95,6 +96,19 @@ def test_growing_schedule_rejected():
         d.power(1.0, float("nan"))
 
 
+@pytest.mark.parametrize(
+    "a0, param", [(True, 0.25), (1.0, True), (False, 0.25), ("1.0", 0.25), (1.0, "0.25"), (1.0, None)]
+)
+def test_schedule_numbers_must_be_numbers(a0, param):
+    # bool is an int subclass, but a JSON true is no number; nothing is coerced.
+    with pytest.raises(ValueError, match="must be a number"):
+        Schedule(kind="power", a0=a0, param=param)
+
+
+def test_schedule_takes_any_real_number():
+    assert Schedule(kind="power", a0=1, param=np.float32(0.25)).value(15.0) == pytest.approx(0.5)
+
+
 def test_warning_near_ratio_limit():
     # The warning depends on the schedule alone: construction emits it once,
     # and check_admissible adds none.
@@ -173,7 +187,7 @@ def test_reason_is_empty_exactly_when_pass_2_2_holds(kind, a0, param, horizon):
 
 def test_dict_round_trip():
     s = d.exponential(0.7, 0.3)
-    assert Schedule.from_dict(s.to_dict()) == s
+    assert Schedule(**asdict(s)) == s
 
 
 @given(st.floats(0.01, 0.49), st.floats(0.1, 10.0))
