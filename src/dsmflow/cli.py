@@ -31,10 +31,11 @@ import numpy as np
 
 from .errors import DsmError, NewtonError
 from .flow import TERMINATED_STEP_FAILURE, IntegratorConfig, Trajectory, integrate
+from .linalg import as_count
 from .operators import OperatorProblem, check_monotone, gallery, make_problem
 from .oracle import NewtonConfig, minimal_norm_limit
 from .schedules import KINDS, Schedule, check_admissible
-from .verify import cap_term, certify
+from .verify import cap_envelope, cap_term, certify
 
 # Not used here: perfbench imports EPS_Y_OVERRIDES and LEMMA_GRID from this
 # module and its tracer patches the other names on it. Drop these once the
@@ -79,11 +80,13 @@ class RunConfig:
             integrator = IntegratorConfig(**{"t_max": 20.0, **d.get("integrator", {})})
             oracle = NewtonConfig(**d.get("oracle", {}))
             dim, seed = d.get("dim"), d.get("seed", 0)
-            if not isinstance(problem, str):
-                raise ValueError(f"problem must be a string, got {problem!r}")
-            # type(...) is int, not isinstance: a JSON true is a bool, no integer.
-            if not (dim is None or type(dim) is int) or type(seed) is not int:
-                raise ValueError(f"dim and seed must be integers, got {dim!r} and {seed!r}")
+            output_dir = d.get("output_dir", "runs")
+            for name, value in (("problem", problem), ("output_dir", output_dir)):
+                if not isinstance(value, str):
+                    raise ValueError(f"{name} must be a string, got {value!r}")
+            if dim is not None:
+                as_count("dim", dim, 1)
+            as_count("seed", seed, 0)
             return cls(
                 problem=problem,
                 dim=dim,
@@ -91,10 +94,9 @@ class RunConfig:
                 integrator=integrator,
                 oracle=oracle,
                 seed=seed,
-                output_dir=str(d.get("output_dir", "runs")),
+                output_dir=output_dir,
             )
-        # OverflowError: a JSON integer too large for a float, as a schedule's a0.
-        except (KeyError, TypeError, ValueError, OverflowError) as err:
+        except (KeyError, TypeError, ValueError) as err:
             raise ConfigError(f"invalid run config: {err}") from err
 
 
@@ -140,7 +142,6 @@ def _trajectory_csv(traj: Trajectory, cap: float) -> str:
     h0 = traj.points[0].h
     lines = [",".join(TRAJECTORY_COLUMNS)]
     for pt in traj.points:
-        decay = math.exp(-pt.t / 2.0)
         row = (
             _fmt(pt.t),
             _fmt(pt.a),
@@ -148,7 +149,7 @@ def _trajectory_csv(traj: Trajectory, cap: float) -> str:
             _fmt(math.sqrt(pt.u.dot(pt.u))),
             "" if pt.dist_to_w is None else _fmt(pt.dist_to_w),
             _fmt(pt.h / pt.a),
-            "" if not math.isfinite(cap) else _fmt(h0 * decay + (1.0 - decay) * cap),
+            "" if not math.isfinite(cap) else _fmt(cap_envelope(h0, pt.t, cap)),
         )
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
@@ -268,7 +269,7 @@ def cmd_check_schedule(kind: str, a0: float, param: float) -> int:
     print(f"schedule: {asdict(s)}")
     print(
         f"max_ratio={report.max_ratio:.6g} positive={report.positive} "
-        f"decays={report.decays} pass_2_2={report.pass_2_2} pass_3_3={report.pass_3_3}"
+        f"pass_2_2={report.pass_2_2} pass_3_3={report.pass_3_3}"
     )
     return EXIT_OK if report.pass_2_2 else EXIT_CHECK_FAILED
 

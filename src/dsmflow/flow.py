@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InadmissibleScheduleError, LinearSolveError, TooFewPointsError
-from .linalg import DENSE, as_vector, solve_shifted
+from .linalg import DENSE, as_count, as_number, as_vector, solve_shifted
 from .operators import OperatorProblem
 from .schedules import Schedule, check_admissible
 
@@ -86,15 +86,12 @@ class IntegratorConfig:
     method: str = "dp54"  # "dp54" adaptive or "rk4" fixed-step
 
     def __post_init__(self):
-        # bool is an int subclass: a JSON true is no number here.
         for name in ("t_max", "initial_step", "rel_tol", "abs_tol", "residual_stop"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not 0.0 < value < math.inf:
+            if not 0.0 < as_number(name, value) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         for name in ("max_steps", "record_stride"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            as_count(name, getattr(self, name), 1)
         if self.method not in ("dp54", "rk4"):
             raise ValueError(f"unknown method {self.method!r}")
 

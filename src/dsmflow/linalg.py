@@ -1,4 +1,4 @@
-"""Vector coercion and the shifted linear solve.
+"""Input checks and the shifted linear solve.
 
 Vectors are 1-D float64 arrays and matrices are square 2-D arrays.
 as_vector checks finiteness at the entry points that take vectors from
@@ -33,6 +33,7 @@ J itself.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -63,6 +64,27 @@ def as_vector(x) -> np.ndarray:
     if not np.isfinite(v).all():
         raise ValueError("vector contains non-finite entries")
     return v
+
+
+def as_number(name: str, value) -> float:
+    """A run-config number as a float; a bool, a string or an int beyond a float is a ValueError.
+
+    This and as_count are the one rule for the numbers of Schedule,
+    IntegratorConfig, NewtonConfig and RunConfig.
+    """
+    # bool is an int subclass: a JSON true is no number here.
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as err:
+        raise ValueError(f"{name}: {err}") from err
+
+
+def as_count(name: str, value, minimum: int):
+    """Check a config count: an integer (no bool) at least minimum, else a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def solve_shifted(J, a: float, rhs, structure=None) -> np.ndarray:

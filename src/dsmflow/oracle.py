@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContinuationError, NewtonError
-from .linalg import as_vector, solve_shifted
+from .linalg import as_count, as_number, as_vector, solve_shifted
 from .operators import OperatorProblem
 from .schedules import Schedule
 
@@ -48,12 +48,9 @@ class NewtonConfig:
     max_iters: int = 100
 
     def __post_init__(self):
-        # bool is an int subclass: a JSON true is no number here.
-        if isinstance(self.tol, bool) or not 0.0 < self.tol < math.inf:
+        if not 0.0 < as_number("tol", self.tol) < math.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
-        iters = self.max_iters
-        if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 1:
-            raise ValueError(f"max_iters must be an integer >= 1, got {iters!r}")
+        as_count("max_iters", self.max_iters, 1)
 
 
 @dataclass(eq=False)

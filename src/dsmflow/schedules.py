@@ -24,9 +24,10 @@ and the EQ_2_10 certificate raise with.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
+
+from .linalg import as_number
 
 KINDS = ("power", "exponential", "constant")
 
@@ -52,10 +53,10 @@ class Schedule:
     kind "exponential" a(t) = a0 * exp(-param * t)
     kind "constant"    a(t) = a0            (param unused)
 
-    a0 and param must be real numbers (a bool is none); a0 must be
-    finite and large enough that the derived cap lies above it
-    (a subnormal a0 rounds the cap back to a0), and param must be
-    nonnegative: a growing schedule is rejected here, which keeps
+    a0 and param must be real numbers in float range (linalg.as_number:
+    a bool is none); a0 must be finite and large enough that the derived
+    cap lies above it (a subnormal a0 rounds the cap back to a0), and param
+    must be nonnegative: a growing schedule is rejected here, which keeps
     a(t) <= a(0) below the derived cap.
     """
 
@@ -66,18 +67,13 @@ class Schedule:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}, expected one of {KINDS}")
-        for name in ("a0", "param"):
-            value = getattr(self, name)
-            # bool is an int subclass: a JSON true is no number here.
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-        if not 0.0 < self.a0 < math.inf:
+        if not 0.0 < as_number("a0", self.a0) < math.inf:
             raise ValueError(f"a0 must be positive and finite, got {self.a0}")
         if not self.a0 < self.cap:
             raise ValueError(
                 f"a0 = {self.a0} is too small to lie below its cap a0 * (1 + {CAP_MARGIN:g})"
             )
-        if not self.param >= 0.0:
+        if not as_number("param", self.param) >= 0.0:
             raise ValueError(f"param must be nonnegative, got {self.param}")
         if RATIO_WARN + 1e-12 < self.ratio_supremum() < RATIO_LIMIT:
             warnings.warn(
@@ -165,9 +161,8 @@ def constant(a0: float) -> Schedule:
 class AdmissibilityReport:
     max_ratio: float
     positive: bool
-    decays: bool
     pass_2_2: bool
-    pass_3_3: bool
+    pass_3_3: bool  # a(t) decays to zero
     horizon: float
 
     @property
@@ -196,12 +191,10 @@ def check_admissible(s: Schedule, horizon: float) -> AdmissibilityReport:
         raise ValueError(f"horizon must be positive, got {horizon}")
     max_ratio = s.ratio_supremum()
     positive = s.value(horizon) > 0.0
-    decays = s.decays_to_zero()
     return AdmissibilityReport(
         max_ratio=max_ratio,
         positive=positive,
-        decays=decays,
         pass_2_2=positive and max_ratio < RATIO_LIMIT,
-        pass_3_3=decays,
+        pass_3_3=s.decays_to_zero(),
         horizon=horizon,
     )

@@ -30,7 +30,8 @@ pass holds iff worst_margin >= -slack(bound_id).
            worst one. Slack 0.
 
 certify runs every bound but EQ_2_8 on one trajectory, in that order, and
-is the pipeline behind `dsmflow verify` and scripts/verify_gallery.py.
+is the pipeline behind `dsmflow verify`; run over configs/*.json, which
+hold every gallery problem, it certifies the whole gallery.
 
 EQ_2_8 and EQ_3_8 share one envelope, h(0) e^{-r t} plus
 int_0^t e^{r(s-t)} |a'(s)| weight(s) ds with r = 1/2 and r = 1, built by
@@ -62,7 +63,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -102,14 +103,8 @@ class BoundReport:
     notes: str
 
     def to_dict(self) -> dict:
-        return {
-            "bound_id": self.bound_id,
-            "pass": self.passed,
-            "worst_margin": self.worst_margin,
-            "worst_t": self.worst_t,
-            "checkpoints": self.checkpoints,
-            "notes": self.notes,
-        }
+        """The fields in order, passed under the key "pass"."""
+        return {("pass" if k == "passed" else k): v for k, v in asdict(self).items()}
 
 
 def _report(bound_id: str, margins, times, checkpoints: int, notes: str) -> BoundReport:
@@ -183,6 +178,12 @@ def cap_term(p: OperatorProblem, s: Schedule, cfg: NewtonConfig) -> float:
     return s.cap * float(np.linalg.norm(w_cap))
 
 
+def cap_envelope(h0: float, t: float, cap: float) -> float:
+    """EQ_2_10's right-hand side h0 e^{-t/2} + (1 - e^{-t/2}) cap, with cap = C ||w_C||."""
+    decay = math.exp(-t / 2.0)
+    return h0 * decay + (1.0 - decay) * cap
+
+
 def check_eq_2_10(
     traj: Trajectory, p: OperatorProblem, s: Schedule, cfg: NewtonConfig = NewtonConfig()
 ) -> BoundReport:
@@ -201,8 +202,7 @@ def _eq_2_10(traj: Trajectory, s: Schedule, cap: float) -> BoundReport:
     times = [pt.t for pt in traj.points]
     margins = []
     for pt in traj.points:
-        decay = math.exp(-pt.t / 2.0)
-        rhs_bound = h0 * decay + (1.0 - decay) * cap
+        rhs_bound = cap_envelope(h0, pt.t, cap)
         margins.append((rhs_bound - pt.h) / (1.0 + rhs_bound))
     notes = f"C={s.cap:.6g}, C*||w_C||={cap:.6g}; margin=(rhs-h)/(1+rhs)"
     return _report("EQ_2_10", margins, times, len(times), notes)

@@ -156,6 +156,13 @@ def test_growing_schedule_is_validation_error(tmp_path, capsys, command):
         {"integrator": {"t_max": True}},
         {"seed": True},
         {"oracle": {"max_iters": True}},
+        {"integrator": {"t_max": 10**400}},
+        {"integrator": {"t_max": 4.0, "rel_tol": 10**400}},
+        {"integrator": {"t_max": 4.0, "initial_step": 10**400}},
+        {"oracle": {"tol": 10**400}},
+        {"schedule": {"kind": "exponential", "a0": 1.0, "param": 10**400}},
+        {"seed": -1},
+        {"output_dir": None},
     ],
     ids=[
         "t_max-inf",
@@ -173,14 +180,26 @@ def test_growing_schedule_is_validation_error(tmp_path, capsys, command):
         "t_max-true",
         "seed-true",
         "max_iters-true",
+        "t_max-huge-int",
+        "rel_tol-huge-int",
+        "initial_step-huge-int",
+        "tol-huge-int",
+        "param-huge-int",
+        "seed-negative",
+        "output_dir-null",
     ],
 )
-def test_malformed_numbers_are_validation_errors(tmp_path, capsys, overrides):
-    # json writes inf and nan as Infinity and NaN, which json.loads reads back.
+def test_malformed_numbers_are_validation_errors(tmp_path, capsys, monkeypatch, overrides):
+    # json writes inf and nan as Infinity and NaN, which json.loads reads
+    # back, and an integer of any size exactly: 10**400 is no float.
     path, _ = write_config(tmp_path, **overrides)
-    assert cli.main(["verify", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
+    # A null output_dir must not become a directory named None here.
+    monkeypatch.chdir(tmp_path)
+    for command in ("run", "verify", "oracle"):
+        assert cli.main([command, str(path)]) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err, (command, err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
 
 @pytest.mark.parametrize("command", ["run", "verify", "oracle"])
@@ -204,6 +223,13 @@ def test_schedule_numbers_are_strict(tmp_path, capsys, command, schedule, messag
     err = capsys.readouterr().err
     assert err.startswith("error: invalid run config:") and message in err
     assert not (tmp_path / "out").exists()
+
+
+def test_stock_configs_load_and_cover_the_gallery():
+    # `dsmflow verify` over configs/*.json is how the whole gallery is certified.
+    paths = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+    problems = {cli.load_config(path).problem for path in paths}
+    assert problems == set(dsmflow.GALLERY_NAMES)
 
 
 def test_run_step_failure_exit_code(tmp_path):
