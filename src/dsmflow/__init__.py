@@ -18,7 +18,6 @@ from .errors import (
     InadmissibleScheduleError,
     LinearSolveError,
     NewtonError,
-    TooFewPointsError,
 )
 from .flow import (
     IntegratorConfig,
@@ -71,7 +70,6 @@ __all__ = [
     "NewtonError",
     "OperatorProblem",
     "Schedule",
-    "TooFewPointsError",
     "Trajectory",
     "TrajectoryPoint",
     "cap_term",

@@ -10,7 +10,8 @@ Subcommands
 CONFIG is a JSON file with fields
     problem, dim, schedule {kind, a0, param}, integrator {...},
     oracle {tol, max_iters}, seed, output_dir
-where missing sub-fields take library defaults. run.json echoes the fully
+where a missing field takes the library default and an unknown one, at any
+level, is a validation error. run.json echoes the fully
 normalized config, so a run is reproducible from its own output.
 
 Exit codes: 0 success / all checks pass, 1 check failure, 2 validation
@@ -62,6 +63,9 @@ class ConfigError(ValueError):
     """Bad or missing run configuration."""
 
 
+_DEFAULT_SCHEDULE = {"kind": "power", "a0": 1.0, "param": 0.25}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     problem: str
@@ -72,31 +76,26 @@ class RunConfig:
     seed: int
     output_dir: str
 
+    def __post_init__(self):
+        for name in ("problem", "output_dir"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ValueError(f"{name} must be a string, got {value!r}")
+        if self.dim is not None:
+            as_count("dim", self.dim, 1)
+        as_count("seed", self.seed, 0)
+
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
+        """The config a JSON dict states: missing keys take defaults, unknown keys are errors."""
         try:
-            problem = d["problem"]
-            schedule = Schedule(**d.get("schedule", {"kind": "power", "a0": 1.0, "param": 0.25}))
-            integrator = IntegratorConfig(**{"t_max": 20.0, **d.get("integrator", {})})
-            oracle = NewtonConfig(**d.get("oracle", {}))
-            dim, seed = d.get("dim"), d.get("seed", 0)
-            output_dir = d.get("output_dir", "runs")
-            for name, value in (("problem", problem), ("output_dir", output_dir)):
-                if not isinstance(value, str):
-                    raise ValueError(f"{name} must be a string, got {value!r}")
-            if dim is not None:
-                as_count("dim", dim, 1)
-            as_count("seed", seed, 0)
-            return cls(
-                problem=problem,
-                dim=dim,
-                schedule=schedule,
-                integrator=integrator,
-                oracle=oracle,
-                seed=seed,
-                output_dir=output_dir,
-            )
-        except (KeyError, TypeError, ValueError) as err:
+            return cls(**{
+                "dim": None, "seed": 0, "output_dir": "runs", **d,
+                "schedule": Schedule(**d.get("schedule", _DEFAULT_SCHEDULE)),
+                "integrator": IntegratorConfig(**{"t_max": 20.0, **d.get("integrator", {})}),
+                "oracle": NewtonConfig(**d.get("oracle", {})),
+            })
+        except (TypeError, ValueError) as err:
             raise ConfigError(f"invalid run config: {err}") from err
 
 

@@ -1,4 +1,9 @@
-"""Exception types shared across the solver modules."""
+"""Exceptions for solver failures, as opposed to caller mistakes.
+
+Each is a DsmError, which the CLI maps to exit code 3. A bad argument is a
+ValueError instead, and a check that does not apply reports so rather than
+raising.
+"""
 
 
 class DsmError(Exception):
@@ -18,14 +23,6 @@ class LinearSolveError(DsmError):
 
 class InadmissibleScheduleError(DsmError):
     """Regularizer schedule violates the admissibility conditions."""
-
-
-class TooFewPointsError(DsmError):
-    """A trajectory has too few recorded points for a check to apply.
-
-    residual_dynamics_check needs three, so a run that stops at t = 0 (one
-    point) cannot be tested against the residual dynamics.
-    """
 
 
 class NewtonError(DsmError):

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InadmissibleScheduleError, LinearSolveError, TooFewPointsError
+from .errors import InadmissibleScheduleError, LinearSolveError
 from .linalg import DENSE, as_count, as_number, as_vector, solve_shifted
 from .operators import OperatorProblem
 from .schedules import Schedule, check_admissible
@@ -112,30 +112,21 @@ class TrajectoryPoint:
 
 @dataclass(eq=False)
 class Trajectory:
-    """Recorded states of one run.
+    """Recorded states of one run, under the schedule that drove it.
 
-    w_table is the verifier's memo of the oracle's w at the recorded times
-    (see verify._w_table): None until EQ_2_6 or EQ_2_8 first solves it,
-    then (problem, schedule, NewtonConfig, times, table). A later check is
-    given the table again only when it passes the same problem object, an
-    equal schedule and NewtonConfig, and the recorded times are unchanged;
-    otherwise the table is solved anew and replaces the memo. It is not an
-    argument of the constructor, so dataclasses.replace(traj) starts
-    without one.
+    w_table is verify._w_table's memo of the oracle's w at the recorded
+    times; it is not an argument of the constructor, so
+    dataclasses.replace(traj) starts without one.
     """
 
+    schedule: Schedule
     points: list[TrajectoryPoint] = field(default_factory=list)
     terminated_by: str = TERMINATED_TMAX
-    problem_name: str = ""
-    schedule: Schedule | None = None
     w_table: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def final(self) -> TrajectoryPoint:
         return self.points[-1]
-
-    def times(self) -> np.ndarray:
-        return np.array([pt.t for pt in self.points])
 
 
 def rhs(p: OperatorProblem, s: Schedule, t: float, u: np.ndarray) -> np.ndarray:
@@ -175,7 +166,7 @@ def integrate(
     report = check_admissible(s, horizon=cfg.t_max)
     if not report.pass_2_2:
         raise InadmissibleScheduleError(report.reason)
-    traj = Trajectory(problem_name=p.name, schedule=s)
+    traj = Trajectory(s)
     t, u = 0.0, u0.copy()
     pt = _make_point(p, s, t, u)
     traj.points.append(pt)
@@ -296,15 +287,14 @@ def residual_dynamics_check(
     and compared with the closed-form right-hand side. The defect tolerance
     is C_DYN * dt^2 * scale + 10 * rel_tol * scale, where dt is the largest
     half-window and scale the largest recorded h, so halving the recording
-    step must shrink the defect roughly fourfold. Fewer than 3 recorded
-    points raise TooFewPointsError.
+    step must shrink the defect roughly fourfold. Below 3 recorded points
+    the check is not applicable: there is no interior point, and the report
+    reads interior_points = 0 and passed.
     """
     pts = traj.points
-    if len(pts) < 3:
-        raise TooFewPointsError("need at least 3 recorded points to estimate psi'")
     max_defect = 0.0
     max_dt = 0.0
-    scale = max(pt.h for pt in pts)
+    scale = max((pt.h for pt in pts), default=0.0)
     for i in range(1, len(pts) - 1):
         t0, t1, t2 = pts[i - 1].t, pts[i].t, pts[i + 1].t
         w0 = (t1 - t2) / ((t0 - t1) * (t0 - t2))
@@ -317,5 +307,5 @@ def residual_dynamics_check(
         max_dt = max(max_dt, (t2 - t0) / 2.0)
     tol = C_DYN * max_dt**2 * scale + 10.0 * rel_tol * scale
     return DynamicsReport(
-        max_defect=max_defect, tol=tol, passed=max_defect <= tol, interior_points=len(pts) - 2
+        max_defect=max_defect, tol=tol, passed=max_defect <= tol, interior_points=len(pts[1:-1])
     )

@@ -93,7 +93,7 @@ def solve_shifted(J, a: float, rhs, structure=None) -> np.ndarray:
     The shift a must be positive and J is expected to have a positive
     semidefinite symmetric part, which makes J + a*I invertible. J is read,
     never written, so a shared read-only Jacobian is fine. structure picks
-    the method: None is dense LU, bit for bit np.linalg.solve(J +
+    the method: None or DENSE is dense LU, bit for bit np.linalg.solve(J +
     a*np.eye(n), rhs); DIAGONAL is rhs / (diag(J) + a); an eigendecomposition
     (lam, Q) of J, as np.linalg.eigh returns it, gives x = Q ((Q^T rhs) /
     (lam + a)). Whatever the method, the solution must pass the residual
@@ -125,14 +125,14 @@ def solve_shifted(J, a: float, rhs, structure=None) -> np.ndarray:
     # A non-finite J, a or rhs, or a singular J + a*I, makes these warn;
     # the certificate reports it.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if structure is None:
+        if structure is None or structure == DENSE:
             # J + 0.0 flushes -0.0 to +0.0 off the diagonal exactly as J + a*eye does.
             shifted = J + 0.0
             shifted.flat[:: n + 1] += a
             x = _umath_linalg.solve1(shifted, b, signature="dd->d")
             r = shifted @ x - b
         else:
-            if structure is DIAGONAL:
+            if structure == DIAGONAL:
                 x = b / (J.diagonal() + a)
             else:
                 lam, q = structure

@@ -36,10 +36,8 @@ _SUFFICIENT_DECREASE = 1e-4
 # is diverging" rather than ground for more iterations.
 _DIVERGENCE_NORM = 1e6
 
-# Continuation levels a = 1, 1/2, 1/4, ... down to the first at or below 1e-8.
-_A_START = 1.0
-_A_FACTOR = 0.5
-_A_FLOOR = 1e-8
+# Continuation levels a = 1, 1/2, 1/4, ..., 2^-27, the first at or below 1e-8.
+_A_LEVELS = tuple(2.0**-k for k in range(28))
 
 
 @dataclass(frozen=True)
@@ -187,19 +185,17 @@ def minimal_norm_limit(
 ) -> ContinuationResult:
     """Drive a -> 0 geometrically and return the limit of w_a.
 
-    Solves at the fixed levels a = 1, 1/2, 1/4, ... down to 2^-27, the
-    first at or below 1e-8: 28 levels, each warm-starting the next. When
-    F(y) = f is solvable the iterates converge to its minimal-norm
-    solution; when it is not, ||w_a|| grows without bound, which is
-    detected at _DIVERGENCE_NORM and reported as a likely-unsolvable
-    diagnostic instead of looping. Convergence is declared when the last
-    two levels agree to 1e-6 * (1 + ||w||).
+    Solves at the 28 fixed levels of _A_LEVELS, a = 1, 1/2, ..., 2^-27,
+    each warm-starting the next. When F(y) = f is solvable the iterates
+    converge to its minimal-norm solution; when it is not, ||w_a|| grows
+    without bound, which is detected at _DIVERGENCE_NORM and reported as a
+    likely-unsolvable diagnostic instead of looping. Convergence is
+    declared when the last two levels agree to 1e-6 * (1 + ||w||).
     """
     a_values: list[float] = []
     w_values: list[np.ndarray] = []
     w = np.zeros(p.dim)
-    a = _A_START
-    while True:
+    for a in _A_LEVELS:
         try:
             w = solve_regularized(p, a, w, cfg)
         except NewtonError as err:
@@ -224,10 +220,6 @@ def minimal_norm_limit(
                 "the equation F(u) = f is likely unsolvable",
                 partial=partial,
             )
-        if a <= _A_FLOOR:
-            break
-        a *= _A_FACTOR
-    # The ladder always has 28 levels, so w_values[-2] exists.
     diff = float(np.linalg.norm(w - w_values[-2]))
     converged = diff <= 1e-6 * (1.0 + float(np.linalg.norm(w)))
     return ContinuationResult(

@@ -68,6 +68,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import oracle
+from .errors import InadmissibleScheduleError
 from .flow import TERMINATED_RESIDUAL, TERMINATED_TMAX, Trajectory
 from .operators import OperatorProblem
 from .oracle import ContinuationResult, NewtonConfig, solve_regularized, w_along_schedule
@@ -192,12 +193,12 @@ def check_eq_2_10(
 
 
 def _eq_2_10(traj: Trajectory, s: Schedule, cap: float) -> BoundReport:
-    """EQ_2_10 with C ||w_C|| solved; an inadmissible s raises ValueError(reason)."""
+    """EQ_2_10 with C ||w_C|| solved; an inadmissible s raises InadmissibleScheduleError."""
     if not traj.points:
         raise ValueError("empty trajectory")
     report = check_admissible(s, horizon=max(traj.final.t, 1.0))
     if not report.pass_2_2:
-        raise ValueError(report.reason)
+        raise InadmissibleScheduleError(report.reason)
     h0 = traj.points[0].h
     times = [pt.t for pt in traj.points]
     margins = []

@@ -141,7 +141,7 @@ def reference_integrate(p, s, u0, cfg):
 
 
 def _integrate_dp54(p, s, u0, cfg) -> Trajectory:
-    traj = Trajectory(problem_name=p.name, schedule=s)
+    traj = Trajectory(s)
     t, u = 0.0, u0.copy()
     pt = _make_point(p, s, t, u)
     traj.points.append(pt)
@@ -245,7 +245,7 @@ def generator_sum_dp54_step(p, s, t, u, u_norm, h, k1, cfg):
 
 def _integrate_rk4(p, s, u0, cfg) -> Trajectory:
     """Fixed-step classical RK4 with step initial_step (t_max split evenly)."""
-    traj = Trajectory(problem_name=p.name, schedule=s)
+    traj = Trajectory(s)
     u = u0.copy()
     pt = _make_point(p, s, 0.0, u)
     traj.points.append(pt)

@@ -105,8 +105,8 @@ def test_integrate_and_eq_2_10_raise_the_text_the_cli_prints(tmp_path, capsys, k
     with pytest.raises(InadmissibleScheduleError) as flow_err:
         dsmflow.integrate(p, s, np.zeros(p.dim), dsmflow.IntegratorConfig(t_max=2000.0))
     zero = np.zeros(p.dim)
-    traj = Trajectory([TrajectoryPoint(t, zero, s.value(t), zero, 1.0) for t in (0.0, 2000.0)])
-    with pytest.raises(ValueError) as verify_err:
+    traj = Trajectory(s, [TrajectoryPoint(t, zero, s.value(t), zero, 1.0) for t in (0.0, 2000.0)])
+    with pytest.raises(InadmissibleScheduleError) as verify_err:
         dsmflow.check_eq_2_10(traj, p, s)
     assert printed == f"error: {flow_err.value}\n" == f"error: {verify_err.value}\n"
 
@@ -163,6 +163,7 @@ def test_growing_schedule_is_validation_error(tmp_path, capsys, command):
         {"schedule": {"kind": "exponential", "a0": 1.0, "param": 10**400}},
         {"seed": -1},
         {"output_dir": None},
+        {"integratr": {"t_max": 1.0}},
     ],
     ids=[
         "t_max-inf",
@@ -187,6 +188,7 @@ def test_growing_schedule_is_validation_error(tmp_path, capsys, command):
         "param-huge-int",
         "seed-negative",
         "output_dir-null",
+        "unknown-key",
     ],
 )
 def test_malformed_numbers_are_validation_errors(tmp_path, capsys, monkeypatch, overrides):

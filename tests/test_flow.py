@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import dsmflow as d
 import dsmflow.flow
-from dsmflow.errors import InadmissibleScheduleError, LinearSolveError, TooFewPointsError
+from dsmflow.errors import InadmissibleScheduleError, LinearSolveError
 from dsmflow.flow import _C, _FAC_MIN, TERMINATED_MAX_STEPS, TERMINATED_STEP_FAILURE
 from dsmflow.linalg import DENSE, DIAGONAL, SYMMETRIC_CONSTANT
 from dsmflow.operators import GALLERY_NAMES, OperatorProblem, diag_cubic, identity
@@ -51,7 +51,7 @@ def test_recorded_points_are_consistent():
     traj = d.integrate(p, s, np.zeros(p.dim), d.IntegratorConfig(t_max=8.0))
     assert traj.points[0].t == 0.0
     np.testing.assert_array_equal(traj.points[0].u, np.zeros(p.dim))
-    times = traj.times()
+    times = [pt.t for pt in traj.points]
     assert np.all(np.diff(times) > 0.0)
     for pt in traj.points:
         psi = p.residual(pt.a, pt.u)
@@ -152,13 +152,14 @@ def test_rk4_is_deterministic():
         assert p1.h == p2.h
 
 
-def test_dynamics_check_needs_three_points():
+@pytest.mark.parametrize("n_points", [0, 1, 2])
+def test_dynamics_check_is_not_applicable_below_three_points(n_points):
+    # No interior point, no psi' estimate: the report says so and passes.
     p = d.make_problem("identity", dim=1)
     traj = d.integrate(p, d.constant(1.0), np.array([1.0]), d.IntegratorConfig(t_max=1.0))
-    short = d.Trajectory(points=traj.points[:2], terminated_by="t_max",
-                         problem_name="identity", schedule=traj.schedule)
-    with pytest.raises(TooFewPointsError, match="3 recorded points"):
-        d.residual_dynamics_check(short, p, traj.schedule)
+    short = d.Trajectory(traj.schedule, points=traj.points[:n_points])
+    report = d.residual_dynamics_check(short, p, traj.schedule)
+    assert (report.interior_points, report.max_defect, report.passed) == (0, 0.0, True)
 
 
 def test_dynamics_check_passes_on_fixed_grid():
@@ -210,11 +211,13 @@ def test_config_validation():
         d.IntegratorConfig(t_max=1.0, method="euler")
 
 
-def test_trajectory_stores_problem_and_schedule():
+def test_trajectory_requires_and_stores_its_schedule():
+    # EQ_2_8 and EQ_3_8 read the schedule, so a trajectory has one.
+    with pytest.raises(TypeError, match="schedule"):
+        d.Trajectory()
     p = d.make_problem("identity", dim=2)
     s = d.constant(1.0)
     traj = d.integrate(p, s, np.ones(2), d.IntegratorConfig(t_max=1.0))
-    assert traj.problem_name == "identity"
     assert traj.schedule == s
 
 

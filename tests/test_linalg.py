@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import dsmflow as d
 from dsmflow.errors import LinearSolveError
-from dsmflow.linalg import DIAGONAL, as_vector
+from dsmflow.linalg import DENSE, DIAGONAL, as_vector
 from oracles import dense_shifted_solve, inverse_2x2
 
 EPS = np.finfo(float).eps
@@ -321,3 +321,15 @@ def test_structure_the_jacobian_lacks_fails_certificate():
     skew = d.make_problem("skew_perturbed", dim=6).jac(None)
     with pytest.raises(LinearSolveError, match="structure"):
         d.solve_shifted(skew, 0.5, rhs, np.linalg.eigh(skew))
+
+
+def test_structure_names_compare_by_value():
+    # A name built at run time equals DENSE or DIAGONAL but is another
+    # object: "dense" takes the default LU path and "diagonal" the
+    # division, bit for bit.
+    j, _, rhs = _structured_case("diagonal", 7, 0.5, 4)
+    for name, structure in (("dense", None), ("diagonal", DIAGONAL)):
+        name = "".join(name)
+        assert name is not DENSE and name is not DIAGONAL
+        expected = d.solve_shifted(j, 0.5, rhs, structure)
+        assert d.solve_shifted(j, 0.5, rhs, name).tobytes() == expected.tobytes()

@@ -57,7 +57,7 @@ def test_eq_2_10_equality_at_start(deep_run):
 
 def test_eq_2_10_requires_admissible_schedule(deep_run):
     p, _, _, traj = deep_run
-    with pytest.raises(ValueError, match="inadmissible"):
+    with pytest.raises(d.InadmissibleScheduleError, match="inadmissible"):
         d.check_eq_2_10(traj, p, d.power(1.0, 0.75))
 
 
@@ -443,8 +443,7 @@ def test_envelopes_of_one_point_trajectory():
 
 def test_empty_trajectory_rejected():
     p = d.make_problem("identity")
-    empty = Trajectory(points=[], terminated_by="t_max", problem_name="identity",
-                       schedule=d.constant(1.0))
+    empty = Trajectory(d.constant(1.0), points=[], terminated_by="t_max")
     with pytest.raises(ValueError):
         d.check_eq_2_6(empty, p, d.constant(1.0))
     with pytest.raises(ValueError):
