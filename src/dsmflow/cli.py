@@ -224,9 +224,7 @@ def cmd_verify(config_path) -> int:
         print("error: step size underflow (step_failure)", file=sys.stderr)
         return EXIT_RUNTIME
 
-    reports, cap, continuation = certify(
-        traj, p, cfg.schedule, cfg.oracle, cfg.integrator.residual_stop
-    )
+    reports, cap, continuation = certify(traj, p, cfg.oracle, cfg.integrator.residual_stop)
     payload["bounds"] = [r.to_dict() for r in reports]
     if continuation is None:
         payload["skipped"] = ["THM_3_1: schedule does not decay to zero"]

@@ -114,19 +114,29 @@ class TrajectoryPoint:
 class Trajectory:
     """Recorded states of one run, under the schedule that drove it.
 
+    points starts with the t = 0 point, so a trajectory is never empty.
     w_table is verify._w_table's memo of the oracle's w at the recorded
     times; it is not an argument of the constructor, so
     dataclasses.replace(traj) starts without one.
     """
 
     schedule: Schedule
-    points: list[TrajectoryPoint] = field(default_factory=list)
+    points: list[TrajectoryPoint]
     terminated_by: str = TERMINATED_TMAX
     w_table: tuple | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        if not self.points:
+            raise ValueError("a trajectory holds at least its t = 0 point")
 
     @property
     def final(self) -> TrajectoryPoint:
         return self.points[-1]
+
+    def require_schedule(self, s: Schedule):
+        """Raise ValueError unless s is the schedule this trajectory ran under."""
+        if s != self.schedule:
+            raise ValueError(f"{s} is not the trajectory's schedule {self.schedule}")
 
 
 def rhs(p: OperatorProblem, s: Schedule, t: float, u: np.ndarray) -> np.ndarray:
@@ -166,13 +176,11 @@ def integrate(
     report = check_admissible(s, horizon=cfg.t_max)
     if not report.pass_2_2:
         raise InadmissibleScheduleError(report.reason)
-    traj = Trajectory(s)
     t, u = 0.0, u0.copy()
     pt = _make_point(p, s, t, u)
-    traj.points.append(pt)
+    points = [pt]
     if pt.h <= cfg.residual_stop:
-        traj.terminated_by = TERMINATED_RESIDUAL
-        return traj
+        return Trajectory(s, points, TERMINATED_RESIDUAL)
 
     fixed = cfg.method == "rk4"
     if fixed:
@@ -208,16 +216,15 @@ def integrate(
             elif t >= cfg.t_max * (1.0 - 1e-15):
                 terminated = TERMINATED_TMAX
             if terminated or accepted % cfg.record_stride == 0:
-                traj.points.append(pt)
+                points.append(pt)
             if terminated:
                 break
         if not fixed:
             h, err_prev = _pi_control(h, err_norm, err_prev)
 
-    traj.terminated_by = terminated or TERMINATED_MAX_STEPS
-    if traj.points[-1] is not pt:
-        traj.points.append(pt)
-    return traj
+    if points[-1] is not pt:
+        points.append(pt)
+    return Trajectory(s, points, terminated or TERMINATED_MAX_STEPS)
 
 
 def _dp54_step(p, s, t, u, u_norm, h, k1, cfg):
@@ -289,19 +296,21 @@ def residual_dynamics_check(
     half-window and scale the largest recorded h, so halving the recording
     step must shrink the defect roughly fourfold. Below 3 recorded points
     the check is not applicable: there is no interior point, and the report
-    reads interior_points = 0 and passed.
+    reads interior_points = 0 and passed. s must be traj.schedule, else
+    ValueError.
     """
+    traj.require_schedule(s)
     pts = traj.points
     max_defect = 0.0
     max_dt = 0.0
-    scale = max((pt.h for pt in pts), default=0.0)
+    scale = max(pt.h for pt in pts)
     for i in range(1, len(pts) - 1):
         t0, t1, t2 = pts[i - 1].t, pts[i].t, pts[i + 1].t
         w0 = (t1 - t2) / ((t0 - t1) * (t0 - t2))
         w1 = (2 * t1 - t0 - t2) / ((t1 - t0) * (t1 - t2))
         w2 = (t1 - t0) / ((t2 - t0) * (t2 - t1))
         psi_dot = w0 * pts[i - 1].psi + w1 * pts[i].psi + w2 * pts[i + 1].psi
-        expected = s.derivative(t1) * pts[i].u - pts[i].psi
+        expected = traj.schedule.derivative(t1) * pts[i].u - pts[i].psi
         defect = psi_dot - expected
         max_defect = max(max_defect, math.sqrt(defect.dot(defect)))
         max_dt = max(max_dt, (t2 - t0) / 2.0)

@@ -73,8 +73,8 @@ def solve_regularized(
     w_init is never written, so it is not copied, and it is returned as
     is when it already meets tol. Nor is it scanned up front: a NaN or Inf
     in it leaves the first residual non-finite, and only then does
-    as_vector look for one, so the warm-start loops below, which pass the
-    finite array the previous solve returned, pay for neither.
+    as_vector look for one, so the warm-start loop below, which passes the
+    finite array the previous solve returned, pays for neither.
     """
     if not a > 0.0:
         raise ValueError(f"regularization a must be positive, got {a}")
@@ -115,6 +115,19 @@ def solve_regularized(
     )
 
 
+def _warm_started(p: OperatorProblem, a_values, cfg: NewtonConfig):
+    """Yield w_a for each a in turn, from zeros, each solve warm-started from the last.
+
+    Each w is a fresh array, so a table of them needs no copies. A
+    NewtonError propagates for the caller to place; solve_regularized is
+    looked up on this module, so a wrapper installed there sees each solve.
+    """
+    w = np.zeros(p.dim)
+    for a in a_values:
+        w = solve_regularized(p, a, w, cfg)
+        yield w
+
+
 def w_along_schedule(
     p: OperatorProblem, s: Schedule, times, cfg: NewtonConfig = NewtonConfig()
 ) -> list[tuple[float, np.ndarray]]:
@@ -124,20 +137,17 @@ def w_along_schedule(
         raise ValueError("times must be nonnegative")
     if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
         raise ValueError("times must be nondecreasing")
-    w = np.zeros(p.dim)
     out = []
-    for t in times:
-        try:
-            # A fresh array each time, so the table needs no copies.
-            w = solve_regularized(p, s.value(t), w, cfg)
-        except NewtonError as err:
-            raise NewtonError(
-                f"oracle failed at t={t:g}: {err}",
-                best=err.best,
-                residual_norm=err.residual_norm,
-                iterations=err.iterations,
-            ) from err
-        out.append((t, w))
+    try:
+        for w in _warm_started(p, map(s.value, times), cfg):
+            out.append((times[len(out)], w))
+    except NewtonError as err:
+        raise NewtonError(
+            f"oracle failed at t={times[len(out)]:g}: {err}",
+            best=err.best,
+            residual_norm=err.residual_norm,
+            iterations=err.iterations,
+        ) from err
     return out
 
 
@@ -165,11 +175,7 @@ def lemma_2_1_sweep(
         raise ValueError("grid values must be positive")
     if any(a2 >= a1 for a1, a2 in zip(a_grid, a_grid[1:])):
         raise ValueError("grid must be strictly decreasing")
-    w = np.zeros(p.dim)
-    values = []
-    for a in a_grid:
-        w = solve_regularized(p, a, w, cfg)
-        values.append(a * math.sqrt(w.dot(w)))
+    values = [a * math.sqrt(w.dot(w)) for a, w in zip(a_grid, _warm_started(p, a_grid, cfg))]
     slack = 10.0 * cfg.tol
     increasing_order = values[::-1]
     monotone = all(
@@ -194,34 +200,20 @@ def minimal_norm_limit(
     """
     a_values: list[float] = []
     w_values: list[np.ndarray] = []
-    w = np.zeros(p.dim)
-    for a in _A_LEVELS:
-        try:
-            w = solve_regularized(p, a, w, cfg)
-        except NewtonError as err:
-            partial = ContinuationResult(
-                a_values=a_values,
-                w_values=w_values,
-                y_estimate=err.best,
-                converged=False,
-            )
-            raise ContinuationError(
-                f"continuation failed at a={a:g}: {err}", partial=partial
-            ) from err
-        a_values.append(a)
-        # solve_regularized never writes its w_init: no copy needed.
-        w_values.append(w)
-        if float(np.linalg.norm(w)) > _DIVERGENCE_NORM:
-            partial = ContinuationResult(
-                a_values=a_values, w_values=w_values, y_estimate=w, converged=False
-            )
-            raise ContinuationError(
-                f"||w_a|| exceeded {_DIVERGENCE_NORM:g} at a={a:g}; "
-                "the equation F(u) = f is likely unsolvable",
-                partial=partial,
-            )
-    diff = float(np.linalg.norm(w - w_values[-2]))
-    converged = diff <= 1e-6 * (1.0 + float(np.linalg.norm(w)))
-    return ContinuationResult(
-        a_values=a_values, w_values=w_values, y_estimate=w, converged=converged
-    )
+    try:
+        for a, w in zip(_A_LEVELS, _warm_started(p, _A_LEVELS, cfg)):
+            a_values.append(a)
+            w_values.append(w)
+            if float(np.linalg.norm(w)) > _DIVERGENCE_NORM:
+                raise ContinuationError(
+                    f"||w_a|| exceeded {_DIVERGENCE_NORM:g} at a={a:g}; "
+                    "the equation F(u) = f is likely unsolvable",
+                    partial=ContinuationResult(a_values, w_values, w, converged=False),
+                )
+    except NewtonError as err:
+        raise ContinuationError(
+            f"continuation failed at a={_A_LEVELS[len(a_values)]:g}: {err}",
+            partial=ContinuationResult(a_values, w_values, err.best, converged=False),
+        ) from err
+    converged = np.linalg.norm(w - w_values[-2]) <= 1e-6 * (1.0 + np.linalg.norm(w))
+    return ContinuationResult(a_values, w_values, w, converged=bool(converged))

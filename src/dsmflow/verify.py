@@ -51,12 +51,16 @@ at every t_j, so passing it implies (2.8). A table whose norms fall
 by more than the oracle's error allows contradicts monotonicity, and the
 lower sum is then no bound: EQ_2_8 fails.
 
+Every check reads the schedule that drove the trajectory from it
+(Trajectory.schedule); where a check still takes one as s (and the flow's
+residual_dynamics_check), s must be traj.schedule, else ValueError.
+
 EQ_2_6 and EQ_2_8 read one table of w at the recorded times, one
 warm-started oracle solve a point. _w_table solves it when a trajectory
 is first checked and keeps it on the trajectory (Trajectory.w_table),
-keyed by the problem object, the schedule, the NewtonConfig and the
-recorded times; the second check on the same key reads it, and a check
-with any other key solves the table anew.
+keyed by the problem object, the NewtonConfig and the recorded times;
+the second check on the same key reads it, and a check with any other
+key solves the table anew.
 """
 
 from __future__ import annotations
@@ -131,21 +135,21 @@ def _envelope(s: Schedule, times, h0: float, weights, rate: float) -> list[float
 
 
 def _w_table(
-    traj: Trajectory, p: OperatorProblem, s: Schedule, cfg: NewtonConfig
+    traj: Trajectory, p: OperatorProblem, cfg: NewtonConfig
 ) -> list[tuple[float, np.ndarray]]:
     """w at every recorded time of traj, solved once per key (module docstring).
 
-    The key is p by identity, s and cfg by equality, and the recorded
-    times; a match returns the memo traj.w_table holds, anything else
-    solves the table (warm-started) and stores it there.
+    The key is p by identity, cfg by equality, and the recorded times; a
+    match returns the memo traj.w_table holds, anything else solves the
+    table (warm-started along traj.schedule) and stores it there.
     """
     times = [pt.t for pt in traj.points]
     if traj.w_table is not None:
-        memo_p, memo_s, memo_cfg, memo_times, ws = traj.w_table
-        if memo_p is p and memo_s == s and memo_cfg == cfg and memo_times == times:
+        memo_p, memo_cfg, memo_times, ws = traj.w_table
+        if memo_p is p and memo_cfg == cfg and memo_times == times:
             return ws
-    ws = w_along_schedule(p, s, times, cfg)
-    traj.w_table = (p, s, cfg, times, ws)
+    ws = w_along_schedule(p, traj.schedule, times, cfg)
+    traj.w_table = (p, cfg, times, ws)
     return ws
 
 
@@ -157,10 +161,9 @@ def check_eq_2_6(
     Reads w(t) at every recorded time from the trajectory's shared table
     (_w_table) and fills each point's dist_to_w as a side effect.
     """
-    if not traj.points:
-        raise ValueError("empty trajectory")
+    traj.require_schedule(s)
     times = [pt.t for pt in traj.points]
-    ws = _w_table(traj, p, s, cfg)
+    ws = _w_table(traj, p, cfg)
     margins = []
     for pt, (_, w) in zip(traj.points, ws):
         diff = pt.u - w
@@ -189,14 +192,13 @@ def check_eq_2_10(
     traj: Trajectory, p: OperatorProblem, s: Schedule, cfg: NewtonConfig = NewtonConfig()
 ) -> BoundReport:
     """Cap envelope h(t) <= h(0) e^{-t/2} + (1 - e^{-t/2}) C ||w_C||."""
-    return _eq_2_10(traj, s, cap_term(p, s, cfg))
+    traj.require_schedule(s)
+    return _eq_2_10(traj, cap_term(p, s, cfg))
 
 
-def _eq_2_10(traj: Trajectory, s: Schedule, cap: float) -> BoundReport:
-    """EQ_2_10 with C ||w_C|| solved; an inadmissible s raises InadmissibleScheduleError."""
-    if not traj.points:
-        raise ValueError("empty trajectory")
-    report = check_admissible(s, horizon=max(traj.final.t, 1.0))
+def _eq_2_10(traj: Trajectory, cap: float) -> BoundReport:
+    """EQ_2_10 with C ||w_C|| solved; an inadmissible schedule is an InadmissibleScheduleError."""
+    report = check_admissible(traj.schedule, horizon=max(traj.final.t, 1.0))
     if not report.pass_2_2:
         raise InadmissibleScheduleError(report.reason)
     h0 = traj.points[0].h
@@ -205,7 +207,7 @@ def _eq_2_10(traj: Trajectory, s: Schedule, cap: float) -> BoundReport:
     for pt in traj.points:
         rhs_bound = cap_envelope(h0, pt.t, cap)
         margins.append((rhs_bound - pt.h) / (1.0 + rhs_bound))
-    notes = f"C={s.cap:.6g}, C*||w_C||={cap:.6g}; margin=(rhs-h)/(1+rhs)"
+    notes = f"C={traj.schedule.cap:.6g}, C*||w_C||={cap:.6g}; margin=(rhs-h)/(1+rhs)"
     return _report("EQ_2_10", margins, times, len(times), notes)
 
 
@@ -221,10 +223,8 @@ def check_eq_2_8(
     table's ||w|| falls by more than the oracle's error tol/a allows,
     because the lower sum is then no bound.
     """
-    if not traj.points:
-        raise ValueError("empty trajectory")
     times = [pt.t for pt in traj.points]
-    ws = _w_table(traj, p, traj.schedule, cfg)
+    ws = _w_table(traj, p, cfg)
     norms = np.array([math.sqrt(w.dot(w)) for _, w in ws])
     err = cfg.tol / np.array([pt.a for pt in traj.points])
     notes = (
@@ -255,8 +255,6 @@ def check_eq_3_8(traj: Trajectory, residual_stop: float = 1e-10) -> BoundReport:
     checkpoint is the cell recursion of the module docstring at rate 1,
     with the constant weight c_traj.
     """
-    if not traj.points:
-        raise ValueError("empty trajectory")
     notes = "envelope h0*e^(-t) + c_traj*int e^(s-t)|a'(s)| ds; integral term scaled by c_traj=max ||u||"
     if traj.terminated_by not in (TERMINATED_RESIDUAL, TERMINATED_TMAX):
         notes = f"cannot certify: terminated_by={traj.terminated_by}; " + notes
@@ -293,8 +291,6 @@ def check_thm_3_1(
     relaxed per problem (slowly converging ill-posed instances); the value
     used is recorded in the notes.
     """
-    if not traj.points:
-        raise ValueError("empty trajectory")
     base = f"eps_y_rel={eps_y_rel:g}; margins=(allowed-actual)/(1+allowed)"
     stationary = traj.terminated_by == TERMINATED_RESIDUAL and traj.final.h <= residual_stop
     if traj.terminated_by not in (TERMINATED_RESIDUAL, TERMINATED_TMAX) or (
@@ -336,20 +332,21 @@ def _lemma_report(p: OperatorProblem, cfg: NewtonConfig) -> BoundReport:
 
 
 def certify(
-    traj: Trajectory, p: OperatorProblem, s: Schedule, cfg: NewtonConfig, residual_stop: float
+    traj: Trajectory, p: OperatorProblem, cfg: NewtonConfig, residual_stop: float
 ) -> tuple[list[BoundReport], float, ContinuationResult | None]:
     """EQ_2_6, EQ_2_10, EQ_3_8, THM_3_1 and LEMMA_2_1 on one trajectory, in order.
 
-    THM_3_1 runs only when s decays to zero: the limit it identifies needs
-    a -> 0. Returns (reports, C ||w_C||, continuation); the cap term is
+    THM_3_1 runs only when traj.schedule decays to zero (its limit needs
+    a -> 0). Returns (reports, C ||w_C||, continuation): the cap term is
     solved once, and continuation is None when THM_3_1 is skipped. Oracle
     failures (NewtonError, ContinuationError, LinearSolveError) propagate.
     minimal_norm_limit and lemma_2_1_sweep are looked up on the oracle
     module at each call, so a wrapper installed there sees them.
     """
+    s = traj.schedule
     reports = [check_eq_2_6(traj, p, s, cfg)]
     cap = cap_term(p, s, cfg)
-    reports.append(_eq_2_10(traj, s, cap))
+    reports.append(_eq_2_10(traj, cap))
     reports.append(check_eq_3_8(traj, residual_stop=residual_stop))
     continuation = None
     if s.decays_to_zero():

@@ -6,8 +6,9 @@ pseudoinverse for small symmetric matrices, the textbook dense shifted
 solve, adaptive quadrature and a one-node-at-a-time Simpson rule for the
 certificate envelopes, the two separate dp54 and rk4 stepping loops that
 the single loop in dsmflow.flow.integrate replaced, the dp54 step that
-built each stage as a Python sum over a list, and the bound sequence of
-`dsmflow verify` that dsmflow.verify.certify replaced.
+built each stage as a Python sum over a list, the bound sequence of
+`dsmflow verify` that dsmflow.verify.certify replaced, and the plain
+warm-started loop of oracle solves that the oracle's entry points share.
 """
 
 import math
@@ -16,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 from scipy.integrate import quad, simpson
 
-from dsmflow.errors import LinearSolveError
+from dsmflow.errors import LinearSolveError, NewtonError
 from dsmflow.flow import (
     _A,
     _C,
@@ -141,10 +142,9 @@ def reference_integrate(p, s, u0, cfg):
 
 
 def _integrate_dp54(p, s, u0, cfg) -> Trajectory:
-    traj = Trajectory(s)
     t, u = 0.0, u0.copy()
     pt = _make_point(p, s, t, u)
-    traj.points.append(pt)
+    traj = Trajectory(s, [pt])
     if pt.h <= cfg.residual_stop:
         traj.terminated_by = TERMINATED_RESIDUAL
         return traj
@@ -245,10 +245,9 @@ def generator_sum_dp54_step(p, s, t, u, u_norm, h, k1, cfg):
 
 def _integrate_rk4(p, s, u0, cfg) -> Trajectory:
     """Fixed-step classical RK4 with step initial_step (t_max split evenly)."""
-    traj = Trajectory(s)
     u = u0.copy()
     pt = _make_point(p, s, 0.0, u)
-    traj.points.append(pt)
+    traj = Trajectory(s, [pt])
     if pt.h <= cfg.residual_stop:
         traj.terminated_by = TERMINATED_RESIDUAL
         return traj
@@ -349,3 +348,21 @@ def _reference_lemma_report(p, cfg):
             "worst_t is the a-value at the worst increment"
         ),
     )
+
+
+def warm_started_solves(p, a_values, cfg):
+    """solve_regularized at each a in turn, warm-started from the last w.
+
+    The first solve starts from zeros. Returns (ws, err): the solutions
+    before the first NewtonError, and that error, or None when every solve
+    converged. The loop w_along_schedule, lemma_2_1_sweep and
+    minimal_norm_limit must reproduce bit for bit.
+    """
+    ws, w = [], np.zeros(p.dim)
+    for a in a_values:
+        try:
+            w = solve_regularized(p, a, w, cfg)
+        except NewtonError as err:
+            return ws, err
+        ws.append(w)
+    return ws, None

@@ -155,8 +155,13 @@ def test_rk4_is_deterministic():
 @pytest.mark.parametrize("n_points", [0, 1, 2])
 def test_dynamics_check_is_not_applicable_below_three_points(n_points):
     # No interior point, no psi' estimate: the report says so and passes.
+    # A trajectory without its t = 0 point cannot be built at all.
     p = d.make_problem("identity", dim=1)
     traj = d.integrate(p, d.constant(1.0), np.array([1.0]), d.IntegratorConfig(t_max=1.0))
+    if n_points == 0:
+        with pytest.raises(ValueError, match="t = 0 point"):
+            d.Trajectory(traj.schedule, points=traj.points[:0])
+        return
     short = d.Trajectory(traj.schedule, points=traj.points[:n_points])
     report = d.residual_dynamics_check(short, p, traj.schedule)
     assert (report.interior_points, report.max_defect, report.passed) == (0, 0.0, True)
@@ -530,7 +535,7 @@ def _assert_structure_keeps_the_verdicts(p, schedule, t_max):
     results = []
     for q in (p, dense):
         traj = d.integrate(q, schedule, u0, cfg)
-        reports, _, _ = d.certify(traj, q, schedule, d.NewtonConfig(), cfg.residual_stop)
+        reports, _, _ = d.certify(traj, q, d.NewtonConfig(), cfg.residual_stop)
         results.append((traj.terminated_by, reports))
     (stop, reports), (dense_stop, dense_reports) = results
     assert stop == dense_stop
@@ -574,7 +579,7 @@ def test_stage_array_step_gives_the_generator_sum_step_verdicts(monkeypatch, nam
     for step in (dsmflow.flow._dp54_step, generator_sum_dp54_step):
         monkeypatch.setattr(dsmflow.flow, "_dp54_step", step)
         traj = d.integrate(p, schedule, u0, cfg)
-        reports, _, _ = d.certify(traj, p, schedule, d.NewtonConfig(), cfg.residual_stop)
+        reports, _, _ = d.certify(traj, p, d.NewtonConfig(), cfg.residual_stop)
         runs.append((traj, reports))
     (traj, reports), (old_traj, old_reports) = runs
     assert traj.terminated_by == old_traj.terminated_by

@@ -4,7 +4,7 @@ import pytest
 import dsmflow as d
 from dsmflow.errors import ContinuationError, NewtonError
 from dsmflow.operators import OperatorProblem, diag_cubic, identity
-from oracles import bisect_root
+from oracles import bisect_root, warm_started_solves
 
 
 def make_diag_linear(entries, rhs):
@@ -210,3 +210,88 @@ def test_residual_certificate_holds(stock_problems, a):
     for p in stock_problems:
         w = d.solve_regularized(p, a, np.zeros(p.dim), cfg)
         assert np.linalg.norm(p.residual(a, w)) <= cfg.tol
+
+
+def _wrong_jacobian_from(threshold):
+    """F(u) = u and f = 1, so w_a = 1 / (1 + a), with a Jacobian that is
+    right (1) below threshold and turns to -3 from there on. A solve that
+    starts below threshold lands on w_a in one step; the first solve that
+    starts at or above it stalls in its line search."""
+    return OperatorProblem(
+        name="wrong_jacobian",
+        dim=1,
+        fun=lambda u: u.copy(),
+        jac=lambda u: np.array([[1.0 if u[0] < threshold else -3.0]]),
+        rhs=np.array([1.0]),
+    )
+
+
+# (problem, Newton config) for the warm-started loop: every solve
+# converges, the first fails, or one fails partway.
+WARM_START_CASES = {
+    "converges": lambda: (d.make_problem("diag_cubic", dim=4), d.NewtonConfig()),
+    "fails_first": lambda: (d.make_problem("diag_cubic", dim=4), d.NewtonConfig(max_iters=1)),
+    "fails_partway": lambda: (_wrong_jacobian_from(0.6), d.NewtonConfig()),
+}
+_LEVELS = [2.0**-k for k in range(28)]
+
+
+def _assert_same_newton_error(got, ref):
+    assert (got.residual_norm, got.iterations) == (ref.residual_norm, ref.iterations)
+    assert got.best.tobytes() == ref.best.tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(WARM_START_CASES))
+def test_w_along_schedule_matches_a_plain_loop(case):
+    p, cfg = WARM_START_CASES[case]()
+    s = d.exponential(1.0, 0.44)
+    times = [0.5 * k for k in range(33)]
+    ws, err = warm_started_solves(p, [s.value(t) for t in times], cfg)
+    if err is None:
+        out = d.w_along_schedule(p, s, times, cfg)
+        assert [t for t, _ in out] == times
+        assert [w.tobytes() for _, w in out] == [w.tobytes() for w in ws]
+        return
+    assert (len(ws) == 0) == (case == "fails_first")
+    with pytest.raises(NewtonError) as exc:
+        d.w_along_schedule(p, s, times, cfg)
+    assert str(exc.value) == f"oracle failed at t={times[len(ws)]:g}: {err}"
+    _assert_same_newton_error(exc.value, err)
+
+
+@pytest.mark.parametrize("case", sorted(WARM_START_CASES))
+def test_lemma_2_1_sweep_matches_a_plain_loop(case):
+    p, cfg = WARM_START_CASES[case]()
+    grid = list(d.verify.LEMMA_GRID)
+    ws, err = warm_started_solves(p, grid, cfg)
+    if err is None:
+        report = d.lemma_2_1_sweep(p, grid, cfg)
+        assert report.values == [a * np.sqrt(w.dot(w)) for a, w in zip(grid, ws)]
+        return
+    assert (len(ws) == 0) == (case == "fails_first")
+    with pytest.raises(NewtonError) as exc:
+        d.lemma_2_1_sweep(p, grid, cfg)
+    assert str(exc.value) == str(err)
+    _assert_same_newton_error(exc.value, err)
+
+
+@pytest.mark.parametrize("case", sorted(WARM_START_CASES))
+def test_minimal_norm_limit_matches_a_plain_loop(case):
+    p, cfg = WARM_START_CASES[case]()
+    ws, err = warm_started_solves(p, _LEVELS, cfg)
+    if err is None:
+        result = d.minimal_norm_limit(p, cfg)
+        assert result.a_values == _LEVELS
+        assert [w.tobytes() for w in result.w_values] == [w.tobytes() for w in ws]
+        assert result.y_estimate.tobytes() == ws[-1].tobytes()
+        assert result.converged
+        return
+    assert (len(ws) == 0) == (case == "fails_first")
+    with pytest.raises(ContinuationError) as exc:
+        d.minimal_norm_limit(p, cfg)
+    assert str(exc.value) == f"continuation failed at a={_LEVELS[len(ws)]:g}: {err}"
+    partial = exc.value.partial
+    assert partial.a_values == _LEVELS[: len(ws)]
+    assert [w.tobytes() for w in partial.w_values] == [w.tobytes() for w in ws]
+    assert partial.y_estimate.tobytes() == err.best.tobytes()
+    assert not partial.converged

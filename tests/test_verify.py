@@ -56,9 +56,27 @@ def test_eq_2_10_equality_at_start(deep_run):
 
 
 def test_eq_2_10_requires_admissible_schedule(deep_run):
+    # integrate refuses power(1, 0.75), so its trajectory is built by hand.
     p, _, _, traj = deep_run
+    steep = Trajectory(d.power(1.0, 0.75), traj.points)
     with pytest.raises(d.InadmissibleScheduleError, match="inadmissible"):
-        d.check_eq_2_10(traj, p, d.power(1.0, 0.75))
+        d.check_eq_2_10(steep, p, steep.schedule)
+
+
+def test_a_schedule_other_than_the_trajectorys_is_refused():
+    # Checked against constant(1.0), this exponential run would pass EQ_2_6
+    # against the wrong w table (margin +0.378) and the dynamics check, so
+    # every check that still takes a schedule refuses one not its own.
+    p = d.make_problem("diag_cubic", dim=4)
+    traj = d.integrate(p, d.exponential(1.0, 0.44), np.zeros(4), d.IntegratorConfig(t_max=8.0))
+    wrong = d.constant(1.0)
+    for check in (d.check_eq_2_6, d.check_eq_2_10, d.residual_dynamics_check):
+        with pytest.raises(ValueError, match="is not the trajectory's schedule"):
+            check(traj, p, wrong)
+    assert traj.w_table is None
+    assert all(pt.dist_to_w is None for pt in traj.points)
+    # An equal schedule is the trajectory's schedule.
+    assert d.check_eq_2_6(traj, p, d.exponential(1.0, 0.44)).passed
 
 
 def test_eq_3_8_constant_schedule_envelope_is_pure_decay():
@@ -368,23 +386,23 @@ def test_shared_w_table_gives_the_reports_of_lone_checks(eq_2_8_first):
 
 @pytest.mark.parametrize("change", ["tol", "schedule", "problem"])
 def test_w_table_is_solved_again_for_another_key(change, monkeypatch):
-    # Same times, but another oracle tolerance, a schedule of another rate,
-    # or an equal but distinct problem object: the memo does not apply, and
-    # the second check solves its own table.
+    # Same times, but another oracle tolerance, a trajectory under a
+    # schedule of another rate, or an equal but distinct problem object:
+    # the memo does not apply, and the second check solves its own table.
     p, s, traj = _short_rk4_run()
-    other_p, other_s, other_cfg = p, s, d.NewtonConfig()
+    other_p, other_cfg, other_traj = p, d.NewtonConfig(), traj
     if change == "tol":
         other_cfg = d.NewtonConfig(tol=1e-11)
     elif change == "schedule":
-        other_s = d.exponential(1.0, 0.4)
+        other_traj = Trajectory(d.exponential(1.0, 0.4), traj.points)
     else:
         other_p = dataclasses.replace(p)
     calls = _counting_solves(monkeypatch)
     d.check_eq_2_6(traj, p, s)
-    d.check_eq_2_6(traj, other_p, other_s, other_cfg)
+    d.check_eq_2_6(other_traj, other_p, other_traj.schedule, other_cfg)
     assert len(calls) == 2 * len(traj.points)
     # The second key is now the memo: the same check again reads it.
-    d.check_eq_2_6(traj, other_p, other_s, other_cfg)
+    d.check_eq_2_6(other_traj, other_p, other_traj.schedule, other_cfg)
     assert len(calls) == 2 * len(traj.points)
 
 
@@ -442,12 +460,9 @@ def test_envelopes_of_one_point_trajectory():
 
 
 def test_empty_trajectory_rejected():
-    p = d.make_problem("identity")
-    empty = Trajectory(d.constant(1.0), points=[], terminated_by="t_max")
-    with pytest.raises(ValueError):
-        d.check_eq_2_6(empty, p, d.constant(1.0))
-    with pytest.raises(ValueError):
-        d.check_eq_3_8(empty)
+    # No check meets an empty trajectory: it cannot be built.
+    with pytest.raises(ValueError, match="t = 0 point"):
+        Trajectory(d.constant(1.0), points=[], terminated_by="t_max")
 
 
 def test_serialized_report_round_trips(deep_run):
@@ -478,7 +493,7 @@ def test_certify_matches_reference_bitwise(name, schedule, method):
     )
     traj = d.integrate(p, s, np.zeros(p.dim), cfg)
     ref_traj = copy.deepcopy(traj)
-    reports, cap, continuation = d.certify(traj, p, s, d.NewtonConfig(), cfg.residual_stop)
+    reports, cap, continuation = d.certify(traj, p, d.NewtonConfig(), cfg.residual_stop)
     ref_reports, ref_cap, ref_continuation = reference_certify(
         ref_traj, p, s, d.NewtonConfig(), cfg.residual_stop
     )
@@ -494,7 +509,7 @@ def test_certify_matches_reference_bitwise(name, schedule, method):
 def test_certify_solves_cap_once(deep_run, monkeypatch):
     p, s, cfg, traj = deep_run
     shifts = _counting_solves(monkeypatch)
-    _, cap, _ = d.certify(copy.deepcopy(traj), p, s, d.NewtonConfig(), cfg.residual_stop)
+    _, cap, _ = d.certify(copy.deepcopy(traj), p, d.NewtonConfig(), cfg.residual_stop)
     assert shifts.count(s.cap) == 1
     assert cap == d.cap_term(p, s, d.NewtonConfig())
 
