@@ -55,6 +55,13 @@ DIAGONAL = "diagonal"
 SYMMETRIC_CONSTANT = "symmetric_constant"
 STRUCTURES = (DENSE, DIAGONAL, SYMMETRIC_CONSTANT)
 
+# solve_shifted's error state. A non-finite J, a or rhs, or a singular
+# J + a*I, makes its arithmetic warn, and the residual certificate reports
+# it instead. As a decorator, one instance serves every call: since NumPy 2
+# each call keeps its own token, so nested and concurrent calls restore the
+# state too. (NumPy 1.x saved one state per instance; hence numpy>=2.)
+_QUIET = np.errstate(divide="ignore", invalid="ignore", over="ignore")
+
 
 def as_vector(x) -> np.ndarray:
     """Coerce to a finite 1-D float array, rejecting NaN/Inf and bad shapes."""
@@ -87,6 +94,7 @@ def as_count(name: str, value, minimum: int):
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+@_QUIET
 def solve_shifted(J, a: float, rhs, structure=None) -> np.ndarray:
     """Solve (J + a*I) x = rhs, by dense LU with partial pivoting unless told J's structure.
 
@@ -122,22 +130,19 @@ def solve_shifted(J, a: float, rhs, structure=None) -> np.ndarray:
     if not a > 0.0:
         raise ValueError(f"shift must be positive, got {a}")
 
-    # A non-finite J, a or rhs, or a singular J + a*I, makes these warn;
-    # the certificate reports it.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if structure is None or structure == DENSE:
-            # J + 0.0 flushes -0.0 to +0.0 off the diagonal exactly as J + a*eye does.
-            shifted = J + 0.0
-            shifted.flat[:: n + 1] += a
-            x = _umath_linalg.solve1(shifted, b, signature="dd->d")
-            r = shifted @ x - b
+    if structure is None or structure == DENSE:
+        # J + 0.0 flushes -0.0 to +0.0 off the diagonal exactly as J + a*eye does.
+        shifted = J + 0.0
+        shifted.flat[:: n + 1] += a
+        x = _umath_linalg.solve1(shifted, b, signature="dd->d")
+        r = shifted @ x - b
+    else:
+        if structure == DIAGONAL:
+            x = b / (J.diagonal() + a)
         else:
-            if structure == DIAGONAL:
-                x = b / (J.diagonal() + a)
-            else:
-                lam, q = structure
-                x = q @ ((q.T @ b) / (lam + a))
-            r = J @ x + a * x - b
+            lam, q = structure
+            x = q @ ((q.T @ b) / (lam + a))
+        r = J @ x + a * x - b
     residual = math.sqrt(r.dot(r))
     bound = EPS_LIN * (math.sqrt(b.dot(b)) + 1.0)
     if not residual <= bound:

@@ -7,8 +7,9 @@ solve, adaptive quadrature and a one-node-at-a-time Simpson rule for the
 certificate envelopes, the two separate dp54 and rk4 stepping loops that
 the single loop in dsmflow.flow.integrate replaced, the dp54 step that
 built each stage as a Python sum over a list, the bound sequence of
-`dsmflow verify` that dsmflow.verify.certify replaced, and the plain
-warm-started loop of oracle solves that the oracle's entry points share.
+`dsmflow verify` that dsmflow.verify.certify replaced, the plain
+warm-started loop of oracle solves that the oracle's entry points share,
+and the one-point-at-a-time loop of the residual dynamics check.
 """
 
 import math
@@ -19,6 +20,7 @@ from scipy.integrate import quad, simpson
 
 from dsmflow.errors import LinearSolveError, NewtonError
 from dsmflow.flow import (
+    C_DYN,
     _A,
     _C,
     _E,
@@ -31,6 +33,7 @@ from dsmflow.flow import (
     TERMINATED_RESIDUAL,
     TERMINATED_STEP_FAILURE,
     TERMINATED_TMAX,
+    DynamicsReport,
     Trajectory,
     _make_point,
     rhs,
@@ -366,3 +369,39 @@ def warm_started_solves(p, a_values, cfg):
             return ws, err
         ws.append(w)
     return ws, None
+
+
+def reference_dynamics_check(traj, rel_tol=1e-8):
+    """residual_dynamics_check one interior point at a time, as a plain loop.
+
+    Each point's defect psi' - (a' u - psi), its norm, its own tolerance
+    and a running max from 0.0; the check's blocks of rows must give the
+    same max_defect, passed and interior_points bit for bit, and the same
+    worst_ratio, NaN if any ratio is. passed is taken point by point, as
+    every norm <= its tolerance; the tolerances take max() of three h, so
+    they match the check's only while those h are not NaN.
+    """
+    pts = traj.points
+    floor = 10.0 * rel_tol * max(pt.h for pt in pts)
+    max_defect, passed, ratios = 0.0, True, [0.0]
+    for i in range(1, len(pts) - 1):
+        t0, t1, t2 = pts[i - 1].t, pts[i].t, pts[i + 1].t
+        w0 = (t1 - t2) / ((t0 - t1) * (t0 - t2))
+        w1 = (2 * t1 - t0 - t2) / ((t1 - t0) * (t1 - t2))
+        w2 = (t1 - t0) / ((t2 - t0) * (t2 - t1))
+        psi_dot = w0 * pts[i - 1].psi + w1 * pts[i].psi + w2 * pts[i + 1].psi
+        expected = traj.schedule.derivative(t1) * pts[i].u - pts[i].psi
+        defect = psi_dot - expected
+        norm = math.sqrt(defect.dot(defect))
+        max_defect = max(max_defect, norm)
+        half = (t2 - t0) / 2.0
+        tol_i = C_DYN * (half * half) * max(pts[i - 1].h, pts[i].h, pts[i + 1].h) + floor
+        passed = passed and norm <= tol_i
+        ratios.append(0.0 if norm == 0.0 else norm / tol_i if tol_i else math.inf)
+    worst_ratio = math.nan if any(map(math.isnan, ratios)) else max(ratios)
+    return DynamicsReport(
+        max_defect=max_defect,
+        worst_ratio=worst_ratio,
+        passed=passed,
+        interior_points=max(0, len(pts) - 2),
+    )

@@ -13,7 +13,7 @@ from dsmflow.flow import _C, _FAC_MIN, TERMINATED_MAX_STEPS, TERMINATED_STEP_FAI
 from dsmflow.linalg import DENSE, DIAGONAL, SYMMETRIC_CONSTANT
 from dsmflow.operators import GALLERY_NAMES, OperatorProblem, diag_cubic, identity
 
-from oracles import generator_sum_dp54_step, reference_integrate
+from oracles import generator_sum_dp54_step, reference_dynamics_check, reference_integrate
 from problems import componentwise_monotone_problem, monotone_problem, psd_linear_problem, psd_plus_skew
 
 
@@ -164,7 +164,8 @@ def test_dynamics_check_is_not_applicable_below_three_points(n_points):
         return
     short = d.Trajectory(traj.schedule, points=traj.points[:n_points])
     report = d.residual_dynamics_check(short, p, traj.schedule)
-    assert (report.interior_points, report.max_defect, report.passed) == (0, 0.0, True)
+    assert (report.interior_points, report.max_defect, report.worst_ratio) == (0, 0.0, 0.0)
+    assert report.passed
 
 
 def test_dynamics_check_passes_on_fixed_grid():
@@ -173,8 +174,7 @@ def test_dynamics_check_passes_on_fixed_grid():
     cfg = d.IntegratorConfig(t_max=4.0, initial_step=0.005, method="rk4", record_stride=4)
     traj = d.integrate(p, s, np.zeros(4), cfg)
     report = d.residual_dynamics_check(traj, p, s, rel_tol=cfg.rel_tol)
-    assert report.passed
-    assert report.max_defect <= report.tol
+    assert report.passed and 0.0 < report.worst_ratio <= 1.0
 
 
 def test_dynamics_check_passes_on_adaptive_grid():
@@ -183,6 +183,90 @@ def test_dynamics_check_passes_on_adaptive_grid():
     traj = d.integrate(p, s, np.zeros(5), d.IntegratorConfig(t_max=6.0))
     report = d.residual_dynamics_check(traj, p, s)
     assert report.passed
+
+
+def _with_nan_psi(traj, i):
+    """traj with the psi of its point i all NaN."""
+    pts = list(traj.points)
+    pts[i] = dataclasses.replace(pts[i], psi=np.full(pts[i].psi.shape, np.nan))
+    return d.Trajectory(traj.schedule, pts)
+
+
+@pytest.mark.parametrize("name", ["diag_cubic", "fredholm_first_kind", "convex_gradient"])
+@pytest.mark.parametrize("method", ["rk4", "dp54"])
+def test_dynamics_check_blocks_match_the_point_loop_bitwise(name, method):
+    # Runs of more than two blocks, and a NaN psi row: the running max
+    # passes over its NaN defects, as max() did, and the pass test does not.
+    p = d.make_problem(name)
+    s = d.exponential(1.0, 0.44)
+    cfg = d.IntegratorConfig(t_max=8.0, initial_step=0.05, method=method)
+    traj = d.integrate(p, s, np.zeros(p.dim), cfg)
+    assert len(traj.points) > 2 * dsmflow.flow._DYN_BLOCK + 2
+    report = d.residual_dynamics_check(traj, p, s)
+    assert report.passed
+    assert report == reference_dynamics_check(traj)
+    spoiled = _with_nan_psi(traj, dsmflow.flow._DYN_BLOCK + 1)
+    report = d.residual_dynamics_check(spoiled, p, s)
+    assert not report.passed and math.isfinite(report.max_defect)
+    expected = reference_dynamics_check(spoiled)
+    assert math.isnan(report.worst_ratio) and math.isnan(expected.worst_ratio)
+    assert report == dataclasses.replace(expected, worst_ratio=report.worst_ratio)
+
+
+def test_dynamics_check_tells_a_wrong_a_prime():
+    # Each interior point has its own tolerance. With one tolerance for the
+    # run, taken at the longest late step and h(0), the defect against
+    # constant(1.0) (0.367) passed under 0.405; its worst point is now 61
+    # times over its own tolerance, and the report says so.
+    p = d.make_problem("diag_cubic", dim=4)
+    traj = d.integrate(p, d.exponential(1.0, 0.44), np.zeros(4), d.IntegratorConfig(t_max=8.0))
+    assert d.residual_dynamics_check(traj, p, traj.schedule).passed
+    wrong = d.Trajectory(d.constant(1.0), traj.points)
+    report = d.residual_dynamics_check(wrong, p, wrong.schedule)
+    assert not report.passed
+    assert report.max_defect > 0.3 and 60.0 < report.worst_ratio < 62.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_dynamics_check_passes_a_run_at_the_solution():
+    # At the solution of every regularized problem (identity, f = 0, u = 0)
+    # each h is 0, so each tolerance is 0 too: a zero defect is within it,
+    # ratio 0, with no 0/0.
+    p = d.make_problem("identity", dim=3)
+    s = d.exponential(1.0, 0.44)
+    zero = np.zeros(3)
+    traj = d.Trajectory(s, [d.TrajectoryPoint(t, zero, s.value(t), zero, 0.0) for t in (0.0, 0.5, 1.0)])
+    report = d.residual_dynamics_check(traj, p, s)
+    assert (report.max_defect, report.worst_ratio, report.passed) == (0.0, 0.0, True)
+    assert report == reference_dynamics_check(traj)
+
+
+@pytest.mark.filterwarnings("error")
+def test_dynamics_check_fails_a_repeated_time_without_a_warning():
+    # A point recorded twice has no three-point derivative: its defects are
+    # not finite, and the report fails instead of raising or warning.
+    p = d.make_problem("diag_cubic", dim=4)
+    traj = d.integrate(p, d.exponential(1.0, 0.44), np.zeros(4), d.IntegratorConfig(t_max=4.0))
+    pts = list(traj.points)
+    pts.insert(5, pts[5])
+    report = d.residual_dynamics_check(d.Trajectory(traj.schedule, pts), p, traj.schedule)
+    assert not report.passed
+    assert report.interior_points == len(pts) - 2
+
+
+@pytest.mark.parametrize("method", ["dp54", "rk4"])
+def test_recorded_states_are_arrays_of_their_own(method):
+    # Each point owns its state: no two points share one, and none is the
+    # caller's u0.
+    p = d.make_problem("diag_cubic", dim=4)
+    u0 = np.zeros(4)
+    cfg = d.IntegratorConfig(t_max=4.0, method=method)
+    traj = d.integrate(p, d.exponential(1.0, 0.44), u0, cfg)
+    us = [pt.u for pt in traj.points]
+    assert len({id(u) for u in us}) == len(us) > 2
+    assert all(u.base is None and u is not u0 for u in us)
+    u0[:] = 1.0
+    assert not traj.points[0].u.any()
 
 
 def test_oracle_weighted_envelope_from_regularized_start():

@@ -65,8 +65,8 @@ def test_eq_2_10_requires_admissible_schedule(deep_run):
 
 def test_a_schedule_other_than_the_trajectorys_is_refused():
     # Checked against constant(1.0), this exponential run would pass EQ_2_6
-    # against the wrong w table (margin +0.378) and the dynamics check, so
-    # every check that still takes a schedule refuses one not its own.
+    # against the wrong w table (margin +0.378), so every check that still
+    # takes a schedule refuses one not its own.
     p = d.make_problem("diag_cubic", dim=4)
     traj = d.integrate(p, d.exponential(1.0, 0.44), np.zeros(4), d.IntegratorConfig(t_max=8.0))
     wrong = d.constant(1.0)
