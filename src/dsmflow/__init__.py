@@ -54,6 +54,7 @@ from .verify import (
     check_eq_2_10,
     check_eq_3_8,
     check_thm_3_1,
+    distances_to_w,
 )
 
 __all__ = [
@@ -83,6 +84,7 @@ __all__ = [
     "check_monotone",
     "check_thm_3_1",
     "constant",
+    "distances_to_w",
     "exponential",
     "gallery",
     "integrate",

@@ -21,6 +21,7 @@ error, 3 runtime failure (step-size underflow, solver breakdown).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -36,7 +37,7 @@ from .linalg import as_count
 from .operators import OperatorProblem, check_monotone, gallery, make_problem
 from .oracle import NewtonConfig, minimal_norm_limit
 from .schedules import KINDS, Schedule, check_admissible
-from .verify import cap_envelope, cap_term, certify
+from .verify import cap_envelope, cap_term, certify, distances_to_w
 
 # Not used here: perfbench imports EPS_Y_OVERRIDES and LEMMA_GRID from this
 # module and its tracer patches the other names on it. Drop these once the
@@ -137,16 +138,16 @@ def _fmt(x: float) -> str:
     return f"{x:.16e}"
 
 
-def _trajectory_csv(traj: Trajectory, cap: float) -> str:
+def _trajectory_csv(traj: Trajectory, cap: float, dist_to_w) -> str:
     h0 = traj.points[0].h
     lines = [",".join(TRAJECTORY_COLUMNS)]
-    for pt in traj.points:
+    for pt, dist in itertools.zip_longest(traj.points, dist_to_w):
         row = (
             _fmt(pt.t),
             _fmt(pt.a),
             _fmt(pt.h),
             _fmt(math.sqrt(pt.u.dot(pt.u))),
-            "" if pt.dist_to_w is None else _fmt(pt.dist_to_w),
+            "" if dist is None else _fmt(dist),
             _fmt(pt.h / pt.a),
             "" if not math.isfinite(cap) else _fmt(cap_envelope(h0, pt.t, cap)),
         )
@@ -163,9 +164,9 @@ def _continuation_csv(p: OperatorProblem, result) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_run_outputs(out_dir: Path, cfg: RunConfig, traj: Trajectory, cap: float):
+def _write_run_outputs(out_dir: Path, cfg: RunConfig, traj: Trajectory, cap: float, dist_to_w=()):
     out_dir.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out_dir / "trajectory.csv", _trajectory_csv(traj, cap))
+    _atomic_write(out_dir / "trajectory.csv", _trajectory_csv(traj, cap, dist_to_w))
     run_meta = {
         "config": asdict(cfg),
         "terminated_by": traj.terminated_by,
@@ -234,7 +235,7 @@ def cmd_verify(config_path) -> int:
             "norm_y": float(np.linalg.norm(continuation.y_estimate)),
             "converged": continuation.converged,
         }
-    _write_run_outputs(out_dir, cfg, traj, cap)
+    _write_run_outputs(out_dir, cfg, traj, cap, distances_to_w(traj, p, cfg.oracle))
     _atomic_write(out_dir / "bounds.json", json.dumps(payload, indent=2) + "\n")
 
     failing = [r.bound_id for r in reports if not r.passed]

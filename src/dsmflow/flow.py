@@ -100,38 +100,37 @@ class IntegratorConfig:
             raise ValueError(f"unknown method {self.method!r}")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class TrajectoryPoint:
     """One recorded state: psi and h are recomputed from u when stored,
-    so psi == F(u) + a*u - f and h == ||psi|| hold exactly by construction.
-    dist_to_w stays None until a verifier pass fills it."""
+    so psi == F(u) + a*u - f and h == ||psi|| hold exactly by construction."""
 
     t: float
     u: np.ndarray
     a: float
     psi: np.ndarray
     h: float
-    dist_to_w: float | None = None
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Recorded states of one run, under the schedule that drove it.
+    """Recorded states of one run, under the schedule that drove it; frozen.
 
-    points starts with the t = 0 point, so a trajectory is never empty.
-    w_table is verify._w_table's memo of the oracle's w at the recorded
-    times; it is not an argument of the constructor, so
-    dataclasses.replace(traj) starts without one.
+    points, a tuple, starts with the t = 0 point, so it is never empty.
+    w_tables is verify._w_table's memo, one w table per (problem,
+    NewtonConfig); it is not a constructor argument, so
+    dataclasses.replace(traj) starts with an empty one.
     """
 
     schedule: Schedule
-    points: list[TrajectoryPoint]
+    points: tuple[TrajectoryPoint, ...]
     terminated_by: str = TERMINATED_TMAX
-    w_table: tuple | None = field(default=None, init=False, repr=False)
+    w_tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if not self.points:
             raise ValueError("a trajectory holds at least its t = 0 point")
+        object.__setattr__(self, "points", tuple(self.points))
 
     @property
     def final(self) -> TrajectoryPoint:
@@ -284,6 +283,7 @@ def _rk4_step(p, s, t, u, h):
 class DynamicsReport:
     max_defect: float
     worst_ratio: float
+    worst_t: float
     passed: bool
     interior_points: int
 
@@ -303,11 +303,13 @@ def residual_dynamics_check(
     fourfold, and a wrong a' cannot hide behind the long late steps or
     h(0). max_defect is the largest defect, and worst_ratio the largest
     defect/tolerance ratio (0 where the defect is 0, NaN if any defect is
-    not a number); the check passes when worst_ratio <= 1, so when every
-    defect is within its own tolerance. Below 3 recorded points the check
-    is not applicable: there is no interior point, and the report reads
-    interior_points = 0, worst_ratio = 0 and passed. s must be
-    traj.schedule, else ValueError.
+    not a number), and worst_t the time of the interior point with that
+    ratio (the first such point, and the first NaN one if any ratio is
+    NaN); the check passes when worst_ratio <= 1, so when every defect is
+    within its own tolerance. Below 3 recorded points the check is not
+    applicable: there is no interior point, and the report reads
+    interior_points = 0, worst_ratio = 0, worst_t = NaN and passed. s
+    must be traj.schedule, else ValueError.
 
     The defects are computed _DYN_BLOCK interior points at a time, as the
     rows of small arrays, with the arithmetic of one point at a time: the
@@ -319,7 +321,9 @@ def residual_dynamics_check(
     floor = 10.0 * rel_tol * max(pt.h for pt in pts)
     m = len(pts) - 2
     if m < 1:
-        return DynamicsReport(max_defect=0.0, worst_ratio=0.0, passed=True, interior_points=0)
+        return DynamicsReport(
+            max_defect=0.0, worst_ratio=0.0, worst_t=math.nan, passed=True, interior_points=0
+        )
     t = np.array([pt.t for pt in pts])
     h = np.array([pt.h for pt in pts])
     half = (t[2:] - t[:-2]) / 2.0
@@ -342,10 +346,13 @@ def residual_dynamics_check(
             norms += [math.sqrt(row.dot(row)) for row in defect]
         max_defect = max([0.0, *norms])
         norms = np.array(norms)
-        worst_ratio = float(np.divide(norms, tols, out=np.zeros(m), where=norms != 0).max())
+        ratios = np.divide(norms, tols, out=np.zeros(m), where=norms != 0)
+    worst = int(np.argmax(ratios))
+    worst_ratio = float(ratios[worst])
     return DynamicsReport(
         max_defect=max_defect,
         worst_ratio=worst_ratio,
+        worst_t=float(t[worst + 1]),
         passed=worst_ratio <= 1.0,
         interior_points=m,
     )

@@ -51,7 +51,7 @@ class NewtonConfig:
         as_count("max_iters", self.max_iters, 1)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ContinuationResult:
     a_values: list[float]
     w_values: list[np.ndarray]

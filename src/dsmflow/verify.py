@@ -56,11 +56,10 @@ Every check reads the schedule that drove the trajectory from it
 residual_dynamics_check), s must be traj.schedule, else ValueError.
 
 EQ_2_6 and EQ_2_8 read one table of w at the recorded times, one
-warm-started oracle solve a point. _w_table solves it when a trajectory
-is first checked and keeps it on the trajectory (Trajectory.w_table),
-keyed by the problem object, the NewtonConfig and the recorded times;
-the second check on the same key reads it, and a check with any other
-key solves the table anew.
+warm-started oracle solve a point, that _w_table keeps on the frozen
+trajectory (Trajectory.w_tables) per (problem object, NewtonConfig).
+distances_to_w reads ||u - w|| off it, for EQ_2_6 and for the dist_to_w
+column of trajectory.csv.
 """
 
 from __future__ import annotations
@@ -98,7 +97,7 @@ LEMMA_GRID = (10.0, 3.0, 1.0, 0.3, 0.1, 0.03, 0.01, 0.003, 0.001)
 EPS_Y_OVERRIDES = {"fredholm_first_kind": 5e-2}
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class BoundReport:
     bound_id: str
     passed: bool
@@ -137,38 +136,28 @@ def _envelope(s: Schedule, times, h0: float, weights, rate: float) -> list[float
 def _w_table(
     traj: Trajectory, p: OperatorProblem, cfg: NewtonConfig
 ) -> list[tuple[float, np.ndarray]]:
-    """w at every recorded time of traj, solved once per key (module docstring).
+    """w at every recorded time of traj, solved once per (p, cfg): p by identity, cfg by value."""
+    key = (p, cfg)
+    if key not in traj.w_tables:
+        times = [pt.t for pt in traj.points]
+        traj.w_tables[key] = w_along_schedule(p, traj.schedule, times, cfg)
+    return traj.w_tables[key]
 
-    The key is p by identity, cfg by equality, and the recorded times; a
-    match returns the memo traj.w_table holds, anything else solves the
-    table (warm-started along traj.schedule) and stores it there.
-    """
-    times = [pt.t for pt in traj.points]
-    if traj.w_table is not None:
-        memo_p, memo_cfg, memo_times, ws = traj.w_table
-        if memo_p is p and memo_cfg == cfg and memo_times == times:
-            return ws
-    ws = w_along_schedule(p, traj.schedule, times, cfg)
-    traj.w_table = (p, cfg, times, ws)
-    return ws
+
+def distances_to_w(traj: Trajectory, p: OperatorProblem, cfg: NewtonConfig) -> list[float]:
+    """||u - w|| at every recorded point, against the shared table (_w_table)."""
+    diffs = (pt.u - w for pt, (_, w) in zip(traj.points, _w_table(traj, p, cfg)))
+    return [math.sqrt(diff.dot(diff)) for diff in diffs]
 
 
 def check_eq_2_6(
     traj: Trajectory, p: OperatorProblem, s: Schedule, cfg: NewtonConfig = NewtonConfig()
 ) -> BoundReport:
-    """Distance-to-regularized-solution bound ||u - w|| <= h/a per checkpoint.
-
-    Reads w(t) at every recorded time from the trajectory's shared table
-    (_w_table) and fills each point's dist_to_w as a side effect.
-    """
+    """Distance-to-regularized-solution bound ||u - w|| <= h/a per checkpoint."""
     traj.require_schedule(s)
     times = [pt.t for pt in traj.points]
-    ws = _w_table(traj, p, cfg)
     margins = []
-    for pt, (_, w) in zip(traj.points, ws):
-        diff = pt.u - w
-        lhs = math.sqrt(diff.dot(diff))
-        pt.dist_to_w = lhs
+    for pt, lhs in zip(traj.points, distances_to_w(traj, p, cfg)):
         rhs_bound = pt.h / pt.a
         margins.append((rhs_bound - lhs) / (1.0 + rhs_bound))
     return _report(

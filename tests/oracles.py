@@ -147,10 +147,9 @@ def reference_integrate(p, s, u0, cfg):
 def _integrate_dp54(p, s, u0, cfg) -> Trajectory:
     t, u = 0.0, u0.copy()
     pt = _make_point(p, s, t, u)
-    traj = Trajectory(s, [pt])
+    points = [pt]
     if pt.h <= cfg.residual_stop:
-        traj.terminated_by = TERMINATED_RESIDUAL
-        return traj
+        return Trajectory(s, points, TERMINATED_RESIDUAL)
 
     def f(tt, uu):
         return rhs(p, s, tt, uu)
@@ -197,7 +196,7 @@ def _integrate_dp54(p, s, u0, cfg) -> Trajectory:
             elif t >= cfg.t_max * (1.0 - 1e-15):
                 finish = TERMINATED_TMAX
             if store or finish:
-                traj.points.append(pt)
+                points.append(pt)
                 recorded_t = t
             if finish:
                 terminated = finish
@@ -212,10 +211,9 @@ def _integrate_dp54(p, s, u0, cfg) -> Trajectory:
 
     if terminated is None:
         terminated = TERMINATED_MAX_STEPS
-    traj.terminated_by = terminated
     if recorded_t < t:
-        traj.points.append(_make_point(p, s, t, u))
-    return traj
+        points.append(_make_point(p, s, t, u))
+    return Trajectory(s, points, terminated)
 
 
 # The 5th-order weights of the DP5(4) pair, padded for the 7th stage.
@@ -250,10 +248,9 @@ def _integrate_rk4(p, s, u0, cfg) -> Trajectory:
     """Fixed-step classical RK4 with step initial_step (t_max split evenly)."""
     u = u0.copy()
     pt = _make_point(p, s, 0.0, u)
-    traj = Trajectory(s, [pt])
+    points = [pt]
     if pt.h <= cfg.residual_stop:
-        traj.terminated_by = TERMINATED_RESIDUAL
-        return traj
+        return Trajectory(s, points, TERMINATED_RESIDUAL)
 
     n_steps = max(1, round(cfg.t_max / cfg.initial_step))
     h = cfg.t_max / n_steps
@@ -273,17 +270,16 @@ def _integrate_rk4(p, s, u0, cfg) -> Trajectory:
         pt = _make_point(p, s, t, u)
         finished = pt.h <= cfg.residual_stop or step == n_steps
         if step % cfg.record_stride == 0 or finished:
-            traj.points.append(pt)
+            points.append(pt)
             recorded_t = t
         if pt.h <= cfg.residual_stop:
             terminated = TERMINATED_RESIDUAL
             break
         if step == n_steps:
             terminated = TERMINATED_TMAX
-    traj.terminated_by = terminated if terminated is not None else TERMINATED_MAX_STEPS
     if recorded_t < t:
-        traj.points.append(_make_point(p, s, t, u))
-    return traj
+        points.append(_make_point(p, s, t, u))
+    return Trajectory(s, points, terminated if terminated is not None else TERMINATED_MAX_STEPS)
 
 
 def reference_certify(traj, p, s, cfg, residual_stop):
@@ -377,13 +373,15 @@ def reference_dynamics_check(traj, rel_tol=1e-8):
     Each point's defect psi' - (a' u - psi), its norm, its own tolerance
     and a running max from 0.0; the check's blocks of rows must give the
     same max_defect, passed and interior_points bit for bit, and the same
-    worst_ratio, NaN if any ratio is. passed is taken point by point, as
+    worst_ratio, NaN if any ratio is, at the same worst_t: the time of the
+    first point with the largest ratio, or of the first NaN ratio, and NaN
+    without an interior point. passed is taken point by point, as
     every norm <= its tolerance; the tolerances take max() of three h, so
     they match the check's only while those h are not NaN.
     """
     pts = traj.points
     floor = 10.0 * rel_tol * max(pt.h for pt in pts)
-    max_defect, passed, ratios = 0.0, True, [0.0]
+    max_defect, passed, ratios = 0.0, True, []
     for i in range(1, len(pts) - 1):
         t0, t1, t2 = pts[i - 1].t, pts[i].t, pts[i + 1].t
         w0 = (t1 - t2) / ((t0 - t1) * (t0 - t2))
@@ -398,10 +396,12 @@ def reference_dynamics_check(traj, rel_tol=1e-8):
         tol_i = C_DYN * (half * half) * max(pts[i - 1].h, pts[i].h, pts[i + 1].h) + floor
         passed = passed and norm <= tol_i
         ratios.append(0.0 if norm == 0.0 else norm / tol_i if tol_i else math.inf)
-    worst_ratio = math.nan if any(map(math.isnan, ratios)) else max(ratios)
+    nan = [i for i, r in enumerate(ratios) if math.isnan(r)]
+    worst = nan[0] if nan else max(range(len(ratios)), key=ratios.__getitem__, default=None)
     return DynamicsReport(
         max_defect=max_defect,
-        worst_ratio=worst_ratio,
+        worst_ratio=0.0 if worst is None else ratios[worst],
+        worst_t=math.nan if worst is None else pts[worst + 1].t,
         passed=passed,
         interior_points=max(0, len(pts) - 2),
     )

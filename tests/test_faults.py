@@ -1,0 +1,95 @@
+"""Fault matrix: flows that are not the paper's flow, and the checks that see them.
+
+Each fault makes integrate follow a direction other than
+u' = -(F'(u) + a(t) I)^{-1} (F(u) + a(t) u - f), on three gallery problems
+under exponential(1, 0.44) to t_max 32 at deep tolerances. The checks
+always read the true problem. residual_dynamics_check, which tests the
+recorded residuals against psi' = a' u - psi, fails every fault (worst
+ratios 1.19 to 7.05e4, against 0.12 to 0.22 on the clean runs). certify
+fails four of the six faults, on EQ_3_8: a flow that decays faster than
+the paper's, here jac x 0.7 and rhs x 1.2, stays under every envelope.
+"""
+
+import dataclasses
+import functools
+
+import numpy as np
+import pytest
+
+import dsmflow as d
+from dsmflow import flow
+
+PROBLEMS = {"diag_cubic": 8, "psd_rank_deficient": 20, "skew_perturbed": 16}
+SCHEDULE = d.exponential(1.0, 0.44)
+CFG = d.IntegratorConfig(t_max=32.0, rel_tol=1e-10, abs_tol=1e-12, residual_stop=1e-8)
+
+_rhs = flow.rhs
+# Faults of the flow direction, patched over flow.rhs.
+RHS_FAULTS = {
+    "rhs_x0.9": lambda p, s, t, u: 0.9 * _rhs(p, s, t, u),
+    "rhs_x1.2": lambda p, s, t, u: 1.2 * _rhs(p, s, t, u),
+    "rhs_plus_1e-6": lambda p, s, t, u: _rhs(p, s, t, u) + 1e-6,
+    # a(t - 0.5), held at a(0) until t = 0.5: rhs reads t only through a(t).
+    "a_late_0.5": lambda p, s, t, u: _rhs(p, s, max(t - 0.5, 0.0), u),
+}
+# Factors on the Jacobian the flow solves with.
+JAC_FAULTS = {"jac_x1.5": 1.5, "jac_x0.7": 0.7}
+
+# No bound in certify sees these two faults.
+_UNSEEN = pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+
+
+def _run(name, fault):
+    """(true problem, trajectory of its flow under fault); fault None is the clean run."""
+    p = d.make_problem(name, dim=PROBLEMS[name])
+    flown = p
+    with pytest.MonkeyPatch.context() as mp:
+        if fault in RHS_FAULTS:
+            mp.setattr(flow, "rhs", RHS_FAULTS[fault])
+        elif fault is not None:
+            flown = dataclasses.replace(p, jac=lambda u: JAC_FAULTS[fault] * p.jac(u))
+        traj = d.integrate(flown, SCHEDULE, np.zeros(p.dim), CFG)
+    return p, traj
+
+
+@pytest.fixture(scope="module")
+def run():
+    """_run, each (name, fault) integrated once for this module's tests."""
+    return functools.cache(_run)
+
+
+def _certify_passes(p, traj):
+    reports, _, _ = d.certify(traj, p, d.NewtonConfig(), CFG.residual_stop)
+    return all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_clean_runs_pass(run, name):
+    p, traj = run(name, None)
+    assert traj.terminated_by == "t_max"
+    assert d.residual_dynamics_check(traj, p, SCHEDULE).passed
+    assert _certify_passes(p, traj)
+
+
+@pytest.mark.parametrize("fault", [*RHS_FAULTS, *JAC_FAULTS])
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_dynamics_check_fails_every_fault(run, name, fault):
+    p, traj = run(name, fault)
+    assert not d.residual_dynamics_check(traj, p, SCHEDULE).passed
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        "jac_x1.5",
+        "rhs_plus_1e-6",
+        "rhs_x0.9",
+        "a_late_0.5",
+        pytest.param("jac_x0.7", marks=_UNSEEN),
+        pytest.param("rhs_x1.2", marks=_UNSEEN),
+    ],
+)
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_certify_fails_the_fault(run, name, fault):
+    p, traj = run(name, fault)
+    assert not _certify_passes(p, traj)

@@ -165,7 +165,7 @@ def test_dynamics_check_is_not_applicable_below_three_points(n_points):
     short = d.Trajectory(traj.schedule, points=traj.points[:n_points])
     report = d.residual_dynamics_check(short, p, traj.schedule)
     assert (report.interior_points, report.max_defect, report.worst_ratio) == (0, 0.0, 0.0)
-    assert report.passed
+    assert report.passed and math.isnan(report.worst_t)
 
 
 def test_dynamics_check_passes_on_fixed_grid():
@@ -225,6 +225,19 @@ def test_dynamics_check_tells_a_wrong_a_prime():
     report = d.residual_dynamics_check(wrong, p, wrong.schedule)
     assert not report.passed
     assert report.max_defect > 0.3 and 60.0 < report.worst_ratio < 62.0
+
+
+def test_dynamics_check_says_where_it_fails():
+    # The wrong a' above: the report names its worst point, the first with
+    # the largest ratio in the point-by-point loop, 61-fold at t = 0.186.
+    p = d.make_problem("diag_cubic", dim=4)
+    traj = d.integrate(p, d.exponential(1.0, 0.44), np.zeros(4), d.IntegratorConfig(t_max=8.0))
+    wrong = dataclasses.replace(traj, schedule=d.constant(1.0))
+    report = d.residual_dynamics_check(wrong, p, wrong.schedule)
+    assert report == reference_dynamics_check(wrong)
+    assert report.worst_t in [pt.t for pt in wrong.points[1:-1]]
+    assert report.worst_ratio == pytest.approx(61.0, abs=0.5)
+    assert report.worst_t == pytest.approx(0.186, abs=5e-4)
 
 
 @pytest.mark.filterwarnings("error")

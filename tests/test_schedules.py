@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dsmflow as d
-from dsmflow.schedules import KINDS, RATIO_LIMIT, Schedule
+from dsmflow.schedules import KINDS, RATIO_LIMIT, RATIO_WARN, Schedule
 
 
 def test_power_value_at_zero():
@@ -190,9 +190,19 @@ def test_dict_round_trip():
     assert Schedule(**asdict(s)) == s
 
 
+def _built(family, a0, param):
+    """family(a0, param), asserting one near-limit warning if param > RATIO_WARN, else none."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        s = family(a0, param)
+    assert len(caught) == (1 if param > RATIO_WARN else 0)
+    assert all("close to the 1/2 limit" in str(w.message) for w in caught)
+    return s
+
+
 @given(st.floats(0.01, 0.49), st.floats(0.1, 10.0))
 def test_power_ratio_nonincreasing(b, a0):
-    s = d.power(a0, b)
+    s = _built(d.power, a0, b)
     grid = np.linspace(0.0, 30.0, 40)
     ratios = [s.ratio(t) for t in grid]
     assert all(r2 <= r1 + 1e-14 for r1, r2 in zip(ratios, ratios[1:]))
@@ -200,7 +210,7 @@ def test_power_ratio_nonincreasing(b, a0):
 
 @given(st.floats(0.01, 0.49), st.floats(0.1, 10.0))
 def test_exponential_ratio_constant(k, a0):
-    s = d.exponential(a0, k)
+    s = _built(d.exponential, a0, k)
     grid = np.linspace(0.0, 30.0, 25)
     for t in grid:
         assert s.ratio(t) == pytest.approx(k, abs=1e-12)

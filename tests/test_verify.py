@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import math
 import warnings
@@ -17,14 +16,18 @@ from oracles import envelope_integral, reference_certify, simpson_integral
 from problems import monotone_problem, psd_plus_skew
 
 
-def test_eq_2_6_fills_distances_and_passes(deep_run):
+def test_eq_2_6_fills_distances_and_passes(deep_run, monkeypatch):
+    # The check fills the w table that distances_to_w then reads, solving nothing.
     p, s, cfg, traj = deep_run
+    traj = dataclasses.replace(traj)
     report = d.check_eq_2_6(traj, p, s)
     assert report.passed
     assert report.checkpoints == len(traj.points)
-    for pt in traj.points:
-        assert pt.dist_to_w is not None
-        assert pt.dist_to_w <= pt.h / pt.a + 1e-8 * (1.0 + pt.h / pt.a)
+    calls = _counting_solves(monkeypatch)
+    dists = d.distances_to_w(traj, p, d.NewtonConfig())
+    assert calls == []
+    for pt, dist in zip(traj.points, dists, strict=True):
+        assert dist <= pt.h / pt.a + 1e-8 * (1.0 + pt.h / pt.a)
 
 
 def test_eq_2_6_identity_closed_form():
@@ -34,8 +37,8 @@ def test_eq_2_6_identity_closed_form():
     traj = d.integrate(p, s, np.ones(4), d.IntegratorConfig(t_max=6.0))
     report = d.check_eq_2_6(traj, p, s)
     assert report.passed
-    for pt in traj.points:
-        assert pt.dist_to_w == pytest.approx(float(np.linalg.norm(pt.u)), abs=1e-11)
+    for pt, dist in zip(traj.points, d.distances_to_w(traj, p, d.NewtonConfig()), strict=True):
+        assert dist == pytest.approx(float(np.linalg.norm(pt.u)), abs=1e-11)
 
 
 def test_eq_2_6_detects_mismatched_problem(deep_run):
@@ -73,10 +76,30 @@ def test_a_schedule_other_than_the_trajectorys_is_refused():
     for check in (d.check_eq_2_6, d.check_eq_2_10, d.residual_dynamics_check):
         with pytest.raises(ValueError, match="is not the trajectory's schedule"):
             check(traj, p, wrong)
-    assert traj.w_table is None
-    assert all(pt.dist_to_w is None for pt in traj.points)
+    assert traj.w_tables == {}
     # An equal schedule is the trajectory's schedule.
     assert d.check_eq_2_6(traj, p, d.exponential(1.0, 0.44)).passed
+
+
+def test_records_are_frozen():
+    # When a trajectory took assignments, traj.schedule = constant(1.0) on a
+    # checked run left EQ_2_6 reading the w table of the old schedule
+    # (+0.3917, against +0.3776 on a fresh trajectory). A changed record is
+    # now a new one, with a table of its own.
+    p = d.make_problem("diag_cubic", dim=4)
+    traj = d.integrate(p, d.exponential(1.0, 0.44), np.zeros(4), d.IntegratorConfig(t_max=8.0))
+    report = d.check_eq_2_6(traj, p, traj.schedule)
+    continuation = d.minimal_norm_limit(p)
+    assert isinstance(traj.points, tuple)
+    fields = [(traj, f.name) for f in dataclasses.fields(traj)]
+    fields += [(traj.final, "t"), (traj.final, "u"), (report, "passed"), (continuation, "converged")]
+    for record, name in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, getattr(record, name))
+    changed = dataclasses.replace(traj, schedule=d.constant(1.0))
+    assert changed.points is traj.points and changed.w_tables == {}
+    margin = d.check_eq_2_6(changed, p, changed.schedule).worst_margin
+    assert margin == pytest.approx(0.3776, abs=1e-4)
 
 
 def test_eq_3_8_constant_schedule_envelope_is_pure_decay():
@@ -369,7 +392,7 @@ def test_eq_2_6_and_eq_2_8_share_one_w_table(monkeypatch):
 @pytest.mark.parametrize("eq_2_8_first", [False, True], ids=["eq_2_6-first", "eq_2_8-first"])
 def test_shared_w_table_gives_the_reports_of_lone_checks(eq_2_8_first):
     p, s, traj = _short_rk4_run()
-    alone_2_6, alone_2_8, shared = (copy.deepcopy(traj) for _ in range(3))
+    alone_2_6, alone_2_8, shared = (dataclasses.replace(traj) for _ in range(3))
     ref_2_6 = d.check_eq_2_6(alone_2_6, p, s)
     ref_2_8 = d.check_eq_2_8(alone_2_8, p)
     if eq_2_8_first:
@@ -378,10 +401,10 @@ def test_shared_w_table_gives_the_reports_of_lone_checks(eq_2_8_first):
     else:
         r_2_6 = d.check_eq_2_6(shared, p, s)
         r_2_8 = d.check_eq_2_8(shared, p)
-    assert vars(r_2_6) == vars(ref_2_6)
-    assert vars(r_2_8) == vars(ref_2_8)
-    assert [pt.dist_to_w for pt in shared.points] == [pt.dist_to_w for pt in alone_2_6.points]
-    assert all(pt.dist_to_w is None for pt in alone_2_8.points)
+    assert r_2_6 == ref_2_6
+    assert r_2_8 == ref_2_8
+    newton = d.NewtonConfig()
+    assert d.distances_to_w(shared, p, newton) == d.distances_to_w(alone_2_6, p, newton)
 
 
 @pytest.mark.parametrize("change", ["tol", "schedule", "problem"])
@@ -492,14 +515,15 @@ def test_certify_matches_reference_bitwise(name, schedule, method):
         t_max=18.0, initial_step=0.1, method=method, rel_tol=1e-8, abs_tol=1e-10, residual_stop=1e-8
     )
     traj = d.integrate(p, s, np.zeros(p.dim), cfg)
-    ref_traj = copy.deepcopy(traj)
+    ref_traj = dataclasses.replace(traj)
     reports, cap, continuation = d.certify(traj, p, d.NewtonConfig(), cfg.residual_stop)
     ref_reports, ref_cap, ref_continuation = reference_certify(
         ref_traj, p, s, d.NewtonConfig(), cfg.residual_stop
     )
-    assert [vars(r) for r in reports] == [vars(r) for r in ref_reports]
+    assert reports == ref_reports
     assert cap == ref_cap
-    assert [pt.dist_to_w for pt in traj.points] == [pt.dist_to_w for pt in ref_traj.points]
+    newton = d.NewtonConfig()
+    assert d.distances_to_w(traj, p, newton) == d.distances_to_w(ref_traj, p, newton)
     assert (continuation is None) == (schedule == "constant")
     assert ("THM_3_1" in [r.bound_id for r in reports]) == (continuation is not None)
     if continuation is not None:
@@ -509,7 +533,7 @@ def test_certify_matches_reference_bitwise(name, schedule, method):
 def test_certify_solves_cap_once(deep_run, monkeypatch):
     p, s, cfg, traj = deep_run
     shifts = _counting_solves(monkeypatch)
-    _, cap, _ = d.certify(copy.deepcopy(traj), p, d.NewtonConfig(), cfg.residual_stop)
+    _, cap, _ = d.certify(dataclasses.replace(traj), p, d.NewtonConfig(), cfg.residual_stop)
     assert shifts.count(s.cap) == 1
     assert cap == d.cap_term(p, s, d.NewtonConfig())
 
