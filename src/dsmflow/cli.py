@@ -12,7 +12,8 @@ CONFIG is a JSON file with fields
     oracle {tol, max_iters}, seed, output_dir
 where a missing field takes the library default and an unknown one, at any
 level, is a validation error. run.json echoes the fully
-normalized config, so a run is reproducible from its own output.
+normalized config, so a run is reproducible from its own output. Once the
+config loads, run and verify delete an earlier run's three outputs.
 
 Exit codes: 0 success / all checks pass, 1 check failure, 2 validation
 error, 3 runtime failure (step-size underflow, solver breakdown).
@@ -164,6 +165,11 @@ def _continuation_csv(p: OperatorProblem, result) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _clear_run_outputs(out_dir: Path):
+    for name in ("trajectory.csv", "run.json", "bounds.json"):
+        (out_dir / name).unlink(missing_ok=True)
+
+
 def _write_run_outputs(out_dir: Path, cfg: RunConfig, traj: Trajectory, cap: float, dist_to_w=()):
     out_dir.mkdir(parents=True, exist_ok=True)
     _atomic_write(out_dir / "trajectory.csv", _trajectory_csv(traj, cap, dist_to_w))
@@ -179,6 +185,8 @@ def _write_run_outputs(out_dir: Path, cfg: RunConfig, traj: Trajectory, cap: flo
 
 def cmd_run(config_path) -> int:
     cfg, _, p = _load(config_path)
+    out_dir = Path(cfg.output_dir)
+    _clear_run_outputs(out_dir)
     traj = integrate(p, cfg.schedule, np.zeros(p.dim), cfg.integrator)
     try:
         cap = cap_term(p, cfg.schedule, cfg.oracle)
@@ -186,7 +194,6 @@ def cmd_run(config_path) -> int:
         # Cap-envelope column degrades to empty; the run itself still lands.
         print(f"warning: cap solve failed, bound_2_10_rhs left empty ({err})", file=sys.stderr)
         cap = float("nan")
-    out_dir = Path(cfg.output_dir)
     _write_run_outputs(out_dir, cfg, traj, cap)
     print(
         f"{p.name}: terminated_by={traj.terminated_by} t_final={traj.final.t:.6g} "
@@ -201,6 +208,7 @@ def cmd_run(config_path) -> int:
 def cmd_verify(config_path) -> int:
     cfg, adm, p = _load(config_path)
     out_dir = Path(cfg.output_dir)
+    _clear_run_outputs(out_dir)
     mono = check_monotone(p, samples=200, radius=5.0, seed=cfg.seed)
     payload = {
         "problem": p.name,

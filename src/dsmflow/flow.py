@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -80,22 +81,24 @@ _DYN_BLOCK = 16
 
 @dataclass(frozen=True)
 class IntegratorConfig:
+    """Settings of one integrate call; every accepted step is recorded."""
+
     t_max: float
     initial_step: float = 1e-2
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     max_steps: int = 200_000
     residual_stop: float = 1e-10
-    record_stride: int = 1
     method: str = "dp54"  # "dp54" adaptive or "rk4" fixed-step
+    # Not a field: perfbench's tracer reads it; it goes with cli's re-export block.
+    record_stride: ClassVar[int] = 1
 
     def __post_init__(self):
         for name in ("t_max", "initial_step", "rel_tol", "abs_tol", "residual_stop"):
             value = getattr(self, name)
             if not 0.0 < as_number(name, value) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        for name in ("max_steps", "record_stride"):
-            as_count(name, getattr(self, name), 1)
+        as_count("max_steps", self.max_steps, 1)
         if self.method not in ("dp54", "rk4"):
             raise ValueError(f"unknown method {self.method!r}")
 
@@ -117,8 +120,8 @@ class Trajectory:
     """Recorded states of one run, under the schedule that drove it; frozen.
 
     points, a tuple, starts with the t = 0 point, so it is never empty.
-    w_tables is verify._w_table's memo, one w table per (problem,
-    NewtonConfig); it is not a constructor argument, so
+    w_tables is verify._w_table's memo, one w table and its ||u - w|| per
+    (problem, NewtonConfig); it is not a constructor argument, so
     dataclasses.replace(traj) starts with an empty one.
     """
 
@@ -162,16 +165,16 @@ def integrate(
     The schedule must certify admissibility (positivity, ratio below 1/2)
     over [0, t_max] before any stepping happens; an inadmissible schedule
     is refused outright, with the report's reason. One loop serves both
-    methods: max_steps caps the attempted steps, and every
-    record_stride-th accepted step is recorded, plus always the first and
-    last states. dp54 steps t += h under PI control; a step whose error is
-    too large or whose trial stage fails its shifted solve is rejected and
-    h shrinks, and step-size underflow below 1e-14 * t_max ends the run
-    with terminated_by="step_failure". rk4 takes round(t_max /
-    initial_step) equal steps h, at times k * h, with no error estimate:
-    every step is accepted, and a failed solve raises LinearSolveError.
-    Only dp54 solves with the structure the problem states, which the
-    problem works out at its first solve, after the t = 0 residual_stop exit.
+    methods: it records the t = 0 point and every accepted step, caps the
+    attempted steps at max_steps, and returns at the step that ends the
+    run. dp54 steps t += h under PI control; a step whose error is too
+    large or whose trial stage fails its shifted solve is rejected and h
+    shrinks, and step-size underflow below 1e-14 * t_max ends the run with
+    terminated_by="step_failure". rk4 takes round(t_max / initial_step)
+    equal steps h, at times k * h, with no error estimate: every step is
+    accepted, and a failed solve raises LinearSolveError. Only dp54 solves
+    with the structure the problem states, which the problem works out at
+    its first solve, after the t = 0 residual_stop exit.
     """
     u0 = as_vector(u0)
     if u0.shape[0] != p.dim:
@@ -180,9 +183,8 @@ def integrate(
     if not report.pass_2_2:
         raise InadmissibleScheduleError(report.reason)
     t, u = 0.0, u0.copy()
-    pt = _make_point(p, s, t, u)
-    points = [pt]
-    if pt.h <= cfg.residual_stop:
+    points = [_make_point(p, s, t, u)]
+    if points[0].h <= cfg.residual_stop:
         return Trajectory(s, points, TERMINATED_RESIDUAL)
 
     fixed = cfg.method == "rk4"
@@ -194,8 +196,6 @@ def integrate(
         k1 = rhs(p, s, t, u)
         u_norm = math.sqrt(u.dot(u))
         err_prev = 1.0
-    accepted = 0
-    terminated = None
 
     for _ in range(cfg.max_steps):
         if fixed:
@@ -204,30 +204,22 @@ def integrate(
         else:
             h = min(h, cfg.t_max - t)
             if h < 1e-14 * cfg.t_max:
-                terminated = TERMINATED_STEP_FAILURE
-                break
+                return Trajectory(s, points, TERMINATED_STEP_FAILURE)
             u_new, err_norm, k_last, norm_new = _dp54_step(p, s, t, u, u_norm, h, k1, cfg)
 
         if err_norm <= 1.0:
-            accepted += 1
             # rk4 times are k * h, not a running sum, so step n meets the t_max test.
-            t = accepted * h if fixed else t + h
+            t = len(points) * h if fixed else t + h
             u, k1, u_norm = u_new, k_last, norm_new
             pt = _make_point(p, s, t, u)
+            points.append(pt)
             if pt.h <= cfg.residual_stop:
-                terminated = TERMINATED_RESIDUAL
-            elif t >= cfg.t_max * (1.0 - 1e-15):
-                terminated = TERMINATED_TMAX
-            if terminated or accepted % cfg.record_stride == 0:
-                points.append(pt)
-            if terminated:
-                break
+                return Trajectory(s, points, TERMINATED_RESIDUAL)
+            if t >= cfg.t_max * (1.0 - 1e-15):
+                return Trajectory(s, points, TERMINATED_TMAX)
         if not fixed:
             h, err_prev = _pi_control(h, err_norm, err_prev)
-
-    if points[-1] is not pt:
-        points.append(pt)
-    return Trajectory(s, points, terminated or TERMINATED_MAX_STEPS)
+    return Trajectory(s, points, TERMINATED_MAX_STEPS)
 
 
 def _dp54_step(p, s, t, u, u_norm, h, k1, cfg):

@@ -58,8 +58,8 @@ residual_dynamics_check), s must be traj.schedule, else ValueError.
 EQ_2_6 and EQ_2_8 read one table of w at the recorded times, one
 warm-started oracle solve a point, that _w_table keeps on the frozen
 trajectory (Trajectory.w_tables) per (problem object, NewtonConfig).
-distances_to_w reads ||u - w|| off it, for EQ_2_6 and for the dist_to_w
-column of trajectory.csv.
+The memo keeps ||u - w|| at every point too, read by distances_to_w for
+EQ_2_6 and for the dist_to_w column of trajectory.csv.
 """
 
 from __future__ import annotations
@@ -133,21 +133,19 @@ def _envelope(s: Schedule, times, h0: float, weights, rate: float) -> list[float
     return envelope
 
 
-def _w_table(
-    traj: Trajectory, p: OperatorProblem, cfg: NewtonConfig
-) -> list[tuple[float, np.ndarray]]:
-    """w at every recorded time of traj, solved once per (p, cfg): p by identity, cfg by value."""
+def _w_table(traj: Trajectory, p: OperatorProblem, cfg: NewtonConfig):
+    """((t, w) list, ||u - w|| tuple) at traj's recorded times, once per (p, cfg): p by identity."""
     key = (p, cfg)
     if key not in traj.w_tables:
-        times = [pt.t for pt in traj.points]
-        traj.w_tables[key] = w_along_schedule(p, traj.schedule, times, cfg)
+        ws = w_along_schedule(p, traj.schedule, [pt.t for pt in traj.points], cfg)
+        diffs = (pt.u - w for pt, (_, w) in zip(traj.points, ws))
+        traj.w_tables[key] = ws, tuple(math.sqrt(diff.dot(diff)) for diff in diffs)
     return traj.w_tables[key]
 
 
-def distances_to_w(traj: Trajectory, p: OperatorProblem, cfg: NewtonConfig) -> list[float]:
-    """||u - w|| at every recorded point, against the shared table (_w_table)."""
-    diffs = (pt.u - w for pt, (_, w) in zip(traj.points, _w_table(traj, p, cfg)))
-    return [math.sqrt(diff.dot(diff)) for diff in diffs]
+def distances_to_w(traj: Trajectory, p: OperatorProblem, cfg: NewtonConfig) -> tuple[float, ...]:
+    """||u - w|| at every recorded point, kept with the shared table (_w_table)."""
+    return _w_table(traj, p, cfg)[1]
 
 
 def check_eq_2_6(
@@ -213,7 +211,7 @@ def check_eq_2_8(
     because the lower sum is then no bound.
     """
     times = [pt.t for pt in traj.points]
-    ws = _w_table(traj, p, cfg)
+    ws, _ = _w_table(traj, p, cfg)
     norms = np.array([math.sqrt(w.dot(w)) for _, w in ws])
     err = cfg.tol / np.array([pt.a for pt in traj.points])
     notes = (

@@ -157,8 +157,6 @@ def _integrate_dp54(p, s, u0, cfg) -> Trajectory:
     h = min(cfg.initial_step, cfg.t_max)
     k1 = f(t, u)
     err_prev = 1.0
-    accepted = 0
-    recorded_t = 0.0
     terminated = None
 
     for _ in range(cfg.max_steps):
@@ -187,19 +185,13 @@ def _integrate_dp54(p, s, u0, cfg) -> Trajectory:
             t += h
             u = u_new
             k1 = k[6]
-            accepted += 1
-            store = accepted % cfg.record_stride == 0
-            finish = None
             pt = _make_point(p, s, t, u)
+            points.append(pt)
             if pt.h <= cfg.residual_stop:
-                finish = TERMINATED_RESIDUAL
+                terminated = TERMINATED_RESIDUAL
             elif t >= cfg.t_max * (1.0 - 1e-15):
-                finish = TERMINATED_TMAX
-            if store or finish:
-                points.append(pt)
-                recorded_t = t
-            if finish:
-                terminated = finish
+                terminated = TERMINATED_TMAX
+            if terminated:
                 break
             err_floor = max(err_norm, 1e-10)
             factor = _SAFETY * err_floor**-_PI_ALPHA * err_prev**_PI_BETA
@@ -209,11 +201,7 @@ def _integrate_dp54(p, s, u0, cfg) -> Trajectory:
             factor = min(factor, 1.0)
         h *= min(_FAC_MAX, max(_FAC_MIN, factor))
 
-    if terminated is None:
-        terminated = TERMINATED_MAX_STEPS
-    if recorded_t < t:
-        points.append(_make_point(p, s, t, u))
-    return Trajectory(s, points, terminated)
+    return Trajectory(s, points, terminated or TERMINATED_MAX_STEPS)
 
 
 # The 5th-order weights of the DP5(4) pair, padded for the 7th stage.
@@ -255,7 +243,6 @@ def _integrate_rk4(p, s, u0, cfg) -> Trajectory:
     n_steps = max(1, round(cfg.t_max / cfg.initial_step))
     h = cfg.t_max / n_steps
     terminated = None
-    recorded_t = 0.0
     t = 0.0
     for step in range(1, n_steps + 1):
         if step > cfg.max_steps:
@@ -268,17 +255,12 @@ def _integrate_rk4(p, s, u0, cfg) -> Trajectory:
         u = u + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         t = step * h
         pt = _make_point(p, s, t, u)
-        finished = pt.h <= cfg.residual_stop or step == n_steps
-        if step % cfg.record_stride == 0 or finished:
-            points.append(pt)
-            recorded_t = t
+        points.append(pt)
         if pt.h <= cfg.residual_stop:
             terminated = TERMINATED_RESIDUAL
             break
         if step == n_steps:
             terminated = TERMINATED_TMAX
-    if recorded_t < t:
-        points.append(_make_point(p, s, t, u))
     return Trajectory(s, points, terminated if terminated is not None else TERMINATED_MAX_STEPS)
 
 

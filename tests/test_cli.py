@@ -147,6 +147,7 @@ def test_growing_schedule_is_validation_error(tmp_path, capsys, command):
         {"integrator": {"t_max": 4.0, "residual_stop": float("inf")}},
         {"oracle": {"tol": float("inf")}},
         {"integrator": {"t_max": 1.0, "max_steps": 1.5}},
+        # No longer a field: an unknown key, and so a validation error too.
         {"integrator": {"t_max": 1.0, "record_stride": 2.5}},
         {"oracle": {"max_iters": 2.5}},
         {"dim": 4.7},
@@ -243,6 +244,46 @@ def test_run_step_failure_exit_code(tmp_path):
     assert cli.main(["run", str(path)]) == 3
     meta = json.loads((tmp_path / "out" / "run.json").read_text())
     assert meta["terminated_by"] == "step_failure"
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "oracle"])
+def test_record_stride_is_an_unknown_key(tmp_path, capsys, command):
+    # Every accepted step is recorded: a config, or a run.json written when
+    # the stride was a setting, that sets it is refused.
+    path, _ = write_config(tmp_path, integrator={"t_max": 4.0, "record_stride": 1})
+    assert cli.main([command, str(path)]) == 2
+    assert "unexpected keyword argument 'record_stride'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, overrides, code, left",
+    [
+        ("verify", {"oracle": {"tol": 1e-300, "max_iters": 1}, "integrator": {"t_max": 4.0}}, 3, []),
+        ("verify", {"problem": "non_monotone_fixture", "integrator": {"t_max": 5.0}}, 1, ["bounds.json"]),
+        (
+            "verify",
+            {"schedule": {"kind": "power", "a0": 1.0, "param": 0.25}, "integrator": {"t_max": 1e15}},
+            3,
+            ["run.json", "trajectory.csv"],
+        ),
+        ("run", {"oracle": {"tol": 1e-300, "max_iters": 1}, "integrator": {"t_max": 4.0}}, 0,
+         ["run.json", "trajectory.csv"]),
+    ],
+    ids=["verify-oracle-failure", "verify-not-monotone", "verify-step-failure", "run-after-verify"],
+)
+def test_outputs_of_an_earlier_run_are_cleared(tmp_path, command, overrides, code, left):
+    # A passing verify first fills the directory; what the second command
+    # leaves there is its own output only.
+    good, _ = write_config(tmp_path, name="good.json")
+    assert cli.main(["verify", str(good)]) == 0
+    path, _ = write_config(tmp_path, **overrides)
+    assert cli.main([command, str(path)]) == code
+    out = tmp_path / "out"
+    assert sorted(p.name for p in out.iterdir()) == left
+    if "run.json" in left:
+        meta = json.loads((out / "run.json").read_text())
+        assert meta["config"] == dataclasses.asdict(cli.load_config(path))
 
 
 def test_verify_identity_all_pass(tmp_path):

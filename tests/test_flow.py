@@ -128,16 +128,32 @@ def test_residual_stop_terminates_early():
         assert traj.final.t < 60.0
 
 
-def test_record_stride_thins_output():
-    p = d.make_problem("diag_cubic", dim=3)
-    cfg_all = d.IntegratorConfig(t_max=2.0, initial_step=0.01, method="rk4", record_stride=1)
-    cfg_thin = d.IntegratorConfig(t_max=2.0, initial_step=0.01, method="rk4", record_stride=10)
-    s = d.constant(1.0)
-    t_all = d.integrate(p, s, np.zeros(3), cfg_all)
-    t_thin = d.integrate(p, s, np.zeros(3), cfg_thin)
-    assert len(t_all.points) == 201
-    assert len(t_thin.points) == 21
-    np.testing.assert_allclose(t_all.final.u, t_thin.final.u, rtol=1e-14)
+@pytest.mark.parametrize("method", ["dp54", "rk4"])
+def test_every_accepted_step_is_recorded(method, monkeypatch):
+    # No setting thins the record: the trajectory holds the t = 0 point and
+    # one point per accepted step, also when max_steps cuts the run.
+    assert "record_stride" not in {f.name for f in dataclasses.fields(d.IntegratorConfig)}
+    with pytest.raises(TypeError, match="record_stride"):
+        d.IntegratorConfig(t_max=1.0, record_stride=2)
+    name = {"dp54": "_dp54_step", "rk4": "_rk4_step"}[method]
+    step = getattr(dsmflow.flow, name)
+    accepted = []
+
+    def counting_step(*args):
+        out = step(*args)
+        accepted.append(method == "rk4" or out[1] <= 1.0)
+        return out
+
+    monkeypatch.setattr(dsmflow.flow, name, counting_step)
+    p = d.make_problem("diag_cubic", dim=4)
+    for max_steps, finish in ((200_000, "t_max"), (7, TERMINATED_MAX_STEPS)):
+        accepted.clear()
+        cfg = d.IntegratorConfig(t_max=8.0, initial_step=1.0, max_steps=max_steps, method=method)
+        traj = d.integrate(p, d.exponential(1.0, 0.44), np.zeros(4), cfg)
+        assert traj.terminated_by == finish
+        assert len(traj.points) == sum(accepted) + 1
+    # dp54's 7 attempts include rejected ones.
+    assert all(accepted) == (method == "rk4")
 
 
 def test_rk4_is_deterministic():
@@ -171,8 +187,10 @@ def test_dynamics_check_is_not_applicable_below_three_points(n_points):
 def test_dynamics_check_passes_on_fixed_grid():
     p = d.make_problem("diag_cubic", dim=4)
     s = d.power(1.0, 0.25)
-    cfg = d.IntegratorConfig(t_max=4.0, initial_step=0.005, method="rk4", record_stride=4)
+    cfg = d.IntegratorConfig(t_max=4.0, initial_step=0.005, method="rk4")
     traj = d.integrate(p, s, np.zeros(4), cfg)
+    # Every 4th step, so the check sees steps of 0.02.
+    traj = dataclasses.replace(traj, points=traj.points[::4])
     report = d.residual_dynamics_check(traj, p, s, rel_tol=cfg.rel_tol)
     assert report.passed and 0.0 < report.worst_ratio <= 1.0
 
@@ -288,7 +306,7 @@ def test_oracle_weighted_envelope_from_regularized_start():
     p = d.make_problem("psd_rank_deficient")
     s = d.power(1.0, 0.25)
     w0 = d.solve_regularized(p, s.value(0.0), np.zeros(p.dim))
-    traj = d.integrate(p, s, w0, d.IntegratorConfig(t_max=10.0, record_stride=2))
+    traj = d.integrate(p, s, w0, d.IntegratorConfig(t_max=10.0))
     report = d.check_eq_2_8(traj, p)
     assert report.passed, report.notes
     assert traj.points[0].h < 1e-11
@@ -297,7 +315,7 @@ def test_oracle_weighted_envelope_from_regularized_start():
 def test_oracle_weighted_envelope_from_cold_start():
     p = d.make_problem("diag_cubic", dim=3)
     s = d.power(1.0, 0.25)
-    traj = d.integrate(p, s, np.zeros(3), d.IntegratorConfig(t_max=8.0, record_stride=2))
+    traj = d.integrate(p, s, np.zeros(3), d.IntegratorConfig(t_max=8.0))
     report = d.check_eq_2_8(traj, p)
     assert report.passed, report.notes
 
@@ -343,19 +361,18 @@ def _assert_same_trajectory(traj, ref):
 
 @pytest.mark.parametrize("name", GALLERY_NAMES)
 def test_one_loop_matches_separate_loops_bitwise(name):
-    # Stride 1 and 3, a max_steps cut (7 is no multiple of 3, so it forces
-    # a trailing point), and finishes at residual_stop and (except identity)
-    # at t_max. The reference loops solve as integrate does in each method,
-    # so the test checks the loop, not the solver.
+    # A max_steps cut at 7 steps, and finishes at residual_stop and (except
+    # identity) at t_max. The reference loops solve as integrate does in
+    # each method, so the test checks the loop, not the solver.
     p = d.make_problem(name, dim=4)
     u0 = np.ones(4)
     finishes = set()
     for s in (d.power(1.0, 0.25), d.exponential(1.0, 0.44), d.constant(0.8)):
         for method in ("dp54", "rk4"):
-            for stride, max_steps in ((1, 200_000), (3, 7), (3, 200_000)):
+            for max_steps in (200_000, 7):
                 cfg = d.IntegratorConfig(
                     t_max=8.0, initial_step=0.1, residual_stop=1e-2,
-                    max_steps=max_steps, record_stride=stride, method=method,
+                    max_steps=max_steps, method=method,
                 )
                 traj = d.integrate(p, s, u0, cfg)
                 ref = reference_integrate(p, s, u0, cfg)
@@ -687,6 +704,27 @@ def test_stage_array_step_gives_the_generator_sum_step_verdicts(monkeypatch, nam
     for r, ro in zip(reports, old_reports):
         atol = MARGIN_ATOL_BY_BOUND.get(r.bound_id, MARGIN_ATOL)
         assert r.worst_margin == pytest.approx(ro.worst_margin, rel=0.0, abs=atol), r.bound_id
+
+
+@settings(max_examples=12)
+@given(
+    n=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    term=st.sampled_from(["cube", "sinh", "holder"]),
+    a0=st.sampled_from([1.0, 0.1]),
+)
+def test_residual_decays_as_e_to_minus_t_on_random_monotone_problems(n, seed, term, a0):
+    # With a constant a, psi' = a' u - psi = -psi, so h(t) = h(0) e^{-t}
+    # exactly; dp54 at rel_tol 1e-10 follows it to within 1e-6 relative.
+    rng = np.random.default_rng(seed)
+    p = monotone_problem(psd_plus_skew(rng, n), term, rng.uniform(-1.0, 1.0, n))
+    cfg = d.IntegratorConfig(t_max=8.0, rel_tol=1e-10, abs_tol=1e-12)
+    traj = d.integrate(p, d.constant(a0), np.zeros(n), cfg)
+    h0 = traj.points[0].h
+    assert len(traj.points) > 2
+    for pt in traj.points:
+        exact = h0 * math.exp(-pt.t)
+        assert abs(pt.h - exact) <= 1e-6 * exact, (pt.t, pt.h, exact)
 
 
 @settings(max_examples=12)

@@ -30,6 +30,20 @@ def test_eq_2_6_fills_distances_and_passes(deep_run, monkeypatch):
         assert dist <= pt.h / pt.a + 1e-8 * (1.0 + pt.h / pt.a)
 
 
+def test_distances_to_w_are_computed_once(deep_run, monkeypatch):
+    # verify reads ||u - w|| for EQ_2_6 and again for trajectory.csv: the
+    # second call returns the stored distances and does no arithmetic.
+    p, s, cfg, traj = deep_run
+    traj = dataclasses.replace(traj)
+    newton = d.NewtonConfig()
+    assert d.check_eq_2_6(traj, p, s, newton).passed
+    calls = _counting_solves(monkeypatch)
+    first = d.distances_to_w(traj, p, newton)
+    assert d.distances_to_w(traj, p, newton) is first
+    assert calls == [] and len(first) == len(traj.points)
+    assert d.distances_to_w(traj, p, d.NewtonConfig(tol=1e-11)) is not first
+
+
 def test_eq_2_6_identity_closed_form():
     # f = 0 gives w(t) = 0, so the check reduces to ||u|| <= (1+a)||u||/a.
     p = d.make_problem("identity", dim=4)
@@ -199,10 +213,11 @@ def test_reports_satisfy_margin_invariant(deep_run):
 def test_margins_reproduce_bitwise_in_fixed_step_mode():
     p = d.make_problem("diag_cubic", dim=4)
     s = d.power(1.0, 0.25)
-    cfg = d.IntegratorConfig(t_max=4.0, initial_step=0.02, method="rk4", record_stride=5)
+    cfg = d.IntegratorConfig(t_max=4.0, initial_step=0.02, method="rk4")
     margins = []
     for _ in range(2):
         traj = d.integrate(p, s, np.zeros(4), cfg)
+        traj = dataclasses.replace(traj, points=traj.points[::5])
         r1 = d.check_eq_2_6(traj, p, s)
         r2 = d.check_eq_2_10(traj, p, s)
         r3 = d.check_eq_2_8(traj, p)
@@ -559,3 +574,25 @@ def test_decay_envelopes_on_random_monotone_problems(n, seed, term, s):
     traj = d.integrate(p, s, np.zeros(n), cfg)
     assert d.check_eq_2_8(traj, p).passed
     assert d.check_eq_3_8(traj, residual_stop=cfg.residual_stop).passed
+
+
+@settings(max_examples=12)
+@given(
+    n=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    term=st.sampled_from(["cube", "sinh", "holder"]),
+)
+def test_thm_3_1_on_strictly_monotone_random_problems(n, seed, term):
+    # B B^T / n is positive definite almost surely, so F is strictly
+    # monotone and y is the one solution of F(u) = f: the flow's limit
+    # matches both the continuation oracle's estimate and y itself.
+    rng = np.random.default_rng(seed)
+    y = rng.uniform(-1.0, 1.0, n)
+    p = monotone_problem(psd_plus_skew(rng, n), term, y)
+    cfg = d.IntegratorConfig(t_max=32.0, rel_tol=1e-10, abs_tol=1e-12, residual_stop=1e-8)
+    traj = d.integrate(p, d.exponential(1.0, 0.44), np.zeros(n), cfg)
+    continuation = d.minimal_norm_limit(p)
+    known = d.ContinuationResult(a_values=[0.0], w_values=[y], y_estimate=y, converged=True)
+    for oracle_y in (continuation, known):
+        report = d.check_thm_3_1(traj, p, oracle_y, residual_stop=cfg.residual_stop)
+        assert report.passed, report.notes
