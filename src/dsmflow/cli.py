@@ -11,9 +11,9 @@ CONFIG is a JSON file with fields
     problem, dim, schedule {kind, a0, param}, integrator {...},
     oracle {tol, max_iters}, seed, output_dir
 where a missing field takes the library default and an unknown one, at any
-level, is a validation error. run.json echoes the fully
-normalized config, so a run is reproducible from its own output. Once the
-config loads, run and verify delete an earlier run's three outputs.
+level, is a validation error. run.json echoes the fully normalized config,
+so a run is reproducible from its own output. Once the config loads, each
+command clears its outputs; an output_dir that is a file is a validation error.
 
 Exit codes: 0 success / all checks pass, 1 check failure, 2 validation
 error, 3 runtime failure (step-size underflow, solver breakdown).
@@ -130,6 +130,7 @@ def _load(config_path):
 
 
 def _atomic_write(path: Path, text: str):
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
     os.replace(tmp, path)
@@ -165,13 +166,17 @@ def _continuation_csv(p: OperatorProblem, result) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _clear_run_outputs(out_dir: Path):
-    for name in ("trajectory.csv", "run.json", "bounds.json"):
-        (out_dir / name).unlink(missing_ok=True)
+def _output_dir(cfg: RunConfig, names=("trajectory.csv", "run.json", "bounds.json")) -> Path:
+    """cfg's output_dir rid of an earlier run's files; a ConfigError if it cannot hold them."""
+    try:
+        for name in names:
+            (Path(cfg.output_dir) / name).unlink(missing_ok=True)
+    except OSError as err:
+        raise ConfigError(f"output_dir {cfg.output_dir!r} cannot hold the outputs: {err}") from err
+    return Path(cfg.output_dir)
 
 
 def _write_run_outputs(out_dir: Path, cfg: RunConfig, traj: Trajectory, cap: float, dist_to_w=()):
-    out_dir.mkdir(parents=True, exist_ok=True)
     _atomic_write(out_dir / "trajectory.csv", _trajectory_csv(traj, cap, dist_to_w))
     run_meta = {
         "config": asdict(cfg),
@@ -185,8 +190,7 @@ def _write_run_outputs(out_dir: Path, cfg: RunConfig, traj: Trajectory, cap: flo
 
 def cmd_run(config_path) -> int:
     cfg, _, p = _load(config_path)
-    out_dir = Path(cfg.output_dir)
-    _clear_run_outputs(out_dir)
+    out_dir = _output_dir(cfg)
     traj = integrate(p, cfg.schedule, np.zeros(p.dim), cfg.integrator)
     try:
         cap = cap_term(p, cfg.schedule, cfg.oracle)
@@ -207,8 +211,7 @@ def cmd_run(config_path) -> int:
 
 def cmd_verify(config_path) -> int:
     cfg, adm, p = _load(config_path)
-    out_dir = Path(cfg.output_dir)
-    _clear_run_outputs(out_dir)
+    out_dir = _output_dir(cfg)
     mono = check_monotone(p, samples=200, radius=5.0, seed=cfg.seed)
     payload = {
         "problem": p.name,
@@ -222,7 +225,6 @@ def cmd_verify(config_path) -> int:
         "bounds": [],
     }
     if not mono.passed:
-        out_dir.mkdir(parents=True, exist_ok=True)
         _atomic_write(out_dir / "bounds.json", json.dumps(payload, indent=2) + "\n")
         print(f"FAIL monotonicity: min pairing {mono.min_pairing:.3e} < 0", file=sys.stderr)
         return EXIT_CHECK_FAILED
@@ -261,7 +263,8 @@ def cmd_gallery() -> int:
     for p in gallery():
         null_dim = len(p.null_space_basis) if p.null_space_basis else 0
         known = "yes" if p.minimal_norm_solution is not None else "no"
-        print(f"{p.name:22s} {p.dim:4d} {p.jacobian_structure:>18s} {known:>7s} {null_dim:8d}")
+        structure = "diagonal" if np.ndim(p.jac(np.zeros(p.dim))) == 1 else p.jacobian_structure
+        print(f"{p.name:22s} {p.dim:4d} {structure:>18s} {known:>7s} {null_dim:8d}")
     return EXIT_OK
 
 
@@ -282,9 +285,8 @@ def cmd_check_schedule(kind: str, a0: float, param: float) -> int:
 
 def cmd_oracle(config_path) -> int:
     cfg, _, p = _load(config_path)
+    out_dir = _output_dir(cfg, ("continuation.csv",))
     result = minimal_norm_limit(p, cfg=cfg.oracle)
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _atomic_write(out_dir / "continuation.csv", _continuation_csv(p, result))
     print(
         f"{p.name}: continuation to a={result.a_values[-1]:.3e}, "

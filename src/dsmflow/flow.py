@@ -24,10 +24,10 @@ RK4 mode, at times k * h, exists for bit-reproducible regression runs.
 Step-size underflow is reported as a termination reason, never retried
 with altered parameters.
 
-Only dp54 runs use the structure of the Jacobian that the problem states
-(see OperatorProblem.solve_structure): rk4 solves with a "dense" copy of
-the problem so that its runs stay bit for bit, and the oracle keeps dense
-LU so that EQ_2_6 and THM_3_1 still compare two independent solvers.
+Every solve divides on a Jacobian that jac returns as its diagonal. Only
+dp54 uses the structure a problem states (solve_structure): rk4 solves on
+a "dense" copy so that its runs stay bit for bit, and the oracle keeps
+dense LU so that EQ_2_6 and THM_3_1 still compare two independent solvers.
 """
 
 from __future__ import annotations

@@ -9,9 +9,9 @@ certificate is the finiteness check. A NaN or Inf in J, a, the
 right-hand side or the solution leaves the residual NaN, or Inf against a
 finite bound, and the test `not residual <= bound` fails on both.
 
-Solves are dense LU with partial pivoting through NumPy's LAPACK unless
-the caller passes a structure of J. That default is deliberate:
-fixed-step RK4 runs are reproduced bit for bit, and SciPy's LU
+A matrix J is solved by dense LU with partial pivoting through NumPy's
+LAPACK unless the caller passes its eigendecomposition. That default is
+deliberate: fixed-step RK4 runs are reproduced bit for bit, and SciPy's LU
 (lu_factor/lu_solve) differs from np.linalg.solve in the last bit on a
 large share of gallery-sized systems (273 of 1,000 random monotone ones
 with n = 8-20, OpenBLAS 0.3.31 on an x86-64 Xeon), so reusing a SciPy
@@ -23,11 +23,11 @@ the wrapper's type checks and error-state set-up (at n = 8-20, 2-8 us a
 call against 5-13 us; 2-core Xeon, one BLAS thread). On a
 singular matrix the gufunc returns NaN where np.linalg.solve raises
 LinAlgError, and the residual certificate rejects it like any other
-non-finite solution. A diagonal J is solved in O(n) by division, and a
-constant symmetric J by one eigendecomposition that serves every shift a,
-in O(n^2) a solve (Golub & Van Loan on shifted systems; Hansen's one SVD
-for a whole Tikhonov path). Either way the residual is certified against
-J itself.
+non-finite solution. A 1-D J, the diagonal of a diagonal J, is solved in
+O(n) by the divisions LU's back substitution makes on it, and a constant
+symmetric J by one eigendecomposition that serves every shift a, in
+O(n^2) a solve (Golub & Van Loan on shifted systems; Hansen's one SVD for
+a whole Tikhonov path). Either way the residual is certified against J.
 """
 
 from __future__ import annotations
@@ -46,14 +46,13 @@ EPS_LIN = 1e-10
 # Largest problem dimension the dense path is intended for.
 MAX_DIM = 512
 
-# The Jacobian structures an OperatorProblem can state: dense (no fact),
-# diagonal, or constant and symmetric. A constant nonsymmetric J, as in
-# skew_perturbed, is dense: numpy has no Schur form to reuse. DIAGONAL is
-# also solve_shifted's structure argument for a diagonal J.
+# The Jacobian structures an OperatorProblem can state: dense (no fact), or
+# constant and symmetric. A constant nonsymmetric J, as in skew_perturbed,
+# is dense: numpy has no Schur form to reuse. A diagonal J needs no fact:
+# jac returns its diagonal, and solve_shifted divides on any 1-D J.
 DENSE = "dense"
-DIAGONAL = "diagonal"
 SYMMETRIC_CONSTANT = "symmetric_constant"
-STRUCTURES = (DENSE, DIAGONAL, SYMMETRIC_CONSTANT)
+STRUCTURES = (DENSE, SYMMETRIC_CONSTANT)
 
 # solve_shifted's error state. A non-finite J, a or rhs, or a singular
 # J + a*I, makes its arithmetic warn, and the residual certificate reports
@@ -96,22 +95,22 @@ def as_count(name: str, value, minimum: int):
 
 @_QUIET
 def solve_shifted(J, a: float, rhs, structure=None) -> np.ndarray:
-    """Solve (J + a*I) x = rhs, by dense LU with partial pivoting unless told J's structure.
+    """Solve (J + a*I) x = rhs: divide for a 1-D J, else dense LU unless told J's structure.
 
     The shift a must be positive and J is expected to have a positive
     semidefinite symmetric part, which makes J + a*I invertible. J is read,
-    never written, so a shared read-only Jacobian is fine. structure picks
-    the method: None or DENSE is dense LU, bit for bit np.linalg.solve(J +
-    a*np.eye(n), rhs); DIAGONAL is rhs / (diag(J) + a); an eigendecomposition
+    never written, so a shared read-only Jacobian is fine. A 1-D J (a
+    diagonal J's diagonal) gives rhs / (J + a), LU's numbers on np.diag(J),
+    whatever structure says; for a matrix, None or DENSE is dense LU, bit
+    for bit np.linalg.solve(J + a*np.eye(n), rhs), and an eigendecomposition
     (lam, Q) of J, as np.linalg.eigh returns it, gives x = Q ((Q^T rhs) /
     (lam + a)). Whatever the method, the solution must pass the residual
     certificate ||J x + a x - rhs|| <= EPS_LIN * (||rhs|| + 1) against J
     itself, so a structure that J does not have fails it. The comparison is
     written so that a NaN residual fails it, which makes it the finiteness
-    check of J, a, rhs and x as well. A singular J + a*I fails it too: the
-    dense solve returns NaN for it, with no exception and no warning. A
-    failed certificate raises LinearSolveError: it signals that the
-    precondition was violated, and is never silently patched.
+    check of J, a, rhs and x as well; a singular J + a*I, whose dense solve
+    is NaN, fails it with no exception and no warning. A failed certificate
+    raises LinearSolveError: the precondition was violated; it is never patched.
 
     The dense path calls np.linalg.solve's own gufunc (see the module
     docstring). It is a private NumPy name, but the bit-for-bit Hypothesis
@@ -120,8 +119,8 @@ def solve_shifted(J, a: float, rhs, structure=None) -> np.ndarray:
     """
     J = np.asarray(J, dtype=float)
     b = np.asarray(rhs, dtype=float)
-    if J.ndim != 2 or J.shape[0] != J.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {J.shape}")
+    if J.ndim not in (1, 2) or J.shape[0] != J.shape[-1]:
+        raise ValueError(f"expected a square matrix or its diagonal, got shape {J.shape}")
     if b.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {b.shape}")
     n = J.shape[0]
@@ -130,18 +129,18 @@ def solve_shifted(J, a: float, rhs, structure=None) -> np.ndarray:
     if not a > 0.0:
         raise ValueError(f"shift must be positive, got {a}")
 
-    if structure is None or structure == DENSE:
+    if J.ndim == 1:
+        x = b / (J + a)
+        r = J * x + a * x - b
+    elif structure is None or structure == DENSE:
         # J + 0.0 flushes -0.0 to +0.0 off the diagonal exactly as J + a*eye does.
         shifted = J + 0.0
         shifted.flat[:: n + 1] += a
         x = _umath_linalg.solve1(shifted, b, signature="dd->d")
         r = shifted @ x - b
     else:
-        if structure == DIAGONAL:
-            x = b / (J.diagonal() + a)
-        else:
-            lam, q = structure
-            x = q @ ((q.T @ b) / (lam + a))
+        lam, q = structure
+        x = q @ ((q.T @ b) / (lam + a))
         r = J @ x + a * x - b
     residual = math.sqrt(r.dot(r))
     bound = EPS_LIN * (math.sqrt(b.dot(b)) + 1.0)

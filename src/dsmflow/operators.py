@@ -18,6 +18,7 @@ negative tests but is not part of the gallery.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import DENSE, DIAGONAL, MAX_DIM, STRUCTURES, SYMMETRIC_CONSTANT, as_vector
+from .linalg import DENSE, MAX_DIM, STRUCTURES, SYMMETRIC_CONSTANT, as_vector
 
 # Working box for sampling-based checks; trajectories stay well inside.
 R_BOX = 100.0
@@ -44,7 +45,7 @@ FD_LEVELS = 2
 
 
 def _read_only(m: np.ndarray) -> np.ndarray:
-    """Mark a constant Jacobian read-only, so jac can return the same array every call."""
+    """Mark a constant Jacobian or diagonal read-only, so jac can return it every call."""
     m.setflags(write=False)
     return m
 
@@ -55,12 +56,13 @@ class OperatorProblem:
 
     fun and jac must be defined for all ||u|| <= R_BOX; fun must satisfy
     <F(u) - F(v), u - v> >= 0 (see check_monotone) and jac must match the
-    finite differences of fun (see check_jacobian). jacobian_structure is
-    what more is known of jac(u) for every u: nothing ("dense", the
-    default), "diagonal", or "symmetric_constant" (one symmetric matrix
-    everywhere); see linalg.STRUCTURES. It routes only the shifted solves
-    of dp54 flow runs (see solve_structure), and a false fact fails their
-    residual certificate.
+    finite differences of fun (see check_jacobian). jac(u) is the matrix
+    F'(u) or, where F' is diagonal everywhere, the vector of its diagonal,
+    on which every solve divides. jacobian_structure is what more is known
+    of a matrix jac(u) for every u: nothing ("dense", the default) or
+    "symmetric_constant" (one symmetric matrix everywhere). It routes only
+    the shifted solves of dp54 flow runs (see solve_structure), and a false
+    fact fails their residual certificate.
     """
 
     name: str
@@ -82,16 +84,14 @@ class OperatorProblem:
     def solve_structure(self):
         """linalg.solve_shifted's structure argument, worked out on first use.
 
-        DIAGONAL for "diagonal"; for "symmetric_constant", one np.linalg.eigh
-        of the constant J that serves every shift. Otherwise, and for a J eigh
-        cannot take, None: dense LU, whose certificate rejects such a J.
+        For "symmetric_constant", one np.linalg.eigh of the constant J that
+        serves every shift. Otherwise, and for a J eigh cannot take, None:
+        dense LU, whose certificate rejects such a J, or division on a 1-D J.
         """
         if self.jacobian_structure == SYMMETRIC_CONSTANT:
-            try:
+            with contextlib.suppress(np.linalg.LinAlgError):
                 return np.linalg.eigh(self.jac(np.zeros(self.dim)))
-            except np.linalg.LinAlgError:
-                return None
-        return DIAGONAL if self.jacobian_structure == DIAGONAL else None
+        return None
 
     def residual(self, a: float, u: np.ndarray) -> np.ndarray:
         """F(u) + a*u - f, the regularized residual driving the flow."""
@@ -99,22 +99,21 @@ class OperatorProblem:
 
 
 def identity(dim: int = 10, rhs=None) -> OperatorProblem:
-    """F(u) = u. Solution is f itself; default f = 0."""
+    """F(u) = u; jac returns the diagonal, all ones. Solution is f itself; default f = 0."""
     f = np.zeros(dim) if rhs is None else as_vector(rhs)
-    eye = _read_only(np.eye(dim))
+    ones = _read_only(np.ones(dim))
     return OperatorProblem(
         name="identity",
         dim=dim,
         fun=lambda u: u.copy(),
-        jac=lambda u: eye,
+        jac=lambda u: ones,
         rhs=f,
-        jacobian_structure=DIAGONAL,
         minimal_norm_solution=f.copy(),
     )
 
 
 def diag_cubic(dim: int = 8, rhs=None) -> OperatorProblem:
-    """F(u)_i = u_i^3, monotone with F'(0) = 0.
+    """F(u)_i = u_i^3, monotone with F'(0) = 0; jac returns the diagonal 3 u^2.
 
     The default right-hand side is built from a smooth positive profile y
     so the solution (componentwise cube roots) is known exactly.
@@ -129,9 +128,8 @@ def diag_cubic(dim: int = 8, rhs=None) -> OperatorProblem:
         name="diag_cubic",
         dim=dim,
         fun=lambda u: u**3,
-        jac=lambda u: np.diag(3.0 * u**2),
+        jac=lambda u: 3.0 * u**2,
         rhs=f,
-        jacobian_structure=DIAGONAL,
         minimal_norm_solution=y,
     )
 
@@ -358,7 +356,7 @@ def check_monotone(
 
 
 def check_jacobian(p: OperatorProblem, point, step: float = FD_STEP) -> JacobianReport:
-    """Compare jac against central finite differences of fun at a point.
+    """Compare jac at a point, a 1-D jac as its diagonal matrix, with central differences.
 
     The Jacobian passes if the largest entry error at step is within
     FD_TOL * (1 + max |J|), the accuracy a C^2 operator reaches there. If it
@@ -372,6 +370,7 @@ def check_jacobian(p: OperatorProblem, point, step: float = FD_STEP) -> Jacobian
         raise ValueError("step must be positive")
     x = as_vector(point)
     analytic = np.asarray(p.jac(x), dtype=float)
+    analytic = np.diag(analytic) if analytic.ndim == 1 else analytic
     error = _fd_error(p, x, analytic, step)
     tol = FD_TOL * (1.0 + float(np.max(np.abs(analytic))))
     finer = ()

@@ -2,13 +2,14 @@
 
 F(u) = M u + g(u) with M a PSD matrix plus a skew one and g a nondecreasing
 function applied componentwise, so <F(u) - F(v), u - v> >= 0 everywhere.
-Two special cases state the structure of their Jacobian: a random PSD
-linear F ("symmetric_constant") and a componentwise F ("diagonal").
+Two special cases: a random PSD linear F, which states its Jacobian
+"symmetric_constant", and a componentwise F, whose jac returns the
+diagonal of its Jacobian.
 """
 
 import numpy as np
 
-from dsmflow.linalg import DIAGONAL, SYMMETRIC_CONSTANT
+from dsmflow.linalg import SYMMETRIC_CONSTANT
 from dsmflow.operators import OperatorProblem
 
 # Nondecreasing componentwise terms g and their derivatives. "holder" has a
@@ -63,7 +64,8 @@ def psd_linear_problem(rng, n):
 
 def componentwise_monotone_problem(rng, n):
     """F(u)_i = c_i u_i + g(u_i) with c_i uniform in [0, 2] (about a third of
-    them 0) and g a random one of MONOTONE_TERMS; f = F(y)."""
+    them 0) and g a random one of MONOTONE_TERMS; f = F(y). jac returns the
+    diagonal c + g'(u)."""
     g, dg = MONOTONE_TERMS[rng.choice(list(MONOTONE_TERMS))]
     c = rng.uniform(0.0, 2.0, n)
     c[rng.uniform(size=n) < 0.3] = 0.0
@@ -76,8 +78,7 @@ def componentwise_monotone_problem(rng, n):
         name="random_componentwise",
         dim=n,
         fun=fun,
-        jac=lambda u: np.diag(c + dg(u)),
+        jac=lambda u: c + dg(u),
         rhs=fun(y),
         minimal_norm_solution=y,
-        jacobian_structure=DIAGONAL,
     )

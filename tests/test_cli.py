@@ -286,6 +286,27 @@ def test_outputs_of_an_earlier_run_are_cleared(tmp_path, command, overrides, cod
         assert meta["config"] == dataclasses.asdict(cli.load_config(path))
 
 
+@pytest.mark.parametrize("command", ["run", "verify", "oracle"])
+def test_output_dir_that_is_a_file_is_a_validation_error(tmp_path, capsys, command):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    path, _ = write_config(tmp_path, output_dir=str(afile))
+    assert cli.main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "output_dir" in err
+    assert afile.read_text() == ""
+
+
+def test_oracle_clears_an_earlier_continuation(tmp_path):
+    # A failed oracle leaves no converged continuation.csv from an earlier run.
+    good, _ = write_config(tmp_path, name="good.json")
+    assert cli.main(["oracle", str(good)]) == 0
+    assert (tmp_path / "out" / "continuation.csv").is_file()
+    path, _ = write_config(tmp_path, oracle={"tol": 1e-300, "max_iters": 1})
+    assert cli.main(["oracle", str(path)]) == 3
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_verify_identity_all_pass(tmp_path):
     path, _ = write_config(tmp_path, problem="identity", dim=6)
     assert cli.main(["verify", str(path)]) == 0
@@ -415,7 +436,15 @@ def test_gallery_lists_six_rows(capsys):
     assert len(out) == 7  # header + six problems
     assert out[0].split() == ["name", "dim", "jacobian_structure", "known_y", "null_dim"]
     rows = {row.split()[0]: row.split()[2] for row in out[1:]}
-    assert rows == {p.name: p.jacobian_structure for p in dsmflow.gallery()}
+    # "diagonal" is read off jac, which returns a diagonal as a vector.
+    assert rows == {
+        "identity": "diagonal",
+        "diag_cubic": "diagonal",
+        "psd_rank_deficient": "symmetric_constant",
+        "fredholm_first_kind": "symmetric_constant",
+        "skew_perturbed": "dense",
+        "convex_gradient": "dense",
+    }
     assert out[1].split()[:3] == ["identity", "10", "diagonal"]
 
 

@@ -8,6 +8,11 @@ recorded residuals against psi' = a' u - psi, fails every fault (worst
 ratios 1.19 to 7.05e4, against 0.12 to 0.22 on the clean runs). certify
 fails four of the six faults, on EQ_3_8: a flow that decays faster than
 the paper's, here jac x 0.7 and rhs x 1.2, stays under every envelope.
+
+The converse shows on a random monotone problem with a Hoelder F': the
+clean flow passes certify but fails residual_dynamics_check, whose dt^2
+tolerance assumes a smooth psi, which the paper's hypothesis (F'
+continuous) does not give.
 """
 
 import dataclasses
@@ -18,6 +23,7 @@ import pytest
 
 import dsmflow as d
 from dsmflow import flow
+from problems import monotone_problem, psd_plus_skew
 
 PROBLEMS = {"diag_cubic": 8, "psd_rank_deficient": 20, "skew_perturbed": 16}
 SCHEDULE = d.exponential(1.0, 0.44)
@@ -93,3 +99,29 @@ def test_dynamics_check_fails_every_fault(run, name, fault):
 def test_certify_fails_the_fault(run, name, fault):
     p, traj = run(name, fault)
     assert not _certify_passes(p, traj)
+
+
+@functools.cache
+def _holder_runs():
+    """(problem, clean runs from u0 = 0 and u0 = 0.5) of one draw with a Hoelder F'."""
+    rng = np.random.default_rng(2)
+    n = int(rng.integers(2, 13))
+    p = monotone_problem(psd_plus_skew(rng, n), "holder", rng.uniform(-1.0, 1.0, n))
+    return p, [d.integrate(p, SCHEDULE, np.full(n, u0), CFG) for u0 in (0.0, 0.5)]
+
+
+def test_certify_passes_the_clean_flow_on_a_hoelder_jacobian():
+    p, runs = _holder_runs()
+    assert p.dim == 11
+    for traj in runs:
+        assert traj.terminated_by == "t_max"
+        assert _certify_passes(p, traj)
+
+
+# The check reads worst ratios 34 (t = 2.4e-6) and 243 (t = 0.61) on these
+# runs, and finer integration does not cure it (ROADMAP item 2).
+@pytest.mark.xfail(strict=True, reason="the dynamics check assumes a smooth psi; ROADMAP item 2")
+def test_dynamics_check_passes_the_clean_flow_on_a_hoelder_jacobian():
+    p, runs = _holder_runs()
+    for traj in runs:
+        assert d.residual_dynamics_check(traj, p, SCHEDULE).passed

@@ -10,7 +10,7 @@ import dsmflow as d
 import dsmflow.flow
 from dsmflow.errors import InadmissibleScheduleError, LinearSolveError
 from dsmflow.flow import _C, _FAC_MIN, TERMINATED_MAX_STEPS, TERMINATED_STEP_FAILURE
-from dsmflow.linalg import DENSE, DIAGONAL, SYMMETRIC_CONSTANT
+from dsmflow.linalg import DENSE, SYMMETRIC_CONSTANT
 from dsmflow.operators import GALLERY_NAMES, OperatorProblem, diag_cubic, identity
 
 from oracles import generator_sum_dp54_step, reference_dynamics_check, reference_integrate
@@ -499,11 +499,16 @@ def _record_structures(monkeypatch, module):
     return seen
 
 
+def _dense(p):
+    """p on dense LU: its structure fact dropped, and a 1-D jac made the diagonal matrix."""
+    if np.ndim(p.jac(np.zeros(p.dim))) == 2:
+        return dataclasses.replace(p, jacobian_structure=DENSE)
+    return dataclasses.replace(p, jac=lambda u: np.diag(p.jac(u)), jacobian_structure=DENSE)
+
+
 @pytest.mark.parametrize(
     "name, path",
     [
-        ("identity", "diagonal"),
-        ("diag_cubic", "diagonal"),
         ("psd_rank_deficient", "eigh"),
         ("fredholm_first_kind", "eigh"),
         ("skew_perturbed", "lu"),
@@ -522,7 +527,7 @@ def test_only_dp54_solves_with_the_stated_structure(monkeypatch, name, path):
         assert flow_solves[0].eigenvalues.shape == (6,)
         assert all(st is flow_solves[0] for st in flow_solves)
     else:
-        assert set(flow_solves) == {DIAGONAL if path == "diagonal" else None}
+        assert set(flow_solves) == {None}
     flow_solves.clear()
     d.integrate(p, s, u0, d.IntegratorConfig(t_max=2.0, initial_step=0.1, method="rk4"))
     d.solve_regularized(p, 0.5, u0)
@@ -535,6 +540,31 @@ def _record_eigh(monkeypatch):
     real_eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or real_eigh(m))
     return calls
+
+
+@pytest.mark.parametrize("name", ["identity", "diag_cubic"])
+def test_every_solver_divides_on_a_diagonal_problem(monkeypatch, name):
+    # jac returns the diagonal, so dp54, rk4 and the oracle all divide on
+    # it, whatever structure they pass, and nothing is decomposed.
+    shapes = []
+    real = dsmflow.linalg.solve_shifted
+
+    def recording(j, a, b, structure=None):
+        shapes.append(np.shape(j))
+        return real(j, a, b, structure)
+
+    for module in (dsmflow.flow, dsmflow.oracle):
+        monkeypatch.setattr(module, "solve_shifted", recording)
+    eigh_calls = _record_eigh(monkeypatch)
+    p = d.make_problem(name, dim=6)
+    s, u0 = d.power(1.0, 0.25), np.full(6, 0.5)
+    for method in ("dp54", "rk4"):
+        d.integrate(p, s, u0, d.IntegratorConfig(t_max=2.0, initial_step=0.1, method=method))
+        assert shapes and set(shapes) == {(6,)}
+        shapes.clear()
+    d.solve_regularized(p, 0.5, u0)
+    assert shapes and set(shapes) == {(6,)}
+    assert p.solve_structure is None and not eigh_calls
 
 
 def test_stop_at_t0_decomposes_nothing(monkeypatch):
@@ -568,7 +598,7 @@ def test_problem_without_the_facts_integrates_as_before(monkeypatch, name):
     # Stated "dense", a problem stays on dense LU in dp54 too, and its run
     # is bit for bit the reference loop's on LU.
     flow_solves = _record_structures(monkeypatch, dsmflow.flow)
-    p = dataclasses.replace(d.make_problem(name, dim=6), jacobian_structure=DENSE)
+    p = _dense(d.make_problem(name, dim=6))
     u0 = np.full(6, 0.5)
     assert p.solve_structure is None
     cfg = d.IntegratorConfig(t_max=8.0, rel_tol=1e-10, abs_tol=1e-12)
@@ -577,26 +607,24 @@ def test_problem_without_the_facts_integrates_as_before(monkeypatch, name):
     _assert_same_trajectory(traj, reference_integrate(p, d.exponential(1.0, 0.44), u0, cfg))
 
 
-@pytest.mark.parametrize("structure", [SYMMETRIC_CONSTANT, DIAGONAL])
+@pytest.mark.parametrize("structure", [SYMMETRIC_CONSTANT])
 def test_false_structure_fact_fails_the_certificate(structure):
-    # convex_gradient's Jacobian is neither constant nor diagonal. Each solve
-    # is certified against the Jacobian at its own state, so the false fact
-    # raises where it would give a wrong direction.
+    # convex_gradient's Jacobian is not constant. Each solve is certified
+    # against the Jacobian at its own state, so the false fact raises where
+    # it would give a wrong direction. (A jac that returns only the
+    # diagonal of this Jacobian is certified against itself, and fails
+    # check_jacobian instead; see test_operators.)
     dense = d.make_problem("convex_gradient", dim=5)
     p = dataclasses.replace(dense, jacobian_structure=structure)
     s, u0 = d.constant(0.5), np.zeros(5)
     u = np.linspace(-1.0, 1.0, 5)
     with pytest.raises(LinearSolveError, match="structure"):
         d.rhs(p, s, 0.0, u)
-    if structure == DIAGONAL:
-        with pytest.raises(LinearSolveError, match="structure"):
-            d.integrate(p, s, u0, d.IntegratorConfig(t_max=5.0))
-    else:
-        # Taken at the origin, u0 here, the eigendecomposition is right only
-        # there: it fails every trial stage away from it, and the run ends.
-        np.testing.assert_allclose(d.rhs(p, s, 0.0, u0), d.rhs(dense, s, 0.0, u0), atol=1e-12)
-        traj = d.integrate(p, s, u0, d.IntegratorConfig(t_max=5.0))
-        assert traj.terminated_by == TERMINATED_STEP_FAILURE and traj.final.t < 1e-3
+    # Taken at the origin, u0 here, the eigendecomposition is right only
+    # there: it fails every trial stage away from it, and the run ends.
+    np.testing.assert_allclose(d.rhs(p, s, 0.0, u0), d.rhs(dense, s, 0.0, u0), atol=1e-12)
+    traj = d.integrate(p, s, u0, d.IntegratorConfig(t_max=5.0))
+    assert traj.terminated_by == TERMINATED_STEP_FAILURE and traj.final.t < 1e-3
     # rk4 solves on dense LU whatever the problem states, so it never trips.
     rk4 = d.IntegratorConfig(t_max=1.0, initial_step=0.1, method="rk4")
     _assert_same_trajectory(d.integrate(p, s, u0, rk4), d.integrate(dense, s, u0, rk4))
@@ -626,7 +654,9 @@ def test_structured_and_dense_dp54_give_the_same_verdicts(name, schedule, t_max)
 @pytest.mark.parametrize("build", [psd_linear_problem, componentwise_monotone_problem])
 def test_structure_keeps_the_verdicts_on_random_problems(build, seed):
     # Random draws beyond the gallery: dp54 as stated against dense LU, and
-    # rk4 byte for byte whichever structure is stated.
+    # rk4 byte for byte whichever structure is stated. On a componentwise
+    # draw, dividing on the 1-D jac and LU on np.diag(jac) give equal
+    # points in both methods.
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 13))
     p = build(rng, n)
@@ -634,16 +664,24 @@ def test_structure_keeps_the_verdicts_on_random_problems(build, seed):
     _assert_structure_keeps_the_verdicts(p, s, 16.0)
     rk4 = d.IntegratorConfig(t_max=4.0, initial_step=0.05, method="rk4")
     u0 = np.full(n, 0.5)
-    for structure in (DENSE, DIAGONAL, SYMMETRIC_CONSTANT):
+    for structure in (DENSE, SYMMETRIC_CONSTANT):
         q = dataclasses.replace(p, jacobian_structure=structure)
         _assert_same_trajectory(d.integrate(q, s, u0, rk4), d.integrate(p, s, u0, rk4))
+    if build is componentwise_monotone_problem:
+        dp54 = d.IntegratorConfig(t_max=16.0, rel_tol=1e-10, abs_tol=1e-12, residual_stop=1e-8)
+        for cfg in (dp54, rk4):
+            divided, lu = (d.integrate(q, s, u0, cfg) for q in (p, _dense(p)))
+            assert divided.terminated_by == lu.terminated_by
+            assert len(divided.points) == len(lu.points)
+            for pt, pt_lu in zip(divided.points, lu.points):
+                assert (pt.t, pt.h) == (pt_lu.t, pt_lu.h) and np.array_equal(pt.u, pt_lu.u)
 
 
 def _assert_structure_keeps_the_verdicts(p, schedule, t_max):
     """dp54 on p as stated and on a "dense" copy: the same stop and verdicts,
     and margins within perfbench's tolerances, at the stock configs'
     settings from u0 = 0.5 (so that identity moves too)."""
-    dense = dataclasses.replace(p, jacobian_structure=DENSE)
+    dense = _dense(p)
     cfg = d.IntegratorConfig(t_max=t_max, rel_tol=1e-10, abs_tol=1e-12, residual_stop=1e-8)
     u0 = np.full(p.dim, 0.5)
     results = []

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import dsmflow as d
 from dsmflow.errors import LinearSolveError
-from dsmflow.linalg import DENSE, DIAGONAL, as_vector
+from dsmflow.linalg import DENSE, as_vector
 from oracles import dense_shifted_solve, inverse_2x2
 
 EPS = np.finfo(float).eps
@@ -56,8 +56,11 @@ def test_solve_shifted_requires_positive_shift():
 
 
 def test_solve_shifted_rejects_bad_shapes():
-    with pytest.raises(ValueError, match="square"):
-        d.solve_shifted(np.ones((2, 3)), 1.0, [1.0, 1.0])
+    for j in (np.ones((2, 3)), np.ones((1, 2)), np.ones((2, 2, 2)), np.float64(1.0)):
+        with pytest.raises(ValueError, match="square matrix or its diagonal"):
+            d.solve_shifted(j, 1.0, [1.0, 1.0])
+    with pytest.raises(ValueError, match="mismatch"):
+        d.solve_shifted(np.ones(3), 1.0, [1.0, 1.0])
     with pytest.raises(ValueError, match="1-D"):
         d.solve_shifted(np.eye(2), 1.0, np.ones((2, 1)))
     with pytest.raises(ValueError, match="mismatch"):
@@ -206,6 +209,9 @@ def test_solve_shifted_matches_dense_formula_bitwise(kind, n, a, seed):
     assert j.tobytes() == j_bytes
     j.setflags(write=False)
     assert d.solve_shifted(j, a, rhs).tobytes() == expected.tobytes()
+    if kind == "diagonal":
+        # Its diagonal alone is divided on: LU's numbers, the sign of a zero aside.
+        assert np.array_equal(d.solve_shifted(j.diagonal(), a, rhs), expected)
 
 
 def _structured_case(kind, n, a, seed):
@@ -213,20 +219,20 @@ def _structured_case(kind, n, a, seed):
     side shaped like the flow's residual.
 
     psd_* are symmetric PSD with a random eigenbasis: rank-deficient, or with
-    a fredholm-like 1/k^2 spectrum. diagonal has zeros and -0.0 on and off
-    its diagonal, and +0.0 and -0.0 entries in its right-hand side. The
+    a fredholm-like 1/k^2 spectrum. diagonal is a 1-D J, the diagonal of a
+    diagonal matrix, with +0.0 and -0.0 entries (its structure is None: a
+    1-D J is divided on whatever the argument says), and +0.0 and -0.0
+    entries in its right-hand side. The
     right-hand side is J y + a z, as psi = F(u) + a u - f is for linear F
     with f in range(J): its null-space part is O(a), so x stays O(1) and
     the certificate can be met as a -> 1e-8.
     """
     rng = np.random.default_rng(seed)
     if kind == "diagonal":
-        diag = rng.uniform(0.0, 4.0, n)
-        diag[rng.uniform(size=n) < 0.3] = 0.0
-        diag[rng.uniform(size=n) < 0.3] = -0.0
-        j = np.full((n, n), -0.0)
-        j[np.arange(n), np.arange(n)] = diag
-        structure = DIAGONAL
+        j = rng.uniform(0.0, 4.0, n)
+        j[rng.uniform(size=n) < 0.3] = 0.0
+        j[rng.uniform(size=n) < 0.3] = -0.0
+        structure = None
     else:
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         if kind == "psd_rank_deficient":
@@ -237,7 +243,8 @@ def _structured_case(kind, n, a, seed):
         j = (q * lam) @ q.T
         j = 0.5 * (j + j.T)
         structure = np.linalg.eigh(j)
-    rhs = j @ rng.standard_normal(n) + a * rng.standard_normal(n)
+    y = rng.standard_normal(n)
+    rhs = (j * y if j.ndim == 1 else j @ y) + a * rng.standard_normal(n)
     if kind == "diagonal":
         rhs[rng.uniform(size=n) < 0.2] = 0.0
         rhs[rng.uniform(size=n) < 0.2] = -0.0
@@ -254,18 +261,18 @@ STRUCTURED_KINDS = ["psd_rank_deficient", "psd_fredholm", "diagonal"]
     st.integers(0, 10_000),
 )
 def test_structured_solves_match_dense_formula(kind, n, a, seed):
-    # The diagonal path is one correctly rounded division per entry, as
-    # LU's back substitution on a diagonal matrix is: the same numbers,
-    # and the same bytes wherever they are nonzero. Where the right-hand
-    # side holds a zero, the sign of that zero may differ from LU's (in
-    # 4,596 of 5,000 draws; no other difference), which np.array_equal
-    # does not see. The eigendecomposition and LU are both backward
+    # A 1-D J is solved by one correctly rounded division per entry, as
+    # LU's back substitution on the diagonal matrix np.diag(J) is: the same
+    # numbers, and the same bytes wherever they are nonzero. Where the
+    # right-hand side holds a zero, the sign of that zero may differ from
+    # LU's (in 4,596 of 5,000 draws; no other difference), which
+    # np.array_equal does not see. The eigendecomposition and LU are both backward
     # stable, so they may differ by the first-order forward error bound,
     # 16 n eps cond(J + aI) ||x||; over 3,000 draws the largest difference
     # seen was 1.1 n eps cond ||x||.
     j, structure, rhs = _structured_case(kind, n, a, seed)
     j_bytes = j.tobytes()
-    expected = dense_shifted_solve(j, a, rhs)
+    expected = dense_shifted_solve(np.diag(j) if j.ndim == 1 else j, a, rhs)
     x = d.solve_shifted(j, a, rhs, structure)
     assert j.tobytes() == j_bytes
     if kind == "diagonal":
@@ -287,10 +294,11 @@ def test_structured_solves_match_dense_formula(kind, n, a, seed):
 def test_structured_non_finite_input_fails_certificate(kind, spoil):
     j, structure, rhs = _structured_case(kind, 5, 0.5, 3)
     a = np.inf if spoil == "inf_shift" else 0.5
+    # Every entry of a 1-D J is on the diagonal.
     if spoil in ("nan_entry", "inf_entry"):
-        j[1, 3] = np.nan if spoil == "nan_entry" else np.inf
+        j[(1, 3)[: j.ndim]] = np.nan if spoil == "nan_entry" else np.inf
     elif spoil == "inf_diagonal":
-        j[2, 2] = np.inf
+        j[(2, 2)[: j.ndim]] = np.inf
     elif spoil in ("nan_rhs", "inf_rhs"):
         rhs[0] = np.nan if spoil == "nan_rhs" else np.inf
     # An inf entry of J meets a finite x in the product: the residual is inf.
@@ -305,7 +313,7 @@ def test_structured_solves_keep_the_argument_checks(kind):
         with pytest.raises(ValueError, match="positive"):
             d.solve_shifted(j, a, rhs, structure)
     with pytest.raises(ValueError, match="square"):
-        d.solve_shifted(j[:, :3], 0.5, rhs, structure)
+        d.solve_shifted(j[:, :3] if j.ndim == 2 else j[None, :], 0.5, rhs, structure)
     with pytest.raises(ValueError, match="1-D"):
         d.solve_shifted(j, 0.5, rhs[:, None], structure)
     with pytest.raises(ValueError, match="mismatch"):
@@ -314,13 +322,12 @@ def test_structured_solves_keep_the_argument_checks(kind):
 
 def test_structure_the_jacobian_lacks_fails_certificate():
     # The certificate is taken against the J passed in, so an
-    # eigendecomposition of another matrix, or DIAGONAL for a J with
-    # off-diagonal entries, raises instead of solving another system.
+    # eigendecomposition of another matrix raises instead of solving
+    # another system.
     j, structure, rhs = _structured_case("psd_fredholm", 6, 0.5, 1)
     other, _, _ = _structured_case("psd_fredholm", 6, 0.5, 2)
-    for wrong in (np.linalg.eigh(other), DIAGONAL):
-        with pytest.raises(LinearSolveError, match="structure"):
-            d.solve_shifted(j, 0.5, rhs, wrong)
+    with pytest.raises(LinearSolveError, match="structure"):
+        d.solve_shifted(j, 0.5, rhs, np.linalg.eigh(other))
     # A nonsymmetric J: eigh reads one triangle only.
     skew = d.make_problem("skew_perturbed", dim=6).jac(None)
     with pytest.raises(LinearSolveError, match="structure"):
@@ -328,12 +335,19 @@ def test_structure_the_jacobian_lacks_fails_certificate():
 
 
 def test_structure_names_compare_by_value():
-    # A name built at run time equals DENSE or DIAGONAL but is another
-    # object: "dense" takes the default LU path and "diagonal" the
-    # division, bit for bit.
+    # A name built at run time equals DENSE but is another object: "dense"
+    # takes the default LU path, bit for bit.
+    j, _, rhs = _structured_case("psd_fredholm", 7, 0.5, 4)
+    name = "".join("dense")
+    assert name is not DENSE
+    expected = d.solve_shifted(j, 0.5, rhs)
+    assert d.solve_shifted(j, 0.5, rhs, name).tobytes() == expected.tobytes()
+
+
+def test_a_one_d_jacobian_is_divided_on_whatever_the_structure():
+    # A 1-D J is a diagonal: no structure argument moves its solve off the
+    # division, and its certificate is taken against J * x.
     j, _, rhs = _structured_case("diagonal", 7, 0.5, 4)
-    for name, structure in (("dense", None), ("diagonal", DIAGONAL)):
-        name = "".join(name)
-        assert name is not DENSE and name is not DIAGONAL
-        expected = d.solve_shifted(j, 0.5, rhs, structure)
-        assert d.solve_shifted(j, 0.5, rhs, name).tobytes() == expected.tobytes()
+    expected = rhs / (j + 0.5)
+    for structure in (None, DENSE, np.linalg.eigh(np.eye(7))):
+        assert d.solve_shifted(j, 0.5, rhs, structure).tobytes() == expected.tobytes()

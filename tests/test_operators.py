@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import dsmflow as d
-from dsmflow.linalg import DENSE, DIAGONAL, SYMMETRIC_CONSTANT
+from dsmflow.linalg import DENSE, STRUCTURES, SYMMETRIC_CONSTANT
 from dsmflow.operators import (
     FD_TOL,
     OperatorProblem,
@@ -163,6 +163,19 @@ def test_wrong_jacobian_fails_although_steps_shrink():
         assert len(report.finer_errors) == 2
 
 
+def test_diagonal_of_a_full_jacobian_fails():
+    # A jac that returns only the diagonal of convex_gradient's Jacobian
+    # passes every shifted solve's certificate, which is taken against the
+    # jac it is given, so check_jacobian is where it shows.
+    p = d.make_problem("convex_gradient", dim=6)
+    diagonal_only = dataclasses.replace(p, jac=lambda u: p.jac(u).diagonal().copy())
+    for u in (np.zeros(6), np.linspace(-1.0, 1.0, 6)):
+        assert d.check_jacobian(p, u).passed
+        report = d.check_jacobian(diagonal_only, u)
+        assert not report.passed
+        assert report.max_entry_error == pytest.approx(0.5)
+
+
 def test_nan_jacobian_fails():
     p = dataclasses.replace(identity(dim=3), jac=lambda u: np.full((3, 3), np.nan))
     assert not d.check_jacobian(p, np.zeros(3)).passed
@@ -200,7 +213,7 @@ def test_linear_problem_jacobian_is_one_shared_read_only_array(name):
     j = p.jac(np.zeros(p.dim))
     assert p.jac(np.ones(p.dim)) is j
     with pytest.raises(ValueError, match="read-only"):
-        j[0, 0] = 1.0
+        j.flat[0] = 1.0
     assert d.check_jacobian(p, np.linspace(-1.0, 1.0, p.dim)).passed
 
 
@@ -210,15 +223,15 @@ def test_state_dependent_jacobian_is_fresh_and_writable(name):
     u = np.linspace(-1.0, 1.0, p.dim)
     j = p.jac(u)
     expected = j.copy()
-    j[0, 0] = 123.0
+    j.flat[0] = 123.0
     np.testing.assert_array_equal(p.jac(u), expected)
     assert d.check_jacobian(p, u).passed
 
 
 # The Jacobian structure each problem states.
 JACOBIAN_FACTS = {
-    "identity": DIAGONAL,
-    "diag_cubic": DIAGONAL,
+    "identity": DENSE,
+    "diag_cubic": DENSE,
     "psd_rank_deficient": SYMMETRIC_CONSTANT,
     "fredholm_first_kind": SYMMETRIC_CONSTANT,
     "skew_perturbed": DENSE,
@@ -232,28 +245,30 @@ JACOBIAN_FACTS = {
 def test_jacobian_facts_hold_at_random_points(name, dim):
     # The dp54 flow solves with the stated structure, so it must be true
     # wherever the flow can go: symmetric_constant is byte for byte the same
-    # matrix and exactly symmetric, and diagonal means every off-diagonal
-    # entry is zero. Nothing is decomposed until a solve asks.
+    # matrix and exactly symmetric. identity and diag_cubic state nothing:
+    # their jac is the vector of the diagonal, of shape (dim,), everywhere.
+    # Nothing is decomposed until a solve asks.
     p = d.make_problem(name, dim=dim)
     assert p.jacobian_structure == JACOBIAN_FACTS[name]
     assert "solve_structure" not in vars(p)
-    off_diagonal = ~np.eye(p.dim, dtype=bool)
+    shape = (p.dim,) if name in ("identity", "diag_cubic") else (p.dim, p.dim)
     rng = np.random.default_rng(len(name))
     for _ in range(10):
         u, v = rng.uniform(-3.0, 3.0, (2, p.dim))
         j = np.asarray(p.jac(u))
+        assert j.shape == shape
         if p.jacobian_structure == SYMMETRIC_CONSTANT:
             assert j.tobytes() == np.asarray(p.jac(v)).tobytes()
             assert np.array_equal(j, j.T)
-        if p.jacobian_structure == DIAGONAL:
-            assert not np.any(j[off_diagonal])
 
 
 def test_jacobian_structure_is_validated_at_construction():
     p = d.make_problem("convex_gradient", dim=3)
     assert dataclasses.replace(p, jacobian_structure=DENSE).jacobian_structure == DENSE
     assert OperatorProblem("f", 1, p.fun, p.jac, np.zeros(1)).jacobian_structure == DENSE
-    for bad in ("symmetric", "Dense", None, ["dense"]):
+    assert STRUCTURES == ("dense", "symmetric_constant")
+    # "diagonal" is no fact to state: a diagonal jac returns its diagonal.
+    for bad in ("diagonal", "symmetric", "Dense", None, ["dense"]):
         with pytest.raises(ValueError, match="unknown jacobian_structure"):
             dataclasses.replace(p, jacobian_structure=bad)
 
