@@ -11,9 +11,10 @@ CONFIG is a JSON file with fields
     problem, dim, schedule {kind, a0, param}, integrator {...},
     oracle {tol, max_iters}, seed, output_dir
 where a missing field takes the library default and an unknown one, at any
-level, is a validation error. run.json echoes the fully normalized config,
-so a run is reproducible from its own output. Once the config loads, each
-command clears its outputs; an output_dir that is a file is a validation error.
+level, is a validation error, as is a file that cannot be read as UTF-8
+JSON. run.json echoes the fully normalized config, so a run is
+reproducible from its own output. Once the config loads, each command
+clears its outputs; an output_dir that is a file is a validation error.
 
 Exit codes: 0 success / all checks pass, 1 check failure, 2 validation
 error, 3 runtime failure (step-size underflow, solver breakdown).
@@ -106,9 +107,10 @@ def load_config(path) -> RunConfig:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config file {path} is not valid JSON: {err}") from err
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
+        # RecursionError: JSON nested too deep to parse.
+        raise ConfigError(f"config file {path} cannot be read as JSON: {err}") from err
     return RunConfig.from_dict(raw)
 
 

@@ -4,11 +4,13 @@ A schedule is admissible for the flow when a(t) stays in (0, cap) and the
 ratio |a'(t)|/a(t) stays strictly below 1/2 on [0, infinity); the decay
 condition a(t) -> 0 is additionally needed for the limit to solve the
 unregularized equation. Both conditions are decided in closed form: the
-three supported families (power, exponential, constant) have exact ratio
-suprema, and every schedule is nonincreasing (param >= 0), so a(t) is
-least at the end of a horizon and the cap is derived, not set:
+two families (power, exponential) have exact ratio suprema, and every
+schedule is nonincreasing (param >= 0), so a(t) is least at the end of a
+horizon and the cap is derived, not set:
 C = a0 * (1 + CAP_MARGIN), just above a(0). A schedule whose ratio
 supremum lies between RATIO_WARN and the limit warns once, when built.
+A constant schedule is the exponential one at rate 0: constant(a0) is
+exponential(a0, 0).
 
 value and derivative are scalar closed forms. cell_integral, the cell
 term of the EQ_2_8 and EQ_3_8 envelopes in verify, calls them once per
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 from .linalg import as_number
 
-KINDS = ("power", "exponential", "constant")
+KINDS = ("power", "exponential")
 
 # Strict admissibility limit on sup |a'|/a, and the soft threshold above
 # which the residual decay rate 1 - |a'|/a gets uncomfortably close to 1/2.
@@ -47,11 +49,10 @@ _CELL_WEIGHTS = [1.0] + [4.0, 2.0] * (_CELL_PANELS // 2 - 1) + [4.0, 1.0]
 
 @dataclass(frozen=True, eq=True)
 class Schedule:
-    """Regularizer a(t) of one of the closed-form families.
+    """Regularizer a(t) of one of the two closed-form families.
 
     kind "power"       a(t) = a0 * (1 + t)^(-param)
-    kind "exponential" a(t) = a0 * exp(-param * t)
-    kind "constant"    a(t) = a0            (param unused)
+    kind "exponential" a(t) = a0 * exp(-param * t)   (constant at param 0)
 
     a0 and param must be real numbers in float range (linalg.as_number:
     a bool is none); a0 must be finite and large enough that the derived
@@ -93,9 +94,7 @@ class Schedule:
             raise ValueError(f"schedule evaluated at negative time {t}")
         if self.kind == "power":
             return self.a0 * (1.0 + t) ** (-self.param)
-        if self.kind == "exponential":
-            return self.a0 * math.exp(-self.param * t)
-        return self.a0
+        return self.a0 * math.exp(-self.param * t)
 
     def derivative(self, t: float) -> float:
         """Closed-form a'(t), no finite differences."""
@@ -103,19 +102,15 @@ class Schedule:
             raise ValueError(f"schedule derivative at negative time {t}")
         if self.kind == "power":
             return -self.a0 * self.param * (1.0 + t) ** (-self.param - 1.0)
-        if self.kind == "exponential":
-            return -self.param * self.value(t)
-        return 0.0
+        return -self.param * self.value(t)
 
     def cell_integral(self, t0: float, t1: float, rate: float) -> float:
         """int_{t0}^{t1} e^{rate (x - t1)} |a'(x)| dx.
 
-        Exact for the constant and exponential schedules, composite Simpson
-        with _CELL_PANELS panels for the power schedule.
+        Exact for the exponential schedule, and so 0 for a constant one;
+        composite Simpson with _CELL_PANELS panels for the power schedule.
         """
         dt = t1 - t0
-        if self.kind == "constant":
-            return 0.0
         if self.kind == "exponential":
             # |a'(t1)| int_0^dt e^{-r v} dv with r = rate - k, by x = t1 - v;
             # the integral is dt itself at r = 0.
@@ -135,14 +130,13 @@ class Schedule:
         """Closed-form sup over t >= 0 of |a'(t)|/a(t).
 
         Power: the ratio is |b|/(1+t), maximal at t = 0. Exponential: the
-        ratio is constant |k|. Constant: zero.
+        ratio is constant |k|, zero for a constant schedule. abs turns a
+        param of -0.0 into 0.0.
         """
-        if self.kind in ("power", "exponential"):
-            return abs(self.param)
-        return 0.0
+        return abs(self.param)
 
     def decays_to_zero(self) -> bool:
-        return self.kind in ("power", "exponential") and self.param > 0.0
+        return self.param > 0.0
 
 
 def power(a0: float, b: float) -> Schedule:
@@ -154,7 +148,7 @@ def exponential(a0: float, k: float) -> Schedule:
 
 
 def constant(a0: float) -> Schedule:
-    return Schedule(kind="constant", a0=a0)
+    return exponential(a0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -185,10 +179,11 @@ def check_admissible(s: Schedule, horizon: float) -> AdmissibilityReport:
     positivity is a(horizon) > 0, which an underflowing exponential fails,
     and a0 < cap holds by construction. max_ratio is the exact supremum;
     pass_2_2 requires the strict ratio inequality together with
-    positivity, pass_3_3 requires decay.
+    positivity, pass_3_3 requires decay. The horizon must be finite: a
+    constant schedule would read a(inf) = a0 * exp(-0.0 * inf) = NaN.
     """
-    if not horizon > 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     max_ratio = s.ratio_supremum()
     positive = s.value(horizon) > 0.0
     return AdmissibilityReport(

@@ -38,8 +38,8 @@ int_0^t e^{r(s-t)} |a'(s)| weight(s) ds with r = 1/2 and r = 1, built by
 _envelope in one pass over the recorded times t_j: E_0 = h(0),
 E_{j+1} = e^{-r (t_{j+1} - t_j)} E_j + weight_j C_j, with the cell
 integral C_j = int_{t_j}^{t_{j+1}} e^{r(s - t_{j+1})} |a'(s)| ds from
-Schedule.cell_integral: exact for the constant and exponential schedules,
-composite Simpson for the power schedule.
+Schedule.cell_integral: exact for the exponential schedule (0 at rate
+0, a constant schedule), composite Simpson for the power schedule.
 
 EQ_3_8's weight is the constant c_traj. EQ_2_8's is a lower sum:
 ||w_a|| is nonincreasing in a for monotone F (Ramm, Dynamical Systems

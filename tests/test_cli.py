@@ -398,9 +398,10 @@ def test_verify_relaxed_eps_for_fredholm_noted(tmp_path):
 
 
 def test_verify_constant_schedule_skips_limit_check(tmp_path):
+    # A constant a(t) is the exponential family at rate 0, param's default.
     path, _ = write_config(
         tmp_path,
-        schedule={"kind": "constant", "a0": 0.8},
+        schedule={"kind": "exponential", "a0": 0.8},
         integrator={"t_max": 6.0, "rel_tol": 1e-11, "abs_tol": 1e-13},
     )
     assert cli.main(["verify", str(path)]) == 0
@@ -454,9 +455,32 @@ def test_check_schedule_pass_and_fail(capsys):
     assert out.startswith("schedule: {'kind': 'power', 'a0': 1.0, 'param': 0.25}\n")
     assert "max_ratio=0.25" in out
     assert cli.main(["check-schedule", "power", "1.0", "0.75"]) == 1
-    assert cli.main(["check-schedule", "constant", "2.0"]) == 0
+    capsys.readouterr()
+    # A constant schedule is exponential at rate 0: admissible, never decaying.
+    assert cli.main(["check-schedule", "exponential", "2.0"]) == 0
+    out = capsys.readouterr().out
+    assert out == (
+        "schedule: {'kind': 'exponential', 'a0': 2.0, 'param': 0.0}\n"
+        "max_ratio=0 positive=True pass_2_2=True pass_3_3=False\n"
+    )
     assert cli.main(["check-schedule", "power", "-1.0", "0.25"]) == 2
     assert cli.main(["check-schedule", "power", "1.0", "-0.25"]) == 2
+
+
+def test_check_schedule_has_no_constant_kind(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["check-schedule", "constant", "1.0"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'constant'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "oracle"])
+def test_constant_kind_is_validation_error(tmp_path, capsys, command):
+    path, _ = write_config(tmp_path, schedule={"kind": "constant", "a0": 0.8})
+    assert cli.main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid run config: unknown schedule kind 'constant'")
+    assert not (tmp_path / "out").exists()
 
 
 def test_check_schedule_rejects_infinite_a0(capsys):
@@ -511,6 +535,22 @@ def test_invalid_json_is_validation_error(tmp_path):
     with pytest.raises(cli.ConfigError):
         cli.load_config(path)
     assert cli.main(["run", str(path)]) == 2
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "oracle"])
+@pytest.mark.parametrize(
+    "content",
+    [b'\xff\xfe{"problem": "diag_cubic"}', b"[" * 100_000 + b"]" * 100_000],
+    ids=["not-utf8", "nested-too-deep"],
+)
+def test_unparsable_config_file_is_validation_error(tmp_path, capsys, command, content):
+    # A UnicodeDecodeError from reading, or a RecursionError from parsing,
+    # is a config error naming the file, not a traceback.
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert cli.main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {path} cannot be read as JSON: ")
 
 
 def test_float_format_has_17_significant_digits():

@@ -2,12 +2,17 @@
 
 Each fault makes integrate follow a direction other than
 u' = -(F'(u) + a(t) I)^{-1} (F(u) + a(t) u - f), on three gallery problems
-under exponential(1, 0.44) to t_max 32 at deep tolerances. The checks
-always read the true problem. residual_dynamics_check, which tests the
-recorded residuals against psi' = a' u - psi, fails every fault (worst
-ratios 1.19 to 7.05e4, against 0.12 to 0.22 on the clean runs). certify
-fails four of the six faults, on EQ_3_8: a flow that decays faster than
-the paper's, here jac x 0.7 and rhs x 1.2, stays under every envelope.
+and nine random monotone draws (DRAWS), under exponential(1, 0.44) to
+t_max 32 at deep tolerances. The checks always read the true problem.
+residual_dynamics_check, which tests the recorded residuals against
+psi' = a' u - psi, fails every fault (worst ratios 1.19 to 7.05e4 on the
+gallery and 1.16 to 1.3e5 on the draws, against 0.12 to 0.22 and 0.099 to
+0.126 on the clean runs). certify fails four of the six faults, on
+EQ_3_8: a flow that decays faster than the paper's, here jac x 0.7 and
+rhs x 1.2, stays under every envelope.
+
+A wrong Jacobian in the oracle, not the flow, moves no certificate: its
+Newton iteration stops on the residual, whatever F' it steps with.
 
 The converse shows on a random monotone problem with a Hoelder F': the
 clean flow passes certify but fails residual_dynamics_check, whose dt^2
@@ -23,9 +28,14 @@ import pytest
 
 import dsmflow as d
 from dsmflow import flow
-from problems import monotone_problem, psd_plus_skew
+from problems import monotone_problem, psd_linear_problem, psd_plus_skew
 
 PROBLEMS = {"diag_cubic": 8, "psd_rank_deficient": 20, "skew_perturbed": 16}
+# Random monotone draws from problems.py, by (kind, seed): F = M u + g(u)
+# for a smooth g, and a PSD linear F, which may be singular.
+DRAWS = {
+    f"{kind}-seed{seed}": (kind, seed) for kind in ("cube", "sinh", "psd_linear") for seed in range(3)
+}
 SCHEDULE = d.exponential(1.0, 0.44)
 CFG = d.IntegratorConfig(t_max=32.0, rel_tol=1e-10, abs_tol=1e-12, residual_stop=1e-8)
 
@@ -45,9 +55,24 @@ JAC_FAULTS = {"jac_x1.5": 1.5, "jac_x0.7": 0.7}
 _UNSEEN = pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
 
 
+def _draw(kind, seed):
+    """The problems.py draw of kind under default_rng(seed): n first, then M and y."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 13))
+    if kind == "psd_linear":
+        return psd_linear_problem(rng, n)
+    return monotone_problem(psd_plus_skew(rng, n), kind, rng.uniform(-1.0, 1.0, n))
+
+
+def _problem(name):
+    if name in PROBLEMS:
+        return d.make_problem(name, dim=PROBLEMS[name])
+    return _draw(*DRAWS[name])
+
+
 def _run(name, fault):
     """(true problem, trajectory of its flow under fault); fault None is the clean run."""
-    p = d.make_problem(name, dim=PROBLEMS[name])
+    p = _problem(name)
     flown = p
     with pytest.MonkeyPatch.context() as mp:
         if fault in RHS_FAULTS:
@@ -69,7 +94,7 @@ def _certify_passes(p, traj):
     return all(r.passed for r in reports)
 
 
-@pytest.mark.parametrize("name", PROBLEMS)
+@pytest.mark.parametrize("name", [*PROBLEMS, *DRAWS])
 def test_clean_runs_pass(run, name):
     p, traj = run(name, None)
     assert traj.terminated_by == "t_max"
@@ -78,7 +103,7 @@ def test_clean_runs_pass(run, name):
 
 
 @pytest.mark.parametrize("fault", [*RHS_FAULTS, *JAC_FAULTS])
-@pytest.mark.parametrize("name", PROBLEMS)
+@pytest.mark.parametrize("name", [*PROBLEMS, *DRAWS])
 def test_dynamics_check_fails_every_fault(run, name, fault):
     p, traj = run(name, fault)
     assert not d.residual_dynamics_check(traj, p, SCHEDULE).passed
@@ -95,19 +120,33 @@ def test_dynamics_check_fails_every_fault(run, name, fault):
         pytest.param("rhs_x1.2", marks=_UNSEEN),
     ],
 )
-@pytest.mark.parametrize("name", PROBLEMS)
+@pytest.mark.parametrize("name", [*PROBLEMS, *DRAWS])
 def test_certify_fails_the_fault(run, name, fault):
     p, traj = run(name, fault)
     assert not _certify_passes(p, traj)
 
 
+@pytest.mark.parametrize("factor", [0.7, 1.5])
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_a_wrong_oracle_jacobian_changes_no_certificate(run, name, factor):
+    # The oracle's Newton stops on its residual test, which pins w to within
+    # tol/a whatever Jacobian it steps with: no bound can see a scaled F'
+    # in the oracle, only how many steps it takes (ROADMAP item 2).
+    p, traj = run(name, None)
+    wrong = dataclasses.replace(p, jac=lambda u: factor * p.jac(u))
+    cfg = d.NewtonConfig()
+    reports, _, _ = d.certify(traj, p, cfg, CFG.residual_stop)
+    wrong_reports, _, _ = d.certify(traj, wrong, cfg, CFG.residual_stop)
+    assert [r.passed for r in wrong_reports] == [r.passed for r in reports]
+    for r, wrong_r in zip(reports, wrong_reports):
+        assert wrong_r.worst_margin == pytest.approx(r.worst_margin, rel=0.0, abs=1e-12)
+
+
 @functools.cache
 def _holder_runs():
     """(problem, clean runs from u0 = 0 and u0 = 0.5) of one draw with a Hoelder F'."""
-    rng = np.random.default_rng(2)
-    n = int(rng.integers(2, 13))
-    p = monotone_problem(psd_plus_skew(rng, n), "holder", rng.uniform(-1.0, 1.0, n))
-    return p, [d.integrate(p, SCHEDULE, np.full(n, u0), CFG) for u0 in (0.0, 0.5)]
+    p = _draw("holder", 2)
+    return p, [d.integrate(p, SCHEDULE, np.full(p.dim, u0), CFG) for u0 in (0.0, 0.5)]
 
 
 def test_certify_passes_the_clean_flow_on_a_hoelder_jacobian():

@@ -1,3 +1,4 @@
+import math
 import sys
 import warnings
 from dataclasses import asdict
@@ -28,6 +29,44 @@ def test_constant_derivative_is_zero():
     s = d.constant(1.0)
     assert s.derivative(0.0) == 0.0
     assert s.derivative(17.3) == 0.0
+
+
+def test_kinds_are_the_two_families():
+    assert KINDS == ("power", "exponential")
+    with pytest.raises(ValueError, match="unknown schedule kind 'constant'"):
+        Schedule(kind="constant", a0=1.0)
+
+
+@pytest.mark.parametrize("a0", [0.8, 1.0, 2.0])
+def test_constant_is_exponential_at_rate_zero(a0):
+    s = d.constant(a0)
+    assert s == Schedule("exponential", a0, 0.0)
+    for t in (0.0, 0.3, 17.3, 1e6):
+        assert s.value(t) == a0
+        assert s.derivative(t) == 0.0
+    assert s.cell_integral(2.0, 2.5, 1.0) == 0.0
+    assert s.cell_integral(2.0, 2.5, 0.5) == 0.0
+    assert s.ratio_supremum() == 0.0
+    assert not s.decays_to_zero()
+
+
+def test_negative_zero_rate_reports_a_zero_ratio():
+    # A JSON -0.0 param is rate 0 too; the report must not read -0.0.
+    report = d.check_admissible(d.exponential(1.0, -0.0), horizon=10.0)
+    assert math.copysign(1.0, report.max_ratio) == 1.0
+    assert report.pass_2_2 and not report.pass_3_3
+
+
+@pytest.mark.parametrize(
+    "s",
+    [d.power(1.0, 0.25), d.exponential(1.0, 0.44), d.constant(1.0)],
+    ids=["power", "exponential", "constant"],
+)
+@pytest.mark.parametrize("horizon", [math.inf, math.nan, 0.0, -1.0])
+def test_horizon_must_be_positive_and_finite(s, horizon):
+    # At horizon inf a constant schedule would read a(inf) = 1.0 * exp(-0.0 * inf) = NaN.
+    with pytest.raises(ValueError, match="horizon must be positive and finite"):
+        d.check_admissible(s, horizon)
 
 
 def test_exponential_derivative_at_zero():
