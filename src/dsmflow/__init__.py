@@ -15,7 +15,6 @@ on computed trajectories.
 from .errors import (
     ContinuationError,
     DsmError,
-    InadmissibleScheduleError,
     LinearSolveError,
     NewtonError,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "DsmError",
     "EPS_LIN",
     "GALLERY_NAMES",
-    "InadmissibleScheduleError",
     "IntegratorConfig",
     "LinearSolveError",
     "NewtonConfig",

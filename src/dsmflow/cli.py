@@ -33,8 +33,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DsmError, NewtonError
-from .flow import TERMINATED_STEP_FAILURE, IntegratorConfig, Trajectory, integrate
+from .errors import DsmError
+from .flow import TERMINATED_SOLVE_FAILURE, TERMINATED_STEP_FAILURE
+from .flow import IntegratorConfig, Trajectory, integrate
 from .linalg import as_count
 from .operators import OperatorProblem, check_monotone, gallery, make_problem
 from .oracle import NewtonConfig, minimal_norm_limit
@@ -60,6 +61,12 @@ EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
 TRAJECTORY_COLUMNS = ("t", "a", "h", "norm_u", "dist_to_w", "bound_2_6_rhs", "bound_2_10_rhs")
+
+# The termination reasons that end run and verify with exit 3, each with its error line.
+RUNTIME_FAILURES = {
+    TERMINATED_STEP_FAILURE: "step size underflow (step_failure)",
+    TERMINATED_SOLVE_FAILURE: "a shifted solve failed its residual certificate (solve_failure)",
+}
 
 
 class ConfigError(ValueError):
@@ -196,7 +203,7 @@ def cmd_run(config_path) -> int:
     traj = integrate(p, cfg.schedule, np.zeros(p.dim), cfg.integrator)
     try:
         cap = cap_term(p, cfg.schedule, cfg.oracle)
-    except NewtonError as err:
+    except DsmError as err:
         # Cap-envelope column degrades to empty; the run itself still lands.
         print(f"warning: cap solve failed, bound_2_10_rhs left empty ({err})", file=sys.stderr)
         cap = float("nan")
@@ -205,8 +212,8 @@ def cmd_run(config_path) -> int:
         f"{p.name}: terminated_by={traj.terminated_by} t_final={traj.final.t:.6g} "
         f"h_final={traj.final.h:.3e} -> {out_dir / 'trajectory.csv'}"
     )
-    if traj.terminated_by == TERMINATED_STEP_FAILURE:
-        print("error: step size underflow (step_failure)", file=sys.stderr)
+    if traj.terminated_by in RUNTIME_FAILURES:
+        print(f"error: {RUNTIME_FAILURES[traj.terminated_by]}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
 
@@ -214,7 +221,7 @@ def cmd_run(config_path) -> int:
 def cmd_verify(config_path) -> int:
     cfg, adm, p = _load(config_path)
     out_dir = _output_dir(cfg)
-    mono = check_monotone(p, samples=200, radius=5.0, seed=cfg.seed)
+    mono = check_monotone(p, seed=cfg.seed)
     payload = {
         "problem": p.name,
         "schedule_admissibility": asdict(adm),
@@ -232,9 +239,9 @@ def cmd_verify(config_path) -> int:
         return EXIT_CHECK_FAILED
 
     traj = integrate(p, cfg.schedule, np.zeros(p.dim), cfg.integrator)
-    if traj.terminated_by == TERMINATED_STEP_FAILURE:
+    if traj.terminated_by in RUNTIME_FAILURES:
         _write_run_outputs(out_dir, cfg, traj, float("nan"))
-        print("error: step size underflow (step_failure)", file=sys.stderr)
+        print(f"error: {RUNTIME_FAILURES[traj.terminated_by]}", file=sys.stderr)
         return EXIT_RUNTIME
 
     reports, cap, continuation = certify(traj, p, cfg.oracle, cfg.integrator.residual_stop)

@@ -21,10 +21,6 @@ class LinearSolveError(DsmError):
     """
 
 
-class InadmissibleScheduleError(DsmError):
-    """Regularizer schedule violates the admissibility conditions."""
-
-
 class NewtonError(DsmError):
     """Damped Newton ran out of iterations or line-search reductions.
 

@@ -21,8 +21,8 @@ stage rather than recomputed, and the stage serves as the next step's
 first. The flow contracts (its linearization near the residual manifold is
 -I), so an explicit pair is adequate at desk scale. A fixed-step classical
 RK4 mode, at times k * h, exists for bit-reproducible regression runs.
-Step-size underflow is reported as a termination reason, never retried
-with altered parameters.
+Step-size underflow, and a failed solve with no step to reject, are
+reported as termination reasons, never retried with altered parameters.
 
 Every solve divides on a Jacobian that jac returns as its diagonal. Only
 dp54 uses the structure a problem states (solve_structure): rk4 solves on
@@ -38,15 +38,16 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import InadmissibleScheduleError, LinearSolveError
-from .linalg import DENSE, as_count, as_number, as_vector, solve_shifted
-from .operators import OperatorProblem
+from .errors import LinearSolveError
+from .linalg import as_count, as_number, as_vector, solve_shifted
+from .operators import DENSE, OperatorProblem
 from .schedules import Schedule, check_admissible
 
 TERMINATED_RESIDUAL = "residual_stop"
 TERMINATED_TMAX = "t_max"
 TERMINATED_MAX_STEPS = "max_steps"
 TERMINATED_STEP_FAILURE = "step_failure"
+TERMINATED_SOLVE_FAILURE = "solve_failure"
 
 # Dormand-Prince 5(4) tableau. Row i of _A holds the stage-i coupling
 # coefficients; the last row is the 5th-order weights, so the 7th stage sits
@@ -164,7 +165,7 @@ def integrate(
 
     The schedule must certify admissibility (positivity, ratio below 1/2)
     over [0, t_max] before any stepping happens; an inadmissible schedule
-    is refused outright, with the report's reason. One loop serves both
+    is a ValueError with the report's reason. One loop serves both
     methods: it records the t = 0 point and every accepted step, caps the
     attempted steps at max_steps, and returns at the step that ends the
     run. dp54 steps t += h under PI control; a step whose error is too
@@ -172,16 +173,17 @@ def integrate(
     shrinks, and step-size underflow below 1e-14 * t_max ends the run with
     terminated_by="step_failure". rk4 takes round(t_max / initial_step)
     equal steps h, at times k * h, with no error estimate: every step is
-    accepted, and a failed solve raises LinearSolveError. Only dp54 solves
-    with the structure the problem states, which the problem works out at
-    its first solve, after the t = 0 residual_stop exit.
+    accepted. A failed solve with no step to reject (dp54's first stage,
+    any rk4 stage) ends the run with terminated_by="solve_failure". Only
+    dp54 solves with the structure the problem states, which the problem
+    works out at its first solve, after the t = 0 residual_stop exit.
     """
     u0 = as_vector(u0)
     if u0.shape[0] != p.dim:
         raise ValueError(f"u0 has dimension {u0.shape[0]}, problem expects {p.dim}")
     report = check_admissible(s, horizon=cfg.t_max)
     if not report.pass_2_2:
-        raise InadmissibleScheduleError(report.reason)
+        raise ValueError(report.reason)
     t, u = 0.0, u0.copy()
     points = [_make_point(p, s, t, u)]
     if points[0].h <= cfg.residual_stop:
@@ -193,14 +195,20 @@ def integrate(
         h = cfg.t_max / max(1, round(cfg.t_max / cfg.initial_step))
     else:
         h = min(cfg.initial_step, cfg.t_max)
-        k1 = rhs(p, s, t, u)
+        try:
+            k1 = rhs(p, s, t, u)
+        except LinearSolveError:
+            return Trajectory(s, points, TERMINATED_SOLVE_FAILURE)
         u_norm = math.sqrt(u.dot(u))
         err_prev = 1.0
 
     for _ in range(cfg.max_steps):
         if fixed:
             # No error estimate and no FSAL stage: every step is accepted.
-            u_new, err_norm, k_last, norm_new = _rk4_step(p, s, t, u, h), 0.0, None, None
+            try:
+                u_new, err_norm, k_last, norm_new = _rk4_step(p, s, t, u, h), 0.0, None, None
+            except LinearSolveError:
+                return Trajectory(s, points, TERMINATED_SOLVE_FAILURE)
         else:
             h = min(h, cfg.t_max - t)
             if h < 1e-14 * cfg.t_max:

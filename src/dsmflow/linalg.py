@@ -46,14 +46,6 @@ EPS_LIN = 1e-10
 # Largest problem dimension the dense path is intended for.
 MAX_DIM = 512
 
-# The Jacobian structures an OperatorProblem can state: dense (no fact), or
-# constant and symmetric. A constant nonsymmetric J, as in skew_perturbed,
-# is dense: numpy has no Schur form to reuse. A diagonal J needs no fact:
-# jac returns its diagonal, and solve_shifted divides on any 1-D J.
-DENSE = "dense"
-SYMMETRIC_CONSTANT = "symmetric_constant"
-STRUCTURES = (DENSE, SYMMETRIC_CONSTANT)
-
 # solve_shifted's error state. A non-finite J, a or rhs, or a singular
 # J + a*I, makes its arithmetic warn, and the residual certificate reports
 # it instead. As a decorator, one instance serves every call: since NumPy 2
@@ -94,19 +86,19 @@ def as_count(name: str, value, minimum: int):
 
 
 @_QUIET
-def solve_shifted(J, a: float, rhs, structure=None) -> np.ndarray:
-    """Solve (J + a*I) x = rhs: divide for a 1-D J, else dense LU unless told J's structure.
+def solve_shifted(J, a: float, rhs, eigh=None) -> np.ndarray:
+    """Solve (J + a*I) x = rhs: divide for a 1-D J, else dense LU unless given J's eigh.
 
     The shift a must be positive and J is expected to have a positive
     semidefinite symmetric part, which makes J + a*I invertible. J is read,
     never written, so a shared read-only Jacobian is fine. A 1-D J (a
     diagonal J's diagonal) gives rhs / (J + a), LU's numbers on np.diag(J),
-    whatever structure says; for a matrix, None or DENSE is dense LU, bit
-    for bit np.linalg.solve(J + a*np.eye(n), rhs), and an eigendecomposition
+    whatever eigh is; for a matrix, eigh None is dense LU, bit for bit
+    np.linalg.solve(J + a*np.eye(n), rhs), and an eigendecomposition
     (lam, Q) of J, as np.linalg.eigh returns it, gives x = Q ((Q^T rhs) /
     (lam + a)). Whatever the method, the solution must pass the residual
     certificate ||J x + a x - rhs|| <= EPS_LIN * (||rhs|| + 1) against J
-    itself, so a structure that J does not have fails it. The comparison is
+    itself, so the eigh of another matrix fails it. The comparison is
     written so that a NaN residual fails it, which makes it the finiteness
     check of J, a, rhs and x as well; a singular J + a*I, whose dense solve
     is NaN, fails it with no exception and no warning. A failed certificate
@@ -132,14 +124,14 @@ def solve_shifted(J, a: float, rhs, structure=None) -> np.ndarray:
     if J.ndim == 1:
         x = b / (J + a)
         r = J * x + a * x - b
-    elif structure is None or structure == DENSE:
+    elif eigh is None:
         # J + 0.0 flushes -0.0 to +0.0 off the diagonal exactly as J + a*eye does.
         shifted = J + 0.0
         shifted.flat[:: n + 1] += a
         x = _umath_linalg.solve1(shifted, b, signature="dd->d")
         r = shifted @ x - b
     else:
-        lam, q = structure
+        lam, q = eigh
         x = q @ ((q.T @ b) / (lam + a))
         r = J @ x + a * x - b
     residual = math.sqrt(r.dot(r))

@@ -26,18 +26,28 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import DENSE, MAX_DIM, STRUCTURES, SYMMETRIC_CONSTANT, as_vector
+from .linalg import MAX_DIM, as_vector
 
 # Working box for sampling-based checks; trajectories stay well inside.
 R_BOX = 100.0
 
-# Monotonicity slack per sampled pair, scaled by the pair's magnitude.
+# Monotonicity check: MONO_SAMPLES pairs drawn in the ball of radius
+# MONO_RADIUS, each with a slack of EPS_MONO scaled by the pair's magnitude.
 EPS_MONO = 1e-9
+MONO_SAMPLES = 200
+MONO_RADIUS = 5.0
 
-# Finite-difference Jacobian validation defaults. A Jacobian whose error
-# misses FD_TOL still passes if the error falls by FD_SHRINK or more at each
-# of FD_LEVELS quarterings of the step: F' need only be continuous, and a
-# Hoelder-continuous F' gives no C^2 rate.
+# The Jacobian structures an OperatorProblem can state: dense (no fact), or
+# constant and symmetric. A constant nonsymmetric J (skew_perturbed) is
+# dense: numpy has no Schur form to reuse. A diagonal J needs no fact.
+DENSE = "dense"
+SYMMETRIC_CONSTANT = "symmetric_constant"
+STRUCTURES = (DENSE, SYMMETRIC_CONSTANT)
+
+# Finite-difference Jacobian validation. A Jacobian whose error misses
+# FD_TOL at FD_STEP still passes if the error falls by FD_SHRINK or more at
+# each of FD_LEVELS quarterings of the step: F' need only be continuous,
+# and a Hoelder-continuous F' gives no C^2 rate.
 FD_STEP = 1e-5
 FD_TOL = 1e-4
 FD_SHRINK = 0.75
@@ -82,7 +92,7 @@ class OperatorProblem:
 
     @cached_property
     def solve_structure(self):
-        """linalg.solve_shifted's structure argument, worked out on first use.
+        """linalg.solve_shifted's eigh argument, worked out on first use.
 
         For "symmetric_constant", one np.linalg.eigh of the constant J that
         serves every shift. Otherwise, and for a J eigh cannot take, None:
@@ -304,7 +314,6 @@ class MonotonicityReport:
     min_pairing: float
     passed: bool
     samples: int
-    radius: float
     seed: int
 
 
@@ -312,35 +321,28 @@ class MonotonicityReport:
 class JacobianReport:
     max_entry_error: float
     passed: bool
-    step: float
     finer_errors: tuple[float, ...] = ()
 
 
-def _sample_in_ball(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray:
+def _sample_in_ball(rng: np.random.Generator, dim: int) -> np.ndarray:
     direction = rng.standard_normal(dim)
     direction /= math.sqrt(direction.dot(direction))
-    return radius * rng.uniform() ** (1.0 / dim) * direction
+    return MONO_RADIUS * rng.uniform() ** (1.0 / dim) * direction
 
 
-def check_monotone(
-    p: OperatorProblem, samples: int = 200, radius: float = 5.0, seed: int = 0
-) -> MonotonicityReport:
-    """Sample pairs (u, v) in the ball and test <F(u) - F(v), u - v> >= 0.
+def check_monotone(p: OperatorProblem, seed: int) -> MonotonicityReport:
+    """Sample MONO_SAMPLES pairs (u, v) in the MONO_RADIUS ball; test <F(u) - F(v), u - v> >= 0.
 
     Each pairing is allowed a slack of EPS_MONO * (1 + ||F(u)|| * ||u - v||)
     to absorb rounding; a NaN pairing fails. The seed is recorded so
     failing draws can be replayed.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample pair")
-    if not radius > 0.0:
-        raise ValueError("radius must be positive")
     rng = np.random.default_rng(seed)
     min_pairing = np.inf
     passed = True
-    for _ in range(samples):
-        u = _sample_in_ball(rng, p.dim, radius)
-        v = _sample_in_ball(rng, p.dim, radius)
+    for _ in range(MONO_SAMPLES):
+        u = _sample_in_ball(rng, p.dim)
+        v = _sample_in_ball(rng, p.dim)
         fu = p.fun(u)
         step = u - v
         pairing = float(np.dot(fu - p.fun(v), step))
@@ -350,36 +352,32 @@ def check_monotone(
         slack = EPS_MONO * (1.0 + math.sqrt(fu.dot(fu)) * math.sqrt(step.dot(step)))
         if not pairing >= -slack:
             passed = False
-    return MonotonicityReport(
-        min_pairing=float(min_pairing), passed=passed, samples=samples, radius=radius, seed=seed
-    )
+    return MonotonicityReport(float(min_pairing), passed, MONO_SAMPLES, seed)
 
 
-def check_jacobian(p: OperatorProblem, point, step: float = FD_STEP) -> JacobianReport:
+def check_jacobian(p: OperatorProblem, point) -> JacobianReport:
     """Compare jac at a point, a 1-D jac as its diagonal matrix, with central differences.
 
-    The Jacobian passes if the largest entry error at step is within
+    The Jacobian passes if the largest entry error at FD_STEP is within
     FD_TOL * (1 + max |J|), the accuracy a C^2 operator reaches there. If it
-    is not, the check repeats at step / 4, step / 16, ... (FD_LEVELS times,
-    errors in finer_errors) and passes if each error is at most FD_SHRINK
-    times the last: the differences of an operator with a merely Hoelder
-    F' converge to the Jacobian slowly but do converge, while those of a
-    wrong Jacobian stall at its error. A NaN error fails.
+    is not, the check repeats at FD_STEP / 4, FD_STEP / 16, ... (FD_LEVELS
+    times, errors in finer_errors) and passes if each error is at most
+    FD_SHRINK times the last: the differences of an operator with a merely
+    Hoelder F' converge to the Jacobian slowly but do converge, while those
+    of a wrong Jacobian stall at its error. A NaN error fails.
     """
-    if not step > 0.0:
-        raise ValueError("step must be positive")
     x = as_vector(point)
     analytic = np.asarray(p.jac(x), dtype=float)
     analytic = np.diag(analytic) if analytic.ndim == 1 else analytic
-    error = _fd_error(p, x, analytic, step)
+    error = _fd_error(p, x, analytic, FD_STEP)
     tol = FD_TOL * (1.0 + float(np.max(np.abs(analytic))))
     finer = ()
     passed = error <= tol
     if not passed:
-        finer = tuple(_fd_error(p, x, analytic, step / 4**k) for k in range(1, FD_LEVELS + 1))
+        finer = tuple(_fd_error(p, x, analytic, FD_STEP / 4**k) for k in range(1, FD_LEVELS + 1))
         errors = (error, *finer)
         passed = all(e1 <= FD_SHRINK * e0 for e0, e1 in zip(errors, errors[1:]))
-    return JacobianReport(max_entry_error=error, passed=passed, step=step, finer_errors=finer)
+    return JacobianReport(max_entry_error=error, passed=passed, finer_errors=finer)
 
 
 def _fd_error(p: OperatorProblem, x: np.ndarray, analytic: np.ndarray, step: float) -> float:

@@ -71,7 +71,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import oracle
-from .errors import InadmissibleScheduleError
 from .flow import TERMINATED_RESIDUAL, TERMINATED_TMAX, Trajectory
 from .operators import OperatorProblem
 from .oracle import ContinuationResult, NewtonConfig, solve_regularized, w_along_schedule
@@ -184,10 +183,10 @@ def check_eq_2_10(
 
 
 def _eq_2_10(traj: Trajectory, cap: float) -> BoundReport:
-    """EQ_2_10 with C ||w_C|| solved; an inadmissible schedule is an InadmissibleScheduleError."""
+    """EQ_2_10 with C ||w_C|| solved; an inadmissible schedule is a ValueError."""
     report = check_admissible(traj.schedule, horizon=max(traj.final.t, 1.0))
     if not report.pass_2_2:
-        raise InadmissibleScheduleError(report.reason)
+        raise ValueError(report.reason)
     h0 = traj.points[0].h
     times = [pt.t for pt in traj.points]
     margins = []

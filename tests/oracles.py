@@ -38,7 +38,8 @@ from dsmflow.flow import (
     _make_point,
     rhs,
 )
-from dsmflow.linalg import DENSE, as_vector
+from dsmflow.linalg import as_vector
+from dsmflow.operators import DENSE
 from dsmflow.oracle import lemma_2_1_sweep, minimal_norm_limit, solve_regularized
 from dsmflow.schedules import check_admissible
 from dsmflow.verify import (
@@ -134,8 +135,8 @@ def reference_integrate(p, s, u0, cfg):
     """integrate() as two loops, one per method, after its argument checks.
 
     The trajectories integrate must reproduce bit for bit, except where a
-    dp54 trial stage fails its shifted solve: there this raises, and
-    integrate rejects the step. Like integrate, the dp54 loop solves with the
+    shifted solve fails: there this raises, and integrate rejects the step
+    (a dp54 trial stage) or ends the run with "solve_failure". Like integrate, the dp54 loop solves with the
     Jacobian structure p states, and the rk4 loop with a "dense" copy of p.
     """
     u0 = as_vector(u0)

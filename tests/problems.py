@@ -4,13 +4,13 @@ F(u) = M u + g(u) with M a PSD matrix plus a skew one and g a nondecreasing
 function applied componentwise, so <F(u) - F(v), u - v> >= 0 everywhere.
 Two special cases: a random PSD linear F, which states its Jacobian
 "symmetric_constant", and a componentwise F, whose jac returns the
-diagonal of its Jacobian.
+diagonal of its Jacobian. Last, a fixture whose Jacobian is NaN, so that
+every shifted solve on it fails.
 """
 
 import numpy as np
 
-from dsmflow.linalg import SYMMETRIC_CONSTANT
-from dsmflow.operators import OperatorProblem
+from dsmflow.operators import SYMMETRIC_CONSTANT, OperatorProblem
 
 # Nondecreasing componentwise terms g and their derivatives. "holder" has a
 # derivative 1.5 |u|^(1/2) that is only Hoelder-1/2 continuous at 0.
@@ -81,4 +81,14 @@ def componentwise_monotone_problem(rng, n):
         jac=lambda u: c + dg(u),
         rhs=fun(y),
         minimal_norm_solution=y,
+    )
+
+
+def nan_jacobian_problem():
+    """F(u) = u with f = 1, whose jac is NaN and states "symmetric_constant":
+    eigh cannot take it, so solves stay on LU and fail its certificate."""
+    nan_jac = np.full((3, 3), np.nan)
+    return OperatorProblem(
+        name="nan_linear", dim=3, fun=lambda u: u, jac=lambda u: nan_jac,
+        rhs=np.ones(3), jacobian_structure=SYMMETRIC_CONSTANT,
     )

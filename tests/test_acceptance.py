@@ -142,14 +142,14 @@ def test_criterion_9_property_suites(stock_problems):
     failures = []
     for p in stock_problems:
         for seed in range(5):
-            if not d.check_monotone(p, samples=200, radius=5.0, seed=seed).passed:
+            if not d.check_monotone(p, seed=seed).passed:
                 failures.append((p.name, "monotone", seed))
         rng = np.random.default_rng(42)
         for _ in range(10):
             point = rng.uniform(-2.0, 2.0, p.dim)
             if not d.check_jacobian(p, point).passed:
                 failures.append((p.name, "jacobian"))
-    fixture_fails = not d.check_monotone(non_monotone_fixture(), samples=200, seed=0).passed
+    fixture_fails = not d.check_monotone(non_monotone_fixture(), seed=0).passed
     ok = not failures and fixture_fails
     report(9, "property_suites", ok,
            f"monotone 200x5 + jacobian x10 on six problems, failures={failures or 'none'}; "

@@ -12,8 +12,10 @@ import pytest
 import dsmflow
 import dsmflow.cli as cli
 from dsmflow.cli import RunConfig
-from dsmflow.errors import InadmissibleScheduleError, LinearSolveError
+from dsmflow.errors import LinearSolveError
 from dsmflow.flow import Trajectory, TrajectoryPoint
+
+from problems import nan_jacobian_problem
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -102,11 +104,11 @@ def test_integrate_and_eq_2_10_raise_the_text_the_cli_prints(tmp_path, capsys, k
     assert cli.main(["run", str(path)]) == 2
     printed = capsys.readouterr().err
     s, p = dsmflow.Schedule(**schedule), dsmflow.make_problem("diag_cubic", dim=4)
-    with pytest.raises(InadmissibleScheduleError) as flow_err:
+    with pytest.raises(ValueError) as flow_err:
         dsmflow.integrate(p, s, np.zeros(p.dim), dsmflow.IntegratorConfig(t_max=2000.0))
     zero = np.zeros(p.dim)
     traj = Trajectory(s, [TrajectoryPoint(t, zero, s.value(t), zero, 1.0) for t in (0.0, 2000.0)])
-    with pytest.raises(InadmissibleScheduleError) as verify_err:
+    with pytest.raises(ValueError) as verify_err:
         dsmflow.check_eq_2_10(traj, p, s)
     assert printed == f"error: {flow_err.value}\n" == f"error: {verify_err.value}\n"
 
@@ -244,6 +246,22 @@ def test_run_step_failure_exit_code(tmp_path):
     assert cli.main(["run", str(path)]) == 3
     meta = json.loads((tmp_path / "out" / "run.json").read_text())
     assert meta["terminated_by"] == "step_failure"
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_solve_failure_exit_code(tmp_path, capsys, monkeypatch, command):
+    # Every shifted solve fails, so the flow ends at its t = 0 point: the
+    # run's outputs land, no bounds are certified, and main returns 3
+    # rather than raising.
+    monkeypatch.setattr(cli, "make_problem", lambda *args, **kwargs: nan_jacobian_problem())
+    path, _ = write_config(tmp_path)
+    assert cli.main([command, str(path)]) == 3
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("error: ") and last.endswith("(solve_failure)")
+    out = tmp_path / "out"
+    assert json.loads((out / "run.json").read_text())["terminated_by"] == "solve_failure"
+    assert len((out / "trajectory.csv").read_text().splitlines()) == 2
+    assert not (out / "bounds.json").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "verify", "oracle"])

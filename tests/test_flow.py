@@ -8,13 +8,31 @@ from hypothesis import strategies as st
 
 import dsmflow as d
 import dsmflow.flow
-from dsmflow.errors import InadmissibleScheduleError, LinearSolveError
-from dsmflow.flow import _C, _FAC_MIN, TERMINATED_MAX_STEPS, TERMINATED_STEP_FAILURE
-from dsmflow.linalg import DENSE, SYMMETRIC_CONSTANT
-from dsmflow.operators import GALLERY_NAMES, OperatorProblem, diag_cubic, identity
+from dsmflow.errors import LinearSolveError
+from dsmflow.flow import (
+    _C,
+    _FAC_MIN,
+    TERMINATED_MAX_STEPS,
+    TERMINATED_SOLVE_FAILURE,
+    TERMINATED_STEP_FAILURE,
+)
+from dsmflow.operators import (
+    DENSE,
+    GALLERY_NAMES,
+    SYMMETRIC_CONSTANT,
+    OperatorProblem,
+    diag_cubic,
+    identity,
+)
 
 from oracles import generator_sum_dp54_step, reference_dynamics_check, reference_integrate
-from problems import componentwise_monotone_problem, monotone_problem, psd_linear_problem, psd_plus_skew
+from problems import (
+    componentwise_monotone_problem,
+    monotone_problem,
+    nan_jacobian_problem,
+    psd_linear_problem,
+    psd_plus_skew,
+)
 
 
 def test_rhs_identity_scalar():
@@ -62,7 +80,7 @@ def test_recorded_points_are_consistent():
 
 def test_inadmissible_schedule_refused():
     p = d.make_problem("identity")
-    with pytest.raises(InadmissibleScheduleError):
+    with pytest.raises(ValueError, match="inadmissible"):
         d.integrate(p, d.power(1.0, 0.75), np.zeros(p.dim), d.IntegratorConfig(t_max=5.0))
 
 
@@ -418,11 +436,29 @@ def test_failed_trial_stage_rejects_the_dp54_step():
         assert pt.h == pytest.approx(h0 * math.exp(-pt.t), rel=1e-5)
 
 
-def test_failed_stage_still_raises_in_fixed_step_mode():
-    p = _exp_problem()
+def test_failed_stage_ends_the_run_in_fixed_step_mode(monkeypatch):
+    # rk4 has no step to reject: a failed solve ends the run, which keeps
+    # the points it has. From u0 = -30 the first step overflows exp.
     cfg = d.IntegratorConfig(t_max=5.0, method="rk4")
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(LinearSolveError):
-        d.integrate(p, d.constant(1e-3), np.array([-30.0]), cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = d.integrate(_exp_problem(), d.constant(1e-3), np.array([-30.0]), cfg)
+    assert traj.terminated_by == TERMINATED_SOLVE_FAILURE
+    assert [pt.t for pt in traj.points] == [0.0]
+    # Solve 15 is the 3rd stage of the 4th step: the three steps before stay.
+    calls = []
+    real = dsmflow.flow.solve_shifted
+
+    def failing_15th(*args):
+        calls.append(args)
+        if len(calls) == 15:
+            raise LinearSolveError("injected solve failure")
+        return real(*args)
+
+    monkeypatch.setattr(dsmflow.flow, "solve_shifted", failing_15th)
+    p = d.make_problem("diag_cubic", dim=3)
+    traj = d.integrate(p, d.exponential(1.0, 0.44), np.zeros(3), cfg)
+    assert traj.terminated_by == TERMINATED_SOLVE_FAILURE
+    assert [pt.t for pt in traj.points] == [k * cfg.initial_step for k in range(4)]
 
 
 @pytest.mark.filterwarnings("error")
@@ -487,13 +523,13 @@ def test_rhs_calls_match_dp54_attempts(monkeypatch):
 
 
 def _record_structures(monkeypatch, module):
-    """The structure argument of every solve_shifted call made from module."""
+    """The eigh argument of every solve_shifted call made from module."""
     seen = []
     real = module.solve_shifted
 
-    def recording(j, a, b, structure=None):
-        seen.append(structure)
-        return real(j, a, b, structure)
+    def recording(j, a, b, eigh=None):
+        seen.append(eigh)
+        return real(j, a, b, eigh)
 
     monkeypatch.setattr(module, "solve_shifted", recording)
     return seen
@@ -545,13 +581,13 @@ def _record_eigh(monkeypatch):
 @pytest.mark.parametrize("name", ["identity", "diag_cubic"])
 def test_every_solver_divides_on_a_diagonal_problem(monkeypatch, name):
     # jac returns the diagonal, so dp54, rk4 and the oracle all divide on
-    # it, whatever structure they pass, and nothing is decomposed.
+    # it, whatever eigh they pass, and nothing is decomposed.
     shapes = []
     real = dsmflow.linalg.solve_shifted
 
-    def recording(j, a, b, structure=None):
+    def recording(j, a, b, eigh=None):
         shapes.append(np.shape(j))
-        return real(j, a, b, structure)
+        return real(j, a, b, eigh)
 
     for module in (dsmflow.flow, dsmflow.oracle):
         monkeypatch.setattr(module, "solve_shifted", recording)
@@ -702,16 +738,16 @@ def _assert_structure_keeps_the_verdicts(p, schedule, t_max):
 @pytest.mark.filterwarnings("error")
 def test_jacobian_eigh_cannot_take_stays_on_lu_and_fails_its_certificate():
     # eigh raises LinAlgError on a NaN matrix; the run keeps dense LU, whose
-    # certificate turns the NaN into a LinearSolveError (exit 3), not a
-    # stray traceback.
-    nan_jac = np.full((3, 3), np.nan)
-    p = OperatorProblem(
-        name="nan_linear", dim=3, fun=lambda u: u, jac=lambda u: nan_jac,
-        rhs=np.ones(3), jacobian_structure=SYMMETRIC_CONSTANT,
-    )
+    # certificate fails at dp54's first stage: the run ends there with
+    # solve_failure and its t = 0 point (exit 3 from the CLI), not a stray
+    # traceback or a warning.
+    p = nan_jacobian_problem()
     assert p.solve_structure is None
     with pytest.raises(LinearSolveError, match="residual nan"):
-        d.integrate(p, d.constant(1.0), np.zeros(3), d.IntegratorConfig(t_max=1.0))
+        d.rhs(p, d.constant(1.0), 0.0, np.zeros(3))
+    traj = d.integrate(p, d.constant(1.0), np.zeros(3), d.IntegratorConfig(t_max=1.0))
+    assert traj.terminated_by == TERMINATED_SOLVE_FAILURE
+    assert [pt.t for pt in traj.points] == [0.0]
 
 
 @pytest.mark.parametrize(

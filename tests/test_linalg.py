@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import dsmflow as d
 from dsmflow.errors import LinearSolveError
-from dsmflow.linalg import DENSE, as_vector
+from dsmflow.linalg import as_vector
 from oracles import dense_shifted_solve, inverse_2x2
 
 EPS = np.finfo(float).eps
@@ -215,13 +215,13 @@ def test_solve_shifted_matches_dense_formula_bitwise(kind, n, a, seed):
 
 
 def _structured_case(kind, n, a, seed):
-    """A J for one structured path, its structure argument and a right-hand
-    side shaped like the flow's residual.
+    """A J for one structured path, its eigh argument and a right-hand side
+    shaped like the flow's residual.
 
     psd_* are symmetric PSD with a random eigenbasis: rank-deficient, or with
     a fredholm-like 1/k^2 spectrum. diagonal is a 1-D J, the diagonal of a
-    diagonal matrix, with +0.0 and -0.0 entries (its structure is None: a
-    1-D J is divided on whatever the argument says), and +0.0 and -0.0
+    diagonal matrix, with +0.0 and -0.0 entries (its eigh is None: a 1-D
+    J is divided on whatever the argument is), and +0.0 and -0.0
     entries in its right-hand side. The
     right-hand side is J y + a z, as psi = F(u) + a u - f is for linear F
     with f in range(J): its null-space part is O(a), so x stays O(1) and
@@ -232,7 +232,7 @@ def _structured_case(kind, n, a, seed):
         j = rng.uniform(0.0, 4.0, n)
         j[rng.uniform(size=n) < 0.3] = 0.0
         j[rng.uniform(size=n) < 0.3] = -0.0
-        structure = None
+        eigh = None
     else:
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         if kind == "psd_rank_deficient":
@@ -242,13 +242,13 @@ def _structured_case(kind, n, a, seed):
             lam = 1.0 / np.arange(1, n + 1) ** 2
         j = (q * lam) @ q.T
         j = 0.5 * (j + j.T)
-        structure = np.linalg.eigh(j)
+        eigh = np.linalg.eigh(j)
     y = rng.standard_normal(n)
     rhs = (j * y if j.ndim == 1 else j @ y) + a * rng.standard_normal(n)
     if kind == "diagonal":
         rhs[rng.uniform(size=n) < 0.2] = 0.0
         rhs[rng.uniform(size=n) < 0.2] = -0.0
-    return j, structure, rhs
+    return j, eigh, rhs
 
 
 STRUCTURED_KINDS = ["psd_rank_deficient", "psd_fredholm", "diagonal"]
@@ -270,17 +270,17 @@ def test_structured_solves_match_dense_formula(kind, n, a, seed):
     # stable, so they may differ by the first-order forward error bound,
     # 16 n eps cond(J + aI) ||x||; over 3,000 draws the largest difference
     # seen was 1.1 n eps cond ||x||.
-    j, structure, rhs = _structured_case(kind, n, a, seed)
+    j, eigh, rhs = _structured_case(kind, n, a, seed)
     j_bytes = j.tobytes()
     expected = dense_shifted_solve(np.diag(j) if j.ndim == 1 else j, a, rhs)
-    x = d.solve_shifted(j, a, rhs, structure)
+    x = d.solve_shifted(j, a, rhs, eigh)
     assert j.tobytes() == j_bytes
     if kind == "diagonal":
         assert np.array_equal(x, expected)
         nonzero = expected != 0.0
         assert x[nonzero].tobytes() == expected[nonzero].tobytes()
     else:
-        cond = (np.abs(structure.eigenvalues).max() + a) / a
+        cond = (np.abs(eigh.eigenvalues).max() + a) / a
         tol = 16 * n * EPS * cond * np.linalg.norm(expected)
         assert np.linalg.norm(x - expected) <= tol
 
@@ -292,7 +292,7 @@ def test_structured_solves_match_dense_formula(kind, n, a, seed):
     ["nan_entry", "inf_entry", "inf_diagonal", "nan_rhs", "inf_rhs", "inf_shift"],
 )
 def test_structured_non_finite_input_fails_certificate(kind, spoil):
-    j, structure, rhs = _structured_case(kind, 5, 0.5, 3)
+    j, eigh, rhs = _structured_case(kind, 5, 0.5, 3)
     a = np.inf if spoil == "inf_shift" else 0.5
     # Every entry of a 1-D J is on the diagonal.
     if spoil in ("nan_entry", "inf_entry"):
@@ -303,28 +303,28 @@ def test_structured_non_finite_input_fails_certificate(kind, spoil):
         rhs[0] = np.nan if spoil == "nan_rhs" else np.inf
     # An inf entry of J meets a finite x in the product: the residual is inf.
     with pytest.raises(LinearSolveError, match="residual (nan|inf) exceeds"):
-        d.solve_shifted(j, a, rhs, structure)
+        d.solve_shifted(j, a, rhs, eigh)
 
 
 @pytest.mark.parametrize("kind", STRUCTURED_KINDS)
 def test_structured_solves_keep_the_argument_checks(kind):
-    j, structure, rhs = _structured_case(kind, 4, 0.5, 5)
+    j, eigh, rhs = _structured_case(kind, 4, 0.5, 5)
     for a in (0.0, -1.0, np.nan):
         with pytest.raises(ValueError, match="positive"):
-            d.solve_shifted(j, a, rhs, structure)
+            d.solve_shifted(j, a, rhs, eigh)
     with pytest.raises(ValueError, match="square"):
-        d.solve_shifted(j[:, :3] if j.ndim == 2 else j[None, :], 0.5, rhs, structure)
+        d.solve_shifted(j[:, :3] if j.ndim == 2 else j[None, :], 0.5, rhs, eigh)
     with pytest.raises(ValueError, match="1-D"):
-        d.solve_shifted(j, 0.5, rhs[:, None], structure)
+        d.solve_shifted(j, 0.5, rhs[:, None], eigh)
     with pytest.raises(ValueError, match="mismatch"):
-        d.solve_shifted(j, 0.5, rhs[:3], structure)
+        d.solve_shifted(j, 0.5, rhs[:3], eigh)
 
 
 def test_structure_the_jacobian_lacks_fails_certificate():
     # The certificate is taken against the J passed in, so an
     # eigendecomposition of another matrix raises instead of solving
     # another system.
-    j, structure, rhs = _structured_case("psd_fredholm", 6, 0.5, 1)
+    j, eigh, rhs = _structured_case("psd_fredholm", 6, 0.5, 1)
     other, _, _ = _structured_case("psd_fredholm", 6, 0.5, 2)
     with pytest.raises(LinearSolveError, match="structure"):
         d.solve_shifted(j, 0.5, rhs, np.linalg.eigh(other))
@@ -334,20 +334,10 @@ def test_structure_the_jacobian_lacks_fails_certificate():
         d.solve_shifted(skew, 0.5, rhs, np.linalg.eigh(skew))
 
 
-def test_structure_names_compare_by_value():
-    # A name built at run time equals DENSE but is another object: "dense"
-    # takes the default LU path, bit for bit.
-    j, _, rhs = _structured_case("psd_fredholm", 7, 0.5, 4)
-    name = "".join("dense")
-    assert name is not DENSE
-    expected = d.solve_shifted(j, 0.5, rhs)
-    assert d.solve_shifted(j, 0.5, rhs, name).tobytes() == expected.tobytes()
-
-
 def test_a_one_d_jacobian_is_divided_on_whatever_the_structure():
-    # A 1-D J is a diagonal: no structure argument moves its solve off the
+    # A 1-D J is a diagonal: no eigh argument moves its solve off the
     # division, and its certificate is taken against J * x.
     j, _, rhs = _structured_case("diagonal", 7, 0.5, 4)
     expected = rhs / (j + 0.5)
-    for structure in (None, DENSE, np.linalg.eigh(np.eye(7))):
-        assert d.solve_shifted(j, 0.5, rhs, structure).tobytes() == expected.tobytes()
+    for eigh in (None, np.linalg.eigh(np.eye(7))):
+        assert d.solve_shifted(j, 0.5, rhs, eigh).tobytes() == expected.tobytes()

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 import dsmflow as d
-from dsmflow.linalg import DENSE, STRUCTURES, SYMMETRIC_CONSTANT
 from dsmflow.operators import (
+    DENSE,
     FD_TOL,
+    STRUCTURES,
+    SYMMETRIC_CONSTANT,
     OperatorProblem,
     diag_cubic,
     identity,
@@ -90,25 +92,25 @@ def test_convex_gradient_jacobian_symmetric():
 @pytest.mark.parametrize("name", d.GALLERY_NAMES)
 def test_gallery_monotone(name):
     p = d.make_problem(name)
-    report = d.check_monotone(p, samples=100, radius=5.0, seed=1)
+    report = d.check_monotone(p, seed=1)
     assert report.passed, f"min pairing {report.min_pairing}"
 
 
 def test_identity_monotone_pairing_is_distance_squared():
-    report = d.check_monotone(d.make_problem("identity", dim=3), samples=50, seed=0)
+    report = d.check_monotone(d.make_problem("identity", dim=3), seed=0)
     assert report.passed
     assert report.min_pairing >= 0.0
 
 
 def test_non_monotone_fixture_fails():
-    report = d.check_monotone(non_monotone_fixture(), samples=50, seed=0)
+    report = d.check_monotone(non_monotone_fixture(), seed=0)
     assert not report.passed
     assert report.min_pairing < 0.0
 
 
 def test_nan_operator_fails_monotonicity():
     p = dataclasses.replace(identity(dim=3), fun=lambda u: np.full(3, np.nan))
-    report = d.check_monotone(p, samples=5, seed=0)
+    report = d.check_monotone(p, seed=0)
     assert not report.passed
     assert math.isnan(report.min_pairing)
 
@@ -125,7 +127,7 @@ def test_gallery_jacobians_match_finite_differences(name):
 def test_cubic_jacobian_fd_error_is_step_squared():
     # ((1+h)^3 - (1-h)^3) / 2h = 3 + h^2, so the defect at step 1e-5 is 1e-10.
     p = d.make_problem("diag_cubic", dim=1)
-    report = d.check_jacobian(p, np.array([1.0]), step=1e-5)
+    report = d.check_jacobian(p, np.array([1.0]))
     assert report.passed
     assert 5e-11 < report.max_entry_error < 2e-10
 
