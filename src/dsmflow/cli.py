@@ -42,18 +42,19 @@ from .oracle import NewtonConfig, minimal_norm_limit
 from .schedules import KINDS, Schedule, check_admissible
 from .verify import cap_envelope, cap_term, certify, distances_to_w
 
-# Not used here: perfbench imports EPS_Y_OVERRIDES and LEMMA_GRID from this
-# module and its tracer patches the other names on it. Drop these once the
-# tracer reads counters the library records itself.
+# Not used here: perfbench imports EPS_Y_OVERRIDES (empty, as THM_3_1 has one
+# tolerance) and LEMMA_GRID from this module and its tracer patches the
+# other names on it. Drop these once the tracer reads counters the library
+# records itself.
 from .oracle import lemma_2_1_sweep, solve_regularized  # noqa: F401
 from .verify import (  # noqa: F401
-    EPS_Y_OVERRIDES,
     LEMMA_GRID,
     check_eq_2_6,
     check_eq_2_10,
     check_eq_3_8,
     check_thm_3_1,
 )
+EPS_Y_OVERRIDES: dict[str, float] = {}
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -197,6 +198,13 @@ def _write_run_outputs(out_dir: Path, cfg: RunConfig, traj: Trajectory, cap: flo
     _atomic_write(out_dir / "run.json", json.dumps(run_meta, indent=2) + "\n")
 
 
+def _runtime_failure(traj: Trajectory) -> int:
+    """Print a failed run's error line, then its cause if it has one; exit code 3."""
+    cause = f": {traj.cause}" if traj.cause else ""
+    print(f"error: {RUNTIME_FAILURES[traj.terminated_by]}{cause}", file=sys.stderr)
+    return EXIT_RUNTIME
+
+
 def cmd_run(config_path) -> int:
     cfg, _, p = _load(config_path)
     out_dir = _output_dir(cfg)
@@ -213,8 +221,7 @@ def cmd_run(config_path) -> int:
         f"h_final={traj.final.h:.3e} -> {out_dir / 'trajectory.csv'}"
     )
     if traj.terminated_by in RUNTIME_FAILURES:
-        print(f"error: {RUNTIME_FAILURES[traj.terminated_by]}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return _runtime_failure(traj)
     return EXIT_OK
 
 
@@ -241,8 +248,7 @@ def cmd_verify(config_path) -> int:
     traj = integrate(p, cfg.schedule, np.zeros(p.dim), cfg.integrator)
     if traj.terminated_by in RUNTIME_FAILURES:
         _write_run_outputs(out_dir, cfg, traj, float("nan"))
-        print(f"error: {RUNTIME_FAILURES[traj.terminated_by]}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return _runtime_failure(traj)
 
     reports, cap, continuation = certify(traj, p, cfg.oracle, cfg.integrator.residual_stop)
     payload["bounds"] = [r.to_dict() for r in reports]

@@ -72,8 +72,9 @@ _PI_ALPHA = 0.17
 _PI_BETA = 0.04
 
 # Leading constant of the centered-difference defect tolerance in
-# residual_dynamics_check.
+# residual_dynamics_check, and the default rel_tol behind its floor.
 C_DYN = 2.0
+DYN_REL_TOL = 1e-8
 
 # Interior points per block of residual_dynamics_check. Its (block, n)
 # arrays stay a few kB at the gallery's sizes, so it adds no peak memory.
@@ -121,6 +122,7 @@ class Trajectory:
     """Recorded states of one run, under the schedule that drove it; frozen.
 
     points, a tuple, starts with the t = 0 point, so it is never empty.
+    cause is a solve_failure run's solve error, naming its stage's t, else "".
     w_tables is verify._w_table's memo, one w table and its ||u - w|| per
     (problem, NewtonConfig); it is not a constructor argument, so
     dataclasses.replace(traj) starts with an empty one.
@@ -129,6 +131,7 @@ class Trajectory:
     schedule: Schedule
     points: tuple[TrajectoryPoint, ...]
     terminated_by: str = TERMINATED_TMAX
+    cause: str = ""
     w_tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -149,7 +152,10 @@ class Trajectory:
 def rhs(p: OperatorProblem, s: Schedule, t: float, u: np.ndarray) -> np.ndarray:
     """Flow direction -(F'(u) + a(t) I)^{-1} (F(u) + a(t) u - f)."""
     a = s.value(t)
-    return -solve_shifted(p.jac(u), a, p.residual(a, u), p.solve_structure)
+    try:
+        return -solve_shifted(p.jac(u), a, p.residual(a, u), p.solve_structure)
+    except LinearSolveError as err:
+        raise LinearSolveError(f"stage at t={t:.6g}: {err}") from err
 
 
 def _make_point(p: OperatorProblem, s: Schedule, t: float, u: np.ndarray) -> TrajectoryPoint:
@@ -174,9 +180,10 @@ def integrate(
     terminated_by="step_failure". rk4 takes round(t_max / initial_step)
     equal steps h, at times k * h, with no error estimate: every step is
     accepted. A failed solve with no step to reject (dp54's first stage,
-    any rk4 stage) ends the run with terminated_by="solve_failure". Only
-    dp54 solves with the structure the problem states, which the problem
-    works out at its first solve, after the t = 0 residual_stop exit.
+    any rk4 stage) ends the run with terminated_by="solve_failure" and
+    that solve's error as the trajectory's cause. Only dp54 solves with the
+    structure the problem states, which the problem works out at its first
+    solve, after the t = 0 residual_stop exit.
     """
     u0 = as_vector(u0)
     if u0.shape[0] != p.dim:
@@ -197,8 +204,8 @@ def integrate(
         h = min(cfg.initial_step, cfg.t_max)
         try:
             k1 = rhs(p, s, t, u)
-        except LinearSolveError:
-            return Trajectory(s, points, TERMINATED_SOLVE_FAILURE)
+        except LinearSolveError as err:
+            return Trajectory(s, points, TERMINATED_SOLVE_FAILURE, str(err))
         u_norm = math.sqrt(u.dot(u))
         err_prev = 1.0
 
@@ -207,8 +214,8 @@ def integrate(
             # No error estimate and no FSAL stage: every step is accepted.
             try:
                 u_new, err_norm, k_last, norm_new = _rk4_step(p, s, t, u, h), 0.0, None, None
-            except LinearSolveError:
-                return Trajectory(s, points, TERMINATED_SOLVE_FAILURE)
+            except LinearSolveError as err:
+                return Trajectory(s, points, TERMINATED_SOLVE_FAILURE, str(err))
         else:
             h = min(h, cfg.t_max - t)
             if h < 1e-14 * cfg.t_max:
@@ -288,15 +295,13 @@ class DynamicsReport:
     interior_points: int
 
 
-def residual_dynamics_check(
-    traj: Trajectory, p: OperatorProblem, s: Schedule, rel_tol: float = 1e-8
-) -> DynamicsReport:
+def residual_dynamics_check(traj: Trajectory, p: OperatorProblem, s: Schedule) -> DynamicsReport:
     """Test the recorded residuals against psi' = a'(t) u - psi.
 
     psi' is estimated at interior recorded points with the three-point
     Lagrange derivative (second-order accurate, also on nonuniform grids)
     and compared with the closed-form right-hand side. Each interior point
-    i has its own tolerance C_DYN * dt_i^2 * h_i + 10 * rel_tol * scale,
+    i has its own tolerance C_DYN * dt_i^2 * h_i + 10 * DYN_REL_TOL * scale,
     where dt_i is its half-window (t[i+1] - t[i-1]) / 2, h_i the largest
     recorded h of its three points, and scale the largest recorded h of
     the run. So halving the recording step must shrink each defect roughly
@@ -318,7 +323,7 @@ def residual_dynamics_check(
     """
     traj.require_schedule(s)
     pts = traj.points
-    floor = 10.0 * rel_tol * max(pt.h for pt in pts)
+    floor = 10.0 * DYN_REL_TOL * max(pt.h for pt in pts)
     m = len(pts) - 2
     if m < 1:
         return DynamicsReport(

@@ -28,9 +28,6 @@ import numpy as np
 
 from .linalg import MAX_DIM, as_vector
 
-# Working box for sampling-based checks; trajectories stay well inside.
-R_BOX = 100.0
-
 # Monotonicity check: MONO_SAMPLES pairs drawn in the ball of radius
 # MONO_RADIUS, each with a slack of EPS_MONO scaled by the pair's magnitude.
 EPS_MONO = 1e-9
@@ -64,7 +61,7 @@ def _read_only(m: np.ndarray) -> np.ndarray:
 class OperatorProblem:
     """A monotone operator equation F(u) = f in R^dim.
 
-    fun and jac must be defined for all ||u|| <= R_BOX; fun must satisfy
+    fun and jac must be defined on all of R^dim; fun must satisfy
     <F(u) - F(v), u - v> >= 0 (see check_monotone) and jac must match the
     finite differences of fun (see check_jacobian). jac(u) is the matrix
     F'(u) or, where F' is diagonal everywhere, the vector of its diagonal,

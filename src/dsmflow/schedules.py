@@ -122,10 +122,6 @@ class Schedule:
             total += weight * math.exp(rate * (x - t1)) * abs(self.derivative(x))
         return total * dt / (3 * _CELL_PANELS)
 
-    def ratio(self, t: float) -> float:
-        """|a'(t)| / a(t)."""
-        return abs(self.derivative(t)) / self.value(t)
-
     def ratio_supremum(self) -> float:
         """Closed-form sup over t >= 0 of |a'(t)|/a(t).
 

@@ -21,6 +21,7 @@ from scipy.integrate import quad, simpson
 from dsmflow.errors import LinearSolveError, NewtonError
 from dsmflow.flow import (
     C_DYN,
+    DYN_REL_TOL,
     _A,
     _C,
     _E,
@@ -43,7 +44,6 @@ from dsmflow.operators import DENSE
 from dsmflow.oracle import lemma_2_1_sweep, minimal_norm_limit, solve_regularized
 from dsmflow.schedules import check_admissible
 from dsmflow.verify import (
-    EPS_Y_OVERRIDES,
     LEMMA_GRID,
     SLACK,
     BoundReport,
@@ -272,7 +272,6 @@ def reference_certify(traj, p, s, cfg, residual_stop):
     EQ_2_10 and LEMMA_2_1 are built by their old bodies. Returns
     (reports, cap_term, continuation) like certify.
     """
-    eps_y = EPS_Y_OVERRIDES.get(p.name, 1e-2)
     reports = []
     continuation = None
     reports.append(check_eq_2_6(traj, p, s, cfg))
@@ -280,9 +279,7 @@ def reference_certify(traj, p, s, cfg, residual_stop):
     reports.append(check_eq_3_8(traj, residual_stop=residual_stop))
     if check_admissible(s, horizon=traj.final.t + 1.0).pass_3_3:
         continuation = minimal_norm_limit(p, cfg=cfg)
-        reports.append(
-            check_thm_3_1(traj, p, continuation, residual_stop=residual_stop, eps_y_rel=eps_y)
-        )
+        reports.append(check_thm_3_1(traj, p, continuation, residual_stop=residual_stop))
     reports.append(_reference_lemma_report(p, cfg))
     w_cap = solve_regularized(p, s.cap, np.zeros(p.dim), cfg)
     cap_term = s.cap * float(np.linalg.norm(w_cap))
@@ -350,7 +347,7 @@ def warm_started_solves(p, a_values, cfg):
     return ws, None
 
 
-def reference_dynamics_check(traj, rel_tol=1e-8):
+def reference_dynamics_check(traj):
     """residual_dynamics_check one interior point at a time, as a plain loop.
 
     Each point's defect psi' - (a' u - psi), its norm, its own tolerance
@@ -363,7 +360,7 @@ def reference_dynamics_check(traj, rel_tol=1e-8):
     they match the check's only while those h are not NaN.
     """
     pts = traj.points
-    floor = 10.0 * rel_tol * max(pt.h for pt in pts)
+    floor = 10.0 * DYN_REL_TOL * max(pt.h for pt in pts)
     max_defect, passed, ratios = 0.0, True, []
     for i in range(1, len(pts) - 1):
         t0, t1, t2 = pts[i - 1].t, pts[i].t, pts[i + 1].t

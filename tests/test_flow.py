@@ -59,7 +59,7 @@ def test_rhs_vanishes_at_regularized_solution():
 def test_identity_flow_matches_exponential_decay():
     p = d.make_problem("identity", dim=1)
     traj = d.integrate(p, d.power(1.0, 0.25), np.array([1.0]), d.IntegratorConfig(t_max=5.0))
-    assert traj.terminated_by == "t_max"
+    assert traj.terminated_by == "t_max" and traj.cause == ""
     assert abs(traj.final.u[0] - math.exp(-5.0)) < 1e-6
 
 
@@ -209,7 +209,7 @@ def test_dynamics_check_passes_on_fixed_grid():
     traj = d.integrate(p, s, np.zeros(4), cfg)
     # Every 4th step, so the check sees steps of 0.02.
     traj = dataclasses.replace(traj, points=traj.points[::4])
-    report = d.residual_dynamics_check(traj, p, s, rel_tol=cfg.rel_tol)
+    report = d.residual_dynamics_check(traj, p, s)
     assert report.passed and 0.0 < report.worst_ratio <= 1.0
 
 
@@ -459,6 +459,7 @@ def test_failed_stage_ends_the_run_in_fixed_step_mode(monkeypatch):
     traj = d.integrate(p, d.exponential(1.0, 0.44), np.zeros(3), cfg)
     assert traj.terminated_by == TERMINATED_SOLVE_FAILURE
     assert [pt.t for pt in traj.points] == [k * cfg.initial_step for k in range(4)]
+    assert traj.cause == "stage at t=0.035: injected solve failure"
 
 
 @pytest.mark.filterwarnings("error")
@@ -748,6 +749,7 @@ def test_jacobian_eigh_cannot_take_stays_on_lu_and_fails_its_certificate():
     traj = d.integrate(p, d.constant(1.0), np.zeros(3), d.IntegratorConfig(t_max=1.0))
     assert traj.terminated_by == TERMINATED_SOLVE_FAILURE
     assert [pt.t for pt in traj.points] == [0.0]
+    assert traj.cause.startswith("stage at t=0: shifted solve residual nan")
 
 
 @pytest.mark.parametrize(

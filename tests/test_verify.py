@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dsmflow as d
@@ -188,13 +188,16 @@ def test_thm_3_1_stationary_start_decided_by_solution_residual():
     assert not report1.passed
 
 
-def test_thm_3_1_eps_override_recorded(deep_run):
+def test_thm_3_1_notes_split_the_solution_residual(deep_run):
+    # F(u) - f = psi - a u, so ||F(u) - f|| <= h(T) + a(T) ||u(T)||: the
+    # notes give both terms and which is the larger.
     p, s, cfg, traj = deep_run
-    continuation = d.minimal_norm_limit(p)
-    report = d.check_thm_3_1(
-        traj, p, continuation, residual_stop=cfg.residual_stop, eps_y_rel=5e-2
-    )
-    assert "eps_y_rel=0.05" in report.notes
+    report = d.check_thm_3_1(traj, p, d.minimal_norm_limit(p), residual_stop=cfg.residual_stop)
+    h, bias = traj.final.h, traj.final.a * float(np.linalg.norm(traj.final.u))
+    assert float(np.linalg.norm(p.fun(traj.final.u) - p.rhs)) <= h + bias
+    order = ">=" if h >= bias else "<"
+    assert f"h(T)={h:.3e} {order} a(T)||u(T)||={bias:.3e};" in report.notes
+    assert "eps_y_rel=0.01" in report.notes
 
 
 def test_reports_satisfy_margin_invariant(deep_run):
@@ -545,6 +548,18 @@ def test_certify_matches_reference_bitwise(name, schedule, method):
         assert np.array_equal(continuation.y_estimate, ref_continuation.y_estimate)
 
 
+def test_certify_does_not_read_the_problem_name():
+    # THM_3_1 has one tolerance for every problem: a renamed fredholm
+    # problem gets the same reports.
+    p = d.make_problem("fredholm_first_kind", dim=10)
+    cfg = d.IntegratorConfig(t_max=18.0, rel_tol=1e-10, abs_tol=1e-12, residual_stop=1e-8)
+    traj = d.integrate(p, d.exponential(1.0, 0.44), np.zeros(p.dim), cfg)
+    reports, _, _ = d.certify(traj, p, d.NewtonConfig(), cfg.residual_stop)
+    renamed = dataclasses.replace(p, name="renamed")
+    assert "THM_3_1" in [r.bound_id for r in reports]
+    assert d.certify(traj, renamed, d.NewtonConfig(), cfg.residual_stop)[0] == reports
+
+
 def test_certify_solves_cap_once(deep_run, monkeypatch):
     p, s, cfg, traj = deep_run
     shifts = _counting_solves(monkeypatch)
@@ -560,10 +575,15 @@ def test_certify_solves_cap_once(deep_run, monkeypatch):
     term=st.sampled_from(["cube", "sinh", "holder"]),
     s=st.sampled_from([d.exponential(1.0, 0.44), d.power(1.0, 0.25)]),
 )
+# h(16) = 2.99e-3 lies under the envelope, 3.02e-3, but above EQ_3_8's
+# vanishing threshold 1e-2 h(0) = 2.58e-3, which that envelope cannot promise.
+@example(n=2, seed=489031, term="cube", s=d.power(1.0, 0.25))
 def test_decay_envelopes_on_random_monotone_problems(n, seed, term, s):
     # ||w(t)|| is nondecreasing along the schedule up to the oracle's error
-    # tol/a at each end, the premise of EQ_2_8's lower sum, and EQ_2_8 and
-    # EQ_3_8 hold on a short rk4 run.
+    # tol/a at each end, the premise of EQ_2_8's lower sum, and on a short
+    # rk4 run EQ_2_8 holds and h stays under EQ_3_8's envelope. The
+    # envelope gives EQ_3_8's vanishing test only where it ends below the
+    # threshold, so EQ_3_8 may fail only where it does not.
     rng = np.random.default_rng(seed)
     p = monotone_problem(psd_plus_skew(rng, n), term, rng.uniform(-1.0, 1.0, n))
     grid = np.linspace(0.0, 16.0, 161)
@@ -573,7 +593,12 @@ def test_decay_envelopes_on_random_monotone_problems(n, seed, term, s):
     cfg = d.IntegratorConfig(t_max=16.0, method="rk4", initial_step=0.05)
     traj = d.integrate(p, s, np.zeros(n), cfg)
     assert d.check_eq_2_8(traj, p).passed
-    assert d.check_eq_3_8(traj, residual_stop=cfg.residual_stop).passed
+    envelopes, _ = _reference_eq_3_8(traj, cfg.residual_stop)
+    for pt, e in zip(traj.points, envelopes, strict=True):
+        assert pt.h <= (1.0 + SLACK["EQ_3_8"]) * e
+    threshold = max(cfg.residual_stop, 1e-2 * traj.points[0].h)
+    report = d.check_eq_3_8(traj, residual_stop=cfg.residual_stop)
+    assert report.passed or envelopes[-1] > threshold, report.notes
 
 
 @settings(max_examples=12)
