@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import MAX_DIM, as_vector
+from .linalg import MAX_DIM, as_count, as_vector
 
 # Monotonicity check: MONO_SAMPLES pairs drawn in the ball of radius
 # MONO_RADIUS, each with a slack of EPS_MONO scaled by the pair's magnitude.
@@ -34,8 +34,8 @@ EPS_MONO = 1e-9
 MONO_SAMPLES = 200
 MONO_RADIUS = 5.0
 
-# The Jacobian structures an OperatorProblem can state: dense (no fact), or
-# constant and symmetric. A constant nonsymmetric J (skew_perturbed) is
+# The Jacobian structures of an OperatorProblem: dense (no fact), or constant
+# and symmetric, as linear_problem finds it. A nonsymmetric constant J is
 # dense: numpy has no Schur form to reuse. A diagonal J needs no fact.
 DENSE = "dense"
 SYMMETRIC_CONSTANT = "symmetric_constant"
@@ -51,15 +51,9 @@ FD_SHRINK = 0.75
 FD_LEVELS = 2
 
 
-def _read_only(m: np.ndarray) -> np.ndarray:
-    """Mark a constant Jacobian or diagonal read-only, so jac can return it every call."""
-    m.setflags(write=False)
-    return m
-
-
 @dataclass(frozen=True, eq=False)
 class OperatorProblem:
-    """A monotone operator equation F(u) = f in R^dim.
+    """A monotone operator equation F(u) = f in R^dim, where dim is len(rhs).
 
     fun and jac must be defined on all of R^dim; fun must satisfy
     <F(u) - F(v), u - v> >= 0 (see check_monotone) and jac must match the
@@ -69,11 +63,10 @@ class OperatorProblem:
     of a matrix jac(u) for every u: nothing ("dense", the default) or
     "symmetric_constant" (one symmetric matrix everywhere). It routes only
     the shifted solves of dp54 flow runs (see solve_structure), and a false
-    fact fails their residual certificate.
+    fact fails their residual certificate. Known vectors have rhs's shape.
     """
 
     name: str
-    dim: int
     fun: Callable[[np.ndarray], np.ndarray]
     jac: Callable[[np.ndarray], np.ndarray]
     rhs: np.ndarray
@@ -86,6 +79,13 @@ class OperatorProblem:
             raise ValueError(
                 f"unknown jacobian_structure {self.jacobian_structure!r}; known: {STRUCTURES}"
             )
+        for known in (self.minimal_norm_solution, *(self.null_space_basis or ())):
+            if known is not None and np.shape(known) != np.shape(self.rhs):
+                raise ValueError(f"known vector of shape {np.shape(known)}, rhs {self.rhs.shape}")
+
+    @property
+    def dim(self) -> int:
+        return self.rhs.shape[0]
 
     @cached_property
     def solve_structure(self):
@@ -105,13 +105,44 @@ class OperatorProblem:
         return self.fun(u) + a * u - self.rhs
 
 
-def identity(dim: int = 10, rhs=None) -> OperatorProblem:
-    """F(u) = u; jac returns the diagonal, all ones. Solution is f itself; default f = 0."""
-    f = np.zeros(dim) if rhs is None else as_vector(rhs)
-    ones = _read_only(np.ones(dim))
+def _given_rhs(dim: int | None, rhs) -> np.ndarray:
+    """A builder's given f, whose length a given dim must equal."""
+    f = as_vector(rhs)
+    if dim is not None and dim != f.shape[0]:
+        raise ValueError(f"dim {dim} disagrees with len(rhs) = {f.shape[0]}")
+    return f
+
+
+def linear_problem(name: str, matrix: np.ndarray, rhs: np.ndarray, **known) -> OperatorProblem:
+    """F(u) = matrix @ u, whose jac returns the one matrix, marked read-only.
+
+    The structure is worked out, not stated: "symmetric_constant" exactly
+    when the matrix equals its transpose, else "dense". known holds the
+    known solution facts (minimal_norm_solution, null_space_basis).
+    """
+    matrix.setflags(write=False)
+    return OperatorProblem(
+        name=name,
+        fun=lambda u: matrix @ u,
+        jac=lambda u: matrix,
+        rhs=rhs,
+        jacobian_structure=SYMMETRIC_CONSTANT if np.array_equal(matrix, matrix.T) else DENSE,
+        **known,
+    )
+
+
+def _second_difference(dim: int) -> np.ndarray:
+    """0.5 * tridiag(-1, 2, -1): symmetric positive definite."""
+    return 0.5 * (2.0 * np.eye(dim) - np.eye(dim, k=1) - np.eye(dim, k=-1))
+
+
+def identity(dim: int | None = None, rhs=None) -> OperatorProblem:
+    """F(u) = u; jac returns the diagonal, all ones. Solution is f itself; default f = 0 in R^10."""
+    f = np.zeros(10 if dim is None else dim) if rhs is None else _given_rhs(dim, rhs)
+    ones = np.ones(f.shape[0])
+    ones.setflags(write=False)
     return OperatorProblem(
         name="identity",
-        dim=dim,
         fun=lambda u: u.copy(),
         jac=lambda u: ones,
         rhs=f,
@@ -119,21 +150,20 @@ def identity(dim: int = 10, rhs=None) -> OperatorProblem:
     )
 
 
-def diag_cubic(dim: int = 8, rhs=None) -> OperatorProblem:
+def diag_cubic(dim: int | None = None, rhs=None) -> OperatorProblem:
     """F(u)_i = u_i^3, monotone with F'(0) = 0; jac returns the diagonal 3 u^2.
 
-    The default right-hand side is built from a smooth positive profile y
-    so the solution (componentwise cube roots) is known exactly.
+    The default right-hand side, in R^8, is built from a smooth positive
+    profile y so the solution (componentwise cube roots) is known exactly.
     """
     if rhs is None:
-        y = np.linspace(0.6, 1.4, dim)
+        y = np.linspace(0.6, 1.4, 8 if dim is None else dim)
         f = y**3
     else:
-        f = as_vector(rhs)
+        f = _given_rhs(dim, rhs)
         y = np.cbrt(f)
     return OperatorProblem(
         name="diag_cubic",
-        dim=dim,
         fun=lambda u: u**3,
         jac=lambda u: 3.0 * u**2,
         rhs=f,
@@ -156,21 +186,13 @@ def psd_rank_deficient(dim: int = 20, seed: int = 0) -> OperatorProblem:
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     lam = np.concatenate([np.linspace(0.5, 2.0, rank), np.zeros(dim - rank)])
     a_mat = (q * lam) @ q.T
-    a_mat = _read_only(0.5 * (a_mat + a_mat.T))
+    a_mat = 0.5 * (a_mat + a_mat.T)
     u_true = rng.standard_normal(dim)
-    f = a_mat @ u_true
     q_range = q[:, :rank]
     y = q_range @ (q_range.T @ u_true)
     basis = [q[:, j].copy() for j in range(rank, dim)]
-    return OperatorProblem(
-        name="psd_rank_deficient",
-        dim=dim,
-        fun=lambda u: a_mat @ u,
-        jac=lambda u: a_mat,
-        rhs=f,
-        jacobian_structure=SYMMETRIC_CONSTANT,
-        minimal_norm_solution=y,
-        null_space_basis=basis,
+    return linear_problem(
+        "psd_rank_deficient", a_mat, a_mat @ u_true, minimal_norm_solution=y, null_space_basis=basis
     )
 
 
@@ -179,24 +201,15 @@ def fredholm_first_kind(dim: int = 100) -> OperatorProblem:
 
     Midpoint rule on [0, 1]: A_ij = (1/n) * min(x_i, x_j). The matrix is
     symmetric positive definite but its spectrum decays like 1/k^2, so the
-    discrete problem is badly ill-conditioned. f = A u_true for the smooth
-    profile u_true(x) = sin(pi x), keeping the equation exactly solvable.
+    discrete problem is badly ill-conditioned. f = A y for the smooth
+    profile y(x) = sin(pi x), keeping the equation exactly solvable.
     """
     if dim < 4:
         raise ValueError("fredholm_first_kind needs dim >= 4")
     x = (np.arange(dim) + 0.5) / dim
-    a_mat = _read_only(np.minimum.outer(x, x) / dim)
-    u_true = np.sin(np.pi * x)
-    f = a_mat @ u_true
-    return OperatorProblem(
-        name="fredholm_first_kind",
-        dim=dim,
-        fun=lambda u: a_mat @ u,
-        jac=lambda u: a_mat,
-        rhs=f,
-        jacobian_structure=SYMMETRIC_CONSTANT,
-        minimal_norm_solution=u_true,
-    )
+    a_mat = np.minimum.outer(x, x) / dim
+    y = np.sin(np.pi * x)
+    return linear_problem("fredholm_first_kind", a_mat, a_mat @ y, minimal_norm_solution=y)
 
 
 def skew_perturbed(dim: int = 16) -> OperatorProblem:
@@ -208,20 +221,9 @@ def skew_perturbed(dim: int = 16) -> OperatorProblem:
     """
     if dim < 2:
         raise ValueError("skew_perturbed needs dim >= 2")
-    s_mat = 0.5 * (2.0 * np.eye(dim) - np.eye(dim, k=1) - np.eye(dim, k=-1))
-    k_mat = 0.5 * (np.eye(dim, k=1) - np.eye(dim, k=-1))
-    op = _read_only(s_mat + k_mat)
-    x = np.linspace(0.0, 1.0, dim)
-    y = np.sin(2.0 * np.pi * x) + 0.5
-    f = op @ y
-    return OperatorProblem(
-        name="skew_perturbed",
-        dim=dim,
-        fun=lambda u: op @ u,
-        jac=lambda u: op,
-        rhs=f,
-        minimal_norm_solution=y,
-    )
+    op = _second_difference(dim) + 0.5 * (np.eye(dim, k=1) - np.eye(dim, k=-1))
+    y = np.sin(2.0 * np.pi * np.linspace(0.0, 1.0, dim)) + 0.5
+    return linear_problem("skew_perturbed", op, op @ y, minimal_norm_solution=y)
 
 
 def convex_gradient(dim: int = 12) -> OperatorProblem:
@@ -233,9 +235,8 @@ def convex_gradient(dim: int = 12) -> OperatorProblem:
     """
     if dim < 2:
         raise ValueError("convex_gradient needs dim >= 2")
-    b_mat = 0.5 * (2.0 * np.eye(dim) - np.eye(dim, k=1) - np.eye(dim, k=-1))
-    x = np.linspace(0.0, 1.0, dim)
-    y = 0.8 * np.cos(np.pi * x)
+    b_mat = _second_difference(dim)
+    y = 0.8 * np.cos(np.pi * np.linspace(0.0, 1.0, dim))
 
     def fun(u):
         return u**3 + u + b_mat @ u
@@ -244,25 +245,13 @@ def convex_gradient(dim: int = 12) -> OperatorProblem:
         return np.diag(3.0 * u**2 + 1.0) + b_mat
 
     return OperatorProblem(
-        name="convex_gradient",
-        dim=dim,
-        fun=fun,
-        jac=jac,
-        rhs=fun(y),
-        minimal_norm_solution=y,
+        name="convex_gradient", fun=fun, jac=jac, rhs=fun(y), minimal_norm_solution=y
     )
 
 
 def non_monotone_fixture(dim: int = 6) -> OperatorProblem:
     """Deliberately non-monotone F(u) = -u; must fail check_monotone."""
-    neg_eye = _read_only(-np.eye(dim))
-    return OperatorProblem(
-        name="non_monotone_fixture",
-        dim=dim,
-        fun=lambda u: -u,
-        jac=lambda u: neg_eye,
-        rhs=np.zeros(dim),
-    )
+    return linear_problem("non_monotone_fixture", -np.eye(dim), np.zeros(dim))
 
 
 _GALLERY_BUILDERS: dict[str, Callable] = {
@@ -291,13 +280,12 @@ def make_problem(name: str, dim: int | None = None, seed: int = 0) -> OperatorPr
     if name not in builders:
         raise ValueError(f"unknown problem {name!r}; known: {sorted(builders)}")
     builder = builders[name]
-    kwargs = {}
+    kwargs = {"seed": seed} if name == "psd_rank_deficient" else {}
     if dim is not None:
-        if not 1 <= dim <= MAX_DIM:
+        as_count("dim", dim, 1)
+        if dim > MAX_DIM:
             raise ValueError(f"dim must be in [1, {MAX_DIM}], got {dim}")
         kwargs["dim"] = dim
-    if name == "psd_rank_deficient":
-        kwargs["seed"] = seed
     return builder(**kwargs)
 
 

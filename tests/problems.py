@@ -2,15 +2,15 @@
 
 F(u) = M u + g(u) with M a PSD matrix plus a skew one and g a nondecreasing
 function applied componentwise, so <F(u) - F(v), u - v> >= 0 everywhere.
-Two special cases: a random PSD linear F, which states its Jacobian
-"symmetric_constant", and a componentwise F, whose jac returns the
-diagonal of its Jacobian. Last, a fixture whose Jacobian is NaN, so that
-every shifted solve on it fails.
+Two special cases: a random PSD linear F, built by linear_problem, which
+finds its Jacobian "symmetric_constant", and a componentwise F, whose jac
+returns the diagonal of its Jacobian. Last, a fixture whose Jacobian is
+NaN, so that every shifted solve on it fails.
 """
 
 import numpy as np
 
-from dsmflow.operators import SYMMETRIC_CONSTANT, OperatorProblem
+from dsmflow.operators import SYMMETRIC_CONSTANT, OperatorProblem, linear_problem
 
 # Nondecreasing componentwise terms g and their derivatives. "holder" has a
 # derivative 1.5 |u|^(1/2) that is only Hoelder-1/2 continuous at 0.
@@ -37,7 +37,6 @@ def monotone_problem(m, term, y):
 
     return OperatorProblem(
         name=f"psd_skew_{term}",
-        dim=m.shape[0],
         fun=fun,
         jac=lambda u: m + np.diag(dg(u)),
         rhs=fun(y),
@@ -51,15 +50,7 @@ def psd_linear_problem(rng, n):
     b = rng.standard_normal((n, int(rng.integers(1, n + 1))))
     a_mat = b @ b.T / n
     a_mat = 0.5 * (a_mat + a_mat.T)
-    a_mat.setflags(write=False)
-    return OperatorProblem(
-        name="random_psd_linear",
-        dim=n,
-        fun=lambda u: a_mat @ u,
-        jac=lambda u: a_mat,
-        rhs=a_mat @ rng.uniform(-1.0, 1.0, n),
-        jacobian_structure=SYMMETRIC_CONSTANT,
-    )
+    return linear_problem("random_psd_linear", a_mat, a_mat @ rng.uniform(-1.0, 1.0, n))
 
 
 def componentwise_monotone_problem(rng, n):
@@ -76,7 +67,6 @@ def componentwise_monotone_problem(rng, n):
     y = rng.uniform(-1.0, 1.0, n)
     return OperatorProblem(
         name="random_componentwise",
-        dim=n,
         fun=fun,
         jac=lambda u: c + dg(u),
         rhs=fun(y),
@@ -86,9 +76,11 @@ def componentwise_monotone_problem(rng, n):
 
 def nan_jacobian_problem():
     """F(u) = u with f = 1, whose jac is NaN and states "symmetric_constant":
-    eigh cannot take it, so solves stay on LU and fail its certificate."""
+    eigh cannot take it, so solves stay on LU and fail its certificate. fun
+    and jac disagree on purpose, so the structure is stated, not worked out
+    by linear_problem (which finds a NaN matrix "dense")."""
     nan_jac = np.full((3, 3), np.nan)
     return OperatorProblem(
-        name="nan_linear", dim=3, fun=lambda u: u, jac=lambda u: nan_jac,
+        name="nan_linear", fun=lambda u: u, jac=lambda u: nan_jac,
         rhs=np.ones(3), jacobian_structure=SYMMETRIC_CONSTANT,
     )

@@ -93,7 +93,7 @@ def test_criterion_5_regularized_norm_sweep(stock_problems):
 
 
 def test_criterion_6_well_posed_nonlinear_limit():
-    p = diag_cubic(dim=1, rhs=[8.0])
+    p = diag_cubic(rhs=[8.0])
     t_star = math.log(1e3) / 0.44  # a(t_star) = 1e-3
     traj = d.integrate(p, DEEP_SCHEDULE, np.zeros(1), d.IntegratorConfig(t_max=t_star + 0.05))
     flow_err = abs(traj.final.u[0] - 2.0)

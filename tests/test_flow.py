@@ -50,7 +50,7 @@ def test_rhs_identity_any_schedule_cancels():
 
 
 def test_rhs_vanishes_at_regularized_solution():
-    p = identity(dim=2, rhs=[1.0, 2.0])
+    p = identity(rhs=[1.0, 2.0])
     s = d.constant(0.5)
     u = p.rhs / 1.5
     np.testing.assert_allclose(d.rhs(p, s, 1.0, u), 0.0, atol=1e-12)
@@ -137,7 +137,7 @@ def test_step_failure_on_unresolvable_horizon():
 
 
 def test_residual_stop_terminates_early():
-    p = identity(dim=3, rhs=[1.0, 1.0, 1.0])
+    p = identity(rhs=[1.0, 1.0, 1.0])
     for method in ("dp54", "rk4"):
         cfg = d.IntegratorConfig(t_max=60.0, residual_stop=1e-8, method=method)
         traj = d.integrate(p, d.exponential(1.0, 0.44), np.zeros(3), cfg)
@@ -360,7 +360,7 @@ def test_trajectory_requires_and_stores_its_schedule():
 
 
 def test_cubic_flow_approaches_cube_root():
-    p = diag_cubic(dim=1, rhs=[8.0])
+    p = diag_cubic(rhs=[8.0])
     s = d.exponential(1.0, 0.44)
     t_star = math.log(1e3) / 0.44
     traj = d.integrate(p, s, np.zeros(1), d.IntegratorConfig(t_max=t_star + 0.05))
@@ -420,7 +420,7 @@ def _exp_problem():
     # F(u) = exp(u) is monotone; from u0 = -30 with f = 100 the first dp54
     # trial stages overshoot far enough that exp overflows.
     return OperatorProblem(
-        name="exp", dim=1, fun=np.exp, jac=lambda u: np.diag(np.exp(u)),
+        name="exp", fun=np.exp, jac=lambda u: np.diag(np.exp(u)),
         rhs=np.array([100.0]),
     )
 

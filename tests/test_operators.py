@@ -13,6 +13,7 @@ from dsmflow.operators import (
     OperatorProblem,
     diag_cubic,
     identity,
+    linear_problem,
     non_monotone_fixture,
     psd_rank_deficient,
 )
@@ -36,7 +37,7 @@ def test_diag_cubic_eval():
 
 
 def test_diag_cubic_custom_rhs_solution():
-    p = diag_cubic(dim=1, rhs=[8.0])
+    p = diag_cubic(rhs=[8.0])
     np.testing.assert_allclose(p.minimal_norm_solution, [2.0], rtol=1e-15)
 
 
@@ -195,6 +196,43 @@ def test_make_problem_dim_bounds():
         d.make_problem("identity", dim=10_000)
 
 
+@pytest.mark.parametrize("name", ["identity", "fredholm_first_kind"])
+@pytest.mark.parametrize("dim", [2.5, 5.0, True, "4"])
+def test_make_problem_dim_is_a_count(name, dim):
+    # The run config's one count rule: a float, even a whole one, a bool or
+    # a string is a ValueError, not a TypeError from numpy, nor a build.
+    with pytest.raises(ValueError, match="dim must be an integer >= 1"):
+        d.make_problem(name, dim=dim)
+
+
+def test_dim_is_stated_once():
+    # dim is len(rhs): a builder's dim that disagrees with its rhs, or a
+    # known vector of another shape, is refused when the problem is built.
+    with pytest.raises(ValueError, match="disagrees"):
+        diag_cubic(dim=4, rhs=[8.0])
+    with pytest.raises(ValueError, match="disagrees"):
+        identity(dim=3, rhs=[1.0, 2.0])
+    assert identity(rhs=[1.0, 2.0]).dim == 2
+    p = identity(dim=3)
+    with pytest.raises(ValueError, match="known vector"):
+        OperatorProblem("f", p.fun, p.jac, np.zeros(3), minimal_norm_solution=np.zeros(1))
+    with pytest.raises(ValueError, match="known vector"):
+        dataclasses.replace(p, null_space_basis=[np.ones(3), np.ones(4)])
+    assert "dim" not in {f.name for f in dataclasses.fields(OperatorProblem)}
+
+
+def test_linear_problem_works_out_the_structure():
+    sym = np.array([[2.0, 1.0], [1.0, 3.0]])
+    p = linear_problem("sym", sym, np.ones(2))
+    assert p.jacobian_structure == SYMMETRIC_CONSTANT
+    assert p.jac(np.zeros(2)) is sym and not sym.flags.writeable
+    np.testing.assert_array_equal(p.fun(np.array([1.0, -1.0])), [1.0, -2.0])
+    skew = d.make_problem("skew_perturbed").jac(np.zeros(16)).copy()
+    assert linear_problem("skew", skew, np.ones(16)).jacobian_structure == DENSE
+    nan = np.full((3, 3), np.nan)
+    assert linear_problem("nan", nan, np.ones(3)).jacobian_structure == DENSE
+
+
 def test_seed_changes_psd_instance():
     p0 = d.make_problem("psd_rank_deficient", seed=0)
     p1 = d.make_problem("psd_rank_deficient", seed=1)
@@ -202,7 +240,7 @@ def test_seed_changes_psd_instance():
 
 
 def test_identity_custom_rhs():
-    p = identity(dim=2, rhs=[1.0, 2.0])
+    p = identity(rhs=[1.0, 2.0])
     np.testing.assert_array_equal(p.minimal_norm_solution, [1.0, 2.0])
 
 
@@ -238,7 +276,7 @@ JACOBIAN_FACTS = {
     "fredholm_first_kind": SYMMETRIC_CONSTANT,
     "skew_perturbed": DENSE,
     "convex_gradient": DENSE,
-    "non_monotone_fixture": DENSE,
+    "non_monotone_fixture": SYMMETRIC_CONSTANT,
 }
 
 
@@ -249,9 +287,13 @@ def test_jacobian_facts_hold_at_random_points(name, dim):
     # wherever the flow can go: symmetric_constant is byte for byte the same
     # matrix and exactly symmetric. identity and diag_cubic state nothing:
     # their jac is the vector of the diagonal, of shape (dim,), everywhere.
-    # Nothing is decomposed until a solve asks.
+    # Nothing is decomposed until a solve asks. dim is len(rhs), an int, and
+    # a known solution has the shape of rhs.
     p = d.make_problem(name, dim=dim)
     assert p.jacobian_structure == JACOBIAN_FACTS[name]
+    assert type(p.dim) is int and p.dim == p.rhs.shape[0] == (dim or p.dim)
+    if p.minimal_norm_solution is not None:
+        assert p.minimal_norm_solution.shape == p.rhs.shape
     assert "solve_structure" not in vars(p)
     shape = (p.dim,) if name in ("identity", "diag_cubic") else (p.dim, p.dim)
     rng = np.random.default_rng(len(name))
@@ -267,7 +309,7 @@ def test_jacobian_facts_hold_at_random_points(name, dim):
 def test_jacobian_structure_is_validated_at_construction():
     p = d.make_problem("convex_gradient", dim=3)
     assert dataclasses.replace(p, jacobian_structure=DENSE).jacobian_structure == DENSE
-    assert OperatorProblem("f", 1, p.fun, p.jac, np.zeros(1)).jacobian_structure == DENSE
+    assert OperatorProblem("f", p.fun, p.jac, np.zeros(1)).jacobian_structure == DENSE
     assert STRUCTURES == ("dense", "symmetric_constant")
     # "diagonal" is no fact to state: a diagonal jac returns its diagonal.
     for bad in ("diagonal", "symmetric", "Dense", None, ["dense"]):

@@ -12,7 +12,6 @@ def make_diag_linear(entries, rhs):
     a_mat = np.diag(np.asarray(entries, dtype=float))
     return OperatorProblem(
         name="diag_linear",
-        dim=len(entries),
         fun=lambda u: a_mat @ u,
         jac=lambda u: a_mat.copy(),
         rhs=np.asarray(rhs, dtype=float),
@@ -28,7 +27,7 @@ def test_identity_zero_rhs_solves_to_zero():
 def test_cubic_against_bisection_oracle():
     # Independent oracle first: root of w^3 + w - 8 on [0, 2] by bisection.
     w_ref = bisect_root(lambda w: w**3 + w - 8.0, 0.0, 2.0, tol=1e-13)
-    p = diag_cubic(dim=1, rhs=[8.0])
+    p = diag_cubic(rhs=[8.0])
     w = d.solve_regularized(p, 1.0, np.zeros(1))
     assert w[0] == pytest.approx(w_ref, abs=1e-10)
     assert w[0] ** 3 + w[0] == pytest.approx(8.0, abs=1e-12)
@@ -42,7 +41,7 @@ def test_rank_deficient_componentwise():
 
 
 def test_newton_error_carries_best_iterate():
-    p = diag_cubic(dim=1, rhs=[8.0])
+    p = diag_cubic(rhs=[8.0])
     with pytest.raises(NewtonError) as exc:
         d.solve_regularized(p, 1e-3, np.zeros(1), d.NewtonConfig(tol=1e-12, max_iters=1))
     err = exc.value
@@ -58,7 +57,6 @@ def test_line_search_stall_reports_iterations_taken():
     # line search stalls in iteration 3.
     p = OperatorProblem(
         name="wrong_jacobian",
-        dim=1,
         fun=lambda u: u.copy(),
         jac=lambda u: np.array([[3.0 if u[0] < 0.3 else -3.0]]),
         rhs=np.array([1.0]),
@@ -73,7 +71,7 @@ def test_line_search_stall_reports_iterations_taken():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_w_init_rejected(bad):
-    p = diag_cubic(dim=2, rhs=[1.0, 2.0])
+    p = diag_cubic(rhs=[1.0, 2.0])
     with pytest.raises(ValueError, match="non-finite"):
         d.solve_regularized(p, 0.5, [0.0, bad])
 
@@ -89,7 +87,7 @@ def test_w_init_shape_checked():
 def test_w_init_neither_copied_nor_written():
     # A w_init that already meets tol comes back as the same array, and a
     # warm start that takes Newton steps leaves its w_init as it was.
-    p = diag_cubic(dim=3, rhs=[1.0, -2.0, 0.5])
+    p = diag_cubic(rhs=[1.0, -2.0, 0.5])
     w = d.solve_regularized(p, 0.5, np.zeros(3))
     assert d.solve_regularized(p, 0.5, w) is w
     before = w.copy()
@@ -106,7 +104,7 @@ def test_w_along_constant_schedule_is_constant():
 
 def test_w_along_schedule_identity_closed_form():
     # For F = I: w(t) = f / (1 + a(t)) componentwise.
-    p = identity(dim=1, rhs=[1.0])
+    p = identity(rhs=[1.0])
     s = d.power(1.0, 0.25)
     out = d.w_along_schedule(p, s, [0.0, 1.0, 5.0, 15.0])
     for t, w in out:
@@ -127,7 +125,7 @@ def test_w_along_schedule_validates_times():
 
 def test_sweep_identity_closed_form():
     # a ||w_a|| = a / (1 + a), strictly increasing in a.
-    p = identity(dim=1, rhs=[1.0])
+    p = identity(rhs=[1.0])
     grid = [2.0, 1.0, 0.5, 0.1]
     report = d.lemma_2_1_sweep(p, grid)
     np.testing.assert_allclose(report.values, [a / (1.0 + a) for a in grid], rtol=1e-12)
@@ -135,18 +133,18 @@ def test_sweep_identity_closed_form():
 
 
 def test_sweep_two_point_grid():
-    report = d.lemma_2_1_sweep(identity(dim=1, rhs=[1.0]), [2.0, 1.0])
+    report = d.lemma_2_1_sweep(identity(rhs=[1.0]), [2.0, 1.0])
     assert len(report.values) == 2
     assert report.monotone_nondecreasing_in_a
 
 
 def test_sweep_cubic_wide_grid():
-    report = d.lemma_2_1_sweep(diag_cubic(dim=1, rhs=[8.0]), [4.0, 2.0, 1.0, 0.5, 0.25, 0.1, 0.01])
+    report = d.lemma_2_1_sweep(diag_cubic(rhs=[8.0]), [4.0, 2.0, 1.0, 0.5, 0.25, 0.1, 0.01])
     assert report.monotone_nondecreasing_in_a
 
 
 def test_sweep_grid_validation():
-    p = identity(dim=1, rhs=[1.0])
+    p = identity(rhs=[1.0])
     with pytest.raises(ValueError):
         d.lemma_2_1_sweep(p, [1.0])
     with pytest.raises(ValueError):
@@ -156,7 +154,7 @@ def test_sweep_grid_validation():
 
 
 def test_continuation_identity():
-    result = d.minimal_norm_limit(identity(dim=1, rhs=[3.0]))
+    result = d.minimal_norm_limit(identity(rhs=[3.0]))
     np.testing.assert_allclose(result.y_estimate, [3.0], atol=1e-7)
     assert result.converged
     assert all(a1 > a2 for a1, a2 in zip(result.a_values, result.a_values[1:]))
@@ -179,7 +177,7 @@ def test_continuation_gallery_rank_deficient_orthogonality():
 
 def test_continuation_cubic_reaches_cube_root():
     y_ref = bisect_root(lambda w: w**3 - 8.0, 0.0, 3.0)
-    result = d.minimal_norm_limit(diag_cubic(dim=1, rhs=[8.0]))
+    result = d.minimal_norm_limit(diag_cubic(rhs=[8.0]))
     assert result.converged
     assert result.y_estimate[0] == pytest.approx(y_ref, abs=1e-6)
 
@@ -219,7 +217,6 @@ def _wrong_jacobian_from(threshold):
     starts at or above it stalls in its line search."""
     return OperatorProblem(
         name="wrong_jacobian",
-        dim=1,
         fun=lambda u: u.copy(),
         jac=lambda u: np.array([[1.0 if u[0] < threshold else -3.0]]),
         rhs=np.array([1.0]),

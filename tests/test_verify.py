@@ -58,7 +58,7 @@ def test_eq_2_6_identity_closed_form():
 def test_eq_2_6_detects_mismatched_problem(deep_run):
     # Certifying against a different right-hand side must fail loudly.
     p, s, cfg, traj = deep_run
-    wrong = identity(dim=p.dim, rhs=[50.0] * p.dim)
+    wrong = identity(rhs=[50.0] * p.dim)
     report = d.check_eq_2_6(traj, wrong, s)
     assert not report.passed
     assert report.worst_margin < -SLACK["EQ_2_6"]
@@ -181,7 +181,7 @@ def test_thm_3_1_stationary_start_decided_by_solution_residual():
     report0 = d.check_thm_3_1(traj0, p0, d.minimal_norm_limit(p0))
     assert report0.passed
 
-    p1 = identity(dim=3, rhs=[1.0, 2.0, -1.0])
+    p1 = identity(rhs=[1.0, 2.0, -1.0])
     traj1 = d.integrate(p1, s, p1.rhs / 2.0, cfg)  # solves u + a(0) u = f only
     assert traj1.terminated_by == "residual_stop" and traj1.final.t == 0.0
     report1 = d.check_thm_3_1(traj1, p1, d.minimal_norm_limit(p1))
