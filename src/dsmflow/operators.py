@@ -254,20 +254,17 @@ def non_monotone_fixture(dim: int = 6) -> OperatorProblem:
     return linear_problem("non_monotone_fixture", -np.eye(dim), np.zeros(dim))
 
 
-_GALLERY_BUILDERS: dict[str, Callable] = {
+_BUILDERS: dict[str, Callable] = {
     "identity": identity,
     "diag_cubic": diag_cubic,
     "psd_rank_deficient": psd_rank_deficient,
     "fredholm_first_kind": fredholm_first_kind,
     "skew_perturbed": skew_perturbed,
     "convex_gradient": convex_gradient,
-}
-
-_FIXTURE_BUILDERS: dict[str, Callable] = {
     "non_monotone_fixture": non_monotone_fixture,
 }
 
-GALLERY_NAMES = tuple(_GALLERY_BUILDERS)
+GALLERY_NAMES = tuple(name for name in _BUILDERS if name != "non_monotone_fixture")
 
 
 def make_problem(name: str, dim: int | None = None, seed: int = 0) -> OperatorProblem:
@@ -276,10 +273,9 @@ def make_problem(name: str, dim: int | None = None, seed: int = 0) -> OperatorPr
     Only psd_rank_deficient consumes the seed; the other constructions are
     deterministic. Fixture names outside the gallery are accepted too.
     """
-    builders = {**_GALLERY_BUILDERS, **_FIXTURE_BUILDERS}
-    if name not in builders:
-        raise ValueError(f"unknown problem {name!r}; known: {sorted(builders)}")
-    builder = builders[name]
+    if name not in _BUILDERS:
+        raise ValueError(f"unknown problem {name!r}; known: {sorted(_BUILDERS)}")
+    builder = _BUILDERS[name]
     kwargs = {"seed": seed} if name == "psd_rank_deficient" else {}
     if dim is not None:
         as_count("dim", dim, 1)

@@ -17,6 +17,12 @@ from dsmflow.flow import Trajectory, TrajectoryPoint
 
 from problems import nan_jacobian_problem
 
+# Every warning is an error: the CLI's contract is an exit code and its own
+# message, and a stray warning is neither.
+pytestmark = pytest.mark.filterwarnings("error")
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 
 def write_config(tmp_path, name="cfg.json", **overrides):
     cfg = {
@@ -78,10 +84,11 @@ def test_inadmissible_message_names_the_failed_condition(tmp_path, capsys):
     # exponential(1, 0.44) underflows to a = 0 long before t = 2000: the
     # message blames positivity, not the ratio, which is admissible.
     path, _ = write_config(tmp_path, integrator={"t_max": 2000.0})
-    assert cli.main(["run", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "a(t_max) = a(2000) = 0 must be positive" in err
-    assert "sup |a'|/a" not in err
+    for command in ("run", "verify", "oracle"):
+        assert cli.main([command, str(path)]) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "a(t_max) = a(2000) = 0 must be positive" in err
+        assert "sup |a'|/a" not in err
     # With a ratio of 0.75 as well, both conditions are named.
     path, _ = write_config(
         tmp_path,
@@ -204,7 +211,7 @@ def test_malformed_numbers_are_validation_errors(tmp_path, capsys, monkeypatch, 
         assert cli.main([command, str(path)]) == 2, command
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err, (command, err)
-    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name], command
 
 
 @pytest.mark.parametrize("command", ["run", "verify", "oracle"])
@@ -232,9 +239,33 @@ def test_schedule_numbers_are_strict(tmp_path, capsys, command, schedule, messag
 
 def test_stock_configs_load_and_cover_the_gallery():
     # `dsmflow verify` over configs/*.json is how the whole gallery is certified.
-    paths = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+    paths = sorted(CONFIGS.glob("*.json"))
     problems = {cli.load_config(path).problem for path in paths}
     assert problems == set(dsmflow.GALLERY_NAMES)
+
+
+@pytest.mark.parametrize(
+    "command, config, code, err",
+    [
+        ("run", "diag_cubic", 0, ""),
+        ("oracle", "diag_cubic", 0, ""),
+        # THM_3_1 cannot certify this short power-schedule run: exit 1 by
+        # design, with the verdict alone on stderr.
+        ("verify", "power_schedule_short", 1, "failed checks: THM_3_1\n"),
+    ],
+    ids=["run-diag_cubic", "oracle-diag_cubic", "verify-power_schedule_short"],
+)
+def test_stock_config_end_to_end(tmp_path, capsys, monkeypatch, command, config, code, err):
+    # The stock output_dir is relative, so the outputs land in tmp_path.
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([command, str(CONFIGS / f"{config}.json")]) == code
+    assert capsys.readouterr().err == err
+
+
+def test_fixed_step_verify_certifies(tmp_path):
+    integrator = {"t_max": 32.0, "initial_step": 0.05, "method": "rk4"}
+    path, _ = write_config(tmp_path, dim=None, integrator=integrator)
+    assert cli.main(["verify", str(path)]) == 0
 
 
 def test_run_step_failure_exit_code(tmp_path):
@@ -316,6 +347,28 @@ def test_output_dir_that_is_a_file_is_a_validation_error(tmp_path, capsys, comma
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "output_dir" in err
     assert afile.read_text() == ""
+
+
+@pytest.mark.parametrize(
+    "command, code, line",
+    [
+        ("oracle", 3, "error: continuation failed at a=1: "),
+        # run lands its trajectory and leaves the cap column empty.
+        ("run", 0, "warning: cap solve failed"),
+        ("verify", 3, "error: oracle failed at t=0: "),
+    ],
+    ids=["oracle", "run", "verify"],
+)
+def test_each_command_reports_an_oracle_that_cannot_converge(tmp_path, capsys, command, code, line):
+    path, _ = write_config(
+        tmp_path,
+        dim=None,
+        schedule={"kind": "power", "a0": 1.0, "param": 0.25},
+        oracle={"tol": 1e-300, "max_iters": 1},
+        integrator={"t_max": 4.0},
+    )
+    assert cli.main([command, str(path)]) == code
+    assert any(text.startswith(line) for text in capsys.readouterr().err.splitlines())
 
 
 def test_oracle_clears_an_earlier_continuation(tmp_path):
@@ -435,18 +488,19 @@ def test_verify_constant_schedule_skips_limit_check(tmp_path):
 
 def test_verify_warns_once_near_the_ratio_limit(tmp_path):
     # The schedule is checked in _load, integrate and EQ_2_10; the
-    # near-limit warning comes once, from building the schedule.
+    # near-limit warning comes once per command, from building the schedule.
     path, _ = write_config(
         tmp_path,
         schedule={"kind": "exponential", "a0": 1.0, "param": 0.47},
         integrator={"t_max": 4.0},
     )
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        # THM_3_1 cannot certify a regularizer still at a(4) = 0.15: exit 1.
-        assert cli.main(["verify", str(path)]) == 1
-    near = [w for w in caught if "close to the 1/2 limit" in str(w.message)]
-    assert len(near) == 1
+    # THM_3_1 cannot certify a regularizer still at a(4) = 0.15: verify exits 1.
+    for command, code in (("run", 0), ("verify", 1)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main([command, str(path)]) == code
+        near = [w for w in caught if "close to the 1/2 limit" in str(w.message)]
+        assert len(near) == 1, command
     payload = json.loads((tmp_path / "out" / "bounds.json").read_text())
     admissibility = payload["schedule_admissibility"]
     assert admissibility["max_ratio"] == 0.47 and "grid_points" not in admissibility
@@ -589,5 +643,7 @@ def test_cold_start_imports_no_scipy():
         "import dsmflow, dsmflow.cli, dsmflow.verify, sys; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    # -W error: importing the package raises no warning either.
+    argv = [sys.executable, "-W", "error", "-c", code]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

@@ -10,7 +10,9 @@ import dsmflow as d
 import dsmflow.flow
 from dsmflow.errors import LinearSolveError
 from dsmflow.flow import (
+    _A,
     _C,
+    _E,
     _FAC_MIN,
     TERMINATED_MAX_STEPS,
     TERMINATED_SOLVE_FAILURE,
@@ -423,6 +425,28 @@ def _exp_problem():
         name="exp", fun=np.exp, jac=lambda u: np.diag(np.exp(u)),
         rhs=np.array([100.0]),
     )
+
+
+def test_dormand_prince_tableau_meets_the_order_conditions():
+    # tests/oracles.py's reference steppers read the same tableau, so only
+    # the order conditions (Hairer, Norsett & Wanner, Solving ODEs I, II.2)
+    # can tell a wrong coefficient.
+    a = np.zeros((7, 7))
+    for i, row in enumerate(_A):
+        a[i, : len(row)] = row
+    c, b5 = _C, a[6]
+    b4 = b5 - _E
+    conditions = [a.sum(axis=1) - c, [_E.sum()]]
+    conditions += [[b5 @ c**k - 1 / (k + 1)] for k in range(5)]
+    conditions += [[b4 @ c**k - 1 / (k + 1)] for k in range(4)]
+    conditions += [
+        [b5 @ (a @ c) - 1 / 6],
+        [b5 @ (a @ c**2) - 1 / 12],
+        [b5 @ (c * (a @ c)) - 1 / 8],
+        [b5 @ (a @ (a @ c)) - 1 / 24],
+    ]
+    residuals = np.abs(np.concatenate(conditions))
+    assert residuals.max() <= 1e-14, residuals
 
 
 def test_failed_trial_stage_rejects_the_dp54_step():
