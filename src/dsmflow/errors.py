@@ -1,8 +1,8 @@
 """Exceptions for solver failures, as opposed to caller mistakes.
 
-Each is a DsmError, which the CLI maps to exit code 3. A bad argument is a
-ValueError instead, and a check that does not apply reports so rather than
-raising.
+Each is a DsmError, which the CLI maps to exit code 3, and carries only
+its message, which is all the CLI prints. A bad argument is a ValueError
+instead, and a check that does not apply reports so rather than raising.
 """
 
 
@@ -22,23 +22,8 @@ class LinearSolveError(DsmError):
 
 
 class NewtonError(DsmError):
-    """Damped Newton ran out of iterations or line-search reductions.
-
-    Carries the best iterate seen so far, its residual norm and the number
-    of Newton iterations taken, so callers can diagnose whether the
-    tolerance was too tight for the problem.
-    """
-
-    def __init__(self, message, best, residual_norm, iterations):
-        super().__init__(message)
-        self.best = best
-        self.residual_norm = residual_norm
-        self.iterations = iterations
+    """Damped Newton ran out of iterations or line-search reductions."""
 
 
 class ContinuationError(DsmError):
-    """Continuation toward a -> 0 failed; carries the partial result."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """Continuation toward a -> 0 failed."""

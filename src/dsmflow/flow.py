@@ -40,7 +40,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import LinearSolveError
-from .linalg import as_count, as_number, as_vector, solve_shifted
+from .linalg import as_number, as_vector, solve_shifted
 from .operators import DENSE, OperatorProblem
 from .schedules import Schedule, check_admissible
 
@@ -49,6 +49,9 @@ TERMINATED_TMAX = "t_max"
 TERMINATED_MAX_STEPS = "max_steps"
 TERMINATED_STEP_FAILURE = "step_failure"
 TERMINATED_SOLVE_FAILURE = "solve_failure"
+
+# Cap on the attempted steps of one integrate call, read at call time.
+MAX_STEPS = 200_000
 
 # Dormand-Prince 5(4) tableau. Row i of _A holds the stage-i coupling
 # coefficients; the last row is the 5th-order weights, so the 7th stage sits
@@ -84,13 +87,16 @@ _DYN_BLOCK = 16
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Settings of one integrate call; every accepted step is recorded."""
+    """Settings of one integrate call; every accepted step is recorded.
+
+    The attempted steps are capped at MAX_STEPS, which is not a setting.
+    rk4 takes round(t_max / initial_step) steps, so that ratio is finite.
+    """
 
     t_max: float
     initial_step: float = 1e-2
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
-    max_steps: int = 200_000
     residual_stop: float = 1e-10
     method: str = "dp54"  # "dp54" adaptive or "rk4" fixed-step
     # Not a field: perfbench's tracer reads it; it goes with cli's re-export block.
@@ -101,9 +107,10 @@ class IntegratorConfig:
             value = getattr(self, name)
             if not 0.0 < as_number(name, value) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        as_count("max_steps", self.max_steps, 1)
         if self.method not in ("dp54", "rk4"):
             raise ValueError(f"unknown method {self.method!r}")
+        if self.method == "rk4" and not math.isfinite(self.t_max / self.initial_step):
+            raise ValueError("rk4 takes t_max / initial_step steps, which must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,13 +175,13 @@ def _make_point(p: OperatorProblem, s: Schedule, t: float, u: np.ndarray) -> Tra
 def integrate(
     p: OperatorProblem, s: Schedule, u0, cfg: IntegratorConfig
 ) -> Trajectory:
-    """Integrate the flow from u0 until residual_stop, t_max, or max_steps.
+    """Integrate the flow from u0 until residual_stop, t_max, or MAX_STEPS.
 
     The schedule must certify admissibility (positivity, ratio below 1/2)
     over [0, t_max] before any stepping happens; an inadmissible schedule
     is a ValueError with the report's reason. One loop serves both
     methods: it records the t = 0 point and every accepted step, caps the
-    attempted steps at max_steps, and returns at the step that ends the
+    attempted steps at MAX_STEPS, and returns at the step that ends the
     run. dp54 steps t += h under PI control; a step whose error is too
     large or whose trial stage fails its shifted solve is rejected and h
     shrinks, and step-size underflow below 1e-14 * t_max ends the run with
@@ -211,7 +218,7 @@ def integrate(
     try:
         if not fixed:
             k1 = rhs(p, s, t, u)
-        for _ in range(cfg.max_steps):
+        for _ in range(MAX_STEPS):
             if fixed:
                 # No error estimate and no FSAL stage: every step is accepted.
                 u_new, err_norm, k_last, norm_new = _rk4_step(p, s, t, u, h), 0.0, None, None

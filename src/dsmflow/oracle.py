@@ -66,9 +66,9 @@ def solve_regularized(
 
     Each step solves (F'(w) + a I) delta = -(F(w) + a w - f) and
     backtracks on the residual norm, so the residual decreases monotonically.
-    Exhausting max_iters or the line search raises NewtonError carrying the
-    best iterate and the Newton iterations taken, the stalled one included;
-    that usually means tol is too tight for the problem's conditioning.
+    Exhausting max_iters or the line search raises NewtonError, whose
+    message gives a and the last residual norm; that usually means tol is
+    too tight for the problem's conditioning.
 
     w_init is never written, so it is not copied, and it is returned as
     is when it already meets tol. Nor is it scanned up front: a NaN or Inf
@@ -85,7 +85,7 @@ def solve_regularized(
     rn = math.sqrt(r.dot(r))
     if not math.isfinite(rn):
         as_vector(w)
-    for it in range(cfg.max_iters):
+    for _ in range(cfg.max_iters):
         if rn <= cfg.tol:
             return w
         delta = solve_shifted(p.jac(w), a, -r)
@@ -98,21 +98,11 @@ def solve_regularized(
                 break
             lam *= _BACKTRACK_FACTOR
             if lam < _MIN_STEP:
-                raise NewtonError(
-                    f"line search stalled at a={a:g} with residual {rn:.3e}",
-                    best=w,
-                    residual_norm=rn,
-                    iterations=it + 1,
-                )
+                raise NewtonError(f"line search stalled at a={a:g} with residual {rn:.3e}")
         w, r, rn = w_trial, r_trial, rn_trial
     if rn <= cfg.tol:
         return w
-    raise NewtonError(
-        f"no convergence in {cfg.max_iters} iterations at a={a:g}; residual {rn:.3e}",
-        best=w,
-        residual_norm=rn,
-        iterations=cfg.max_iters,
-    )
+    raise NewtonError(f"no convergence in {cfg.max_iters} iterations at a={a:g}; residual {rn:.3e}")
 
 
 def _warm_started(p: OperatorProblem, a_values, cfg: NewtonConfig):
@@ -142,12 +132,7 @@ def w_along_schedule(
         for w in _warm_started(p, map(s.value, times), cfg):
             out.append((times[len(out)], w))
     except NewtonError as err:
-        raise NewtonError(
-            f"oracle failed at t={times[len(out)]:g}: {err}",
-            best=err.best,
-            residual_norm=err.residual_norm,
-            iterations=err.iterations,
-        ) from err
+        raise NewtonError(f"oracle failed at t={times[len(out)]:g}: {err}") from err
     return out
 
 
@@ -198,22 +183,18 @@ def minimal_norm_limit(
     likely-unsolvable diagnostic instead of looping. Convergence is
     declared when the last two levels agree to 1e-6 * (1 + ||w||).
     """
-    a_values: list[float] = []
     w_values: list[np.ndarray] = []
     try:
         for a, w in zip(_A_LEVELS, _warm_started(p, _A_LEVELS, cfg)):
-            a_values.append(a)
             w_values.append(w)
             if float(np.linalg.norm(w)) > _DIVERGENCE_NORM:
                 raise ContinuationError(
                     f"||w_a|| exceeded {_DIVERGENCE_NORM:g} at a={a:g}; "
-                    "the equation F(u) = f is likely unsolvable",
-                    partial=ContinuationResult(a_values, w_values, w, converged=False),
+                    "the equation F(u) = f is likely unsolvable"
                 )
     except NewtonError as err:
         raise ContinuationError(
-            f"continuation failed at a={_A_LEVELS[len(a_values)]:g}: {err}",
-            partial=ContinuationResult(a_values, w_values, err.best, converged=False),
+            f"continuation failed at a={_A_LEVELS[len(w_values)]:g}: {err}"
         ) from err
     converged = np.linalg.norm(w - w_values[-2]) <= 1e-6 * (1.0 + np.linalg.norm(w))
-    return ContinuationResult(a_values, w_values, w, converged=bool(converged))
+    return ContinuationResult(list(_A_LEVELS), w_values, w, converged=bool(converged))

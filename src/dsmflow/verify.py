@@ -227,7 +227,7 @@ def check_eq_2_8(
     return _report("EQ_2_8", margins, times, len(times), notes)
 
 
-def check_eq_3_8(traj: Trajectory, residual_stop: float = 1e-10) -> BoundReport:
+def check_eq_3_8(traj: Trajectory, residual_stop: float) -> BoundReport:
     """Residual vanishing plus the closed-form decay envelope.
 
     The integral term is scaled by c_traj = max recorded ||u(t)||: the bare
@@ -257,7 +257,7 @@ def check_thm_3_1(
     traj: Trajectory,
     p: OperatorProblem,
     oracle_y: ContinuationResult,
-    residual_stop: float = 1e-10,
+    residual_stop: float,
     eps_y_rel: float = 1e-2,
 ) -> BoundReport:
     """Limit identification: u(final) solves F(u) = f and matches the

@@ -18,6 +18,7 @@ from dataclasses import replace
 import numpy as np
 from scipy.integrate import quad, simpson
 
+import dsmflow.flow
 from dsmflow.errors import LinearSolveError, NewtonError
 from dsmflow.flow import (
     C_DYN,
@@ -160,7 +161,7 @@ def _integrate_dp54(p, s, u0, cfg) -> Trajectory:
     err_prev = 1.0
     terminated = None
 
-    for _ in range(cfg.max_steps):
+    for _ in range(dsmflow.flow.MAX_STEPS):
         h = min(h, cfg.t_max - t)
         if h < 1e-14 * cfg.t_max:
             terminated = TERMINATED_STEP_FAILURE
@@ -246,7 +247,7 @@ def _integrate_rk4(p, s, u0, cfg) -> Trajectory:
     terminated = None
     t = 0.0
     for step in range(1, n_steps + 1):
-        if step > cfg.max_steps:
+        if step > dsmflow.flow.MAX_STEPS:
             terminated = TERMINATED_MAX_STEPS
             break
         k1 = rhs(p, s, t, u)

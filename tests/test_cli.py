@@ -155,8 +155,8 @@ def test_growing_schedule_is_validation_error(tmp_path, capsys, command):
         {"integrator": {"t_max": 4.0, "initial_step": float("inf"), "method": "rk4"}},
         {"integrator": {"t_max": 4.0, "residual_stop": float("inf")}},
         {"oracle": {"tol": float("inf")}},
+        # No longer fields: unknown keys, and so validation errors too.
         {"integrator": {"t_max": 1.0, "max_steps": 1.5}},
-        # No longer a field: an unknown key, and so a validation error too.
         {"integrator": {"t_max": 1.0, "record_stride": 2.5}},
         {"oracle": {"max_iters": 2.5}},
         {"dim": 4.7},
@@ -174,6 +174,8 @@ def test_growing_schedule_is_validation_error(tmp_path, capsys, command):
         {"seed": -1},
         {"output_dir": None},
         {"integratr": {"t_max": 1.0}},
+        # t_max / initial_step overflows to inf, too many rk4 steps to count.
+        {"dim": 2, "integrator": {"t_max": 10, "initial_step": 5e-324, "method": "rk4"}},
     ],
     ids=[
         "t_max-inf",
@@ -199,6 +201,7 @@ def test_growing_schedule_is_validation_error(tmp_path, capsys, command):
         "seed-negative",
         "output_dir-null",
         "unknown-key",
+        "rk4-step-count-inf",
     ],
 )
 def test_malformed_numbers_are_validation_errors(tmp_path, capsys, monkeypatch, overrides):
@@ -299,12 +302,16 @@ def test_solve_failure_exit_code(tmp_path, capsys, monkeypatch, command):
 
 
 @pytest.mark.parametrize("command", ["run", "verify", "oracle"])
-def test_record_stride_is_an_unknown_key(tmp_path, capsys, command):
-    # Every accepted step is recorded: a config, or a run.json written when
-    # the stride was a setting, that sets it is refused.
-    path, _ = write_config(tmp_path, integrator={"t_max": 4.0, "record_stride": 1})
+@pytest.mark.parametrize(
+    "key, value", [("record_stride", 1), ("max_steps", 200_000)], ids=["record_stride", "max_steps"]
+)
+def test_dropped_setting_is_an_unknown_key(tmp_path, capsys, key, value, command):
+    # Every accepted step is recorded and the step cap is flow.MAX_STEPS: a
+    # config, or a run.json written when either was a setting, that sets
+    # one is refused.
+    path, _ = write_config(tmp_path, integrator={"t_max": 4.0, key: value})
     assert cli.main([command, str(path)]) == 2
-    assert "unexpected keyword argument 'record_stride'" in capsys.readouterr().err
+    assert f"unexpected keyword argument '{key}'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

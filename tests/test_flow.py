@@ -113,17 +113,23 @@ def test_tolerance_halving_changes_little():
     assert np.linalg.norm(u1 - u2) < 10 * rel * np.linalg.norm(u1)
 
 
-def test_max_steps_termination():
+def test_max_steps_termination(monkeypatch):
+    # The cap is a module constant, read at call time, not a setting.
+    assert "max_steps" not in {f.name for f in dataclasses.fields(d.IntegratorConfig)}
+    with pytest.raises(TypeError, match="max_steps"):
+        d.IntegratorConfig(t_max=1.0, max_steps=5)
+    monkeypatch.setattr(dsmflow.flow, "MAX_STEPS", 5)
     p = d.make_problem("diag_cubic")
-    cfg = d.IntegratorConfig(t_max=20.0, max_steps=5)
+    cfg = d.IntegratorConfig(t_max=20.0)
     traj = d.integrate(p, d.power(1.0, 0.25), np.zeros(p.dim), cfg)
     assert traj.terminated_by == TERMINATED_MAX_STEPS
     assert traj.final.t < 20.0
 
 
-def test_rk4_max_steps_termination():
+def test_rk4_max_steps_termination(monkeypatch):
+    monkeypatch.setattr(dsmflow.flow, "MAX_STEPS", 5)
     p = d.make_problem("diag_cubic")
-    cfg = d.IntegratorConfig(t_max=20.0, initial_step=0.05, max_steps=5, method="rk4")
+    cfg = d.IntegratorConfig(t_max=20.0, initial_step=0.05, method="rk4")
     traj = d.integrate(p, d.power(1.0, 0.25), np.zeros(p.dim), cfg)
     assert traj.terminated_by == TERMINATED_MAX_STEPS
     assert len(traj.points) == 6
@@ -151,7 +157,7 @@ def test_residual_stop_terminates_early():
 @pytest.mark.parametrize("method", ["dp54", "rk4"])
 def test_every_accepted_step_is_recorded(method, monkeypatch):
     # No setting thins the record: the trajectory holds the t = 0 point and
-    # one point per accepted step, also when max_steps cuts the run.
+    # one point per accepted step, also when MAX_STEPS cuts the run.
     assert "record_stride" not in {f.name for f in dataclasses.fields(d.IntegratorConfig)}
     with pytest.raises(TypeError, match="record_stride"):
         d.IntegratorConfig(t_max=1.0, record_stride=2)
@@ -166,9 +172,10 @@ def test_every_accepted_step_is_recorded(method, monkeypatch):
 
     monkeypatch.setattr(dsmflow.flow, name, counting_step)
     p = d.make_problem("diag_cubic", dim=4)
+    cfg = d.IntegratorConfig(t_max=8.0, initial_step=1.0, method=method)
     for max_steps, finish in ((200_000, "t_max"), (7, TERMINATED_MAX_STEPS)):
         accepted.clear()
-        cfg = d.IntegratorConfig(t_max=8.0, initial_step=1.0, max_steps=max_steps, method=method)
+        monkeypatch.setattr(dsmflow.flow, "MAX_STEPS", max_steps)
         traj = d.integrate(p, d.exponential(1.0, 0.44), np.zeros(4), cfg)
         assert traj.terminated_by == finish
         assert len(traj.points) == sum(accepted) + 1
@@ -345,8 +352,11 @@ def test_config_validation():
         d.IntegratorConfig(t_max=-1.0)
     with pytest.raises(ValueError):
         d.IntegratorConfig(t_max=1.0, rel_tol=0.0)
-    with pytest.raises(ValueError):
-        d.IntegratorConfig(t_max=1.0, max_steps=0)
+    # rk4 would take round(inf) steps.
+    for t_max, initial_step in ((10.0, 5e-324), (1e308, 1e-300)):
+        with pytest.raises(ValueError, match="rk4 takes t_max / initial_step steps"):
+            d.IntegratorConfig(t_max=t_max, initial_step=initial_step, method="rk4")
+        d.IntegratorConfig(t_max=t_max, initial_step=initial_step)
     with pytest.raises(ValueError):
         d.IntegratorConfig(t_max=1.0, method="euler")
 
@@ -380,8 +390,8 @@ def _assert_same_trajectory(traj, ref):
 
 
 @pytest.mark.parametrize("name", GALLERY_NAMES)
-def test_one_loop_matches_separate_loops_bitwise(name):
-    # A max_steps cut at 7 steps, and finishes at residual_stop and (except
+def test_one_loop_matches_separate_loops_bitwise(name, monkeypatch):
+    # A MAX_STEPS cut at 7 steps, and finishes at residual_stop and (except
     # identity) at t_max. The reference loops solve as integrate does in
     # each method, so the test checks the loop, not the solver.
     p = d.make_problem(name, dim=4)
@@ -389,11 +399,12 @@ def test_one_loop_matches_separate_loops_bitwise(name):
     finishes = set()
     for s in (d.power(1.0, 0.25), d.exponential(1.0, 0.44), d.constant(0.8)):
         for method in ("dp54", "rk4"):
+            cfg = d.IntegratorConfig(
+                t_max=8.0, initial_step=0.1, residual_stop=1e-2, method=method
+            )
             for max_steps in (200_000, 7):
-                cfg = d.IntegratorConfig(
-                    t_max=8.0, initial_step=0.1, residual_stop=1e-2,
-                    max_steps=max_steps, method=method,
-                )
+                # Both integrate and the reference loops read the patched cap.
+                monkeypatch.setattr(dsmflow.flow, "MAX_STEPS", max_steps)
                 traj = d.integrate(p, s, u0, cfg)
                 ref = reference_integrate(p, s, u0, cfg)
                 _assert_same_trajectory(traj, ref)

@@ -40,14 +40,11 @@ def test_rank_deficient_componentwise():
     np.testing.assert_allclose(w, [1.0 / 1.5, 0.0], rtol=1e-12)
 
 
-def test_newton_error_carries_best_iterate():
+def test_newton_error_names_the_iteration_cap():
     p = diag_cubic(rhs=[8.0])
     with pytest.raises(NewtonError) as exc:
         d.solve_regularized(p, 1e-3, np.zeros(1), d.NewtonConfig(tol=1e-12, max_iters=1))
-    err = exc.value
-    assert err.iterations == 1
-    assert err.residual_norm > 1e-12
-    assert err.best.shape == (1,)
+    assert str(exc.value).startswith("no convergence in 1 iterations at a=0.001; residual ")
 
 
 def test_line_search_stall_reports_iterations_taken():
@@ -61,12 +58,10 @@ def test_line_search_stall_reports_iterations_taken():
         jac=lambda u: np.array([[3.0 if u[0] < 0.3 else -3.0]]),
         rhs=np.array([1.0]),
     )
-    with pytest.raises(NewtonError, match="line search stalled") as exc:
+    with pytest.raises(NewtonError) as exc:
         d.solve_regularized(p, 1.0, np.zeros(1), d.NewtonConfig(max_iters=50))
-    err = exc.value
-    assert err.iterations == 3
-    assert err.best[0] == 0.375
-    assert err.residual_norm == 0.25
+    # The residual at w = 0.375 is |0.375 + 0.375 - 1|.
+    assert str(exc.value) == "line search stalled at a=1 with residual 2.500e-01"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -185,11 +180,8 @@ def test_continuation_cubic_reaches_cube_root():
 def test_continuation_detects_unsolvable():
     # f has a component outside range(A): w_a = f_1/a blows up.
     p = make_diag_linear([1.0, 0.0], [1.0, 1.0])
-    with pytest.raises(ContinuationError, match="likely unsolvable") as exc:
+    with pytest.raises(ContinuationError, match="likely unsolvable"):
         d.minimal_norm_limit(p)
-    partial = exc.value.partial
-    assert partial is not None and not partial.converged
-    assert np.linalg.norm(partial.w_values[-1]) > 1e6
 
 
 def test_restart_reaches_same_solution(stock_problems):
@@ -233,11 +225,6 @@ WARM_START_CASES = {
 _LEVELS = [2.0**-k for k in range(28)]
 
 
-def _assert_same_newton_error(got, ref):
-    assert (got.residual_norm, got.iterations) == (ref.residual_norm, ref.iterations)
-    assert got.best.tobytes() == ref.best.tobytes()
-
-
 @pytest.mark.parametrize("case", sorted(WARM_START_CASES))
 def test_w_along_schedule_matches_a_plain_loop(case):
     p, cfg = WARM_START_CASES[case]()
@@ -253,7 +240,6 @@ def test_w_along_schedule_matches_a_plain_loop(case):
     with pytest.raises(NewtonError) as exc:
         d.w_along_schedule(p, s, times, cfg)
     assert str(exc.value) == f"oracle failed at t={times[len(ws)]:g}: {err}"
-    _assert_same_newton_error(exc.value, err)
 
 
 @pytest.mark.parametrize("case", sorted(WARM_START_CASES))
@@ -269,7 +255,6 @@ def test_lemma_2_1_sweep_matches_a_plain_loop(case):
     with pytest.raises(NewtonError) as exc:
         d.lemma_2_1_sweep(p, grid, cfg)
     assert str(exc.value) == str(err)
-    _assert_same_newton_error(exc.value, err)
 
 
 @pytest.mark.parametrize("case", sorted(WARM_START_CASES))
@@ -287,8 +272,3 @@ def test_minimal_norm_limit_matches_a_plain_loop(case):
     with pytest.raises(ContinuationError) as exc:
         d.minimal_norm_limit(p, cfg)
     assert str(exc.value) == f"continuation failed at a={_LEVELS[len(ws)]:g}: {err}"
-    partial = exc.value.partial
-    assert partial.a_values == _LEVELS[: len(ws)]
-    assert [w.tobytes() for w in partial.w_values] == [w.tobytes() for w in ws]
-    assert partial.y_estimate.tobytes() == err.best.tobytes()
-    assert not partial.converged

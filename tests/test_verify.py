@@ -144,9 +144,10 @@ def test_eq_3_8_passes_deep_run(deep_run):
 
 def test_eq_3_8_rejects_step_failure():
     p = d.make_problem("diag_cubic", dim=2)
-    traj = d.integrate(p, d.power(1.0, 0.25), np.zeros(2), d.IntegratorConfig(t_max=1e15))
+    cfg = d.IntegratorConfig(t_max=1e15)
+    traj = d.integrate(p, d.power(1.0, 0.25), np.zeros(2), cfg)
     assert traj.terminated_by == "step_failure"
-    report = d.check_eq_3_8(traj)
+    report = d.check_eq_3_8(traj, residual_stop=cfg.residual_stop)
     assert not report.passed
     assert "cannot certify" in report.notes
 
@@ -161,9 +162,10 @@ def test_thm_3_1_passes_deep_run(deep_run):
 
 def test_thm_3_1_requires_decayed_regularizer():
     p = d.make_problem("diag_cubic", dim=3)
-    traj = d.integrate(p, d.power(1.0, 0.25), np.zeros(3), d.IntegratorConfig(t_max=5.0))
+    cfg = d.IntegratorConfig(t_max=5.0)
+    traj = d.integrate(p, d.power(1.0, 0.25), np.zeros(3), cfg)
     continuation = d.minimal_norm_limit(p)
-    report = d.check_thm_3_1(traj, p, continuation)
+    report = d.check_thm_3_1(traj, p, continuation, residual_stop=cfg.residual_stop)
     assert not report.passed
     assert "cannot certify" in report.notes
 
@@ -178,13 +180,13 @@ def test_thm_3_1_stationary_start_decided_by_solution_residual():
     p0 = d.make_problem("identity", dim=3)  # f = 0, u0 = 0 solves F(u) = f
     traj0 = d.integrate(p0, s, np.zeros(3), cfg)
     assert traj0.terminated_by == "residual_stop" and traj0.final.t == 0.0
-    report0 = d.check_thm_3_1(traj0, p0, d.minimal_norm_limit(p0))
+    report0 = d.check_thm_3_1(traj0, p0, d.minimal_norm_limit(p0), residual_stop=cfg.residual_stop)
     assert report0.passed
 
     p1 = identity(rhs=[1.0, 2.0, -1.0])
     traj1 = d.integrate(p1, s, p1.rhs / 2.0, cfg)  # solves u + a(0) u = f only
     assert traj1.terminated_by == "residual_stop" and traj1.final.t == 0.0
-    report1 = d.check_thm_3_1(traj1, p1, d.minimal_norm_limit(p1))
+    report1 = d.check_thm_3_1(traj1, p1, d.minimal_norm_limit(p1), residual_stop=cfg.residual_stop)
     assert not report1.passed
 
 
