@@ -5,11 +5,12 @@ The flow is the Cauchy problem
     u'(t) = -(F'(u) + a(t) I)^{-1} (F(u) + a(t) u - f),   u(0) = u0,
 
 whose right-hand side costs one operator evaluation, one Jacobian, and one
-shifted solve per call. Along the trajectory we track the residual
-psi(t) = F(u) + a(t) u - f and its norm h(t) = ||psi||; psi obeys the
-equivalent dynamics psi' = a'(t) u - psi, which residual_dynamics_check
-tests the recorded points against. Its dt^2 tolerance assumes a smooth
-psi, so on an F' that is only Hoelder continuous it rejects the clean flow.
+shifted solve per call; rhs returns the residual psi(t) = F(u) + a(t) u - f
+it solved beside the direction. Along the trajectory we track psi and its
+norm h(t) = ||psi||; psi obeys the equivalent dynamics psi' = a'(t) u -
+psi, which residual_dynamics_check tests the recorded points against. Its
+dt^2 tolerance assumes a smooth psi, so on an F' that is only Hoelder
+continuous it rejects the clean flow.
 
 One stepping loop drives two methods, each supplying only its step and its
 step-size rule. The default is an embedded Dormand-Prince 5(4) pair with PI
@@ -17,13 +18,15 @@ step-size control; a trial stage that fails its shifted solve rejects the
 step like a large error estimate does. Each dp54 attempt fills one (7, n)
 stage array, one product with a row of the tableau per stage. The pair is
 first-same-as-last (Hairer, Norsett & Wanner, Solving ODEs I, II.4-5): its
-7th stage is evaluated at the new state, so that state is taken from the
-stage rather than recomputed, and the stage serves as the next step's
-first. The flow contracts (its linearization near the residual manifold is
--I), so an explicit pair is adequate at desk scale. A fixed-step classical
-RK4 mode, at times k * h, exists for bit-reproducible regression runs.
-Step-size underflow, and a failed solve with no step to reject, are
-reported as termination reasons, never retried with altered parameters.
+7th stage is evaluated at the new state, so that state and its psi are
+taken from the stage rather than recomputed, and the stage serves as the
+next step's first. The flow contracts (its linearization near the residual
+manifold is -I), so an explicit pair is adequate at desk scale. A
+fixed-step classical RK4 mode, at times k * h, exists for bit-reproducible
+regression runs. Step-size underflow, and a failed solve with no step to
+reject, are reported as termination reasons, never retried with altered
+parameters; under linalg._QUIET, a trial state that overflows F or F' is
+rejected with no warning.
 
 Every solve divides on a Jacobian that jac returns as its diagonal. Only
 dp54 uses the structure a problem states (solve_structure): rk4 solves on
@@ -40,7 +43,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import LinearSolveError
-from .linalg import as_number, as_vector, solve_shifted
+from .linalg import _QUIET, as_number, as_vector, solve_shifted
 from .operators import DENSE, OperatorProblem
 from .schedules import Schedule, check_admissible
 
@@ -115,8 +118,8 @@ class IntegratorConfig:
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryPoint:
-    """One recorded state: psi and h are recomputed from u when stored,
-    so psi == F(u) + a*u - f and h == ||psi|| hold exactly by construction."""
+    """One recorded state: psi is F(u) + a*u - f, evaluated at u itself (a
+    dp54 point's by its FSAL stage), and h == ||psi||, exactly."""
 
     t: float
     u: np.ndarray
@@ -157,21 +160,24 @@ class Trajectory:
             raise ValueError(f"{s} is not the trajectory's schedule {self.schedule}")
 
 
-def rhs(p: OperatorProblem, s: Schedule, t: float, u: np.ndarray) -> np.ndarray:
-    """Flow direction -(F'(u) + a(t) I)^{-1} (F(u) + a(t) u - f)."""
+def rhs(p: OperatorProblem, s: Schedule, t: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(direction, psi) at (t, u): psi = F(u) + a(t) u - f, direction -(F'(u) + a(t) I)^{-1} psi."""
     a = s.value(t)
+    psi = p.residual(a, u)
     try:
-        return -solve_shifted(p.jac(u), a, p.residual(a, u), p.solve_structure)
+        return -solve_shifted(p.jac(u), a, psi, p.solve_structure), psi
     except LinearSolveError as err:
         raise LinearSolveError(f"stage at t={t:.6g}: {err}") from err
 
 
-def _make_point(p: OperatorProblem, s: Schedule, t: float, u: np.ndarray) -> TrajectoryPoint:
+def _make_point(p, s, t, u, psi=None) -> TrajectoryPoint:
+    """The point (t, u), u kept, not copied; psi is evaluated unless the stage at (t, u) gave it."""
     a = s.value(t)
-    psi = p.residual(a, u)
-    return TrajectoryPoint(t=t, u=u.copy(), a=a, psi=psi, h=math.sqrt(psi.dot(psi)))
+    psi = p.residual(a, u) if psi is None else psi
+    return TrajectoryPoint(t=t, u=u, a=a, psi=psi, h=math.sqrt(psi.dot(psi)))
 
 
+@_QUIET
 def integrate(
     p: OperatorProblem, s: Schedule, u0, cfg: IntegratorConfig
 ) -> Trajectory:
@@ -217,22 +223,22 @@ def integrate(
     # trial stage rejects its step inside _dp54_step.
     try:
         if not fixed:
-            k1 = rhs(p, s, t, u)
+            k1 = rhs(p, s, t, u)[0]
         for _ in range(MAX_STEPS):
             if fixed:
                 # No error estimate and no FSAL stage: every step is accepted.
-                u_new, err_norm, k_last, norm_new = _rk4_step(p, s, t, u, h), 0.0, None, None
+                u_new, err_norm, last, norm_new = _rk4_step(p, s, t, u, h), 0.0, (None, None), None
             else:
                 h = min(h, cfg.t_max - t)
                 if h < 1e-14 * cfg.t_max:
                     return Trajectory(s, points, TERMINATED_STEP_FAILURE)
-                u_new, err_norm, k_last, norm_new = _dp54_step(p, s, t, u, u_norm, h, k1, cfg)
+                u_new, err_norm, last, norm_new = _dp54_step(p, s, t, u, u_norm, h, k1, cfg)
 
             if err_norm <= 1.0:
                 # rk4 times are k * h, not a running sum, so step n meets the t_max test.
                 t = len(points) * h if fixed else t + h
-                u, k1, u_norm = u_new, k_last, norm_new
-                pt = _make_point(p, s, t, u)
+                u, (k1, psi), u_norm = u_new, last, norm_new
+                pt = _make_point(p, s, t, u, psi)
                 points.append(pt)
                 if pt.h <= cfg.residual_stop:
                     return Trajectory(s, points, TERMINATED_RESIDUAL)
@@ -249,13 +255,14 @@ def _dp54_step(p, s, t, u, u_norm, h, k1, cfg):
     """One DP5(4) attempt from (t, u): (u_new, err_norm, last stage, ||u_new||).
 
     The stages fill the rows of one (7, n) array k, from the FSAL stage
-    k[0] = k1 = rhs(t, u); stage i is rhs at u + h * (_A[i] @ k[:i]). The
-    last row of _A is the 5th-order weight row, so the 7th stage's state is
-    u_new itself (FSAL), and the error estimate is h * (_E @ k). u_norm is
-    ||u||, carried like k1 from the attempt that accepted u. err_norm is
-    inf, and the rest None, when a trial stage fails its shifted solve, or
-    when u_new (or its squared norm) is not finite; the 7th stage is then
-    never evaluated.
+    k[0] = k1, the direction of rhs(t, u); stage i is rhs at u + h * (_A[i]
+    @ k[:i]). The last row of _A is the 5th-order weight row, so the 7th
+    stage's state is u_new itself (FSAL), at t + _C[6] * h == t + h, and
+    the last stage is that stage's rhs, (direction, u_new's own psi). The
+    error estimate is h * (_E @ k). u_norm is ||u||, carried like k1 from
+    the attempt that accepted u. err_norm is inf, and the rest None, when
+    a trial stage fails its shifted solve, or when u_new (or its squared
+    norm) is not finite; the 7th stage is then never evaluated.
     """
     k = np.empty((7, u.shape[0]))
     k[0] = k1
@@ -266,12 +273,12 @@ def _dp54_step(p, s, t, u, u_norm, h, k1, cfg):
             if not math.isfinite(norm_new):
                 return None, math.inf, None, None
         try:
-            k[i] = rhs(p, s, t + _C[i] * h, ui)
+            k[i], psi = rhs(p, s, t + _C[i] * h, ui)
         except LinearSolveError:
             return None, math.inf, None, None
     err = h * (_E @ k)
     tol = cfg.rel_tol * max(u_norm, norm_new) + cfg.abs_tol
-    return ui, math.sqrt(err.dot(err)) / tol, k[6], norm_new
+    return ui, math.sqrt(err.dot(err)) / tol, (k[6], psi), norm_new
 
 
 def _pi_control(h, err_norm, err_prev):
@@ -287,10 +294,10 @@ def _pi_control(h, err_norm, err_prev):
 
 def _rk4_step(p, s, t, u, h):
     """One classical RK4 step from (t, u)."""
-    k1 = rhs(p, s, t, u)
-    k2 = rhs(p, s, t + h / 2, u + h / 2 * k1)
-    k3 = rhs(p, s, t + h / 2, u + h / 2 * k2)
-    k4 = rhs(p, s, t + h, u + h * k3)
+    k1 = rhs(p, s, t, u)[0]
+    k2 = rhs(p, s, t + h / 2, u + h / 2 * k1)[0]
+    k3 = rhs(p, s, t + h / 2, u + h / 2 * k2)[0]
+    k4 = rhs(p, s, t + h, u + h * k3)[0]
     return u + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 

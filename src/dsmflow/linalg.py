@@ -46,11 +46,12 @@ EPS_LIN = 1e-10
 # Largest problem dimension the dense path is intended for.
 MAX_DIM = 512
 
-# solve_shifted's error state. A non-finite J, a or rhs, or a singular
-# J + a*I, makes its arithmetic warn, and the residual certificate reports
-# it instead. As a decorator, one instance serves every call: since NumPy 2
-# each call keeps its own token, so nested and concurrent calls restore the
-# state too. (NumPy 1.x saved one state per instance; hence numpy>=2.)
+# The error state of solve_shifted, flow.integrate and oracle.solve_regularized.
+# A non-finite J, a or rhs, a singular J + a*I, or an F or F' that overflows
+# at a trial state makes their arithmetic warn; a residual certificate, the
+# error test or the line search reports it instead. As a decorator, one
+# instance serves every call: since NumPy 2 each call keeps its own token, so
+# nested and concurrent calls restore the state too (hence numpy>=2).
 _QUIET = np.errstate(divide="ignore", invalid="ignore", over="ignore")
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContinuationError, NewtonError
-from .linalg import as_count, as_number, as_vector, solve_shifted
+from .linalg import _QUIET, as_count, as_number, as_vector, solve_shifted
 from .operators import OperatorProblem
 from .schedules import Schedule
 
@@ -59,6 +59,7 @@ class ContinuationResult:
     converged: bool
 
 
+@_QUIET
 def solve_regularized(
     p: OperatorProblem, a: float, w_init, cfg: NewtonConfig = NewtonConfig()
 ) -> np.ndarray:
@@ -68,7 +69,8 @@ def solve_regularized(
     backtracks on the residual norm, so the residual decreases monotonically.
     Exhausting max_iters or the line search raises NewtonError, whose
     message gives a and the last residual norm; that usually means tol is
-    too tight for the problem's conditioning.
+    too tight for the problem's conditioning. Under linalg._QUIET, a trial
+    at which F overflows fails the line search with no warning.
 
     w_init is never written, so it is not copied, and it is returned as
     is when it already meets tol. Nor is it scanned up front: a NaN or Inf

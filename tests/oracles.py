@@ -9,7 +9,8 @@ the single loop in dsmflow.flow.integrate replaced, the dp54 step that
 built each stage as a Python sum over a list, the bound sequence of
 `dsmflow verify` that dsmflow.verify.certify replaced, the plain
 warm-started loop of oracle solves that the oracle's entry points share,
-and the one-point-at-a-time loop of the residual dynamics check.
+the one-point-at-a-time loop of the residual dynamics check, and the
+one-pair-at-a-time loop of the monotonicity check.
 """
 
 import math
@@ -41,7 +42,7 @@ from dsmflow.flow import (
     rhs,
 )
 from dsmflow.linalg import as_vector
-from dsmflow.operators import DENSE
+from dsmflow.operators import DENSE, EPS_MONO, MONO_RADIUS, MONO_SAMPLES, MonotonicityReport
 from dsmflow.oracle import lemma_2_1_sweep, minimal_norm_limit, solve_regularized
 from dsmflow.schedules import check_admissible
 from dsmflow.verify import (
@@ -137,8 +138,11 @@ def reference_integrate(p, s, u0, cfg):
 
     The trajectories integrate must reproduce bit for bit, except where a
     shifted solve fails: there this raises, and integrate rejects the step
-    (a dp54 trial stage) or ends the run with "solve_failure". Like integrate, the dp54 loop solves with the
-    Jacobian structure p states, and the rk4 loop with a "dense" copy of p.
+    (a dp54 trial stage) or ends the run with "solve_failure". Like
+    integrate, the dp54 loop solves with the Jacobian structure p states,
+    and the rk4 loop with a "dense" copy of p. Both loops take only the
+    direction of rhs and evaluate each recorded point's psi from F, so the
+    dp54 points' psi, which integrate takes from the FSAL stage, is checked.
     """
     u0 = as_vector(u0)
     if cfg.method == "rk4":
@@ -154,7 +158,7 @@ def _integrate_dp54(p, s, u0, cfg) -> Trajectory:
         return Trajectory(s, points, TERMINATED_RESIDUAL)
 
     def f(tt, uu):
-        return rhs(p, s, tt, uu)
+        return rhs(p, s, tt, uu)[0]
 
     h = min(cfg.initial_step, cfg.t_max)
     k1 = f(t, u)
@@ -215,14 +219,15 @@ def generator_sum_dp54_step(p, s, t, u, u_norm, h, k1, cfg):
 
     Same contract as flow._dp54_step; u_new is recomputed from the 5th-order
     weights rather than taken from the 7th stage's state, so trajectories
-    differ from the stage-array step in the last bits only. Both norms are
-    computed here, the carried u_norm is not used.
+    differ from the stage-array step in the last bits only, and so is its
+    psi, from F at u_new. Both norms are computed here, the carried u_norm
+    is not used.
     """
     k = [k1]
     for i in range(1, 7):
         ui = u + h * sum(aij * kj for aij, kj in zip(_A[i], k))
         try:
-            k.append(rhs(p, s, t + _C[i] * h, ui))
+            k.append(rhs(p, s, t + _C[i] * h, ui)[0])
         except LinearSolveError:
             return None, np.inf, None, None
     u_new = u + h * sum(b * kj for b, kj in zip(_B5, k))
@@ -231,7 +236,8 @@ def generator_sum_dp54_step(p, s, t, u, u_norm, h, k1, cfg):
     err_vec = h * sum(e * kj for e, kj in zip(_E, k))
     norm_new = np.linalg.norm(u_new)
     tol = cfg.rel_tol * max(np.linalg.norm(u), norm_new) + cfg.abs_tol
-    return u_new, np.linalg.norm(err_vec) / tol, k[6], norm_new
+    psi_new = p.residual(s.value(t + h), u_new)
+    return u_new, np.linalg.norm(err_vec) / tol, (k[6], psi_new), norm_new
 
 
 def _integrate_rk4(p, s, u0, cfg) -> Trajectory:
@@ -250,10 +256,10 @@ def _integrate_rk4(p, s, u0, cfg) -> Trajectory:
         if step > dsmflow.flow.MAX_STEPS:
             terminated = TERMINATED_MAX_STEPS
             break
-        k1 = rhs(p, s, t, u)
-        k2 = rhs(p, s, t + h / 2, u + h / 2 * k1)
-        k3 = rhs(p, s, t + h / 2, u + h / 2 * k2)
-        k4 = rhs(p, s, t + h, u + h * k3)
+        k1 = rhs(p, s, t, u)[0]
+        k2 = rhs(p, s, t + h / 2, u + h / 2 * k1)[0]
+        k3 = rhs(p, s, t + h / 2, u + h / 2 * k2)[0]
+        k4 = rhs(p, s, t + h, u + h * k3)[0]
         u = u + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         t = step * h
         pt = _make_point(p, s, t, u)
@@ -386,3 +392,35 @@ def reference_dynamics_check(traj):
         passed=passed,
         interior_points=max(0, len(pts) - 2),
     )
+
+
+def reference_check_monotone(p, seed):
+    """check_monotone one pair at a time, each point drawn as it is needed.
+
+    For each of MONO_SAMPLES pairs: u, then v, each a standard normal
+    direction scaled to a radius MONO_RADIUS * uniform() ** (1 / dim); the
+    pairing <F(u) - F(v), u - v> against its slack EPS_MONO * (1 + ||F(u)||
+    * ||u - v||), and a running minimum that a NaN pairing sticks to. It
+    draws in another order than the check's arrays, so the two agree on
+    passed and on whether min_pairing is NaN, not on its value.
+    """
+    rng = np.random.default_rng(seed)
+
+    def sample():
+        direction = rng.standard_normal(p.dim)
+        direction /= math.sqrt(direction.dot(direction))
+        return MONO_RADIUS * rng.uniform() ** (1.0 / p.dim) * direction
+
+    min_pairing, passed = np.inf, True
+    for _ in range(MONO_SAMPLES):
+        u = sample()
+        v = sample()
+        fu = p.fun(u)
+        step = u - v
+        pairing = float(np.dot(fu - p.fun(v), step))
+        if pairing < min_pairing or math.isnan(pairing):
+            min_pairing = pairing
+        slack = EPS_MONO * (1.0 + math.sqrt(fu.dot(fu)) * math.sqrt(step.dot(step)))
+        if not pairing >= -slack:
+            passed = False
+    return MonotonicityReport(float(min_pairing), passed, MONO_SAMPLES, seed)

@@ -283,6 +283,28 @@ def test_run_step_failure_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["run", "verify"])
+def test_overflowing_trial_states_end_in_step_failure_without_a_warning(tmp_path, capsys, command):
+    # At a = 1e-300 the flow's trial stages, and run's cap solve's line
+    # search, reach states where u^3 and 3 u^2 overflow. The certificate,
+    # the error test and the line search reject them with no RuntimeWarning
+    # (an error here), and the run ends in step failure, exit 3.
+    path, _ = write_config(
+        tmp_path,
+        schedule={"kind": "exponential", "a0": 1e-300, "param": 0.0},
+        integrator={"t_max": 2.0},
+    )
+    assert cli.main([command, str(path)]) == 3
+    cap = (
+        "warning: cap solve failed, bound_2_10_rhs left empty "
+        "(line search stalled at a=1e-300 with residual 3.181e+00)"
+    )
+    assert capsys.readouterr().err.splitlines() == [
+        *([cap] if command == "run" else []),
+        "error: step size underflow (step_failure)",
+    ]
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
 def test_solve_failure_exit_code(tmp_path, capsys, monkeypatch, command):
     # Every shifted solve fails, so the flow ends at its t = 0 point: the
     # run's outputs land, no bounds are certified, and main returns 3

@@ -40,13 +40,30 @@ SCHEDULE = d.exponential(1.0, 0.44)
 CFG = d.IntegratorConfig(t_max=32.0, rel_tol=1e-10, abs_tol=1e-12, residual_stop=1e-8)
 
 _rhs = flow.rhs
-# Faults of the flow direction, patched over flow.rhs.
+
+
+def _direction_fault(fault):
+    """flow.rhs with fault applied to its direction; psi stays the stage's own."""
+
+    def faulty(p, s, t, u):
+        direction, psi = _rhs(p, s, t, u)
+        return fault(direction), psi
+
+    return faulty
+
+
+# Faults of the flow direction, patched over flow.rhs. Each passes on the
+# stage's true psi, which a dp54 point records.
 RHS_FAULTS = {
-    "rhs_x0.9": lambda p, s, t, u: 0.9 * _rhs(p, s, t, u),
-    "rhs_x1.2": lambda p, s, t, u: 1.2 * _rhs(p, s, t, u),
-    "rhs_plus_1e-6": lambda p, s, t, u: _rhs(p, s, t, u) + 1e-6,
-    # a(t - 0.5), held at a(0) until t = 0.5: rhs reads t only through a(t).
-    "a_late_0.5": lambda p, s, t, u: _rhs(p, s, max(t - 0.5, 0.0), u),
+    "rhs_x0.9": _direction_fault(lambda k: 0.9 * k),
+    "rhs_x1.2": _direction_fault(lambda k: 1.2 * k),
+    "rhs_plus_1e-6": _direction_fault(lambda k: k + 1e-6),
+    # The direction at a(t - 0.5), held at a(0) until t = 0.5: rhs reads t
+    # only through a(t). psi is at a(t).
+    "a_late_0.5": lambda p, s, t, u: (
+        _rhs(p, s, max(t - 0.5, 0.0), u)[0],
+        p.residual(s.value(t), u),
+    ),
 }
 # Factors on the Jacobian the flow solves with.
 JAC_FAULTS = {"jac_x1.5": 1.5, "jac_x0.7": 0.7}

@@ -41,21 +41,23 @@ def test_rhs_identity_scalar():
     # F = I, f = 0, a = 1: direction -(1+1)^{-1} (u + u) = -u.
     p = d.make_problem("identity", dim=1)
     s = d.constant(1.0)
-    np.testing.assert_allclose(d.rhs(p, s, 0.0, np.array([4.0])), [-4.0], rtol=1e-14)
+    np.testing.assert_allclose(d.rhs(p, s, 0.0, np.array([4.0]))[0], [-4.0], rtol=1e-14)
 
 
 def test_rhs_identity_any_schedule_cancels():
     p = d.make_problem("identity", dim=3)
     s = d.power(1.0, 0.25)
     u = np.array([1.0, -2.0, 0.5])
-    np.testing.assert_allclose(d.rhs(p, s, 3.0, u), -u, rtol=1e-13)
+    np.testing.assert_allclose(d.rhs(p, s, 3.0, u)[0], -u, rtol=1e-13)
 
 
 def test_rhs_vanishes_at_regularized_solution():
     p = identity(rhs=[1.0, 2.0])
     s = d.constant(0.5)
     u = p.rhs / 1.5
-    np.testing.assert_allclose(d.rhs(p, s, 1.0, u), 0.0, atol=1e-12)
+    direction, psi = d.rhs(p, s, 1.0, u)
+    np.testing.assert_allclose(direction, 0.0, atol=1e-12)
+    np.testing.assert_allclose(psi, 0.0, atol=1e-12)
 
 
 def test_identity_flow_matches_exponential_decay():
@@ -463,8 +465,7 @@ def test_dormand_prince_tableau_meets_the_order_conditions():
 def test_failed_trial_stage_rejects_the_dp54_step():
     p = _exp_problem()
     cfg = d.IntegratorConfig(t_max=5.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        traj = d.integrate(p, d.constant(1e-3), np.array([-30.0]), cfg)
+    traj = d.integrate(p, d.constant(1e-3), np.array([-30.0]), cfg)
     assert traj.terminated_by == "t_max"
     h0 = traj.points[0].h
     for pt in traj.points:
@@ -475,8 +476,7 @@ def test_failed_stage_ends_the_run_in_fixed_step_mode(monkeypatch):
     # rk4 has no step to reject: a failed solve ends the run, which keeps
     # the points it has. From u0 = -30 the first step overflows exp.
     cfg = d.IntegratorConfig(t_max=5.0, method="rk4")
-    with np.errstate(over="ignore", invalid="ignore"):
-        traj = d.integrate(_exp_problem(), d.constant(1e-3), np.array([-30.0]), cfg)
+    traj = d.integrate(_exp_problem(), d.constant(1e-3), np.array([-30.0]), cfg)
     assert traj.terminated_by == TERMINATED_SOLVE_FAILURE
     assert [pt.t for pt in traj.points] == [0.0]
     # Solve 15 is the 3rd stage of the 4th step: the three steps before stay.
@@ -500,19 +500,21 @@ def test_failed_stage_ends_the_run_in_fixed_step_mode(monkeypatch):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("stage", [6, 7])
 def test_non_finite_late_stage_rejects_the_dp54_step(monkeypatch, stage):
-    # rhs returns inf, without raising, at one stage of the first attempt.
-    # At stage 6 the 7th stage's state u_new is inf; at stage 7 the error
-    # estimate is. Either way the step is rejected and h shrinks, no stage
-    # is evaluated at a non-finite state, and no RuntimeWarning is raised.
+    # rhs returns an inf direction, without raising, at one stage of the
+    # first attempt, and the stage's own psi. At stage 6 the 7th stage's
+    # state u_new is inf; at stage 7 the error estimate is. Either way the
+    # step is rejected and h shrinks, no stage is evaluated at a non-finite
+    # state, and no RuntimeWarning is raised.
     calls = []
     real_rhs = dsmflow.flow.rhs
 
     def poisoned_rhs(p, s, t, u):
         # Call 1 is k1 at t = 0; calls 2-7 are stages 2-7 of the first attempt.
         calls.append((t, bool(np.all(np.isfinite(u)))))
+        direction, psi = real_rhs(p, s, t, u)
         if len(calls) == stage:
-            return np.full_like(u, np.inf)
-        return real_rhs(p, s, t, u)
+            return np.full_like(direction, np.inf), psi
+        return direction, psi
 
     monkeypatch.setattr(dsmflow.flow, "rhs", poisoned_rhs)
     p = d.make_problem("convex_gradient", dim=5)
@@ -528,9 +530,9 @@ def test_non_finite_late_stage_rejects_the_dp54_step(monkeypatch, stage):
 
 
 def _count_rhs_calls(monkeypatch, cfg):
-    # Counts calls and the attempted dp54 steps: only a step's last two
-    # stages share a time (c6 = c7 = 1).
-    calls = []
+    # Counts rhs calls, F calls and the attempted dp54 steps: only a step's
+    # last two stages share a time (c6 = c7 = 1).
+    calls, fun_calls = [], []
     real_rhs = dsmflow.flow.rhs
 
     def counting_rhs(p, s, t, u):
@@ -539,23 +541,34 @@ def _count_rhs_calls(monkeypatch, cfg):
 
     monkeypatch.setattr(dsmflow.flow, "rhs", counting_rhs)
     p = d.make_problem("convex_gradient", dim=5)
+
+    def counting_fun(u, fun=p.fun):
+        fun_calls.append(u)
+        return fun(u)
+
+    p = dataclasses.replace(p, fun=counting_fun)
     traj = d.integrate(p, d.power(1.0, 0.25), np.zeros(5), cfg)
     attempts = sum(t0 == t1 for t0, t1 in zip(calls, calls[1:]))
-    return len(calls), attempts, len(traj.points)
+    return len(calls), attempts, len(traj.points), len(fun_calls)
 
 
 def test_rhs_calls_match_rk4_steps(monkeypatch):
     cfg = d.IntegratorConfig(t_max=3.0, initial_step=0.1, method="rk4")
-    calls, _, points = _count_rhs_calls(monkeypatch, cfg)
+    calls, _, points, fun_calls = _count_rhs_calls(monkeypatch, cfg)
     assert points == 31
     assert calls == 4 * (points - 1)
+    # F once per stage, and once per point: rk4 points have no stage at their state.
+    assert fun_calls == 5 * (points - 1) + 1
 
 
 def test_rhs_calls_match_dp54_attempts(monkeypatch):
     cfg = d.IntegratorConfig(t_max=3.0, initial_step=1.0)
-    calls, attempts, points = _count_rhs_calls(monkeypatch, cfg)
+    calls, attempts, points, fun_calls = _count_rhs_calls(monkeypatch, cfg)
     assert calls == 1 + 6 * attempts
     assert attempts > points - 1  # initial_step 1 is too long: some steps are rejected
+    # F once per stage, and once for the t = 0 point: every later point
+    # takes its psi from its FSAL stage.
+    assert fun_calls == calls + 1
 
 
 def _record_structures(monkeypatch, module):
@@ -694,7 +707,7 @@ def test_false_structure_fact_fails_the_certificate(structure):
         d.rhs(p, s, 0.0, u)
     # Taken at the origin, u0 here, the eigendecomposition is right only
     # there: it fails every trial stage away from it, and the run ends.
-    np.testing.assert_allclose(d.rhs(p, s, 0.0, u0), d.rhs(dense, s, 0.0, u0), atol=1e-12)
+    np.testing.assert_allclose(d.rhs(p, s, 0.0, u0)[0], d.rhs(dense, s, 0.0, u0)[0], atol=1e-12)
     traj = d.integrate(p, s, u0, d.IntegratorConfig(t_max=5.0))
     assert traj.terminated_by == TERMINATED_STEP_FAILURE and traj.final.t < 1e-3
     # rk4 solves on dense LU whatever the problem states, so it never trips.

@@ -18,7 +18,13 @@ from dsmflow.operators import (
     psd_rank_deficient,
 )
 
-from problems import monotone_problem, psd_plus_skew
+from oracles import reference_check_monotone
+from problems import (
+    componentwise_monotone_problem,
+    monotone_problem,
+    psd_linear_problem,
+    psd_plus_skew,
+)
 
 
 def test_gallery_has_six_members(stock_problems):
@@ -109,11 +115,53 @@ def test_non_monotone_fixture_fails():
     assert report.min_pairing < 0.0
 
 
+_NAN_IDENTITY = dataclasses.replace(identity(dim=3), fun=lambda u: np.full(3, np.nan))
+
+
 def test_nan_operator_fails_monotonicity():
-    p = dataclasses.replace(identity(dim=3), fun=lambda u: np.full(3, np.nan))
-    report = d.check_monotone(p, seed=0)
+    report = d.check_monotone(_NAN_IDENTITY, seed=0)
     assert not report.passed
     assert math.isnan(report.min_pairing)
+
+
+def _draws():
+    """(name, problem, monotone) of problems.py draws: each draw, and it
+    shifted by -100 I, more than any of them gains in the radius-5 ball (on
+    the diagonal of F' there at most 3 * 5^2 = 75, cosh(5) < 75 or 1.5 *
+    5^0.5, plus a PSD part of norm about 4), so that every pairing is < 0."""
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 13))
+        draws = {f"psd_linear{seed}": psd_linear_problem(rng, n)}
+        draws[f"componentwise{seed}"] = componentwise_monotone_problem(rng, n)
+        for term in ("cube", "sinh", "holder"):
+            m = psd_plus_skew(rng, n)
+            draws[f"{term}{seed}"] = monotone_problem(m, term, rng.uniform(-1.0, 1.0, n))
+        for name, p in draws.items():
+            yield name, p, True
+            shifted = dataclasses.replace(p, fun=lambda u, f=p.fun: f(u) - 100.0 * u)
+            yield f"{name}-shifted", shifted, False
+
+
+# name: (problem, monotone)
+_MONOTONE_CASES = {
+    **{name: (d.make_problem(name), True) for name in d.GALLERY_NAMES},
+    "non_monotone_fixture": (non_monotone_fixture(), False),
+    "nan": (_NAN_IDENTITY, False),
+    **{name: (p, monotone) for name, p, monotone in _draws()},
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("name", _MONOTONE_CASES)
+def test_check_monotone_agrees_with_the_pair_at_a_time_loop(name, seed):
+    # The array check draws its points in another order than the loop, so
+    # min_pairing differs; passed, and whether min_pairing is NaN, do not.
+    p, monotone = _MONOTONE_CASES[name]
+    report, ref = d.check_monotone(p, seed), reference_check_monotone(p, seed)
+    assert report.passed == ref.passed == monotone
+    assert math.isnan(report.min_pairing) == math.isnan(ref.min_pairing) == (name == "nan")
+    assert (report.samples, report.seed) == (ref.samples, ref.seed)
 
 
 @pytest.mark.parametrize("name", d.GALLERY_NAMES)
