@@ -36,7 +36,7 @@ import numpy as np
 from .errors import DsmError
 from .flow import TERMINATED_SOLVE_FAILURE, TERMINATED_STEP_FAILURE
 from .flow import IntegratorConfig, Trajectory, integrate
-from .linalg import as_count
+from .linalg import as_count, norm
 from .operators import OperatorProblem, check_monotone, gallery, make_problem
 from .oracle import NewtonConfig, minimal_norm_limit
 from .schedules import KINDS, Schedule, check_admissible
@@ -158,7 +158,7 @@ def _trajectory_csv(traj: Trajectory, cap: float, dist_to_w) -> str:
             _fmt(pt.t),
             _fmt(pt.a),
             _fmt(pt.h),
-            _fmt(math.sqrt(pt.u.dot(pt.u))),
+            _fmt(norm(pt.u)),
             "" if dist is None else _fmt(dist),
             _fmt(pt.h / pt.a),
             "" if not math.isfinite(cap) else _fmt(cap_envelope(h0, pt.t, cap)),
@@ -170,8 +170,8 @@ def _trajectory_csv(traj: Trajectory, cap: float, dist_to_w) -> str:
 def _continuation_csv(p: OperatorProblem, result) -> str:
     lines = ["a,norm_w,a_norm_w,residual"]
     for a, w in zip(result.a_values, result.w_values):
-        nw = float(np.linalg.norm(w))
-        res = float(np.linalg.norm(p.residual(a, w)))
+        nw = norm(w)
+        res = norm(p.residual(a, w))
         lines.append(",".join((_fmt(a), _fmt(nw), _fmt(a * nw), _fmt(res))))
     return "\n".join(lines) + "\n"
 
@@ -257,7 +257,7 @@ def cmd_verify(config_path) -> int:
     else:
         payload["continuation"] = {
             "a_final": continuation.a_values[-1],
-            "norm_y": float(np.linalg.norm(continuation.y_estimate)),
+            "norm_y": norm(continuation.y_estimate),
             "converged": continuation.converged,
         }
     _write_run_outputs(out_dir, cfg, traj, cap, distances_to_w(traj, p, cfg.oracle))
@@ -305,7 +305,7 @@ def cmd_oracle(config_path) -> int:
     _atomic_write(out_dir / "continuation.csv", _continuation_csv(p, result))
     print(
         f"{p.name}: continuation to a={result.a_values[-1]:.3e}, "
-        f"||y||={float(np.linalg.norm(result.y_estimate)):.6g}, converged={result.converged} "
+        f"||y||={norm(result.y_estimate):.6g}, converged={result.converged} "
         f"-> {out_dir / 'continuation.csv'}"
     )
     return EXIT_OK

@@ -43,7 +43,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import LinearSolveError
-from .linalg import _QUIET, as_number, as_vector, solve_shifted
+from .linalg import _QUIET, as_number, as_vector, norm, solve_shifted
 from .operators import DENSE, OperatorProblem
 from .schedules import Schedule, check_admissible
 
@@ -174,7 +174,7 @@ def _make_point(p, s, t, u, psi=None) -> TrajectoryPoint:
     """The point (t, u), u kept, not copied; psi is evaluated unless the stage at (t, u) gave it."""
     a = s.value(t)
     psi = p.residual(a, u) if psi is None else psi
-    return TrajectoryPoint(t=t, u=u, a=a, psi=psi, h=math.sqrt(psi.dot(psi)))
+    return TrajectoryPoint(t=t, u=u, a=a, psi=psi, h=norm(psi))
 
 
 @_QUIET
@@ -216,7 +216,6 @@ def integrate(
         h = cfg.t_max / max(1, round(cfg.t_max / cfg.initial_step))
     else:
         h = min(cfg.initial_step, cfg.t_max)
-        u_norm = math.sqrt(u.dot(u))
         err_prev = 1.0
 
     # Only dp54's first stage and rk4's stages raise here: a failed dp54
@@ -227,17 +226,17 @@ def integrate(
         for _ in range(MAX_STEPS):
             if fixed:
                 # No error estimate and no FSAL stage: every step is accepted.
-                u_new, err_norm, last, norm_new = _rk4_step(p, s, t, u, h), 0.0, (None, None), None
+                u_new, err_norm, last = _rk4_step(p, s, t, u, h), 0.0, (None, None)
             else:
                 h = min(h, cfg.t_max - t)
                 if h < 1e-14 * cfg.t_max:
                     return Trajectory(s, points, TERMINATED_STEP_FAILURE)
-                u_new, err_norm, last, norm_new = _dp54_step(p, s, t, u, u_norm, h, k1, cfg)
+                u_new, err_norm, last = _dp54_step(p, s, t, u, h, k1, cfg)
 
             if err_norm <= 1.0:
                 # rk4 times are k * h, not a running sum, so step n meets the t_max test.
                 t = len(points) * h if fixed else t + h
-                u, (k1, psi), u_norm = u_new, last, norm_new
+                u, (k1, psi) = u_new, last
                 pt = _make_point(p, s, t, u, psi)
                 points.append(pt)
                 if pt.h <= cfg.residual_stop:
@@ -251,34 +250,33 @@ def integrate(
     return Trajectory(s, points, TERMINATED_MAX_STEPS)
 
 
-def _dp54_step(p, s, t, u, u_norm, h, k1, cfg):
-    """One DP5(4) attempt from (t, u): (u_new, err_norm, last stage, ||u_new||).
+def _dp54_step(p, s, t, u, h, k1, cfg):
+    """One DP5(4) attempt from (t, u): (u_new, err_norm, last stage).
 
     The stages fill the rows of one (7, n) array k, from the FSAL stage
     k[0] = k1, the direction of rhs(t, u); stage i is rhs at u + h * (_A[i]
     @ k[:i]). The last row of _A is the 5th-order weight row, so the 7th
     stage's state is u_new itself (FSAL), at t + _C[6] * h == t + h, and
     the last stage is that stage's rhs, (direction, u_new's own psi). The
-    error estimate is h * (_E @ k). u_norm is ||u||, carried like k1 from
-    the attempt that accepted u. err_norm is inf, and the rest None, when
-    a trial stage fails its shifted solve, or when u_new (or its squared
-    norm) is not finite; the 7th stage is then never evaluated.
+    error estimate is h * (_E @ k), against rel_tol max(||u||, ||u_new||) +
+    abs_tol. err_norm is inf, and the rest None, when a trial stage fails
+    its shifted solve, or when ||u_new|| is not finite (as when squares of
+    finite entries overflow); the 7th stage is then never evaluated.
     """
     k = np.empty((7, u.shape[0]))
     k[0] = k1
     for i in range(1, 7):
         ui = u + h * (_A[i] @ k[:i])
         if i == 6:
-            norm_new = math.sqrt(ui.dot(ui))
+            norm_new = norm(ui)
             if not math.isfinite(norm_new):
-                return None, math.inf, None, None
+                return None, math.inf, None
         try:
             k[i], psi = rhs(p, s, t + _C[i] * h, ui)
         except LinearSolveError:
-            return None, math.inf, None, None
-    err = h * (_E @ k)
-    tol = cfg.rel_tol * max(u_norm, norm_new) + cfg.abs_tol
-    return ui, math.sqrt(err.dot(err)) / tol, (k[6], psi), norm_new
+            return None, math.inf, None
+    tol = cfg.rel_tol * max(norm(u), norm_new) + cfg.abs_tol
+    return ui, norm(h * (_E @ k)) / tol, (k[6], psi)
 
 
 def _pi_control(h, err_norm, err_prev):
@@ -333,8 +331,8 @@ def residual_dynamics_check(traj: Trajectory, p: OperatorProblem, s: Schedule) -
 
     The defects are computed _DYN_BLOCK interior points at a time, as the
     rows of small arrays, with the arithmetic of one point at a time: the
-    same products and sums per entry, one dot product per norm, and a
-    running max from 0.0 that, like max(), passes over a NaN norm.
+    same products and sums per entry, linalg.norm per row, and a running
+    max from 0.0 that, like max(), passes over a NaN norm.
     """
     traj.require_schedule(s)
     pts = traj.points
@@ -363,7 +361,7 @@ def residual_dynamics_check(traj: Trajectory, p: OperatorProblem, s: Schedule) -
             psi_dot = w0 * psi[:-2] + w1 * psi[1:-1] + w2 * psi[2:]
             a_dot = np.array([[traj.schedule.derivative(pt.t)] for pt in pts[lo:hi]])
             defect = psi_dot - (a_dot * np.array([pt.u for pt in pts[lo:hi]]) - psi[1:-1])
-            norms += [math.sqrt(row.dot(row)) for row in defect]
+            norms += [norm(row) for row in defect]
         max_defect = max([0.0, *norms])
         norms = np.array(norms)
         ratios = np.divide(norms, tols, out=np.zeros(m), where=norms != 0)

@@ -1,6 +1,7 @@
-"""Input checks and the shifted linear solve.
+"""Input checks, the Euclidean norm and the shifted linear solve.
 
-Vectors are 1-D float64 arrays and matrices are square 2-D arrays.
+Vectors are 1-D float64 arrays and matrices are square 2-D arrays, and
+norm is the library's one Euclidean norm of a vector.
 as_vector checks finiteness at the entry points that take vectors from
 outside (integrate's u0; solve_regularized's w_init, once its residual
 comes out non-finite). solve_shifted, which every flow stage and every
@@ -63,6 +64,16 @@ def as_vector(x) -> np.ndarray:
     if not np.isfinite(v).all():
         raise ValueError("vector contains non-finite entries")
     return v
+
+
+def norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-D float array: math.sqrt(v.dot(v)), NaN and inf too, at a
+    sum of squares >= 2^-900, where the squares lost to underflow (each off by at most
+    2^-1075) cost it under n 2^-174 of itself; below, math.hypot, which scales first."""
+    sum_squares = v.dot(v)
+    if not sum_squares < 2.0**-900:
+        return math.sqrt(sum_squares)
+    return math.hypot(*v.tolist())
 
 
 def as_number(name: str, value) -> float:
@@ -135,6 +146,7 @@ def solve_shifted(J, a: float, rhs, eigh=None) -> np.ndarray:
         lam, q = eigh
         x = q @ ((q.T @ b) / (lam + a))
         r = J @ x + a * x - b
+    # Not norm, on the hottest path: a bound >= EPS_LIN leaves underflow no say.
     residual = math.sqrt(r.dot(r))
     bound = EPS_LIN * (math.sqrt(b.dot(b)) + 1.0)
     if not residual <= bound:

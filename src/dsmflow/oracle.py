@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContinuationError, NewtonError
-from .linalg import _QUIET, as_count, as_number, as_vector, solve_shifted
+from .linalg import _QUIET, as_count, as_number, as_vector, norm, solve_shifted
 from .operators import OperatorProblem
 from .schedules import Schedule
 
@@ -84,7 +84,7 @@ def solve_regularized(
     if w.ndim != 1 or w.shape[0] != p.dim:
         raise ValueError(f"w_init has shape {w.shape}, problem expects ({p.dim},)")
     r = p.residual(a, w)
-    rn = math.sqrt(r.dot(r))
+    rn = norm(r)
     if not math.isfinite(rn):
         as_vector(w)
     for _ in range(cfg.max_iters):
@@ -95,7 +95,7 @@ def solve_regularized(
         while True:
             w_trial = w + lam * delta
             r_trial = p.residual(a, w_trial)
-            rn_trial = math.sqrt(r_trial.dot(r_trial))
+            rn_trial = norm(r_trial)
             if math.isfinite(rn_trial) and rn_trial <= (1.0 - _SUFFICIENT_DECREASE * lam) * rn:
                 break
             lam *= _BACKTRACK_FACTOR
@@ -162,7 +162,7 @@ def lemma_2_1_sweep(
         raise ValueError("grid values must be positive")
     if any(a2 >= a1 for a1, a2 in zip(a_grid, a_grid[1:])):
         raise ValueError("grid must be strictly decreasing")
-    values = [a * math.sqrt(w.dot(w)) for a, w in zip(a_grid, _warm_started(p, a_grid, cfg))]
+    values = [a * norm(w) for a, w in zip(a_grid, _warm_started(p, a_grid, cfg))]
     slack = 10.0 * cfg.tol
     increasing_order = values[::-1]
     monotone = all(
@@ -189,7 +189,7 @@ def minimal_norm_limit(
     try:
         for a, w in zip(_A_LEVELS, _warm_started(p, _A_LEVELS, cfg)):
             w_values.append(w)
-            if float(np.linalg.norm(w)) > _DIVERGENCE_NORM:
+            if norm(w) > _DIVERGENCE_NORM:
                 raise ContinuationError(
                     f"||w_a|| exceeded {_DIVERGENCE_NORM:g} at a={a:g}; "
                     "the equation F(u) = f is likely unsolvable"
@@ -198,5 +198,5 @@ def minimal_norm_limit(
         raise ContinuationError(
             f"continuation failed at a={_A_LEVELS[len(w_values)]:g}: {err}"
         ) from err
-    converged = np.linalg.norm(w - w_values[-2]) <= 1e-6 * (1.0 + np.linalg.norm(w))
-    return ContinuationResult(list(_A_LEVELS), w_values, w, converged=bool(converged))
+    converged = norm(w - w_values[-2]) <= 1e-6 * (1.0 + norm(w))
+    return ContinuationResult(list(_A_LEVELS), w_values, w, converged=converged)

@@ -72,6 +72,7 @@ import numpy as np
 
 from . import oracle
 from .flow import TERMINATED_RESIDUAL, TERMINATED_TMAX, Trajectory
+from .linalg import norm
 from .operators import OperatorProblem
 from .oracle import ContinuationResult, NewtonConfig, solve_regularized, w_along_schedule
 from .schedules import Schedule, check_admissible
@@ -133,8 +134,7 @@ def _w_table(traj: Trajectory, p: OperatorProblem, cfg: NewtonConfig):
     key = (p, cfg)
     if key not in traj.w_tables:
         ws = w_along_schedule(p, traj.schedule, [pt.t for pt in traj.points], cfg)
-        diffs = (pt.u - w for pt, (_, w) in zip(traj.points, ws))
-        traj.w_tables[key] = ws, tuple(math.sqrt(diff.dot(diff)) for diff in diffs)
+        traj.w_tables[key] = ws, tuple(norm(pt.u - w) for pt, (_, w) in zip(traj.points, ws))
     return traj.w_tables[key]
 
 
@@ -161,7 +161,7 @@ def check_eq_2_6(
 def cap_term(p: OperatorProblem, s: Schedule, cfg: NewtonConfig) -> float:
     """C ||w_C||, where w_C solves F(w) + C w = f at the schedule cap C."""
     w_cap = solve_regularized(p, s.cap, np.zeros(p.dim), cfg)
-    return s.cap * float(np.linalg.norm(w_cap))
+    return s.cap * norm(w_cap)
 
 
 def cap_envelope(h0: float, t: float, cap: float) -> float:
@@ -207,7 +207,7 @@ def check_eq_2_8(
     """
     times = [pt.t for pt in traj.points]
     ws, _ = _w_table(traj, p, cfg)
-    norms = np.array([math.sqrt(w.dot(w)) for _, w in ws])
+    norms = np.array([norm(w) for _, w in ws])
     err = cfg.tol / np.array([pt.a for pt in traj.points])
     notes = (
         "envelope h0*e^(-t/2) + lower sum of int e^((s-t)/2)|a'| ||w(s)|| ds; "
@@ -242,7 +242,7 @@ def check_eq_3_8(traj: Trajectory, residual_stop: float) -> BoundReport:
         notes = f"cannot certify: terminated_by={traj.terminated_by}; " + notes
         return _report("EQ_3_8", [-1.0], [traj.final.t], len(traj.points), notes)
     h0 = traj.points[0].h
-    c_traj = max(math.sqrt(pt.u.dot(pt.u)) for pt in traj.points)
+    c_traj = max(norm(pt.u) for pt in traj.points)
     times = [pt.t for pt in traj.points]
     envelope = _envelope(traj.schedule, times, h0, itertools.repeat(c_traj), 1.0)
     margins = [(e - pt.h) / max(e, 1e-30) for pt, e in zip(traj.points, envelope)]
@@ -284,16 +284,16 @@ def check_thm_3_1(
         )
         return _report("THM_3_1", [-1.0], [traj.final.t], len(traj.points), notes)
     u_final = traj.final.u
-    res_sol = float(np.linalg.norm(p.fun(u_final) - p.rhs))
-    eps_sol = max(1e3 * residual_stop, 1e-6 * (1.0 + float(np.linalg.norm(p.rhs))))
+    res_sol = norm(p.fun(u_final) - p.rhs)
+    eps_sol = max(1e3 * residual_stop, 1e-6 * (1.0 + norm(p.rhs)))
     y = oracle_y.y_estimate
-    dist_y = float(np.linalg.norm(u_final - y))
-    eps_y = eps_y_rel * (1.0 + float(np.linalg.norm(y)))
+    dist_y = norm(u_final - y)
+    eps_y = eps_y_rel * (1.0 + norm(y))
     margins = [
         (eps_sol - res_sol) / (1.0 + eps_sol),
         (eps_y - dist_y) / (1.0 + eps_y),
     ]
-    bias = traj.final.a * math.sqrt(u_final.dot(u_final))
+    bias = traj.final.a * norm(u_final)
     notes = (
         f"||F(u)-f||={res_sol:.3e} (allowed {eps_sol:.3e}) <= h(T) + a(T)||u(T)||, "
         f"h(T)={traj.final.h:.3e} {'>=' if traj.final.h >= bias else '<'} a(T)||u(T)||={bias:.3e}; "

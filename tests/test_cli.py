@@ -304,6 +304,33 @@ def test_overflowing_trial_states_end_in_step_failure_without_a_warning(tmp_path
     ]
 
 
+def test_norms_stay_right_where_their_squares_underflow(tmp_path, capsys):
+    # At a0 = 1e300, u and w_C are about f / a, some 3e-300, whose squares
+    # underflow. A dot-product norm read 0 for them: norm_u was 0 after t = 0,
+    # C ||w_C|| was 0, so EQ_2_10 failed, and ||u - w|| was 0, so EQ_2_6 held
+    # by a margin of h/a. EQ_3_8 fails on its final-residual test, h(4) =
+    # 0.968 against 1e-2 h(0), and THM_3_1 because a has not decayed.
+    path, _ = write_config(
+        tmp_path,
+        schedule={"kind": "exponential", "a0": 1e300, "param": 0.44},
+        integrator={"t_max": 4.0},
+    )
+    assert cli.main(["verify", str(path)]) == 1
+    assert capsys.readouterr().err == "failed checks: EQ_3_8, THM_3_1\n"
+    out = tmp_path / "out"
+    bounds = {r["bound_id"]: r for r in json.loads((out / "bounds.json").read_text())["bounds"]}
+    assert bounds["EQ_2_10"]["pass"]
+    assert "C*||w_C||=3.18104;" in bounds["EQ_2_10"]["notes"]
+    assert bounds["EQ_2_6"]["pass"]
+    assert abs(bounds["EQ_2_6"]["worst_margin"]) < 1e-310
+    assert "final h=9.678e-01 vs 3.181e-02;" in bounds["EQ_3_8"]["notes"]
+    rows = [line.split(",") for line in (out / "trajectory.csv").read_text().splitlines()[1:]]
+    norm_u = [float(row[3]) for row in rows]
+    assert norm_u[0] == 0.0
+    assert 3.17e-302 < norm_u[1] == min(norm_u[1:]) < 3.18e-302
+    assert 1.28e-299 < norm_u[-1] == max(norm_u) < 1.29e-299
+
+
 @pytest.mark.parametrize("command", ["run", "verify"])
 def test_solve_failure_exit_code(tmp_path, capsys, monkeypatch, command):
     # Every shifted solve fails, so the flow ends at its t = 0 point: the

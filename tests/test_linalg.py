@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import dsmflow as d
 from dsmflow.errors import LinearSolveError
-from dsmflow.linalg import as_vector
+from dsmflow.linalg import as_vector, norm
 from oracles import dense_shifted_solve, inverse_2x2
 
 EPS = np.finfo(float).eps
@@ -23,6 +26,60 @@ def test_vectors_must_be_one_dimensional():
         as_vector(np.ones((2, 2)))
     with pytest.raises(ValueError, match="1-D"):
         as_vector(3.0)
+
+
+# Entries in [-1, 1]; each test sets the first to 1, so that a scale s puts
+# the largest magnitude at s.
+_ENTRIES = hnp.arrays(float, st.integers(1, 512), elements=st.floats(-1.0, 1.0))
+
+
+@given(_ENTRIES, st.floats(1e-130, 1e150))
+def test_norm_is_the_dot_product_norm_where_no_square_underflows_to_matter(v, scale):
+    v[0] = 1.0
+    v *= scale
+    assert not v.dot(v) < 2.0**-900
+    got = norm(v)
+    assert type(got) is float
+    assert got.hex() == math.sqrt(v.dot(v)).hex() == float(np.linalg.norm(v)).hex()
+
+
+@given(_ENTRIES, st.floats(1e-320, 1e-300))
+def test_norm_scales_where_the_squares_underflow(v, scale):
+    # Every square underflows, so the dot-product norm reads 0.
+    v[0] = 1.0
+    v *= scale
+    assert v.dot(v) == 0.0 < norm(v)
+    expected = math.hypot(*v)
+    assert abs(norm(v) - expected) <= 2 * math.ulp(expected)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "v, expected",
+    [
+        ([0.0], 0.0),
+        ([-0.0, 0.0, -0.0], 0.0),
+        ([0.0] * 512, 0.0),
+        ([math.nan], math.nan),
+        ([1e-300, math.nan, 2.0], math.nan),
+        ([-math.inf], math.inf),
+        ([1e-300, math.inf, 2.0], math.inf),
+    ],
+    ids=["zero", "signed-zeros", "zeros-512", "nan", "tiny-nan", "inf", "tiny-inf"],
+)
+def test_norm_of_zeros_and_non_finite_vectors(v, expected):
+    got = norm(np.array(v))
+    assert type(got) is float
+    assert got.hex() == expected.hex() or math.isnan(got) and math.isnan(expected)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("v", [[1e200], [-1e200, 1e200, 3.0], [1e160] * 512])
+def test_norm_overflows_to_inf_so_dp54_rejects_the_state(v):
+    # Finite entries whose squares overflow: with overflow ignored, as integrate
+    # runs under linalg._QUIET, the norm is inf, and dp54 rejects the state.
+    with np.errstate(over="ignore"):
+        assert norm(np.array(v)) == math.inf
 
 
 def test_solve_shifted_zero_jacobian_is_scalar_shift():
