@@ -43,7 +43,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import LinearSolveError
-from .linalg import _QUIET, as_number, as_vector, norm, solve_shifted
+from .linalg import _QUIET, as_number, as_vector, norm, _solve_shifted as solve_shifted
 from .operators import DENSE, OperatorProblem
 from .schedules import Schedule, check_admissible
 
@@ -161,7 +161,8 @@ class Trajectory:
 
 
 def rhs(p: OperatorProblem, s: Schedule, t: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(direction, psi) at (t, u): psi = F(u) + a(t) u - f, direction -(F'(u) + a(t) I)^{-1} psi."""
+    """(direction, psi) at (t, u): psi = F(u) + a(t) u - f, direction -(F'(u) + a(t) I)^{-1} psi;
+    its F, F' and solve run under the caller's error state (integrate's _QUIET)."""
     a = s.value(t)
     psi = p.residual(a, u)
     try:

@@ -47,7 +47,8 @@ EPS_LIN = 1e-10
 # Largest problem dimension the dense path is intended for.
 MAX_DIM = 512
 
-# The error state of solve_shifted, flow.integrate and oracle.solve_regularized.
+# Entered once per flow.integrate, oracle.solve_regularized and direct
+# solve_shifted call; the first two solve by _solve_shifted, the bare body.
 # A non-finite J, a or rhs, a singular J + a*I, or an F or F' that overflows
 # at a trial state makes their arithmetic warn; a residual certificate, the
 # error test or the line search reports it instead. As a decorator, one
@@ -97,7 +98,6 @@ def as_count(name: str, value, minimum: int):
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
-@_QUIET
 def solve_shifted(J, a: float, rhs, eigh=None) -> np.ndarray:
     """Solve (J + a*I) x = rhs: divide for a 1-D J, else dense LU unless given J's eigh.
 
@@ -110,11 +110,11 @@ def solve_shifted(J, a: float, rhs, eigh=None) -> np.ndarray:
     (lam, Q) of J, as np.linalg.eigh returns it, gives x = Q ((Q^T rhs) /
     (lam + a)). Whatever the method, the solution must pass the residual
     certificate ||J x + a x - rhs|| <= EPS_LIN * (||rhs|| + 1) against J
-    itself, so the eigh of another matrix fails it. The comparison is
-    written so that a NaN residual fails it, which makes it the finiteness
-    check of J, a, rhs and x as well; a singular J + a*I, whose dense solve
-    is NaN, fails it with no exception and no warning. A failed certificate
-    raises LinearSolveError: the precondition was violated; it is never patched.
+    itself, so the eigh of another matrix fails it. A NaN residual fails
+    it too, which makes it the finiteness check of J, a, rhs and x; a
+    singular J + a*I, whose dense solve is NaN, fails it with no exception,
+    and with no warning under the _QUIET that a call enters. A failed
+    certificate raises LinearSolveError: the precondition was violated.
 
     The dense path calls np.linalg.solve's own gufunc (see the module
     docstring). It is a private NumPy name, but the bit-for-bit Hypothesis
@@ -156,3 +156,6 @@ def solve_shifted(J, a: float, rhs, eigh=None) -> np.ndarray:
             "or the symmetric part of J is likely not positive semidefinite"
         )
     return x
+
+
+_solve_shifted, solve_shifted = solve_shifted, _QUIET(solve_shifted)  # see _QUIET

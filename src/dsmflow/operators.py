@@ -318,7 +318,7 @@ def check_monotone(p: OperatorProblem, seed: int) -> MonotonicityReport:
     radii = MONO_RADIUS * rng.random(2 * MONO_SAMPLES) ** (1.0 / p.dim)
     x *= (radii / np.sqrt(np.einsum("ij,ij->i", x, x)))[:, None]
     fx = np.array([p.fun(xi) for xi in x])
-    # Pair i is (u, v) = (x[2i], x[2i + 1]); einsum's row dots, like dot, overflow with no warning.
+    # Pair i is (u, v) = (x[2i], x[2i + 1]); einsum's row dots overflow with no warning, dot's warn.
     fu, step = fx[0::2], x[0::2] - x[1::2]
     pairing = np.einsum("ij,ij->i", fu - fx[1::2], step)
     norms = np.sqrt(np.einsum("ij,ij->i", fu, fu)) * np.sqrt(np.einsum("ij,ij->i", step, step))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContinuationError, NewtonError
-from .linalg import _QUIET, as_count, as_number, as_vector, norm, solve_shifted
+from .linalg import _QUIET, as_count, as_number, as_vector, norm, _solve_shifted as solve_shifted
 from .operators import OperatorProblem
 from .schedules import Schedule
 

@@ -25,6 +25,7 @@ from dsmflow.operators import (
     OperatorProblem,
     diag_cubic,
     identity,
+    linear_problem,
 )
 
 from oracles import generator_sum_dp54_step, reference_dynamics_check, reference_integrate
@@ -873,3 +874,14 @@ def test_stage_array_step_on_random_monotone_problems(n, seed, term):
     assert traj.terminated_by == old_traj.terminated_by
     assert d.check_eq_2_6(traj, p, s).passed
     assert d.check_eq_2_10(traj, p, s).passed
+
+
+@pytest.mark.filterwarnings("error")
+def test_singular_first_stage_ends_the_run_without_a_warning():
+    # rhs's solve enters no error state of its own: it runs under
+    # integrate's _QUIET. J = -I is symmetric, so dp54 solves by eigh, whose
+    # division by lam + a = 0 fails the certificate at the first stage.
+    p = linear_problem("neg", -np.eye(2), np.ones(2))
+    traj = d.integrate(p, d.constant(1.0), np.zeros(2), d.IntegratorConfig(t_max=1.0))
+    assert traj.terminated_by == TERMINATED_SOLVE_FAILURE
+    assert traj.cause.startswith("stage at t=0: shifted solve residual nan")

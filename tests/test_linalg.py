@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import dsmflow as d
+from dsmflow import flow, oracle
 from dsmflow.errors import LinearSolveError
-from dsmflow.linalg import as_vector, norm
+from dsmflow.linalg import _solve_shifted, as_vector, norm
 from oracles import dense_shifted_solve, inverse_2x2
 
 EPS = np.finfo(float).eps
@@ -398,3 +399,38 @@ def test_a_one_d_jacobian_is_divided_on_whatever_the_structure():
     expected = rhs / (j + 0.5)
     for eigh in (None, np.linalg.eigh(np.eye(7))):
         assert d.solve_shifted(j, 0.5, rhs, eigh).tobytes() == expected.tobytes()
+
+
+# flow.rhs and the oracle's Newton step run under their caller's _QUIET, so
+# they call the body, which enters no error state; the public solve_shifted
+# is that body under _QUIET, entered once a call.
+def test_flow_and_oracle_solve_by_the_body_without_an_error_state():
+    for module in (flow, oracle):
+        assert module.solve_shifted is _solve_shifted
+    assert not hasattr(_solve_shifted, "__wrapped__")
+    assert d.solve_shifted.__wrapped__ is _solve_shifted
+    # Outside any quiet state the body warns where the public solve is silent.
+    with pytest.warns(RuntimeWarning, match="solve1"), pytest.raises(LinearSolveError):
+        _solve_shifted(-np.eye(2), 1.0, [1.0, 1.0])
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        _solve_shifted(np.eye(2), 1.0, [1e200, 1e200])
+
+
+@pytest.mark.filterwarnings("error")
+def test_solve_shifted_overflowing_rhs_is_warning_free():
+    # ||rhs||^2 overflows to inf, so the bound is inf and the exact x passes.
+    assert d.solve_shifted(np.eye(2), 1.0, [1e200, 1e200]).tolist() == [5e199, 5e199]
+
+
+@given(
+    st.sampled_from(["psd_skew", "banded_negative_zero", *STRUCTURED_KINDS]),
+    st.integers(1, 30),
+    st.floats(1e-8, 10.0),
+    st.integers(0, 10_000),
+)
+def test_the_body_gives_the_public_solves_bytes(kind, n, a, seed):
+    if kind in STRUCTURED_KINDS:
+        j, eigh, rhs = _structured_case(kind, n, a, seed)
+    else:
+        (j, rhs), eigh = _shifted_solve_case(kind, n, seed), None
+    assert _solve_shifted(j, a, rhs, eigh).tobytes() == d.solve_shifted(j, a, rhs, eigh).tobytes()

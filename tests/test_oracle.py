@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import dsmflow as d
-from dsmflow.errors import ContinuationError, NewtonError
-from dsmflow.operators import OperatorProblem, diag_cubic, identity
+from dsmflow.errors import ContinuationError, LinearSolveError, NewtonError
+from dsmflow.operators import OperatorProblem, diag_cubic, identity, linear_problem
 from oracles import bisect_root, warm_started_solves
 
 
@@ -62,6 +62,16 @@ def test_line_search_stall_reports_iterations_taken():
         d.solve_regularized(p, 1.0, np.zeros(1), d.NewtonConfig(max_iters=50))
     # The residual at w = 0.375 is |0.375 + 0.375 - 1|.
     assert str(exc.value) == "line search stalled at a=1 with residual 2.500e-01"
+
+
+# The Newton step's solve enters no error state of its own: the _QUIET of
+# solve_regularized is the only one around it.
+@pytest.mark.filterwarnings("error")
+def test_singular_newton_step_fails_its_certificate_without_a_warning():
+    # J + aI = -I + I is the zero matrix: the dense solve is NaN.
+    p = linear_problem("neg", -np.eye(2), np.ones(2))
+    with pytest.raises(LinearSolveError, match="residual nan"):
+        d.solve_regularized(p, 1.0, np.zeros(2))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
