@@ -6,9 +6,10 @@ as_vector checks finiteness at the entry points that take vectors from
 outside (integrate's u0; solve_regularized's w_init, once its residual
 comes out non-finite). solve_shifted, which every flow stage and every
 oracle Newton step calls, does not scan its inputs: its residual
-certificate is the finiteness check. A NaN or Inf in J, a, the
-right-hand side or the solution leaves the residual NaN, or Inf against a
-finite bound, and the test `not residual <= bound` fails on both.
+certificate is the finiteness check. A NaN or Inf in J, a, the right-hand
+side or the solution leaves the residual or the bound NaN or Inf, and the
+test `not residual <= bound < inf` fails on each; a bound that is Inf only
+because ||rhs||^2 overflowed is first retaken by math.hypot.
 
 A matrix J is solved by dense LU with partial pivoting through NumPy's
 LAPACK unless the caller passes its eigendecomposition. That default is
@@ -109,12 +110,12 @@ def solve_shifted(J, a: float, rhs, eigh=None) -> np.ndarray:
     np.linalg.solve(J + a*np.eye(n), rhs), and an eigendecomposition
     (lam, Q) of J, as np.linalg.eigh returns it, gives x = Q ((Q^T rhs) /
     (lam + a)). Whatever the method, the solution must pass the residual
-    certificate ||J x + a x - rhs|| <= EPS_LIN * (||rhs|| + 1) against J
-    itself, so the eigh of another matrix fails it. A NaN residual fails
-    it too, which makes it the finiteness check of J, a, rhs and x; a
-    singular J + a*I, whose dense solve is NaN, fails it with no exception,
-    and with no warning under the _QUIET that a call enters. A failed
-    certificate raises LinearSolveError: the precondition was violated.
+    certificate ||J x + a x - rhs|| <= EPS_LIN * (||rhs|| + 1) < inf against
+    J itself (both norms by math.hypot if ||rhs||^2 overflows), so the eigh
+    of another matrix fails it. A NaN residual or an Inf bound fails it too:
+    it is the finiteness check of J, a, rhs and x. A singular J + a*I, whose
+    dense solve is NaN, fails it with no exception, and no warning under _QUIET.
+    A failed certificate raises LinearSolveError: the precondition was violated.
 
     The dense path calls np.linalg.solve's own gufunc (see the module
     docstring). It is a private NumPy name, but the bit-for-bit Hypothesis
@@ -149,12 +150,15 @@ def solve_shifted(J, a: float, rhs, eigh=None) -> np.ndarray:
     # Not norm, on the hottest path: a bound >= EPS_LIN leaves underflow no say.
     residual = math.sqrt(r.dot(r))
     bound = EPS_LIN * (math.sqrt(b.dot(b)) + 1.0)
-    if not residual <= bound:
-        raise LinearSolveError(
-            f"shifted solve residual {residual:.3e} exceeds certificate {bound:.3e}; "
-            "J, a or rhs is not finite, J lacks the structure the solve assumed, "
-            "or the symmetric part of J is likely not positive semidefinite"
-        )
+    if not residual <= bound < math.inf:
+        if bound == math.inf:  # ||rhs||^2 overflowed: hypot scales before it squares
+            residual, bound = math.hypot(*r.tolist()), EPS_LIN * (math.hypot(*b.tolist()) + 1.0)
+        if not residual <= bound < math.inf:
+            raise LinearSolveError(
+                f"shifted solve residual {residual:.3e} exceeds certificate {bound:.3e}; "
+                "J, a or rhs is not finite, J lacks the structure the solve assumed, "
+                "or the symmetric part of J is likely not positive semidefinite"
+            )
     return x
 
 

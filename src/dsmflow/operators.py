@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import MAX_DIM, as_count, as_vector
+from .linalg import _QUIET, MAX_DIM, as_count, as_vector
 
 # Monotonicity check: MONO_SAMPLES pairs drawn in the ball of radius
 # MONO_RADIUS, each with a slack of EPS_MONO scaled by the pair's magnitude.
@@ -304,6 +304,7 @@ class JacobianReport:
     finer_errors: tuple[float, ...] = ()
 
 
+@_QUIET
 def check_monotone(p: OperatorProblem, seed: int) -> MonotonicityReport:
     """Sample MONO_SAMPLES pairs (u, v) in the MONO_RADIUS ball; test <F(u) - F(v), u - v> >= 0.
 
@@ -318,10 +319,13 @@ def check_monotone(p: OperatorProblem, seed: int) -> MonotonicityReport:
     radii = MONO_RADIUS * rng.random(2 * MONO_SAMPLES) ** (1.0 / p.dim)
     x *= (radii / np.sqrt(np.einsum("ij,ij->i", x, x)))[:, None]
     fx = np.array([p.fun(xi) for xi in x])
-    # Pair i is (u, v) = (x[2i], x[2i + 1]); einsum's row dots overflow with no warning, dot's warn.
+    # Pair i is (u, v) = (x[2i], x[2i + 1]); an F(u) whose squares overflow takes hypot's norm.
     fu, step = fx[0::2], x[0::2] - x[1::2]
     pairing = np.einsum("ij,ij->i", fu - fx[1::2], step)
-    norms = np.sqrt(np.einsum("ij,ij->i", fu, fu)) * np.sqrt(np.einsum("ij,ij->i", step, step))
+    fu_norms = np.sqrt(np.einsum("ij,ij->i", fu, fu))
+    big = ~np.isfinite(fu_norms)
+    fu_norms[big] = np.hypot.reduce(fu[big], axis=1)
+    norms = fu_norms * np.sqrt(np.einsum("ij,ij->i", step, step))
     passed = bool(np.all(pairing >= -EPS_MONO * (1.0 + norms)))
     return MonotonicityReport(float(pairing.min()), passed, MONO_SAMPLES, seed)
 

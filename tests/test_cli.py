@@ -11,6 +11,7 @@ import pytest
 
 import dsmflow
 import dsmflow.cli as cli
+from dsmflow import oracle, verify
 from dsmflow.cli import RunConfig
 from dsmflow.errors import LinearSolveError
 from dsmflow.flow import Trajectory, TrajectoryPoint
@@ -263,6 +264,37 @@ def test_stock_config_end_to_end(tmp_path, capsys, monkeypatch, command, config,
     monkeypatch.chdir(tmp_path)
     assert cli.main([command, str(CONFIGS / f"{config}.json")]) == code
     assert capsys.readouterr().err == err
+
+
+def test_every_oracle_solve_is_a_newton_step_of_solve_regularized(tmp_path, monkeypatch):
+    # verify on the five stock configs of the configs_verify benchmark
+    # workload: each shifted solve the oracle makes is inside a
+    # solve_regularized call, wherever that call was looked up (the oracle's
+    # warm-start chain, verify's cap solve, the cli module), so counting
+    # Newton iterations counts the oracle's solves.
+    monkeypatch.chdir(tmp_path)
+    count = {"depth": 0, "solves": 0, "outside": 0}
+    solve_shifted, solve_regularized = oracle.solve_shifted, oracle.solve_regularized
+
+    def counted_solve(*args, **kwargs):
+        count["solves"] += 1
+        count["outside"] += count["depth"] == 0
+        return solve_shifted(*args, **kwargs)
+
+    def counted_regularized(*args, **kwargs):
+        count["depth"] += 1
+        try:
+            return solve_regularized(*args, **kwargs)
+        finally:
+            count["depth"] -= 1
+
+    monkeypatch.setattr(oracle, "solve_shifted", counted_solve)
+    for module in (oracle, verify, cli):
+        monkeypatch.setattr(module, "solve_regularized", counted_regularized)
+    stems = ("diag_cubic", "fredholm", "identity", "power_schedule_short", "psd_rank_deficient")
+    codes = [cli.main(["verify", str(CONFIGS / f"{stem}.json")]) for stem in stems]
+    assert codes == [0, 0, 0, 1, 0]
+    assert count["solves"] > 0 and count["outside"] == 0, count
 
 
 def test_fixed_step_verify_certifies(tmp_path):

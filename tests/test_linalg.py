@@ -418,8 +418,24 @@ def test_flow_and_oracle_solve_by_the_body_without_an_error_state():
 
 @pytest.mark.filterwarnings("error")
 def test_solve_shifted_overflowing_rhs_is_warning_free():
-    # ||rhs||^2 overflows to inf, so the bound is inf and the exact x passes.
+    # ||rhs||^2 overflows to inf, so the certificate retakes both norms by
+    # hypot: the bound is 1.4e190, and the exact x, residual 0, passes.
     assert d.solve_shifted(np.eye(2), 1.0, [1e200, 1e200]).tolist() == [5e199, 5e199]
+
+
+@pytest.mark.filterwarnings("error")
+def test_solve_shifted_overflowing_rhs_still_certifies_the_solution():
+    # The eigh of diag(5, 7), not of J = diag(1, 2), gives x = [1.67e199,
+    # 1.25e199] against the true [5e199, 3.33e199]. Its residual, 9.1e199,
+    # and ||rhs|| both square to inf; an inf bound would pass it.
+    wrong_eigh = np.linalg.eigh(np.diag([5.0, 7.0]))
+    for rhs in ([1e200, 1e200], [1.0, 1.0]):
+        with pytest.raises(LinearSolveError, match="exceeds certificate"):
+            d.solve_shifted(np.diag([1.0, 2.0]), 1.0, np.array(rhs), wrong_eigh)
+    # A bound that stays inf fails whatever the residual: here ||rhs|| itself
+    # overflows, and the exact x, residual 0, is not certified.
+    with pytest.raises(LinearSolveError, match="residual 0.000e.00 exceeds certificate inf"):
+        d.solve_shifted(np.eye(2), 1.0, [1.5e308, 1.5e308])
 
 
 @given(

@@ -124,6 +124,26 @@ def test_nan_operator_fails_monotonicity():
     assert math.isnan(report.min_pairing)
 
 
+@pytest.mark.parametrize("scale, monotone", [(-1e200, False), (1e200, True)])
+def test_monotonicity_slack_stays_finite_where_f_squares_overflow(scale, monotone):
+    # ||F(u)||^2 overflows for F = scale * I: an inf slack would pass -1e200 I.
+    report = d.check_monotone(linear_problem("scaled", scale * np.eye(3), np.zeros(3)), seed=0)
+    assert report.passed is monotone
+    assert (report.min_pairing > 0.0) is monotone
+
+
+@pytest.mark.filterwarnings("error")
+def test_check_monotone_is_warning_free_where_f_overflows():
+    # exp(200 u) overflows in the radius-5 ball; the gate runs under
+    # linalg._QUIET, as integrate and solve_regularized do, so no warning
+    # escapes, and componentwise exp is monotone.
+    expo = OperatorProblem(
+        "expo", fun=lambda u: np.exp(200 * u), jac=lambda u: 200 * np.exp(200 * u), rhs=np.ones(3)
+    )
+    report = d.check_monotone(expo, seed=0)
+    assert report.passed and report.min_pairing >= 0.0
+
+
 def _draws():
     """(name, problem, monotone) of problems.py draws: each draw, and it
     shifted by -100 I, more than any of them gains in the radius-5 ball (on
