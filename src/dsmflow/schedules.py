@@ -55,10 +55,10 @@ class Schedule:
     kind "exponential" a(t) = a0 * exp(-param * t)   (constant at param 0)
 
     a0 and param must be real numbers in float range (linalg.as_number:
-    a bool is none); a0 must be finite and large enough that the derived
-    cap lies above it (a subnormal a0 rounds the cap back to a0), and param
-    must be nonnegative: a growing schedule is rejected here, which keeps
-    a(t) <= a(0) below the derived cap.
+    a bool is none); a0 must be finite and lie below a finite derived cap
+    (a subnormal a0 rounds the cap back to a0, and an a0 near the largest
+    double overflows it to inf), and param must be nonnegative: a growing
+    schedule is rejected here, which keeps a(t) <= a(0) below the derived cap.
     """
 
     kind: str
@@ -70,9 +70,10 @@ class Schedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}, expected one of {KINDS}")
         if not 0.0 < as_number("a0", self.a0) < math.inf:
             raise ValueError(f"a0 must be positive and finite, got {self.a0}")
-        if not self.a0 < self.cap:
+        if not self.a0 < self.cap < math.inf:
             raise ValueError(
-                f"a0 = {self.a0} is too small to lie below its cap a0 * (1 + {CAP_MARGIN:g})"
+                f"a0 = {self.a0} must lie below its cap a0 * (1 + {CAP_MARGIN:g}) < inf, "
+                f"got cap {self.cap}"
             )
         if not as_number("param", self.param) >= 0.0:
             raise ValueError(f"param must be nonnegative, got {self.param}")

@@ -96,11 +96,13 @@ def test_bad_schedule_construction():
 @pytest.mark.parametrize("kind", KINDS)
 def test_a0_must_be_finite_and_below_its_cap(kind):
     # 1e309 is how JSON and float() read an a0 too large for a double: inf.
-    # At 1e-320, a subnormal, a0 * (1 + CAP_MARGIN) rounds back to a0.
+    # At 1e-320, a subnormal, a0 * (1 + CAP_MARGIN) rounds back to a0; at
+    # the largest double it overflows to inf.
     with pytest.raises(ValueError, match="positive and finite"):
         Schedule(kind=kind, a0=float("1e309"), param=0.25)
-    with pytest.raises(ValueError, match="below its cap"):
-        Schedule(kind=kind, a0=1e-320, param=0.25)
+    for a0 in (1e-320, 1.7976931348623157e308):
+        with pytest.raises(ValueError, match="below its cap"):
+            Schedule(kind=kind, a0=a0, param=0.25)
     s = Schedule(kind=kind, a0=1e-300, param=0.25)
     assert s.a0 < s.cap
 
