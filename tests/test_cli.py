@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -255,6 +258,26 @@ def test_stock_configs_load_and_cover_the_gallery():
     paths = sorted(CONFIGS.glob("*.json"))
     problems = {cli.load_config(path).problem for path in paths}
     assert problems == set(dsmflow.GALLERY_NAMES)
+
+
+@pytest.mark.parametrize(
+    "command, config, code, err",
+    [
+        ("run", "diag_cubic", 0, ""),
+        ("oracle", "diag_cubic", 0, ""),
+        # THM_3_1 cannot certify this short power-schedule run: exit 1 by
+        # design, with the verdict alone on stderr.
+        ("verify", "power_schedule_short", 1, "failed checks: THM_3_1\n"),
+    ],
+    ids=["run-diag_cubic", "oracle-diag_cubic", "verify-power_schedule_short"],
+)
+def test_stock_config_end_to_end(tmp_path, capsys, monkeypatch, command, config, code, err):
+    # In process, with every test dependency importable; the NumPy-only
+    # child in test_runtime.py runs the same calls without them.
+    # The stock output_dir is relative, so the outputs land in tmp_path.
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([command, str(CONFIGS / f"{config}.json")]) == code
+    assert capsys.readouterr().err == err
 
 
 def test_every_oracle_solve_is_a_newton_step_of_solve_regularized(tmp_path, monkeypatch):
@@ -699,3 +722,19 @@ def test_float_format_has_17_significant_digits():
     x = float(np.pi)
     assert cli._fmt(x) == "3.1415926535897931e+00"
     assert len(cli._fmt(x).split("e")[0].replace(".", "").lstrip("-")) == 17
+
+
+def test_cold_start_imports_no_scipy():
+    # SciPy installed is still SciPy unused: an optional or fallback import,
+    # which the NumPy-only child in test_runtime.py cannot see, costs a cold
+    # `dsmflow verify` about half a second and doubles its peak RSS.
+    src = str(Path(dsmflow.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import dsmflow, dsmflow.cli, dsmflow.verify, sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    # -W error: importing the package raises no warning either.
+    argv = [sys.executable, "-W", "error", "-c", code]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
