@@ -17,7 +17,8 @@ reproducible from its own output. Once the config loads, each command
 clears its outputs; an output_dir that is a file is a validation error.
 
 Exit codes: 0 success / all checks pass, 1 check failure, 2 validation
-error, 3 runtime failure (step-size underflow, solver breakdown).
+error, 3 runtime failure (step-size underflow, solver breakdown, or a run
+that reached flow.MAX_STEPS attempted steps before t_max).
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DsmError
-from .flow import TERMINATED_SOLVE_FAILURE, TERMINATED_STEP_FAILURE
-from .flow import IntegratorConfig, Trajectory, integrate
+from .flow import UNFINISHED, IntegratorConfig, Trajectory, integrate
 from .linalg import as_count, norm
 from .operators import OperatorProblem, check_monotone, gallery, make_problem
 from .oracle import NewtonConfig, minimal_norm_limit
@@ -62,12 +62,6 @@ EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
 TRAJECTORY_COLUMNS = ("t", "a", "h", "norm_u", "dist_to_w", "bound_2_6_rhs", "bound_2_10_rhs")
-
-# The termination reasons that end run and verify with exit 3, each with its error line.
-RUNTIME_FAILURES = {
-    TERMINATED_STEP_FAILURE: "step size underflow (step_failure)",
-    TERMINATED_SOLVE_FAILURE: "a shifted solve failed its residual certificate (solve_failure)",
-}
 
 
 class ConfigError(ValueError):
@@ -199,9 +193,9 @@ def _write_run_outputs(out_dir: Path, cfg: RunConfig, traj: Trajectory, cap: flo
 
 
 def _runtime_failure(traj: Trajectory) -> int:
-    """Print a failed run's error line, then its cause if it has one; exit code 3."""
+    """Print an unfinished run's error line, then its cause if it has one; exit code 3."""
     cause = f": {traj.cause}" if traj.cause else ""
-    print(f"error: {RUNTIME_FAILURES[traj.terminated_by]}{cause}", file=sys.stderr)
+    print(f"error: {UNFINISHED[traj.terminated_by]}{cause}", file=sys.stderr)
     return EXIT_RUNTIME
 
 
@@ -220,7 +214,7 @@ def cmd_run(config_path) -> int:
         f"{p.name}: terminated_by={traj.terminated_by} t_final={traj.final.t:.6g} "
         f"h_final={traj.final.h:.3e} -> {out_dir / 'trajectory.csv'}"
     )
-    if traj.terminated_by in RUNTIME_FAILURES:
+    if traj.terminated_by in UNFINISHED:
         return _runtime_failure(traj)
     return EXIT_OK
 
@@ -246,7 +240,7 @@ def cmd_verify(config_path) -> int:
         return EXIT_CHECK_FAILED
 
     traj = integrate(p, cfg.schedule, np.zeros(p.dim), cfg.integrator)
-    if traj.terminated_by in RUNTIME_FAILURES:
+    if traj.terminated_by in UNFINISHED:
         _write_run_outputs(out_dir, cfg, traj, float("nan"))
         return _runtime_failure(traj)
 

@@ -26,9 +26,10 @@ fixed-step classical RK4 mode, at times k * h, exists for bit-reproducible
 regression runs. Step-size underflow, and a failed solve with no step to
 reject, are reported as termination reasons, never retried with altered
 parameters; under linalg._QUIET, a trial state that overflows F or F' is
-rejected with no warning.
+rejected with no warning. A run finishes at residual_stop or t_max; the
+table UNFINISHED gives every other reason its error line.
 
-Every solve divides on a Jacobian that jac returns as its diagonal. Only
+Each solver divides when jac returns the Jacobian as its diagonal. Only
 dp54 uses the structure a problem states (solve_structure): rk4 solves on
 a "dense" copy so that its runs stay bit for bit, and the oracle keeps
 dense LU so that EQ_2_6 and THM_3_1 still compare two independent solvers.
@@ -52,6 +53,13 @@ TERMINATED_TMAX = "t_max"
 TERMINATED_MAX_STEPS = "max_steps"
 TERMINATED_STEP_FAILURE = "step_failure"
 TERMINATED_SOLVE_FAILURE = "solve_failure"
+
+# Each reason that leaves a run unfinished, with its error line; the rest finish.
+UNFINISHED = {
+    TERMINATED_MAX_STEPS: "the run reached flow.MAX_STEPS attempted steps before t_max (max_steps)",
+    TERMINATED_STEP_FAILURE: "step size underflow (step_failure)",
+    TERMINATED_SOLVE_FAILURE: "a shifted solve failed its residual certificate (solve_failure)",
+}
 
 # Cap on the attempted steps of one integrate call, read at call time.
 MAX_STEPS = 200_000

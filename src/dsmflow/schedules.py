@@ -7,10 +7,8 @@ unregularized equation. Both conditions are decided in closed form: the
 two families (power, exponential) have exact ratio suprema, and every
 schedule is nonincreasing (param >= 0), so a(t) is least at the end of a
 horizon and the cap is derived, not set:
-C = a0 * (1 + CAP_MARGIN), just above a(0). A schedule whose ratio
-supremum lies between RATIO_WARN and the limit warns once, when built.
-A constant schedule is the exponential one at rate 0: constant(a0) is
-exponential(a0, 0).
+C = a0 * (1 + CAP_MARGIN), just above a(0). A constant schedule is the
+exponential one at rate 0: constant(a0) is exponential(a0, 0).
 
 value and derivative are scalar closed forms. cell_integral, the cell
 term of the EQ_2_8 and EQ_3_8 envelopes in verify, calls them once per
@@ -26,17 +24,14 @@ and the EQ_2_10 certificate raise with.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from .linalg import as_number
 
 KINDS = ("power", "exponential")
 
-# Strict admissibility limit on sup |a'|/a, and the soft threshold above
-# which the residual decay rate 1 - |a'|/a gets uncomfortably close to 1/2.
+# Strict admissibility limit on sup |a'|/a.
 RATIO_LIMIT = 0.5
-RATIO_WARN = 0.45
 
 # The cap C = a0 * (1 + CAP_MARGIN): every schedule is nonincreasing from a0.
 CAP_MARGIN = 1e-6
@@ -77,12 +72,6 @@ class Schedule:
             )
         if not as_number("param", self.param) >= 0.0:
             raise ValueError(f"param must be nonnegative, got {self.param}")
-        if RATIO_WARN + 1e-12 < self.ratio_supremum() < RATIO_LIMIT:
-            warnings.warn(
-                f"schedule ratio sup |a'|/a = {self.ratio_supremum():.3f} is close to the "
-                "1/2 limit; the certified residual decay rate degrades accordingly",
-                stacklevel=3,
-            )
 
     @property
     def cap(self) -> float:

@@ -71,7 +71,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import oracle
-from .flow import TERMINATED_RESIDUAL, TERMINATED_TMAX, Trajectory
+from .flow import TERMINATED_RESIDUAL, UNFINISHED, Trajectory
 from .linalg import norm
 from .operators import OperatorProblem
 from .oracle import ContinuationResult, NewtonConfig, solve_regularized, w_along_schedule
@@ -238,7 +238,7 @@ def check_eq_3_8(traj: Trajectory, residual_stop: float) -> BoundReport:
     with the constant weight c_traj.
     """
     notes = "envelope h0*e^(-t) + c_traj*int e^(s-t)|a'(s)| ds; integral term scaled by c_traj=max ||u||"
-    if traj.terminated_by not in (TERMINATED_RESIDUAL, TERMINATED_TMAX):
+    if traj.terminated_by in UNFINISHED:
         notes = f"cannot certify: terminated_by={traj.terminated_by}; " + notes
         return _report("EQ_3_8", [-1.0], [traj.final.t], len(traj.points), notes)
     h0 = traj.points[0].h
@@ -275,7 +275,7 @@ def check_thm_3_1(
     """
     base = f"eps_y_rel={eps_y_rel:g}; margins=(allowed-actual)/(1+allowed)"
     stationary = traj.terminated_by == TERMINATED_RESIDUAL and traj.final.h <= residual_stop
-    if traj.terminated_by not in (TERMINATED_RESIDUAL, TERMINATED_TMAX) or (
+    if traj.terminated_by in UNFINISHED or (
         traj.final.a > _A_FINAL_MAX and not stationary
     ):
         notes = (

@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import hypothesis
 import numpy as np
 import pytest
@@ -6,6 +9,10 @@ import dsmflow as d
 
 hypothesis.settings.register_profile("default", deadline=None, max_examples=50)
 hypothesis.settings.load_profile("default")
+
+# perfbench/ on the path, as perfbench/test_tracer.py puts it: a test that
+# checks one of the benchmark's facts reads it from perfbench/workloads.py.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 
 @pytest.fixture(scope="session")

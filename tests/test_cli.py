@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +10,12 @@ import pytest
 
 import dsmflow
 import dsmflow.cli as cli
-from dsmflow import oracle, verify
+from dsmflow import flow, oracle, verify
 from dsmflow.cli import RunConfig
 from dsmflow.errors import LinearSolveError
 from dsmflow.flow import Trajectory, TrajectoryPoint
 
+import workloads  # perfbench/workloads.py, put on the path by conftest.py
 from problems import nan_jacobian_problem
 
 # Every warning is an error: the CLI's contract is an exit code and its own
@@ -281,11 +281,11 @@ def test_stock_config_end_to_end(tmp_path, capsys, monkeypatch, command, config,
 
 
 def test_every_oracle_solve_is_a_newton_step_of_solve_regularized(tmp_path, monkeypatch):
-    # verify on the five stock configs of the configs_verify benchmark
-    # workload: each shifted solve the oracle makes is inside a
-    # solve_regularized call, wherever that call was looked up (the oracle's
-    # warm-start chain, verify's cap solve, the cli module), so counting
-    # Newton iterations counts the oracle's solves.
+    # verify on the stock configs of the configs_verify benchmark workload,
+    # read from the benchmark itself: each shifted solve the oracle makes is
+    # inside a solve_regularized call, wherever that call was looked up (the
+    # oracle's warm-start chain, verify's cap solve, the cli module), so
+    # counting Newton iterations counts the oracle's solves.
     monkeypatch.chdir(tmp_path)
     count = {"depth": 0, "solves": 0, "outside": 0}
     solve_shifted, solve_regularized = oracle.solve_shifted, oracle.solve_regularized
@@ -305,9 +305,9 @@ def test_every_oracle_solve_is_a_newton_step_of_solve_regularized(tmp_path, monk
     monkeypatch.setattr(oracle, "solve_shifted", counted_solve)
     for module in (oracle, verify, cli):
         monkeypatch.setattr(module, "solve_regularized", counted_regularized)
-    stems = ("diag_cubic", "fredholm", "identity", "power_schedule_short", "psd_rank_deficient")
-    codes = [cli.main(["verify", str(CONFIGS / f"{stem}.json")]) for stem in stems]
-    assert codes == [0, 0, 0, 1, 0]
+    stems = workloads.STOCK_CONFIGS
+    codes = {stem: cli.main(["verify", str(CONFIGS / f"{stem}.json")]) for stem in stems}
+    assert codes == {stem: int(stem == "power_schedule_short") for stem in stems}
     assert count["solves"] > 0 and count["outside"] == 0, count
 
 
@@ -377,23 +377,51 @@ def test_norms_stay_right_where_their_squares_underflow(tmp_path, capsys):
     assert 1.28e-299 < norm_u[-1] == max(norm_u) < 1.29e-299
 
 
-@pytest.mark.parametrize("command", ["run", "verify"])
-def test_solve_failure_exit_code(tmp_path, capsys, monkeypatch, command):
-    # Every shifted solve fails, so the flow ends at its t = 0 point: the
-    # run's outputs land, no bounds are certified, and main returns 3
-    # rather than raising. The error line gives the failed solve's cause.
-    monkeypatch.setattr(cli, "make_problem", lambda *args, **kwargs: nan_jacobian_problem())
-    path, _ = write_config(tmp_path)
+@pytest.mark.parametrize(
+    "command, reason",
+    [(command, reason) for reason in ("solve_failure", "max_steps") for command in ("run", "verify")],
+    ids=["run", "verify", "run-max_steps", "verify-max_steps"],
+)
+def test_solve_failure_exit_code(tmp_path, capsys, monkeypatch, command, reason):
+    # A run that does not finish: every shifted solve fails, so the flow ends
+    # at its t = 0 point, or the attempted steps are capped at 7, far short
+    # of t_max. The run's outputs land, verify certifies nothing and makes
+    # no oracle solve, and main returns 3 rather than raising or passing.
+    # The error line names the reason, and a failed solve's cause.
+    if reason == "solve_failure":
+        monkeypatch.setattr(cli, "make_problem", lambda *args, **kwargs: nan_jacobian_problem())
+        path, _ = write_config(tmp_path)
+        out, max_points = tmp_path / "out", 1
+        error = (
+            "error: a shifted solve failed its residual certificate (solve_failure): "
+            "stage at t=0: shifted solve residual nan exceeds certificate"
+        )
+    else:
+        monkeypatch.setattr(flow, "MAX_STEPS", 7)
+        monkeypatch.chdir(tmp_path)
+        path = CONFIGS / "diag_cubic.json"
+        out, max_points = tmp_path / cli.load_config(path).output_dir, 8
+        error = "error: the run reached flow.MAX_STEPS attempted steps before t_max (max_steps)"
+    oracle_solves = []
+    solve_regularized = oracle.solve_regularized
+
+    def counted(*args, **kwargs):
+        oracle_solves.append(args)
+        return solve_regularized(*args, **kwargs)
+
+    for module in (oracle, verify, cli):
+        monkeypatch.setattr(module, "solve_regularized", counted)
     assert cli.main([command, str(path)]) == 3
     last = capsys.readouterr().err.splitlines()[-1]
-    assert last.startswith(
-        "error: a shifted solve failed its residual certificate (solve_failure): "
-        "stage at t=0: shifted solve residual nan exceeds certificate"
-    )
-    out = tmp_path / "out"
-    assert json.loads((out / "run.json").read_text())["terminated_by"] == "solve_failure"
-    assert len((out / "trajectory.csv").read_text().splitlines()) == 2
+    assert last.startswith(error) if reason == "solve_failure" else last == error
+    meta = json.loads((out / "run.json").read_text())
+    assert meta["terminated_by"] == reason
+    # The t = 0 point, and at most one point per attempted step.
+    rows = len((out / "trajectory.csv").read_text().splitlines()) - 1
+    assert rows == meta["points_recorded"] <= max_points
     assert not (out / "bounds.json").exists()
+    if command == "verify":
+        assert oracle_solves == []
 
 
 @pytest.mark.parametrize(
@@ -574,21 +602,19 @@ def test_verify_constant_schedule_skips_limit_check(tmp_path):
     assert all(b["pass"] for b in payload["bounds"])
 
 
-def test_verify_warns_once_near_the_ratio_limit(tmp_path):
-    # The schedule is checked in _load, integrate and EQ_2_10; the
-    # near-limit warning comes once per command, from building the schedule.
+def test_verify_states_a_ratio_near_the_limit_in_bounds_json_alone(tmp_path, capsys):
+    # Near the 1/2 limit the schedule's ratio has one channel, the
+    # admissibility record: no warning (an error here) and nothing on stderr
+    # but the verdict. At t_max 4 the final h is still above 1e-2 h(0), and
+    # THM_3_1 cannot certify a regularizer still at a(4) = 0.15: verify exits 1.
     path, _ = write_config(
         tmp_path,
         schedule={"kind": "exponential", "a0": 1.0, "param": 0.47},
         integrator={"t_max": 4.0},
     )
-    # THM_3_1 cannot certify a regularizer still at a(4) = 0.15: verify exits 1.
-    for command, code in (("run", 0), ("verify", 1)):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert cli.main([command, str(path)]) == code
-        near = [w for w in caught if "close to the 1/2 limit" in str(w.message)]
-        assert len(near) == 1, command
+    for command, code, err in (("run", 0, ""), ("verify", 1, "failed checks: EQ_3_8, THM_3_1\n")):
+        assert cli.main([command, str(path)]) == code
+        assert capsys.readouterr().err == err, command
     payload = json.loads((tmp_path / "out" / "bounds.json").read_text())
     admissibility = payload["schedule_admissibility"]
     assert admissibility["max_ratio"] == 0.47 and "grid_points" not in admissibility
@@ -628,6 +654,15 @@ def test_check_schedule_pass_and_fail(capsys):
     )
     assert cli.main(["check-schedule", "power", "-1.0", "0.25"]) == 2
     assert cli.main(["check-schedule", "power", "1.0", "-0.25"]) == 2
+
+
+def test_console_script_exits_with_the_code_of_main(monkeypatch, capsys):
+    # [project.scripts] installs dsmflow as cli.entrypoint, which reads sys.argv.
+    monkeypatch.setattr(sys, "argv", ["dsmflow", "check-schedule", "exponential", "1", "0.44"])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.entrypoint()
+    assert exit_info.value.code == 0
+    assert "pass_2_2=True" in capsys.readouterr().out
 
 
 def test_check_schedule_has_no_constant_kind(capsys):

@@ -28,6 +28,7 @@ from dsmflow.operators import (
     linear_problem,
 )
 
+import workloads  # perfbench/workloads.py, put on the path by conftest.py
 from oracles import generator_sum_dp54_step, reference_dynamics_check, reference_integrate
 from problems import (
     componentwise_monotone_problem,
@@ -127,6 +128,17 @@ def test_max_steps_termination(monkeypatch):
     traj = d.integrate(p, d.power(1.0, 0.25), np.zeros(p.dim), cfg)
     assert traj.terminated_by == TERMINATED_MAX_STEPS
     assert traj.final.t < 20.0
+
+
+def test_every_termination_reason_finishes_or_has_an_error_line():
+    # A run finishes at residual_stop or t_max; every other reason, and so a
+    # new one, must have its error line in flow.UNFINISHED, or the CLI would
+    # pass a run that did not finish.
+    reasons = {v for k, v in vars(dsmflow.flow).items() if k.startswith("TERMINATED_")}
+    assert reasons - dsmflow.flow.UNFINISHED.keys() == {"residual_stop", "t_max"}
+    assert dsmflow.flow.UNFINISHED.keys() <= reasons
+    for reason, line in dsmflow.flow.UNFINISHED.items():
+        assert line.endswith(f"({reason})")
 
 
 def test_rk4_max_steps_termination(monkeypatch):
@@ -716,11 +728,6 @@ def test_false_structure_fact_fails_the_certificate(structure):
     _assert_same_trajectory(d.integrate(p, s, u0, rk4), d.integrate(dense, s, u0, rk4))
 
 
-# perfbench's margin tolerances for dp54 runs.
-MARGIN_ATOL = 1e-6
-MARGIN_ATOL_BY_BOUND = {"EQ_3_8": 1e-4}
-
-
 @pytest.mark.parametrize(
     "name, schedule, t_max",
     [
@@ -781,7 +788,7 @@ def _assert_structure_keeps_the_verdicts(p, schedule, t_max):
         (r.bound_id, r.passed) for r in dense_reports
     ]
     for r, rd in zip(reports, dense_reports):
-        atol = MARGIN_ATOL_BY_BOUND.get(r.bound_id, MARGIN_ATOL)
+        atol = workloads.MARGIN_ATOL_BY_BOUND.get(r.bound_id, workloads.MARGIN_ATOL)
         assert r.worst_margin == pytest.approx(rd.worst_margin, rel=0.0, abs=atol), r.bound_id
 
 
@@ -827,7 +834,7 @@ def test_stage_array_step_gives_the_generator_sum_step_verdicts(monkeypatch, nam
         (r.bound_id, r.passed) for r in old_reports
     ]
     for r, ro in zip(reports, old_reports):
-        atol = MARGIN_ATOL_BY_BOUND.get(r.bound_id, MARGIN_ATOL)
+        atol = workloads.MARGIN_ATOL_BY_BOUND.get(r.bound_id, workloads.MARGIN_ATOL)
         assert r.worst_margin == pytest.approx(ro.worst_margin, rel=0.0, abs=atol), r.bound_id
 
 

@@ -57,15 +57,21 @@ def test_stock_configs_run_with_the_standard_library_and_numpy_alone(tmp_path):
     # verify on every stock config, and run and oracle on one, each with its
     # exit code and stderr. THM_3_1 cannot certify power_schedule_short, a
     # short power-schedule run: exit 1 by design, the verdict alone on stderr.
-    diag_cubic = str(CONFIGS / "diag_cubic.json")
+    # A schedule just under the 1/2 ratio limit warns of nothing, whether
+    # checked alone or run.
+    diag_cubic = CONFIGS / "diag_cubic.json"
+    near_limit = tmp_path / "near_limit.json"
+    config = json.loads(diag_cubic.read_text())
+    config["schedule"]["param"], config["output_dir"] = 0.49, "runs/near_limit"
+    near_limit.write_text(json.dumps(config))
     calls = [["verify", str(path)] for path in sorted(CONFIGS.glob("*.json"))]
-    calls += [["run", diag_cubic], ["oracle", diag_cubic]]
+    calls += [["run", str(diag_cubic)], ["oracle", str(diag_cubic)], ["run", str(near_limit)]]
+    calls += [["check-schedule", "exponential", "1", "0.49"]]
     expected = {
-        f"{command} {Path(path).stem}": [1, "failed checks: THM_3_1\n"]
-        if (command, Path(path).stem) == ("verify", "power_schedule_short")
-        else [0, ""]
-        for command, path in calls
+        " ".join(Path(arg).stem if arg.endswith(".json") else arg for arg in argv): [0, ""]
+        for argv in calls
     }
+    expected["verify power_schedule_short"] = [1, "failed checks: THM_3_1\n"]
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     # The stock output_dir is relative, so the outputs land in tmp_path.

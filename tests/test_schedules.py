@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dsmflow as d
-from dsmflow.schedules import KINDS, RATIO_LIMIT, RATIO_WARN, Schedule
+from dsmflow.schedules import KINDS, RATIO_LIMIT, Schedule
 
 
 def test_power_value_at_zero():
@@ -151,17 +151,15 @@ def test_schedule_takes_any_real_number():
 
 
 def test_warning_near_ratio_limit():
-    # The warning depends on the schedule alone: construction emits it once,
-    # and check_admissible adds none.
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        s = d.exponential(1.0, 0.47)
-        built = len(caught)
-        report = d.check_admissible(s, horizon=10.0)
-    assert built == 1 and len(caught) == 1
-    assert "close to the 1/2 limit" in str(caught[0].message)
-    assert issubclass(caught[0].category, UserWarning)
-    assert report.pass_2_2
+    # The admissibility report is the one channel for a schedule's ratio:
+    # building or checking a schedule just under the 1/2 limit warns of
+    # nothing, and the report states the exact ratio.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for family in (d.power, d.exponential):
+            for param in (0.449, 0.47, 0.499):
+                report = d.check_admissible(family(1.0, param), horizon=10.0)
+                assert report.pass_2_2 and report.max_ratio == param
 
 
 def test_no_warning_at_mild_ratio():
@@ -187,9 +185,7 @@ def test_closed_form_report_agrees_with_a_sampled_grid(kind, a0, param, horizon)
     # a long horizon underflows the exponential, which positivity must catch.
     # The sampled ratio is read where a and a' are normal floats (or a' is
     # zero): a subnormal quotient is off by far more than rounding.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        s = Schedule(kind=kind, a0=a0, param=param)
+    s = Schedule(kind=kind, a0=a0, param=param)
     report = d.check_admissible(s, horizon=horizon)
     grid = np.linspace(0.0, horizon, 513)
     values = np.array([s.value(t) for t in grid])
@@ -217,9 +213,7 @@ def test_closed_form_report_agrees_with_a_sampled_grid(kind, a0, param, horizon)
 @example("exponential", 1.0, 0.75, 2000.0)
 def test_reason_is_empty_exactly_when_pass_2_2_holds(kind, a0, param, horizon):
     # Each clause of the reason names one failed condition, and no other.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        s = Schedule(kind=kind, a0=a0, param=param)
+    s = Schedule(kind=kind, a0=a0, param=param)
     report = d.check_admissible(s, horizon=horizon)
     assert (report.reason == "") == report.pass_2_2
     assert ("sup |a'|/a" in report.reason) == (not s.ratio_supremum() < RATIO_LIMIT)
@@ -231,19 +225,9 @@ def test_dict_round_trip():
     assert Schedule(**asdict(s)) == s
 
 
-def _built(family, a0, param):
-    """family(a0, param), asserting one near-limit warning if param > RATIO_WARN, else none."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        s = family(a0, param)
-    assert len(caught) == (1 if param > RATIO_WARN else 0)
-    assert all("close to the 1/2 limit" in str(w.message) for w in caught)
-    return s
-
-
 @given(st.floats(0.01, 0.49), st.floats(0.1, 10.0))
 def test_power_ratio_nonincreasing(b, a0):
-    s = _built(d.power, a0, b)
+    s = d.power(a0, b)
     grid = np.linspace(0.0, 30.0, 40)
     ratios = [abs(s.derivative(t)) / s.value(t) for t in grid]
     assert all(r2 <= r1 + 1e-14 for r1, r2 in zip(ratios, ratios[1:]))
@@ -251,7 +235,7 @@ def test_power_ratio_nonincreasing(b, a0):
 
 @given(st.floats(0.01, 0.49), st.floats(0.1, 10.0))
 def test_exponential_ratio_constant(k, a0):
-    s = _built(d.exponential, a0, k)
+    s = d.exponential(a0, k)
     grid = np.linspace(0.0, 30.0, 25)
     for t in grid:
         assert abs(s.derivative(t)) / s.value(t) == pytest.approx(k, abs=1e-12)
