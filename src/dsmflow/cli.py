@@ -14,11 +14,12 @@ where a missing field takes the library default and an unknown one, at any
 level, is a validation error, as is a file that cannot be read as UTF-8
 JSON. run.json echoes the fully normalized config, so a run is
 reproducible from its own output. Once the config loads, each command
-clears its outputs; an output_dir that is a file is a validation error.
+clears its outputs, and every integrated run writes run.json and
+trajectory.csv; an output_dir that cannot hold them is a validation error.
 
 Exit codes: 0 success / all checks pass, 1 check failure, 2 validation
-error, 3 runtime failure (step-size underflow, solver breakdown, or a run
-that reached flow.MAX_STEPS attempted steps before t_max).
+error, 3 runtime failure (step-size underflow, solver breakdown, a run that
+hit flow.MAX_STEPS before t_max, or an oracle that cannot converge).
 """
 
 from __future__ import annotations
@@ -134,10 +135,13 @@ def _load(config_path):
 
 
 def _atomic_write(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError as err:
+        raise ConfigError(f"output_dir {str(path.parent)!r} cannot hold the outputs: {err}") from err
 
 
 def _fmt(x: float) -> str:
@@ -192,30 +196,27 @@ def _write_run_outputs(out_dir: Path, cfg: RunConfig, traj: Trajectory, cap: flo
     _atomic_write(out_dir / "run.json", json.dumps(run_meta, indent=2) + "\n")
 
 
-def _runtime_failure(traj: Trajectory) -> int:
-    """Print an unfinished run's error line, then its cause if it has one; exit code 3."""
-    cause = f": {traj.cause}" if traj.cause else ""
-    print(f"error: {UNFINISHED[traj.terminated_by]}{cause}", file=sys.stderr)
-    return EXIT_RUNTIME
+def _raise_if_unfinished(traj: Trajectory):
+    """Raise a DsmError (exit 3) naming why traj did not finish, then its cause if any."""
+    if traj.terminated_by in UNFINISHED:
+        cause = f": {traj.cause}" if traj.cause else ""
+        raise DsmError(f"{UNFINISHED[traj.terminated_by]}{cause}")
 
 
 def cmd_run(config_path) -> int:
     cfg, _, p = _load(config_path)
     out_dir = _output_dir(cfg)
     traj = integrate(p, cfg.schedule, np.zeros(p.dim), cfg.integrator)
+    cap = float("nan")
     try:
+        _raise_if_unfinished(traj)
         cap = cap_term(p, cfg.schedule, cfg.oracle)
-    except DsmError as err:
-        # Cap-envelope column degrades to empty; the run itself still lands.
-        print(f"warning: cap solve failed, bound_2_10_rhs left empty ({err})", file=sys.stderr)
-        cap = float("nan")
-    _write_run_outputs(out_dir, cfg, traj, cap)
+    finally:
+        _write_run_outputs(out_dir, cfg, traj, cap)
     print(
         f"{p.name}: terminated_by={traj.terminated_by} t_final={traj.final.t:.6g} "
         f"h_final={traj.final.h:.3e} -> {out_dir / 'trajectory.csv'}"
     )
-    if traj.terminated_by in UNFINISHED:
-        return _runtime_failure(traj)
     return EXIT_OK
 
 
@@ -240,11 +241,14 @@ def cmd_verify(config_path) -> int:
         return EXIT_CHECK_FAILED
 
     traj = integrate(p, cfg.schedule, np.zeros(p.dim), cfg.integrator)
-    if traj.terminated_by in UNFINISHED:
-        _write_run_outputs(out_dir, cfg, traj, float("nan"))
-        return _runtime_failure(traj)
+    cap, dist_to_w = float("nan"), ()
+    try:
+        _raise_if_unfinished(traj)
+        reports, cap, continuation = certify(traj, p, cfg.oracle, cfg.integrator.residual_stop)
+        dist_to_w = distances_to_w(traj, p, cfg.oracle)
+    finally:
+        _write_run_outputs(out_dir, cfg, traj, cap, dist_to_w)
 
-    reports, cap, continuation = certify(traj, p, cfg.oracle, cfg.integrator.residual_stop)
     payload["bounds"] = [r.to_dict() for r in reports]
     if continuation is None:
         payload["skipped"] = ["THM_3_1: schedule does not decay to zero"]
@@ -254,7 +258,6 @@ def cmd_verify(config_path) -> int:
             "norm_y": norm(continuation.y_estimate),
             "converged": continuation.converged,
         }
-    _write_run_outputs(out_dir, cfg, traj, cap, distances_to_w(traj, p, cfg.oracle))
     _atomic_write(out_dir / "bounds.json", json.dumps(payload, indent=2) + "\n")
 
     failing = [r.bound_id for r in reports if not r.passed]
@@ -289,6 +292,8 @@ def cmd_check_schedule(kind: str, a0: float, param: float) -> int:
         f"max_ratio={report.max_ratio:.6g} positive={report.positive} "
         f"pass_2_2={report.pass_2_2} pass_3_3={report.pass_3_3}"
     )
+    if not report.pass_2_2:
+        print(report.reason, file=sys.stderr)
     return EXIT_OK if report.pass_2_2 else EXIT_CHECK_FAILED
 
 

@@ -330,24 +330,17 @@ def test_run_step_failure_exit_code(tmp_path):
 
 @pytest.mark.parametrize("command", ["run", "verify"])
 def test_overflowing_trial_states_end_in_step_failure_without_a_warning(tmp_path, capsys, command):
-    # At a = 1e-300 the flow's trial stages, and run's cap solve's line
-    # search, reach states where u^3 and 3 u^2 overflow. The certificate,
-    # the error test and the line search reject them with no RuntimeWarning
-    # (an error here), and the run ends in step failure, exit 3.
+    # At a = 1e-300 the flow's trial stages reach states where u^3 and
+    # 3 u^2 overflow. The certificate and the error test reject them with no
+    # RuntimeWarning (an error here), and the run ends in step failure,
+    # exit 3, with no oracle solve after it.
     path, _ = write_config(
         tmp_path,
         schedule={"kind": "exponential", "a0": 1e-300, "param": 0.0},
         integrator={"t_max": 2.0},
     )
     assert cli.main([command, str(path)]) == 3
-    cap = (
-        "warning: cap solve failed, bound_2_10_rhs left empty "
-        "(line search stalled at a=1e-300 with residual 3.181e+00)"
-    )
-    assert capsys.readouterr().err.splitlines() == [
-        *([cap] if command == "run" else []),
-        "error: step size underflow (step_failure)",
-    ]
+    assert capsys.readouterr().err == "error: step size underflow (step_failure)\n"
 
 
 def test_norms_stay_right_where_their_squares_underflow(tmp_path, capsys):
@@ -385,8 +378,8 @@ def test_norms_stay_right_where_their_squares_underflow(tmp_path, capsys):
 def test_solve_failure_exit_code(tmp_path, capsys, monkeypatch, command, reason):
     # A run that does not finish: every shifted solve fails, so the flow ends
     # at its t = 0 point, or the attempted steps are capped at 7, far short
-    # of t_max. The run's outputs land, verify certifies nothing and makes
-    # no oracle solve, and main returns 3 rather than raising or passing.
+    # of t_max. The run's outputs land, neither command makes an oracle
+    # solve, and main returns 3 rather than raising or passing.
     # The error line names the reason, and a failed solve's cause.
     if reason == "solve_failure":
         monkeypatch.setattr(cli, "make_problem", lambda *args, **kwargs: nan_jacobian_problem())
@@ -420,14 +413,18 @@ def test_solve_failure_exit_code(tmp_path, capsys, monkeypatch, command, reason)
     rows = len((out / "trajectory.csv").read_text().splitlines()) - 1
     assert rows == meta["points_recorded"] <= max_points
     assert not (out / "bounds.json").exists()
-    if command == "verify":
-        assert oracle_solves == []
+    assert oracle_solves == []
 
 
 @pytest.mark.parametrize(
     "command, overrides, code, left",
     [
-        ("verify", {"oracle": {"tol": 1e-300, "max_iters": 1}, "integrator": {"t_max": 4.0}}, 3, []),
+        (
+            "verify",
+            {"oracle": {"tol": 1e-300, "max_iters": 1}, "integrator": {"t_max": 4.0}},
+            3,
+            ["run.json", "trajectory.csv"],
+        ),
         ("verify", {"problem": "non_monotone_fixture", "integrator": {"t_max": 5.0}}, 1, ["bounds.json"]),
         (
             "verify",
@@ -435,7 +432,7 @@ def test_solve_failure_exit_code(tmp_path, capsys, monkeypatch, command, reason)
             3,
             ["run.json", "trajectory.csv"],
         ),
-        ("run", {"oracle": {"tol": 1e-300, "max_iters": 1}, "integrator": {"t_max": 4.0}}, 0,
+        ("run", {"oracle": {"tol": 1e-300, "max_iters": 1}, "integrator": {"t_max": 4.0}}, 3,
          ["run.json", "trajectory.csv"]),
     ],
     ids=["verify-oracle-failure", "verify-not-monotone", "verify-step-failure", "run-after-verify"],
@@ -454,6 +451,63 @@ def test_outputs_of_an_earlier_run_are_cleared(tmp_path, command, overrides, cod
         assert meta["config"] == dataclasses.asdict(cli.load_config(path))
 
 
+@pytest.mark.parametrize(
+    "stem, max_steps",
+    [*((path.stem, None) for path in sorted(CONFIGS.glob("*.json"))), ("diag_cubic", 7)],
+    ids=[*(path.stem for path in sorted(CONFIGS.glob("*.json"))), "diag_cubic-max_steps"],
+)
+def test_run_and_verify_land_one_run_the_same_way(tmp_path, monkeypatch, stem, max_steps):
+    # One run, two commands: verify's run.json is run's byte for byte, and
+    # its trajectory.csv is run's with dist_to_w filled in, whether the run
+    # finishes or not (attempted steps capped at 7).
+    if max_steps is not None:
+        monkeypatch.setattr(flow, "MAX_STEPS", max_steps)
+    config = CONFIGS / f"{stem}.json"
+    dist_to_w = cli.TRAJECTORY_COLUMNS.index("dist_to_w")
+    outputs = []
+    for command in ("run", "verify"):
+        (tmp_path / command).mkdir()
+        monkeypatch.chdir(tmp_path / command)
+        cli.main([command, str(config)])
+        out = Path(cli.load_config(config).output_dir)
+        rows = [line.split(",") for line in (out / "trajectory.csv").read_text().splitlines()]
+        for row in rows:
+            del row[dist_to_w]
+        outputs.append(((out / "run.json").read_bytes(), rows))
+    assert outputs[1] == outputs[0]
+
+
+@pytest.mark.parametrize(
+    "command, blocked, overrides, left",
+    [
+        ("run", "run.json.tmp", {}, ["run.json.tmp", "trajectory.csv"]),
+        ("verify", "bounds.json.tmp", {}, ["bounds.json.tmp", "run.json", "trajectory.csv"]),
+        ("oracle", "continuation.csv.tmp", {}, ["continuation.csv.tmp"]),
+        # The write error replaces the oracle error already in flight.
+        (
+            "verify",
+            "run.json.tmp",
+            {"oracle": {"tol": 1e-300, "max_iters": 1}, "integrator": {"t_max": 4.0}},
+            ["run.json.tmp", "trajectory.csv"],
+        ),
+    ],
+    ids=["run", "verify", "oracle", "verify-oracle-failure"],
+)
+def test_output_that_cannot_be_written_is_a_validation_error(
+    tmp_path, capsys, command, blocked, overrides, left
+):
+    # A directory where an output's temporary file goes: exit 2 and one
+    # error line, never a traceback.
+    path, _ = write_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    assert cli.main([command, str(path)]) == 2
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith(f"error: output_dir {str(out)!r} cannot hold the outputs: ")
+    assert err.endswith(f"{out / blocked}'")
+    assert sorted(p.name for p in out.iterdir()) == left
+
+
 @pytest.mark.parametrize("command", ["run", "verify", "oracle"])
 def test_output_dir_that_is_a_file_is_a_validation_error(tmp_path, capsys, command):
     afile = tmp_path / "afile"
@@ -469,13 +523,13 @@ def test_output_dir_that_is_a_file_is_a_validation_error(tmp_path, capsys, comma
     "command, code, line",
     [
         ("oracle", 3, "error: continuation failed at a=1: "),
-        # run lands its trajectory and leaves the cap column empty.
-        ("run", 0, "warning: cap solve failed"),
+        ("run", 3, "error: no convergence in 1 iterations at a=1"),
         ("verify", 3, "error: oracle failed at t=0: "),
     ],
     ids=["oracle", "run", "verify"],
 )
 def test_each_command_reports_an_oracle_that_cannot_converge(tmp_path, capsys, command, code, line):
+    # The finished run's own files land, with the oracle's columns empty.
     path, _ = write_config(
         tmp_path,
         dim=None,
@@ -484,7 +538,13 @@ def test_each_command_reports_an_oracle_that_cannot_converge(tmp_path, capsys, c
         integrator={"t_max": 4.0},
     )
     assert cli.main([command, str(path)]) == code
-    assert any(text.startswith(line) for text in capsys.readouterr().err.splitlines())
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith(line)
+    out = tmp_path / "out"
+    if command != "oracle":
+        assert sorted(p.name for p in out.iterdir()) == ["run.json", "trajectory.csv"]
+        rows = [text.split(",") for text in (out / "trajectory.csv").read_text().splitlines()[1:]]
+        assert {(row[4], row[6]) for row in rows} == {("", "")}
 
 
 def test_oracle_clears_an_earlier_continuation(tmp_path):
@@ -640,17 +700,18 @@ def test_gallery_lists_six_rows(capsys):
 
 def test_check_schedule_pass_and_fail(capsys):
     assert cli.main(["check-schedule", "power", "1.0", "0.25"]) == 0
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     assert out.startswith("schedule: {'kind': 'power', 'a0': 1.0, 'param': 0.25}\n")
-    assert "max_ratio=0.25" in out
+    assert "max_ratio=0.25" in out and err == ""
+    # A failing schedule gets the reason run, verify and oracle refuse it with.
     assert cli.main(["check-schedule", "power", "1.0", "0.75"]) == 1
-    capsys.readouterr()
+    assert capsys.readouterr().err == "schedule is inadmissible: sup |a'|/a = 0.75 must stay below 0.5\n"
     # A constant schedule is exponential at rate 0: admissible, never decaying.
     assert cli.main(["check-schedule", "exponential", "2.0"]) == 0
-    out = capsys.readouterr().out
-    assert out == (
+    assert capsys.readouterr() == (
         "schedule: {'kind': 'exponential', 'a0': 2.0, 'param': 0.0}\n"
-        "max_ratio=0 positive=True pass_2_2=True pass_3_3=False\n"
+        "max_ratio=0 positive=True pass_2_2=True pass_3_3=False\n",
+        "",
     )
     assert cli.main(["check-schedule", "power", "-1.0", "0.25"]) == 2
     assert cli.main(["check-schedule", "power", "1.0", "-0.25"]) == 2

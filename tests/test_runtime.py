@@ -58,7 +58,9 @@ def test_stock_configs_run_with_the_standard_library_and_numpy_alone(tmp_path):
     # exit code and stderr. THM_3_1 cannot certify power_schedule_short, a
     # short power-schedule run: exit 1 by design, the verdict alone on stderr.
     # A schedule just under the 1/2 ratio limit warns of nothing, whether
-    # checked alone or run.
+    # checked alone or run. An oracle that cannot converge is one error line
+    # from run and verify, each of which still writes its finished run's
+    # files as the error unwinds.
     diag_cubic = CONFIGS / "diag_cubic.json"
     near_limit = tmp_path / "near_limit.json"
     config = json.loads(diag_cubic.read_text())
@@ -67,11 +69,21 @@ def test_stock_configs_run_with_the_standard_library_and_numpy_alone(tmp_path):
     calls = [["verify", str(path)] for path in sorted(CONFIGS.glob("*.json"))]
     calls += [["run", str(diag_cubic)], ["oracle", str(diag_cubic)], ["run", str(near_limit)]]
     calls += [["check-schedule", "exponential", "1", "0.49"]]
+    for command in ("run", "verify"):
+        oracle_fails = tmp_path / f"oracle_fails_{command}.json"
+        config = json.loads(diag_cubic.read_text())
+        config["integrator"]["t_max"], config["output_dir"] = 4.0, f"runs/oracle_fails_{command}"
+        config["oracle"] = {"tol": 1e-300, "max_iters": 1}
+        oracle_fails.write_text(json.dumps(config))
+        calls += [[command, str(oracle_fails)]]
     expected = {
         " ".join(Path(arg).stem if arg.endswith(".json") else arg for arg in argv): [0, ""]
         for argv in calls
     }
     expected["verify power_schedule_short"] = [1, "failed checks: THM_3_1\n"]
+    no_convergence = "no convergence in 1 iterations at a=1; residual 1.394e+00\n"
+    expected["run oracle_fails_run"] = [3, f"error: {no_convergence}"]
+    expected["verify oracle_fails_verify"] = [3, f"error: oracle failed at t=0: {no_convergence}"]
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     # The stock output_dir is relative, so the outputs land in tmp_path.
@@ -79,6 +91,9 @@ def test_stock_configs_run_with_the_standard_library_and_numpy_alone(tmp_path):
     out = subprocess.run(argv, env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert (out.returncode, out.stderr) == (0, "")
     assert dict(zip(expected, json.loads(out.stdout))) == expected
+    for command in ("run", "verify"):
+        written = tmp_path / "runs" / f"oracle_fails_{command}"
+        assert sorted(path.name for path in written.iterdir()) == ["run.json", "trajectory.csv"]
 
 
 def test_sources_import_no_scipy_and_take_one_norm():
