@@ -15,8 +15,9 @@ continuous it rejects the clean flow.
 One stepping loop drives two methods, each supplying only its step and its
 step-size rule. The default is an embedded Dormand-Prince 5(4) pair with PI
 step-size control; a trial stage that fails its shifted solve rejects the
-step like a large error estimate does. Each dp54 attempt fills one (7, n)
-stage array, one product with a row of the tableau per stage. The pair is
+step like a large error estimate does. Each dp54 attempt fills one (8, n)
+array z = [u; k1; ...; k7] and scales the tableau once, hb = h * _B with
+column 0 kept at 1, so each stage's state is one product hb[i] @ z. The pair is
 first-same-as-last (Hairer, Norsett & Wanner, Solving ODEs I, II.4-5): its
 7th stage is evaluated at the new state, so that state and its psi are
 taken from the stage rather than recomputed, and the stage serves as the
@@ -64,19 +65,23 @@ UNFINISHED = {
 # Cap on the attempted steps of one integrate call, read at call time.
 MAX_STEPS = 200_000
 
-# Dormand-Prince 5(4) tableau. Row i of _A holds the stage-i coupling
-# coefficients; the last row is the 5th-order weights, so the 7th stage sits
-# at the new state (FSAL). _E is the 5th-minus-4th order error weight vector.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
+# Dormand-Prince 5(4) tableau. Stage i's state is _B[i] @ [u; h k1; ...; h k7]:
+# column 0 is all ones, and columns 1.. of row i hold stage i's coupling
+# coefficients. The last row is the 5th-order weights, so the 7th stage sits
+# at the new state (FSAL). _C holds Python floats, so stage times stay float
+# arithmetic. _E is the 5th-minus-4th order error weight vector.
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_B = np.array(
+    [
+        [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [1.0, 1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [1.0, 3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [1.0, 44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+        [1.0, 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+        [1.0, 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+        [1.0, 35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+    ]
+)
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
 _SAFETY = 0.9
@@ -262,30 +267,35 @@ def integrate(
 def _dp54_step(p, s, t, u, h, k1, cfg):
     """One DP5(4) attempt from (t, u): (u_new, err_norm, last stage).
 
-    The stages fill the rows of one (7, n) array k, from the FSAL stage
-    k[0] = k1, the direction of rhs(t, u); stage i is rhs at u + h * (_A[i]
-    @ k[:i]). The last row of _A is the 5th-order weight row, so the 7th
-    stage's state is u_new itself (FSAL), at t + _C[6] * h == t + h, and
-    the last stage is that stage's rhs, (direction, u_new's own psi). The
-    error estimate is h * (_E @ k), against rel_tol max(||u||, ||u_new||) +
-    abs_tol. err_norm is inf, and the rest None, when a trial stage fails
-    its shifted solve, or when ||u_new|| is not finite (as when squares of
+    The stages fill the rows of one (8, n) array z = [u; k1; ...; k7], from
+    the FSAL stage k1, the direction of rhs(t, u). hb is h * _B with its
+    column 0 set back to 1, so stage i is rhs at hb[i, :i+1] @ z[:i+1], one
+    product: u plus h times stage i's coupling of k1 ... ki. The last row
+    of _B is the 5th-order weight row, so the 7th stage's state is u_new
+    itself (FSAL), at t + _C[6] * h == t + h, and the last stage is that
+    stage's rhs, (direction, u_new's own psi). The error estimate is h *
+    ||_E @ z[1:]||, against rel_tol max(||u||, ||u_new||) + abs_tol.
+    err_norm is inf, and the rest None, when a trial stage fails its
+    shifted solve, or when ||u_new|| is not finite (as when squares of
     finite entries overflow); the 7th stage is then never evaluated.
     """
-    k = np.empty((7, u.shape[0]))
-    k[0] = k1
+    z = np.empty((8, u.shape[0]))
+    z[0] = u
+    z[1] = k1
+    hb = h * _B
+    hb[:, 0] = 1.0
     for i in range(1, 7):
-        ui = u + h * (_A[i] @ k[:i])
+        ui = hb[i, : i + 1] @ z[: i + 1]
         if i == 6:
             norm_new = norm(ui)
             if not math.isfinite(norm_new):
                 return None, math.inf, None
         try:
-            k[i], psi = rhs(p, s, t + _C[i] * h, ui)
+            z[i + 1], psi = rhs(p, s, t + _C[i] * h, ui)
         except LinearSolveError:
             return None, math.inf, None
     tol = cfg.rel_tol * max(norm(u), norm_new) + cfg.abs_tol
-    return ui, norm(h * (_E @ k)) / tol, (k[6], psi)
+    return ui, h * norm(_E @ z[1:]) / tol, (z[7], psi)
 
 
 def _pi_control(h, err_norm, err_prev):

@@ -24,7 +24,7 @@ from dsmflow.errors import LinearSolveError, NewtonError
 from dsmflow.flow import (
     C_DYN,
     DYN_REL_TOL,
-    _A,
+    _B,
     _C,
     _E,
     _FAC_MAX,
@@ -138,9 +138,11 @@ def reference_integrate(p, s, u0, cfg):
 
     The trajectories integrate must reproduce bit for bit, except where a
     shifted solve fails: there this raises, and integrate rejects the step
-    (a dp54 trial stage) or ends the run with "solve_failure". Like
-    integrate, the dp54 loop solves with the Jacobian structure p states,
-    and the rk4 loop with a "dense" copy of p. Both loops take only the
+    (a dp54 trial stage) or ends the run with "solve_failure". The loops
+    solve as integrate does: the dp54 loop with the Jacobian structure p
+    states, each stage state one product of a row of h * _B with [u; k1;
+    ...] as in flow._dp54_step, and the rk4 loop with a "dense" copy of p.
+    So the test checks the loop, not the solver. Both loops take only the
     direction of rhs and evaluate each recorded point's psi from F, so the
     dp54 points' psi, which integrate takes from the FSAL stage, is checked.
     """
@@ -171,26 +173,31 @@ def _integrate_dp54(p, s, u0, cfg) -> Trajectory:
             terminated = TERMINATED_STEP_FAILURE
             break
 
-        k = np.empty((7, u.shape[0]))
-        k[0] = k1
+        # The stage states as integrate forms them: one product of a row of
+        # h * _B (column 0 kept at 1) with [u; k1; ...], so that the test
+        # checks the loop, not the stage arithmetic.
+        z = np.empty((8, u.shape[0]))
+        z[0] = u
+        z[1] = k1
+        hb = h * _B
+        hb[:, 0] = 1.0
         for i in range(1, 7):
-            ui = u + h * (_A[i] @ k[:i])
-            k[i] = f(t + _C[i] * h, ui)
-        # FSAL: the last row of _A is the 5th-order weights, so the 7th
+            ui = hb[i, : i + 1] @ z[: i + 1]
+            z[i + 1] = f(t + _C[i] * h, ui)
+        # FSAL: the last row of _B is the 5th-order weights, so the 7th
         # stage sits at (t + h, u_new).
         u_new = ui
-        err_vec = h * (_E @ k)
 
         if np.all(np.isfinite(u_new)):
             tol = cfg.rel_tol * max(np.linalg.norm(u), np.linalg.norm(u_new)) + cfg.abs_tol
-            err_norm = np.linalg.norm(err_vec) / tol
+            err_norm = h * np.linalg.norm(_E @ z[1:]) / tol
         else:
             err_norm = np.inf
 
         if err_norm <= 1.0:
             t += h
             u = u_new
-            k1 = k[6]
+            k1 = z[7]
             pt = _make_point(p, s, t, u)
             points.append(pt)
             if pt.h <= cfg.residual_stop:
@@ -211,7 +218,7 @@ def _integrate_dp54(p, s, u0, cfg) -> Trajectory:
 
 
 # The 5th-order weights of the DP5(4) pair, padded for the 7th stage.
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_B5 = _B[6, 1:]
 
 
 def generator_sum_dp54_step(p, s, t, u, h, k1, cfg):
@@ -224,7 +231,7 @@ def generator_sum_dp54_step(p, s, t, u, h, k1, cfg):
     """
     k = [k1]
     for i in range(1, 7):
-        ui = u + h * sum(aij * kj for aij, kj in zip(_A[i], k))
+        ui = u + h * sum(aij * kj for aij, kj in zip(_B[i, 1 : i + 1], k))
         try:
             k.append(rhs(p, s, t + _C[i] * h, ui)[0])
         except LinearSolveError:
@@ -422,3 +429,4 @@ def reference_check_monotone(p, seed):
         if not pairing >= -slack:
             passed = False
     return MonotonicityReport(float(min_pairing), passed, MONO_SAMPLES, seed)
+

@@ -10,7 +10,7 @@ import dsmflow as d
 import dsmflow.flow
 from dsmflow.errors import LinearSolveError
 from dsmflow.flow import (
-    _A,
+    _B,
     _C,
     _E,
     _FAC_MIN,
@@ -457,10 +457,8 @@ def test_dormand_prince_tableau_meets_the_order_conditions():
     # tests/oracles.py's reference steppers read the same tableau, so only
     # the order conditions (Hairer, Norsett & Wanner, Solving ODEs I, II.2)
     # can tell a wrong coefficient.
-    a = np.zeros((7, 7))
-    for i, row in enumerate(_A):
-        a[i, : len(row)] = row
-    c, b5 = _C, a[6]
+    a = _B[:, 1:]
+    c, b5 = np.array(_C), a[6]
     b4 = b5 - _E
     conditions = [a.sum(axis=1) - c, [_E.sum()]]
     conditions += [[b5 @ c**k - 1 / (k + 1)] for k in range(5)]
