@@ -16,8 +16,10 @@ side, the control, is a second copy of the base: odd pairs run it last
 and even pairs first, so that a base-vs-base comparison measures what the
 directories alone move. Pair k uses seed k for every side, and odd pairs
 run the base first. The workloads are those BENCHMARK.json lists unless
---workload names some. After the pairs, each side (not the control) gets
-one --trace 1 run at seed 0 for the per-layer counts and times.
+--workload names some. After the pairs, each side, the control too, gets
+one --trace 1 run at seed 0 for the per-layer counts and times. The
+control's gap to the base is each layer figure's floor: a traced second
+shows a change only where its base-to-change gap exceeds that floor.
 
 The output holds every run's metrics, its correct flag and its raw
 pass_wall_s (the median wall time of a pass, from run.py's detail line);
@@ -203,7 +205,7 @@ def main(argv=None) -> int:
                     pass_s = r["metrics"]["pass_s"]
                     print(f"{workload} seed {seed} {side}: pass_s {pass_s:.4f}", file=sys.stderr)
             traced = {}
-            for side in ("base", "change"):
+            for side in trees:
                 r = run(trees[side], workload, 0, args.seconds, trace=1)
                 traced[side] = {
                     "correct": r["correct"],

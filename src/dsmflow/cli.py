@@ -19,7 +19,8 @@ trajectory.csv; an output_dir that cannot hold them is a validation error.
 
 Exit codes: 0 success / all checks pass, 1 check failure, 2 validation
 error, 3 runtime failure (step-size underflow, solver breakdown, a run that
-hit flow.MAX_STEPS before t_max, or an oracle that cannot converge).
+hit flow.MAX_STEPS before t_max, a new point whose residual norm is not
+finite, or an oracle that cannot converge).
 """
 
 from __future__ import annotations
@@ -275,7 +276,8 @@ def cmd_gallery() -> int:
     for p in gallery():
         null_dim = len(p.null_space_basis) if p.null_space_basis else 0
         known = "yes" if p.minimal_norm_solution is not None else "no"
-        structure = "diagonal" if np.ndim(p.jac(np.zeros(p.dim))) == 1 else p.jacobian_structure
+        structure = "dense" if p.jac_eigh is None else "symmetric_constant"
+        structure = "diagonal" if np.ndim(p.jac(np.zeros(p.dim))) == 1 else structure
         print(f"{p.name:22s} {p.dim:4d} {structure:>18s} {known:>7s} {null_dim:8d}")
     return EXIT_OK
 

@@ -27,12 +27,12 @@ fixed-step classical RK4 mode, at times k * h, exists for bit-reproducible
 regression runs. Step-size underflow, and a failed solve with no step to
 reject, are reported as termination reasons, never retried with altered
 parameters; under linalg._QUIET, a trial state that overflows F or F' is
-rejected with no warning. A run finishes at residual_stop or t_max; the
+rejected with no warning. A new point whose h is not finite ends either
+method's run unrecorded. A run finishes at residual_stop or t_max; the
 table UNFINISHED gives every other reason its error line.
 
-Each solver divides when jac returns the Jacobian as its diagonal. Only
-dp54 uses the structure a problem states (solve_structure): rk4 solves on
-a "dense" copy so that its runs stay bit for bit, and the oracle keeps
+Shifted solves follow OperatorProblem's rule, except that rk4 drops the
+problem's jac_eigh, so that its runs stay bit for bit, and the oracle keeps
 dense LU so that EQ_2_6 and THM_3_1 still compare two independent solvers.
 """
 
@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import LinearSolveError
 from .linalg import _QUIET, as_number, as_vector, norm, _solve_shifted as solve_shifted
-from .operators import DENSE, OperatorProblem
+from .operators import OperatorProblem
 from .schedules import Schedule, check_admissible
 
 TERMINATED_RESIDUAL = "residual_stop"
@@ -54,12 +54,14 @@ TERMINATED_TMAX = "t_max"
 TERMINATED_MAX_STEPS = "max_steps"
 TERMINATED_STEP_FAILURE = "step_failure"
 TERMINATED_SOLVE_FAILURE = "solve_failure"
+TERMINATED_NON_FINITE = "non_finite"
 
 # Each reason that leaves a run unfinished, with its error line; the rest finish.
 UNFINISHED = {
     TERMINATED_MAX_STEPS: "the run reached flow.MAX_STEPS attempted steps before t_max (max_steps)",
     TERMINATED_STEP_FAILURE: "step size underflow (step_failure)",
     TERMINATED_SOLVE_FAILURE: "a shifted solve failed its residual certificate (solve_failure)",
+    TERMINATED_NON_FINITE: "the residual norm h of a new point is not finite (non_finite)",
 }
 
 # Cap on the attempted steps of one integrate call, read at call time.
@@ -179,7 +181,7 @@ def rhs(p: OperatorProblem, s: Schedule, t: float, u: np.ndarray) -> tuple[np.nd
     a = s.value(t)
     psi = p.residual(a, u)
     try:
-        return -solve_shifted(p.jac(u), a, psi, p.solve_structure), psi
+        return -solve_shifted(p.jac(u), a, psi, p.jac_eigh), psi
     except LinearSolveError as err:
         raise LinearSolveError(f"stage at t={t:.6g}: {err}") from err
 
@@ -209,9 +211,8 @@ def integrate(
     equal steps h, at times k * h, with no error estimate: every step is
     accepted. A failed solve with no step to reject (dp54's first stage,
     any rk4 stage) ends the run with terminated_by="solve_failure" and
-    that solve's error as the trajectory's cause. Only dp54 solves with the
-    structure the problem states, which the problem works out at its first
-    solve, after the t = 0 residual_stop exit.
+    that solve's error as the trajectory's cause, and a new point whose h
+    is not finite ends it unrecorded with terminated_by="non_finite".
     """
     u0 = as_vector(u0)
     if u0.shape[0] != p.dim:
@@ -226,7 +227,7 @@ def integrate(
 
     fixed = cfg.method == "rk4"
     if fixed:
-        p = replace(p, jacobian_structure=DENSE)
+        p = replace(p, jac_eigh=None)
         h = cfg.t_max / max(1, round(cfg.t_max / cfg.initial_step))
     else:
         h = min(cfg.initial_step, cfg.t_max)
@@ -252,6 +253,8 @@ def integrate(
                 t = len(points) * h if fixed else t + h
                 u, (k1, psi) = u_new, last
                 pt = _make_point(p, s, t, u, psi)
+                if not math.isfinite(pt.h):
+                    return Trajectory(s, points, TERMINATED_NON_FINITE)
                 points.append(pt)
                 if pt.h <= cfg.residual_stop:
                     return Trajectory(s, points, TERMINATED_RESIDUAL)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -32,13 +31,6 @@ from .linalg import _QUIET, MAX_DIM, as_count, as_vector
 EPS_MONO = 1e-9
 MONO_SAMPLES = 200
 MONO_RADIUS = 5.0
-
-# The Jacobian structures of an OperatorProblem: dense (no fact), or constant
-# and symmetric, as linear_problem finds it. A nonsymmetric constant J is
-# dense: numpy has no Schur form to reuse. A diagonal J needs no fact.
-DENSE = "dense"
-SYMMETRIC_CONSTANT = "symmetric_constant"
-STRUCTURES = (DENSE, SYMMETRIC_CONSTANT)
 
 # Finite-difference Jacobian validation. A Jacobian whose error misses
 # FD_TOL at FD_STEP still passes if the error falls by FD_SHRINK or more at
@@ -57,12 +49,12 @@ class OperatorProblem:
     fun and jac must be defined on all of R^dim; fun must satisfy
     <F(u) - F(v), u - v> >= 0 (see check_monotone) and jac must match the
     finite differences of fun (see check_jacobian). jac(u) is the matrix
-    F'(u) or, where F' is diagonal everywhere, the vector of its diagonal,
-    on which every solve divides. jacobian_structure is what more is known
-    of a matrix jac(u) for every u: nothing ("dense", the default) or
-    "symmetric_constant" (one symmetric matrix everywhere). It routes only
-    the shifted solves of dp54 flow runs (see solve_structure), and a false
-    fact fails their residual certificate. Known vectors have rhs's shape.
+    F'(u) or, where F' is diagonal everywhere, the vector of its diagonal.
+    jac_eigh, if not None, is np.linalg.eigh of the one symmetric matrix
+    that jac(u) returns for every u. The shifted solve rule: a 1-D jac is
+    divided on, a jac_eigh serves the stages of dp54 flow runs, and every
+    other solve is dense LU. Each solve is certified against jac(u) itself,
+    so a false jac_eigh fails the certificate. Known vectors have rhs's shape.
     """
 
     name: str
@@ -71,13 +63,9 @@ class OperatorProblem:
     rhs: np.ndarray
     minimal_norm_solution: np.ndarray | None = None
     null_space_basis: list[np.ndarray] | None = None
-    jacobian_structure: str = DENSE
+    jac_eigh: tuple | None = None
 
     def __post_init__(self):
-        if self.jacobian_structure not in STRUCTURES:
-            raise ValueError(
-                f"unknown jacobian_structure {self.jacobian_structure!r}; known: {STRUCTURES}"
-            )
         for known in (self.minimal_norm_solution, *(self.null_space_basis or ())):
             if known is not None and np.shape(known) != np.shape(self.rhs):
                 raise ValueError(f"known vector of shape {np.shape(known)}, rhs {self.rhs.shape}")
@@ -85,19 +73,6 @@ class OperatorProblem:
     @property
     def dim(self) -> int:
         return self.rhs.shape[0]
-
-    @cached_property
-    def solve_structure(self):
-        """linalg.solve_shifted's eigh argument, worked out on first use.
-
-        For "symmetric_constant", one np.linalg.eigh of the constant J that
-        serves every shift. Otherwise, and for a J eigh cannot take, None:
-        dense LU, whose certificate rejects such a J, or division on a 1-D J.
-        """
-        if self.jacobian_structure == SYMMETRIC_CONSTANT:
-            with contextlib.suppress(np.linalg.LinAlgError):
-                return np.linalg.eigh(self.jac(np.zeros(self.dim)))
-        return None
 
     def residual(self, a: float, u: np.ndarray) -> np.ndarray:
         """F(u) + a*u - f, the regularized residual driving the flow."""
@@ -115,17 +90,21 @@ def _given_rhs(dim: int | None, rhs) -> np.ndarray:
 def linear_problem(name: str, matrix: np.ndarray, rhs: np.ndarray, **known) -> OperatorProblem:
     """F(u) = matrix @ u, whose jac returns the one matrix, marked read-only.
 
-    The structure is worked out, not stated: "symmetric_constant" exactly
-    when the matrix equals its transpose, else "dense". known holds the
-    known solution facts (minimal_norm_solution, null_space_basis).
+    jac_eigh is np.linalg.eigh(matrix), taken here once, if the matrix equals
+    its transpose and eigh can take it (not all inf), else None. known holds
+    the known solution facts (minimal_norm_solution, null_space_basis).
     """
     matrix.setflags(write=False)
+    jac_eigh = None
+    if np.array_equal(matrix, matrix.T):
+        with contextlib.suppress(np.linalg.LinAlgError):
+            jac_eigh = np.linalg.eigh(matrix)
     return OperatorProblem(
         name=name,
         fun=lambda u: matrix @ u,
         jac=lambda u: matrix,
         rhs=rhs,
-        jacobian_structure=SYMMETRIC_CONSTANT if np.array_equal(matrix, matrix.T) else DENSE,
+        jac_eigh=jac_eigh,
         **known,
     )
 

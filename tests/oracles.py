@@ -33,6 +33,7 @@ from dsmflow.flow import (
     _PI_BETA,
     _SAFETY,
     TERMINATED_MAX_STEPS,
+    TERMINATED_NON_FINITE,
     TERMINATED_RESIDUAL,
     TERMINATED_STEP_FAILURE,
     TERMINATED_TMAX,
@@ -41,8 +42,8 @@ from dsmflow.flow import (
     _make_point,
     rhs,
 )
-from dsmflow.linalg import as_vector
-from dsmflow.operators import DENSE, EPS_MONO, MONO_RADIUS, MONO_SAMPLES, MonotonicityReport
+from dsmflow.linalg import _QUIET, as_vector
+from dsmflow.operators import EPS_MONO, MONO_RADIUS, MONO_SAMPLES, MonotonicityReport
 from dsmflow.oracle import lemma_2_1_sweep, minimal_norm_limit, solve_regularized
 from dsmflow.schedules import check_admissible
 from dsmflow.verify import (
@@ -133,22 +134,24 @@ def envelope_integral(s, t, rate):
     return value
 
 
+@_QUIET
 def reference_integrate(p, s, u0, cfg):
-    """integrate() as two loops, one per method, after its argument checks.
+    """integrate() as two loops, one per method, after its argument checks,
+    under integrate's error state, linalg._QUIET.
 
     The trajectories integrate must reproduce bit for bit, except where a
     shifted solve fails: there this raises, and integrate rejects the step
     (a dp54 trial stage) or ends the run with "solve_failure". The loops
-    solve as integrate does: the dp54 loop with the Jacobian structure p
-    states, each stage state one product of a row of h * _B with [u; k1;
-    ...] as in flow._dp54_step, and the rk4 loop with a "dense" copy of p.
+    solve as integrate does: the dp54 loop with p's jac_eigh, each stage
+    state one product of a row of h * _B with [u; k1; ...] as in
+    flow._dp54_step, and the rk4 loop with a copy of p without it.
     So the test checks the loop, not the solver. Both loops take only the
     direction of rhs and evaluate each recorded point's psi from F, so the
     dp54 points' psi, which integrate takes from the FSAL stage, is checked.
     """
     u0 = as_vector(u0)
     if cfg.method == "rk4":
-        return _integrate_rk4(replace(p, jacobian_structure=DENSE), s, u0, cfg)
+        return _integrate_rk4(replace(p, jac_eigh=None), s, u0, cfg)
     return _integrate_dp54(p, s, u0, cfg)
 
 
@@ -199,6 +202,9 @@ def _integrate_dp54(p, s, u0, cfg) -> Trajectory:
             u = u_new
             k1 = z[7]
             pt = _make_point(p, s, t, u)
+            if not math.isfinite(pt.h):
+                terminated = TERMINATED_NON_FINITE
+                break
             points.append(pt)
             if pt.h <= cfg.residual_stop:
                 terminated = TERMINATED_RESIDUAL
@@ -268,6 +274,9 @@ def _integrate_rk4(p, s, u0, cfg) -> Trajectory:
         u = u + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         t = step * h
         pt = _make_point(p, s, t, u)
+        if not math.isfinite(pt.h):
+            terminated = TERMINATED_NON_FINITE
+            break
         points.append(pt)
         if pt.h <= cfg.residual_stop:
             terminated = TERMINATED_RESIDUAL

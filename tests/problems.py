@@ -3,14 +3,14 @@
 F(u) = M u + g(u) with M a PSD matrix plus a skew one and g a nondecreasing
 function applied componentwise, so <F(u) - F(v), u - v> >= 0 everywhere.
 Two special cases: a random PSD linear F, built by linear_problem, which
-finds its Jacobian "symmetric_constant", and a componentwise F, whose jac
+takes its Jacobian's eigh, and a componentwise F, whose jac
 returns the diagonal of its Jacobian. Last, a fixture whose Jacobian is
 NaN, so that every shifted solve on it fails.
 """
 
 import numpy as np
 
-from dsmflow.operators import SYMMETRIC_CONSTANT, OperatorProblem, linear_problem
+from dsmflow.operators import OperatorProblem, linear_problem
 
 # Nondecreasing componentwise terms g and their derivatives. "holder" has a
 # derivative 1.5 |u|^(1/2) that is only Hoelder-1/2 continuous at 0.
@@ -75,12 +75,9 @@ def componentwise_monotone_problem(rng, n):
 
 
 def nan_jacobian_problem():
-    """F(u) = u with f = 1, whose jac is NaN and states "symmetric_constant":
-    eigh cannot take it, so solves stay on LU and fail its certificate. fun
-    and jac disagree on purpose, so the structure is stated, not worked out
-    by linear_problem (which finds a NaN matrix "dense")."""
+    """F(u) = u with f = 1, whose jac is NaN, so every shifted solve fails
+    its certificate. fun and jac disagree on purpose: F(u) stays finite."""
     nan_jac = np.full((3, 3), np.nan)
     return OperatorProblem(
-        name="nan_linear", fun=lambda u: u, jac=lambda u: nan_jac,
-        rhs=np.ones(3), jacobian_structure=SYMMETRIC_CONSTANT,
+        name="nan_linear", fun=lambda u: u, jac=lambda u: nan_jac, rhs=np.ones(3)
     )

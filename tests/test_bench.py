@@ -43,6 +43,6 @@ def test_bench_driver_writes_its_file_and_nothing_in_the_checkout(tmp_path):
     assert set(w["wins"]) == {"change", "control"}
     claim = {"wins", "pairs", "median_gap", "relative_gap", "base_iqr", "met"}
     assert set(w["claims"]["pass_s"]) == claim
-    assert set(w["traced"]) == {"base", "change"}
+    assert set(w["traced"]) == {"base", "change", "control"}
     for traced in w["traced"].values():
         assert traced["tracer_problems"] == [] and traced["metrics"]["flow.rhs_calls"] > 0

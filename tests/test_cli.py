@@ -370,17 +370,32 @@ def test_norms_stay_right_where_their_squares_underflow(tmp_path, capsys):
     assert 1.28e-299 < norm_u[-1] == max(norm_u) < 1.29e-299
 
 
+# An rk4 run whose h overflows: each step of 32 multiplies h by about 3.9e4.
+DIVERGING_RK4 = {
+    "problem": "psd_rank_deficient",
+    "dim": 4,
+    "schedule": {"kind": "exponential", "a0": 1.0, "param": 0.0},
+    "integrator": {"t_max": 1280.0, "initial_step": 32.0, "method": "rk4"},
+}
+
+
 @pytest.mark.parametrize(
     "command, reason",
-    [(command, reason) for reason in ("solve_failure", "max_steps") for command in ("run", "verify")],
-    ids=["run", "verify", "run-max_steps", "verify-max_steps"],
+    [
+        (command, reason)
+        for reason in ("solve_failure", "max_steps", "non_finite")
+        for command in ("run", "verify")
+    ],
+    ids=["run", "verify", "run-max_steps", "verify-max_steps", "run-non_finite", "verify-non_finite"],
 )
 def test_solve_failure_exit_code(tmp_path, capsys, monkeypatch, command, reason):
     # A run that does not finish: every shifted solve fails, so the flow ends
     # at its t = 0 point, or the attempted steps are capped at 7, far short
-    # of t_max. The run's outputs land, neither command makes an oracle
-    # solve, and main returns 3 rather than raising or passing.
-    # The error line names the reason, and a failed solve's cause.
+    # of t_max, or an rk4 step reaches a point whose h overflows, which is
+    # not recorded. The run's outputs land, every number in them finite
+    # where the run finished none, neither command makes an oracle solve,
+    # and main returns 3 rather than raising, warning or passing. The one
+    # error line names the reason, and a failed solve's cause.
     if reason == "solve_failure":
         monkeypatch.setattr(cli, "make_problem", lambda *args, **kwargs: nan_jacobian_problem())
         path, _ = write_config(tmp_path)
@@ -389,12 +404,16 @@ def test_solve_failure_exit_code(tmp_path, capsys, monkeypatch, command, reason)
             "error: a shifted solve failed its residual certificate (solve_failure): "
             "stage at t=0: shifted solve residual nan exceeds certificate"
         )
-    else:
+    elif reason == "max_steps":
         monkeypatch.setattr(flow, "MAX_STEPS", 7)
         monkeypatch.chdir(tmp_path)
         path = CONFIGS / "diag_cubic.json"
         out, max_points = tmp_path / cli.load_config(path).output_dir, 8
         error = "error: the run reached flow.MAX_STEPS attempted steps before t_max (max_steps)"
+    else:
+        path, _ = write_config(tmp_path, **DIVERGING_RK4)
+        out, max_points = tmp_path / "out", 40
+        error = "error: the residual norm h of a new point is not finite (non_finite)"
     oracle_solves = []
     solve_regularized = oracle.solve_regularized
 
@@ -405,13 +424,16 @@ def test_solve_failure_exit_code(tmp_path, capsys, monkeypatch, command, reason)
     for module in (oracle, verify, cli):
         monkeypatch.setattr(module, "solve_regularized", counted)
     assert cli.main([command, str(path)]) == 3
-    last = capsys.readouterr().err.splitlines()[-1]
-    assert last.startswith(error) if reason == "solve_failure" else last == error
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(error) if reason == "solve_failure" else line == error
     meta = json.loads((out / "run.json").read_text())
     assert meta["terminated_by"] == reason
     # The t = 0 point, and at most one point per attempted step.
-    rows = len((out / "trajectory.csv").read_text().splitlines()) - 1
-    assert rows == meta["points_recorded"] <= max_points
+    rows = [row.split(",") for row in (out / "trajectory.csv").read_text().splitlines()[1:]]
+    assert len(rows) == meta["points_recorded"] <= max_points
+    if reason != "solve_failure":  # that run's F is finite, its Jacobian NaN
+        assert np.isfinite(meta["h_final"])
+        assert all(np.isfinite(float(cell)) for row in rows for cell in row if cell)
     assert not (out / "bounds.json").exists()
     assert oracle_solves == []
 

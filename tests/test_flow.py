@@ -15,13 +15,12 @@ from dsmflow.flow import (
     _E,
     _FAC_MIN,
     TERMINATED_MAX_STEPS,
+    TERMINATED_NON_FINITE,
     TERMINATED_SOLVE_FAILURE,
     TERMINATED_STEP_FAILURE,
 )
 from dsmflow.operators import (
-    DENSE,
     GALLERY_NAMES,
-    SYMMETRIC_CONSTANT,
     OperatorProblem,
     diag_cubic,
     identity,
@@ -33,7 +32,6 @@ from oracles import generator_sum_dp54_step, reference_dynamics_check, reference
 from problems import (
     componentwise_monotone_problem,
     monotone_problem,
-    nan_jacobian_problem,
     psd_linear_problem,
     psd_plus_skew,
 )
@@ -428,7 +426,8 @@ def test_one_loop_matches_separate_loops_bitwise(name, monkeypatch):
 
 
 def test_one_loop_matches_separate_loops_at_the_edges():
-    # A start at the regularized solution (a stop at t = 0) and step failure.
+    # A start at the regularized solution (a stop at t = 0), step failure,
+    # and an rk4 run that overflows h.
     s = d.power(1.0, 0.25)
     p = d.make_problem("psd_rank_deficient", dim=4)
     w0 = d.solve_regularized(p, s.value(0.0), np.zeros(4))
@@ -442,6 +441,30 @@ def test_one_loop_matches_separate_loops_at_the_edges():
     traj = d.integrate(p, s, np.zeros(2), cfg)
     assert traj.terminated_by == TERMINATED_STEP_FAILURE
     _assert_same_trajectory(traj, reference_integrate(p, s, np.zeros(2), cfg))
+    p, s, cfg = _diverging_rk4()
+    traj = d.integrate(p, s, np.zeros(4), cfg)
+    assert traj.terminated_by == TERMINATED_NON_FINITE
+    _assert_same_trajectory(traj, reference_integrate(p, s, np.zeros(4), cfg))
+
+
+def _diverging_rk4():
+    """(problem, schedule, config) of an rk4 run whose h overflows: at a = 1
+    the flow's linearization is -I, and each step of 32 multiplies h by
+    R(-32) = 1 - 32 + 32^2/2 - 32^3/6 + 32^4/24, about 3.9e4."""
+    cfg = d.IntegratorConfig(t_max=1280.0, initial_step=32.0, method="rk4")
+    return d.make_problem("psd_rank_deficient", dim=4), d.exponential(1.0, 0.0), cfg
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_point_whose_h_is_not_finite_ends_the_run_unrecorded():
+    # The run ends at the first new point whose h is not finite, keeps the
+    # points before it, and has not reached t_max: it is unfinished.
+    p, s, cfg = _diverging_rk4()
+    traj = d.integrate(p, s, np.zeros(4), cfg)
+    assert traj.terminated_by == TERMINATED_NON_FINITE
+    assert TERMINATED_NON_FINITE in dsmflow.flow.UNFINISHED
+    assert all(math.isfinite(pt.h) for pt in traj.points)
+    assert traj.final.h > 1e150 and traj.final.t == 32.0 * (len(traj.points) - 1) < cfg.t_max
 
 
 def _exp_problem():
@@ -596,10 +619,10 @@ def _record_structures(monkeypatch, module):
 
 
 def _dense(p):
-    """p on dense LU: its structure fact dropped, and a 1-D jac made the diagonal matrix."""
+    """p on dense LU: its jac_eigh dropped, and a 1-D jac made the diagonal matrix."""
     if np.ndim(p.jac(np.zeros(p.dim))) == 2:
-        return dataclasses.replace(p, jacobian_structure=DENSE)
-    return dataclasses.replace(p, jac=lambda u: np.diag(p.jac(u)), jacobian_structure=DENSE)
+        return dataclasses.replace(p, jac_eigh=None)
+    return dataclasses.replace(p, jac=lambda u: np.diag(p.jac(u)), jac_eigh=None)
 
 
 @pytest.mark.parametrize(
@@ -619,9 +642,9 @@ def test_only_dp54_solves_with_the_stated_structure(monkeypatch, name, path):
     d.integrate(p, s, u0, d.IntegratorConfig(t_max=2.0))
     assert flow_solves
     if path == "eigh":
-        # One eigendecomposition serves the whole run.
-        assert flow_solves[0].eigenvalues.shape == (6,)
-        assert all(st is flow_solves[0] for st in flow_solves)
+        # The problem's one eigendecomposition serves the whole run.
+        assert p.jac_eigh.eigenvalues.shape == (6,)
+        assert all(st is p.jac_eigh for st in flow_solves)
     else:
         assert set(flow_solves) == {None}
     flow_solves.clear()
@@ -660,28 +683,18 @@ def test_every_solver_divides_on_a_diagonal_problem(monkeypatch, name):
         shapes.clear()
     d.solve_regularized(p, 0.5, u0)
     assert shapes and set(shapes) == {(6,)}
-    assert p.solve_structure is None and not eigh_calls
-
-
-def test_stop_at_t0_decomposes_nothing(monkeypatch):
-    # The eigendecomposition comes after the t = 0 residual_stop exit.
-    calls = _record_eigh(monkeypatch)
-    p = d.make_problem("fredholm_first_kind", dim=6)
-    w = d.solve_regularized(p, 1.0, np.zeros(6))
-    traj = d.integrate(p, d.constant(1.0), w, d.IntegratorConfig(t_max=1.0))
-    assert traj.terminated_by == "residual_stop" and not calls
-    d.integrate(p, d.constant(1.0), np.ones(6), d.IntegratorConfig(t_max=1.0))
-    assert len(calls) == 1
+    assert p.jac_eigh is None and not eigh_calls
 
 
 def test_eigh_runs_at_most_once_per_problem(monkeypatch):
-    # One eigendecomposition serves every dp54 run of the same problem
-    # object; rk4 solves with a "dense" copy and takes none.
+    # linear_problem takes the one eigendecomposition when it builds the
+    # problem; every dp54 run of that object reuses it, and rk4, which
+    # drops it, takes none.
     calls = _record_eigh(monkeypatch)
     p = d.make_problem("psd_rank_deficient", dim=6)
+    assert len(calls) == 1
     s, u0 = d.exponential(1.0, 0.44), np.ones(6)
     d.integrate(p, s, u0, d.IntegratorConfig(t_max=1.0, initial_step=0.1, method="rk4"))
-    assert not calls
     for t_max in (1.0, 2.0):
         d.integrate(p, s, u0, d.IntegratorConfig(t_max=t_max))
     assert len(calls) == 1
@@ -691,28 +704,27 @@ def test_eigh_runs_at_most_once_per_problem(monkeypatch):
 
 @pytest.mark.parametrize("name", ["diag_cubic", "psd_rank_deficient", "fredholm_first_kind"])
 def test_problem_without_the_facts_integrates_as_before(monkeypatch, name):
-    # Stated "dense", a problem stays on dense LU in dp54 too, and its run
-    # is bit for bit the reference loop's on LU.
+    # Without a jac_eigh, a problem stays on dense LU in dp54 too, and its
+    # run is bit for bit the reference loop's on LU.
     flow_solves = _record_structures(monkeypatch, dsmflow.flow)
     p = _dense(d.make_problem(name, dim=6))
     u0 = np.full(6, 0.5)
-    assert p.solve_structure is None
+    assert p.jac_eigh is None
     cfg = d.IntegratorConfig(t_max=8.0, rel_tol=1e-10, abs_tol=1e-12)
     traj = d.integrate(p, d.exponential(1.0, 0.44), u0, cfg)
     assert all(st is None for st in flow_solves)
     _assert_same_trajectory(traj, reference_integrate(p, d.exponential(1.0, 0.44), u0, cfg))
 
 
-@pytest.mark.parametrize("structure", [SYMMETRIC_CONSTANT])
-def test_false_structure_fact_fails_the_certificate(structure):
+def test_false_jac_eigh_fails_the_certificate():
     # convex_gradient's Jacobian is not constant. Each solve is certified
-    # against the Jacobian at its own state, so the false fact raises where
-    # it would give a wrong direction. (A jac that returns only the
-    # diagonal of this Jacobian is certified against itself, and fails
-    # check_jacobian instead; see test_operators.)
+    # against the Jacobian at its own state, so a jac_eigh taken at one
+    # state raises where it would give a wrong direction. (A jac that
+    # returns only the diagonal of this Jacobian is certified against
+    # itself, and fails check_jacobian instead; see test_operators.)
     dense = d.make_problem("convex_gradient", dim=5)
-    p = dataclasses.replace(dense, jacobian_structure=structure)
     s, u0 = d.constant(0.5), np.zeros(5)
+    p = dataclasses.replace(dense, jac_eigh=np.linalg.eigh(dense.jac(u0)))
     u = np.linspace(-1.0, 1.0, 5)
     with pytest.raises(LinearSolveError, match="structure"):
         d.rhs(p, s, 0.0, u)
@@ -724,6 +736,19 @@ def test_false_structure_fact_fails_the_certificate(structure):
     # rk4 solves on dense LU whatever the problem states, so it never trips.
     rk4 = d.IntegratorConfig(t_max=1.0, initial_step=0.1, method="rk4")
     _assert_same_trajectory(d.integrate(p, s, u0, rk4), d.integrate(dense, s, u0, rk4))
+
+
+def test_jac_eigh_of_another_matrix_fails_the_certificate():
+    # dataclasses.replace(p, jac=...) keeps p's jac_eigh. A stale one, the
+    # eigh of another symmetric matrix, fails the certificate at dp54's
+    # first stage, against the matrix jac returns; it never steps.
+    p = d.make_problem("fredholm_first_kind", dim=6)
+    stale = dataclasses.replace(p, jac=lambda u: 2.0 * p.jac(u))
+    s, u0 = d.constant(1.0), np.ones(6)
+    with pytest.raises(LinearSolveError, match="structure"):
+        d.rhs(stale, s, 0.0, u0)
+    traj = d.integrate(stale, s, u0, d.IntegratorConfig(t_max=1.0))
+    assert traj.terminated_by == TERMINATED_SOLVE_FAILURE and len(traj.points) == 1
 
 
 @pytest.mark.parametrize(
@@ -744,8 +769,8 @@ def test_structured_and_dense_dp54_give_the_same_verdicts(name, schedule, t_max)
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("build", [psd_linear_problem, componentwise_monotone_problem])
 def test_structure_keeps_the_verdicts_on_random_problems(build, seed):
-    # Random draws beyond the gallery: dp54 as stated against dense LU, and
-    # rk4 byte for byte whichever structure is stated. On a componentwise
+    # Random draws beyond the gallery: dp54 as built against dense LU, and
+    # rk4 byte for byte whatever jac_eigh it is given. On a componentwise
     # draw, dividing on the 1-D jac and LU on np.diag(jac) give equal
     # points in both methods.
     rng = np.random.default_rng(seed)
@@ -755,8 +780,8 @@ def test_structure_keeps_the_verdicts_on_random_problems(build, seed):
     _assert_structure_keeps_the_verdicts(p, s, 16.0)
     rk4 = d.IntegratorConfig(t_max=4.0, initial_step=0.05, method="rk4")
     u0 = np.full(n, 0.5)
-    for structure in (DENSE, SYMMETRIC_CONSTANT):
-        q = dataclasses.replace(p, jacobian_structure=structure)
+    for eigh in (None, np.linalg.eigh(np.eye(n))):
+        q = dataclasses.replace(p, jac_eigh=eigh)
         _assert_same_trajectory(d.integrate(q, s, u0, rk4), d.integrate(p, s, u0, rk4))
     if build is componentwise_monotone_problem:
         dp54 = d.IntegratorConfig(t_max=16.0, rel_tol=1e-10, abs_tol=1e-12, residual_stop=1e-8)
@@ -769,7 +794,7 @@ def test_structure_keeps_the_verdicts_on_random_problems(build, seed):
 
 
 def _assert_structure_keeps_the_verdicts(p, schedule, t_max):
-    """dp54 on p as stated and on a "dense" copy: the same stop and verdicts,
+    """dp54 on p as built and on a dense LU copy: the same stop and verdicts,
     and margins within perfbench's tolerances, at the stock configs'
     settings from u0 = 0.5 (so that identity moves too)."""
     dense = _dense(p)
@@ -792,14 +817,12 @@ def _assert_structure_keeps_the_verdicts(p, schedule, t_max):
 
 @pytest.mark.filterwarnings("error")
 def test_jacobian_eigh_cannot_take_stays_on_lu_and_fails_its_certificate():
-    # eigh raises LinAlgError on a NaN matrix; the run keeps dense LU, whose
-    # certificate fails at dp54's first stage: the run ends there with
-    # solve_failure and its t = 0 point (exit 3 from the CLI), not a stray
-    # traceback or a warning.
-    p = nan_jacobian_problem()
-    assert p.solve_structure is None
-    with pytest.raises(LinearSolveError, match="residual nan"):
-        d.rhs(p, d.constant(1.0), 0.0, np.zeros(3))
+    # eigh raises LinAlgError on an all-inf symmetric matrix, so
+    # linear_problem gives it no jac_eigh. Dense LU's certificate fails at
+    # dp54's first stage: the run ends there with solve_failure and its
+    # t = 0 point (exit 3 from the CLI), not a stray traceback or a warning.
+    p = linear_problem("inf", np.full((3, 3), np.inf), np.ones(3))
+    assert p.jac_eigh is None
     traj = d.integrate(p, d.constant(1.0), np.zeros(3), d.IntegratorConfig(t_max=1.0))
     assert traj.terminated_by == TERMINATED_SOLVE_FAILURE
     assert [pt.t for pt in traj.points] == [0.0]

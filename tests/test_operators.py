@@ -6,10 +6,7 @@ import pytest
 
 import dsmflow as d
 from dsmflow.operators import (
-    DENSE,
     FD_TOL,
-    STRUCTURES,
-    SYMMETRIC_CONSTANT,
     OperatorProblem,
     diag_cubic,
     identity,
@@ -290,15 +287,27 @@ def test_dim_is_stated_once():
 
 
 def test_linear_problem_works_out_the_structure():
+    # jac_eigh is the eigh of a matrix equal to its transpose, and None for
+    # any other, as for a problem built without one.
     sym = np.array([[2.0, 1.0], [1.0, 3.0]])
     p = linear_problem("sym", sym, np.ones(2))
-    assert p.jacobian_structure == SYMMETRIC_CONSTANT
+    for got, expected in zip(p.jac_eigh, np.linalg.eigh(sym)):
+        assert got.tobytes() == expected.tobytes()
     assert p.jac(np.zeros(2)) is sym and not sym.flags.writeable
     np.testing.assert_array_equal(p.fun(np.array([1.0, -1.0])), [1.0, -2.0])
     skew = d.make_problem("skew_perturbed").jac(np.zeros(16)).copy()
-    assert linear_problem("skew", skew, np.ones(16)).jacobian_structure == DENSE
+    assert linear_problem("skew", skew, np.ones(16)).jac_eigh is None
     nan = np.full((3, 3), np.nan)
-    assert linear_problem("nan", nan, np.ones(3)).jacobian_structure == DENSE
+    assert linear_problem("nan", nan, np.ones(3)).jac_eigh is None
+    assert OperatorProblem("f", p.fun, p.jac, np.zeros(2)).jac_eigh is None
+
+
+@pytest.mark.filterwarnings("error")
+def test_linear_problem_of_an_all_inf_matrix_has_no_jac_eigh():
+    # The matrix equals its transpose, but eigh raises LinAlgError on it:
+    # the problem is built, with no jac_eigh and no warning.
+    p = linear_problem("inf", np.full((3, 3), np.inf), np.ones(3))
+    assert p.jac_eigh is None
 
 
 def test_seed_changes_psd_instance():
@@ -336,51 +345,41 @@ def test_state_dependent_jacobian_is_fresh_and_writable(name):
     assert d.check_jacobian(p, u).passed
 
 
-# The Jacobian structure each problem states.
+# Whether each problem has a jac_eigh.
 JACOBIAN_FACTS = {
-    "identity": DENSE,
-    "diag_cubic": DENSE,
-    "psd_rank_deficient": SYMMETRIC_CONSTANT,
-    "fredholm_first_kind": SYMMETRIC_CONSTANT,
-    "skew_perturbed": DENSE,
-    "convex_gradient": DENSE,
-    "non_monotone_fixture": SYMMETRIC_CONSTANT,
+    "identity": False,
+    "diag_cubic": False,
+    "psd_rank_deficient": True,
+    "fredholm_first_kind": True,
+    "skew_perturbed": False,
+    "convex_gradient": False,
+    "non_monotone_fixture": True,
 }
 
 
 @pytest.mark.parametrize("name", sorted(JACOBIAN_FACTS))
 @pytest.mark.parametrize("dim", [None, 5])
 def test_jacobian_facts_hold_at_random_points(name, dim):
-    # The dp54 flow solves with the stated structure, so it must be true
-    # wherever the flow can go: symmetric_constant is byte for byte the same
-    # matrix and exactly symmetric. identity and diag_cubic state nothing:
-    # their jac is the vector of the diagonal, of shape (dim,), everywhere.
-    # Nothing is decomposed until a solve asks. dim is len(rhs), an int, and
-    # a known solution has the shape of rhs.
+    # The dp54 flow solves with jac_eigh, so it must be true wherever the
+    # flow can go: jac returns byte for byte the same, exactly symmetric
+    # matrix, whose eigh it is. identity and diag_cubic have none: their jac
+    # is the vector of the diagonal, of shape (dim,), everywhere. dim is
+    # len(rhs), an int, and a known solution has the shape of rhs.
     p = d.make_problem(name, dim=dim)
-    assert p.jacobian_structure == JACOBIAN_FACTS[name]
+    assert (p.jac_eigh is not None) == JACOBIAN_FACTS[name]
     assert type(p.dim) is int and p.dim == p.rhs.shape[0] == (dim or p.dim)
     if p.minimal_norm_solution is not None:
         assert p.minimal_norm_solution.shape == p.rhs.shape
-    assert "solve_structure" not in vars(p)
     shape = (p.dim,) if name in ("identity", "diag_cubic") else (p.dim, p.dim)
     rng = np.random.default_rng(len(name))
     for _ in range(10):
         u, v = rng.uniform(-3.0, 3.0, (2, p.dim))
         j = np.asarray(p.jac(u))
         assert j.shape == shape
-        if p.jacobian_structure == SYMMETRIC_CONSTANT:
+        if p.jac_eigh is not None:
             assert j.tobytes() == np.asarray(p.jac(v)).tobytes()
             assert np.array_equal(j, j.T)
+            lam, q = p.jac_eigh
+            np.testing.assert_allclose((q * lam) @ q.T, j, rtol=0.0, atol=1e-12)
 
-
-def test_jacobian_structure_is_validated_at_construction():
-    p = d.make_problem("convex_gradient", dim=3)
-    assert dataclasses.replace(p, jacobian_structure=DENSE).jacobian_structure == DENSE
-    assert OperatorProblem("f", p.fun, p.jac, np.zeros(1)).jacobian_structure == DENSE
-    assert STRUCTURES == ("dense", "symmetric_constant")
-    # "diagonal" is no fact to state: a diagonal jac returns its diagonal.
-    for bad in ("diagonal", "symmetric", "Dense", None, ["dense"]):
-        with pytest.raises(ValueError, match="unknown jacobian_structure"):
-            dataclasses.replace(p, jacobian_structure=bad)
 

@@ -60,7 +60,8 @@ def test_stock_configs_run_with_the_standard_library_and_numpy_alone(tmp_path):
     # A schedule just under the 1/2 ratio limit warns of nothing, whether
     # checked alone or run. An oracle that cannot converge is one error line
     # from run and verify, each of which still writes its finished run's
-    # files as the error unwinds.
+    # files as the error unwinds. So is an rk4 run whose h overflows, whose
+    # files hold only the finite points before it.
     diag_cubic = CONFIGS / "diag_cubic.json"
     near_limit = tmp_path / "near_limit.json"
     config = json.loads(diag_cubic.read_text())
@@ -76,6 +77,15 @@ def test_stock_configs_run_with_the_standard_library_and_numpy_alone(tmp_path):
         config["oracle"] = {"tol": 1e-300, "max_iters": 1}
         oracle_fails.write_text(json.dumps(config))
         calls += [[command, str(oracle_fails)]]
+        diverges = tmp_path / f"diverges_{command}.json"
+        diverges.write_text(json.dumps({
+            "problem": "psd_rank_deficient",
+            "dim": 4,
+            "schedule": {"kind": "exponential", "a0": 1.0, "param": 0.0},
+            "integrator": {"t_max": 1280.0, "initial_step": 32.0, "method": "rk4"},
+            "output_dir": f"runs/diverges_{command}",
+        }))
+        calls += [[command, str(diverges)]]
     expected = {
         " ".join(Path(arg).stem if arg.endswith(".json") else arg for arg in argv): [0, ""]
         for argv in calls
@@ -84,6 +94,8 @@ def test_stock_configs_run_with_the_standard_library_and_numpy_alone(tmp_path):
     no_convergence = "no convergence in 1 iterations at a=1; residual 1.394e+00\n"
     expected["run oracle_fails_run"] = [3, f"error: {no_convergence}"]
     expected["verify oracle_fails_verify"] = [3, f"error: oracle failed at t=0: {no_convergence}"]
+    non_finite = "error: the residual norm h of a new point is not finite (non_finite)\n"
+    expected["run diverges_run"] = expected["verify diverges_verify"] = [3, non_finite]
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     # The stock output_dir is relative, so the outputs land in tmp_path.
@@ -92,8 +104,9 @@ def test_stock_configs_run_with_the_standard_library_and_numpy_alone(tmp_path):
     assert (out.returncode, out.stderr) == (0, "")
     assert dict(zip(expected, json.loads(out.stdout))) == expected
     for command in ("run", "verify"):
-        written = tmp_path / "runs" / f"oracle_fails_{command}"
-        assert sorted(path.name for path in written.iterdir()) == ["run.json", "trajectory.csv"]
+        for stem in ("oracle_fails", "diverges"):
+            written = tmp_path / "runs" / f"{stem}_{command}"
+            assert sorted(path.name for path in written.iterdir()) == ["run.json", "trajectory.csv"]
 
 
 def test_sources_import_no_scipy_and_take_one_norm():
