@@ -34,6 +34,8 @@ table UNFINISHED gives every other reason its error line.
 Shifted solves follow OperatorProblem's rule, except that rk4 drops the
 problem's jac_eigh, so that its runs stay bit for bit, and the oracle keeps
 dense LU so that EQ_2_6 and THM_3_1 still compare two independent solvers.
+Each dp54 stage asks jac_eigh for the eigh of the J it solves with, so a
+linear_problem's matrix is decomposed at its first dp54 stage, never by rk4.
 """
 
 from __future__ import annotations
@@ -176,12 +178,13 @@ class Trajectory:
 
 
 def rhs(p: OperatorProblem, s: Schedule, t: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(direction, psi) at (t, u): psi = F(u) + a(t) u - f, direction -(F'(u) + a(t) I)^{-1} psi;
-    its F, F' and solve run under the caller's error state (integrate's _QUIET)."""
+    """(direction, psi) at (t, u): psi = F(u) + a(t) u - f, direction -(J + a(t) I)^{-1} psi
+    for J = F'(u), by p.jac_eigh(J) if not None, under the caller's error state (_QUIET)."""
     a = s.value(t)
     psi = p.residual(a, u)
+    J = p.jac(u)
     try:
-        return -solve_shifted(p.jac(u), a, psi, p.jac_eigh), psi
+        return -solve_shifted(J, a, psi, p.jac_eigh and p.jac_eigh(J)), psi
     except LinearSolveError as err:
         raise LinearSolveError(f"stage at t={t:.6g}: {err}") from err
 

@@ -19,6 +19,7 @@ negative tests but is not part of the gallery.
 from __future__ import annotations
 
 import contextlib
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -50,11 +51,12 @@ class OperatorProblem:
     <F(u) - F(v), u - v> >= 0 (see check_monotone) and jac must match the
     finite differences of fun (see check_jacobian). jac(u) is the matrix
     F'(u) or, where F' is diagonal everywhere, the vector of its diagonal.
-    jac_eigh, if not None, is np.linalg.eigh of the one symmetric matrix
-    that jac(u) returns for every u. The shifted solve rule: a 1-D jac is
-    divided on, a jac_eigh serves the stages of dp54 flow runs, and every
-    other solve is dense LU. Each solve is certified against jac(u) itself,
-    so a false jac_eigh fails the certificate. Known vectors have rhs's shape.
+    jac_eigh, if not None, maps a Jacobian J = jac(u) to np.linalg.eigh(J)
+    or to None; it may take the decomposition when first asked. The shifted
+    solve rule: a 1-D jac is divided on, a J whose jac_eigh is not None is
+    solved by that eigh in the stages of dp54 flow runs, and every other
+    solve is dense LU. Each solve is certified against J itself, so a false
+    jac_eigh fails the certificate. Known vectors have rhs's shape.
     """
 
     name: str
@@ -63,7 +65,7 @@ class OperatorProblem:
     rhs: np.ndarray
     minimal_norm_solution: np.ndarray | None = None
     null_space_basis: list[np.ndarray] | None = None
-    jac_eigh: tuple | None = None
+    jac_eigh: Callable[[np.ndarray], tuple | None] | None = None
 
     def __post_init__(self):
         for known in (self.minimal_norm_solution, *(self.null_space_basis or ())):
@@ -90,21 +92,26 @@ def _given_rhs(dim: int | None, rhs) -> np.ndarray:
 def linear_problem(name: str, matrix: np.ndarray, rhs: np.ndarray, **known) -> OperatorProblem:
     """F(u) = matrix @ u, whose jac returns the one matrix, marked read-only.
 
-    jac_eigh is np.linalg.eigh(matrix), taken here once, if the matrix equals
-    its transpose and eigh can take it (not all inf), else None. known holds
-    the known solution facts (minimal_norm_solution, null_space_basis).
+    For a matrix equal to its transpose (else None), jac_eigh(J) is
+    np.linalg.eigh(matrix) when J is matrix itself and None for any other J,
+    so a jac swapped by dataclasses.replace solves by LU. The eigh is taken
+    at the first call, not here, and kept; it is None if eigh cannot take
+    the matrix (all inf). known: minimal_norm_solution, null_space_basis.
     """
     matrix.setflags(write=False)
-    jac_eigh = None
-    if np.array_equal(matrix, matrix.T):
+    symmetric = np.array_equal(matrix, matrix.T)
+
+    @functools.cache
+    def eigh():
         with contextlib.suppress(np.linalg.LinAlgError):
-            jac_eigh = np.linalg.eigh(matrix)
+            return np.linalg.eigh(matrix)
+
     return OperatorProblem(
         name=name,
         fun=lambda u: matrix @ u,
         jac=lambda u: matrix,
         rhs=rhs,
-        jac_eigh=jac_eigh,
+        jac_eigh=(lambda J: eigh() if J is matrix else None) if symmetric else None,
         **known,
     )
 

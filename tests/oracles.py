@@ -142,9 +142,10 @@ def reference_integrate(p, s, u0, cfg):
     The trajectories integrate must reproduce bit for bit, except where a
     shifted solve fails: there this raises, and integrate rejects the step
     (a dp54 trial stage) or ends the run with "solve_failure". The loops
-    solve as integrate does: the dp54 loop with p's jac_eigh, each stage
-    state one product of a row of h * _B with [u; k1; ...] as in
-    flow._dp54_step, and the rk4 loop with a copy of p without it.
+    solve as integrate does: the dp54 loop on p, whose jac_eigh rhs asks
+    for the eigh of each stage's J, with each stage state one product of a
+    row of h * _B with [u; k1; ...] as in flow._dp54_step, and the rk4
+    loop on a copy of p without jac_eigh.
     So the test checks the loop, not the solver. Both loops take only the
     direction of rhs and evaluate each recorded point's psi from F, so the
     dp54 points' psi, which integrate takes from the FSAL stage, is checked.

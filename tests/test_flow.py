@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dsmflow as d
+import dsmflow.cli
 import dsmflow.flow
 from dsmflow.errors import LinearSolveError
 from dsmflow.flow import (
@@ -642,9 +643,10 @@ def test_only_dp54_solves_with_the_stated_structure(monkeypatch, name, path):
     d.integrate(p, s, u0, d.IntegratorConfig(t_max=2.0))
     assert flow_solves
     if path == "eigh":
-        # The problem's one eigendecomposition serves the whole run.
-        assert p.jac_eigh.eigenvalues.shape == (6,)
-        assert all(st is p.jac_eigh for st in flow_solves)
+        # The one eigendecomposition of the matrix jac returns serves the whole run.
+        eigh = p.jac_eigh(p.jac(u0))
+        assert eigh.eigenvalues.shape == (6,)
+        assert all(st is eigh for st in flow_solves)
     else:
         assert set(flow_solves) == {None}
     flow_solves.clear()
@@ -686,17 +688,35 @@ def test_every_solver_divides_on_a_diagonal_problem(monkeypatch, name):
     assert p.jac_eigh is None and not eigh_calls
 
 
-def test_eigh_runs_at_most_once_per_problem(monkeypatch):
-    # linear_problem takes the one eigendecomposition when it builds the
-    # problem; every dp54 run of that object reuses it, and rk4, which
-    # drops it, takes none.
+def test_nothing_is_decomposed_before_a_dp54_stage(monkeypatch, capsys):
+    # Only dp54 stages read jac_eigh, so building a problem, rk4, the oracle
+    # and the gallery listing take no eigendecomposition.
     calls = _record_eigh(monkeypatch)
+    for name in GALLERY_NAMES:
+        d.make_problem(name)
+    d.make_problem("fredholm_first_kind", dim=512)
     p = d.make_problem("psd_rank_deficient", dim=6)
-    assert len(calls) == 1
     s, u0 = d.exponential(1.0, 0.44), np.ones(6)
     d.integrate(p, s, u0, d.IntegratorConfig(t_max=1.0, initial_step=0.1, method="rk4"))
+    d.solve_regularized(p, 0.5, u0)
+    d.minimal_norm_limit(p)
+    assert dsmflow.cli.main(["gallery"]) == 0
+    assert capsys.readouterr().err == ""
+    assert not calls
+
+
+def test_eigh_runs_at_most_once_per_problem(monkeypatch):
+    # A problem's first dp54 stage takes the one eigendecomposition; every
+    # later dp54 run of that object reuses it, and so does a copy whose
+    # wrapped jac returns the same matrix, as perfbench's tracer makes.
+    calls = _record_eigh(monkeypatch)
+    p = d.make_problem("psd_rank_deficient", dim=6)
+    s, u0 = d.exponential(1.0, 0.44), np.ones(6)
     for t_max in (1.0, 2.0):
         d.integrate(p, s, u0, d.IntegratorConfig(t_max=t_max))
+        assert len(calls) == 1
+    wrapped = dataclasses.replace(p, fun=lambda u: p.fun(u), jac=lambda u: p.jac(u))
+    d.integrate(wrapped, s, u0, d.IntegratorConfig(t_max=1.0))
     assert len(calls) == 1
     d.integrate(d.make_problem("psd_rank_deficient", dim=6), s, u0, d.IntegratorConfig(t_max=1.0))
     assert len(calls) == 2
@@ -724,7 +744,8 @@ def test_false_jac_eigh_fails_the_certificate():
     # itself, and fails check_jacobian instead; see test_operators.)
     dense = d.make_problem("convex_gradient", dim=5)
     s, u0 = d.constant(0.5), np.zeros(5)
-    p = dataclasses.replace(dense, jac_eigh=np.linalg.eigh(dense.jac(u0)))
+    eigh0 = np.linalg.eigh(dense.jac(u0))
+    p = dataclasses.replace(dense, jac_eigh=lambda J: eigh0)
     u = np.linspace(-1.0, 1.0, 5)
     with pytest.raises(LinearSolveError, match="structure"):
         d.rhs(p, s, 0.0, u)
@@ -738,17 +759,19 @@ def test_false_jac_eigh_fails_the_certificate():
     _assert_same_trajectory(d.integrate(p, s, u0, rk4), d.integrate(dense, s, u0, rk4))
 
 
-def test_jac_eigh_of_another_matrix_fails_the_certificate():
-    # dataclasses.replace(p, jac=...) keeps p's jac_eigh. A stale one, the
-    # eigh of another symmetric matrix, fails the certificate at dp54's
-    # first stage, against the matrix jac returns; it never steps.
-    p = d.make_problem("fredholm_first_kind", dim=6)
-    stale = dataclasses.replace(p, jac=lambda u: 2.0 * p.jac(u))
-    s, u0 = d.constant(1.0), np.ones(6)
-    with pytest.raises(LinearSolveError, match="structure"):
-        d.rhs(stale, s, 0.0, u0)
-    traj = d.integrate(stale, s, u0, d.IntegratorConfig(t_max=1.0))
-    assert traj.terminated_by == TERMINATED_SOLVE_FAILURE and len(traj.points) == 1
+def test_a_swapped_jac_solves_by_lu():
+    # dataclasses.replace(p, jac=...) keeps p's jac_eigh, which gives the
+    # eigh of p's own matrix only, so a jac that returns another matrix
+    # solves by dense LU: the run steps, byte for byte as with no jac_eigh.
+    p = d.make_problem("psd_rank_deficient", dim=6)
+    m = p.jac(np.zeros(6))
+    swapped = dataclasses.replace(p, jac=lambda u: 2 * m)
+    s, u0 = d.exponential(1.0, 0.44), np.ones(6)
+    cfg = d.IntegratorConfig(t_max=4.0)
+    traj = d.integrate(swapped, s, u0, cfg)
+    assert traj.terminated_by != TERMINATED_SOLVE_FAILURE and len(traj.points) > 1
+    lu = dataclasses.replace(swapped, jac_eigh=None)
+    _assert_same_trajectory(traj, d.integrate(lu, s, u0, cfg))
 
 
 @pytest.mark.parametrize(
@@ -780,7 +803,7 @@ def test_structure_keeps_the_verdicts_on_random_problems(build, seed):
     _assert_structure_keeps_the_verdicts(p, s, 16.0)
     rk4 = d.IntegratorConfig(t_max=4.0, initial_step=0.05, method="rk4")
     u0 = np.full(n, 0.5)
-    for eigh in (None, np.linalg.eigh(np.eye(n))):
+    for eigh in (None, lambda J: np.linalg.eigh(np.eye(n))):
         q = dataclasses.replace(p, jac_eigh=eigh)
         _assert_same_trajectory(d.integrate(q, s, u0, rk4), d.integrate(p, s, u0, rk4))
     if build is componentwise_monotone_problem:
@@ -817,12 +840,13 @@ def _assert_structure_keeps_the_verdicts(p, schedule, t_max):
 
 @pytest.mark.filterwarnings("error")
 def test_jacobian_eigh_cannot_take_stays_on_lu_and_fails_its_certificate():
-    # eigh raises LinAlgError on an all-inf symmetric matrix, so
-    # linear_problem gives it no jac_eigh. Dense LU's certificate fails at
+    # eigh raises LinAlgError on an all-inf symmetric matrix, so the
+    # problem's jac_eigh gives None for it. Dense LU's certificate fails at
     # dp54's first stage: the run ends there with solve_failure and its
     # t = 0 point (exit 3 from the CLI), not a stray traceback or a warning.
-    p = linear_problem("inf", np.full((3, 3), np.inf), np.ones(3))
-    assert p.jac_eigh is None
+    m = np.full((3, 3), np.inf)
+    p = linear_problem("inf", m, np.ones(3))
+    assert p.jac_eigh(m) is None
     traj = d.integrate(p, d.constant(1.0), np.zeros(3), d.IntegratorConfig(t_max=1.0))
     assert traj.terminated_by == TERMINATED_SOLVE_FAILURE
     assert [pt.t for pt in traj.points] == [0.0]

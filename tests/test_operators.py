@@ -287,12 +287,15 @@ def test_dim_is_stated_once():
 
 
 def test_linear_problem_works_out_the_structure():
-    # jac_eigh is the eigh of a matrix equal to its transpose, and None for
-    # any other, as for a problem built without one.
+    # For a matrix equal to its transpose, jac_eigh gives that matrix its
+    # eigh, taken once, and any other J, even an equal copy, None. For any
+    # other matrix jac_eigh is None, as for a problem built without one.
     sym = np.array([[2.0, 1.0], [1.0, 3.0]])
     p = linear_problem("sym", sym, np.ones(2))
-    for got, expected in zip(p.jac_eigh, np.linalg.eigh(sym)):
+    for got, expected in zip(p.jac_eigh(sym), np.linalg.eigh(sym)):
         assert got.tobytes() == expected.tobytes()
+    assert p.jac_eigh(sym) is p.jac_eigh(sym)
+    assert p.jac_eigh(sym.copy()) is None and p.jac_eigh(2.0 * sym) is None
     assert p.jac(np.zeros(2)) is sym and not sym.flags.writeable
     np.testing.assert_array_equal(p.fun(np.array([1.0, -1.0])), [1.0, -2.0])
     skew = d.make_problem("skew_perturbed").jac(np.zeros(16)).copy()
@@ -305,9 +308,10 @@ def test_linear_problem_works_out_the_structure():
 @pytest.mark.filterwarnings("error")
 def test_linear_problem_of_an_all_inf_matrix_has_no_jac_eigh():
     # The matrix equals its transpose, but eigh raises LinAlgError on it:
-    # the problem is built, with no jac_eigh and no warning.
-    p = linear_problem("inf", np.full((3, 3), np.inf), np.ones(3))
-    assert p.jac_eigh is None
+    # jac_eigh gives it None, with no warning.
+    m = np.full((3, 3), np.inf)
+    p = linear_problem("inf", m, np.ones(3))
+    assert p.jac_eigh(m) is None
 
 
 def test_seed_changes_psd_instance():
@@ -360,9 +364,9 @@ JACOBIAN_FACTS = {
 @pytest.mark.parametrize("name", sorted(JACOBIAN_FACTS))
 @pytest.mark.parametrize("dim", [None, 5])
 def test_jacobian_facts_hold_at_random_points(name, dim):
-    # The dp54 flow solves with jac_eigh, so it must be true wherever the
-    # flow can go: jac returns byte for byte the same, exactly symmetric
-    # matrix, whose eigh it is. identity and diag_cubic have none: their jac
+    # The dp54 flow solves with jac_eigh(J), so it must be true wherever the
+    # flow can go: jac returns the same exactly symmetric matrix object, whose
+    # eigh jac_eigh gives it. identity and diag_cubic have none: their jac
     # is the vector of the diagonal, of shape (dim,), everywhere. dim is
     # len(rhs), an int, and a known solution has the shape of rhs.
     p = d.make_problem(name, dim=dim)
@@ -377,9 +381,8 @@ def test_jacobian_facts_hold_at_random_points(name, dim):
         j = np.asarray(p.jac(u))
         assert j.shape == shape
         if p.jac_eigh is not None:
-            assert j.tobytes() == np.asarray(p.jac(v)).tobytes()
-            assert np.array_equal(j, j.T)
-            lam, q = p.jac_eigh
+            assert p.jac(v) is j and np.array_equal(j, j.T)
+            lam, q = p.jac_eigh(j)
             np.testing.assert_allclose((q * lam) @ q.T, j, rtol=0.0, atol=1e-12)
 
 

@@ -54,9 +54,10 @@ print(json.dumps(results))
 
 
 def test_stock_configs_run_with_the_standard_library_and_numpy_alone(tmp_path):
-    # verify on every stock config, and run and oracle on one, each with its
-    # exit code and stderr. THM_3_1 cannot certify power_schedule_short, a
-    # short power-schedule run: exit 1 by design, the verdict alone on stderr.
+    # verify on every stock config, run and oracle on one, oracle on a
+    # symmetric linear one, and gallery, each with its exit code and stderr.
+    # THM_3_1 cannot certify power_schedule_short, a short power-schedule
+    # run: exit 1 by design, the verdict alone on stderr.
     # A schedule just under the 1/2 ratio limit warns of nothing, whether
     # checked alone or run. An oracle that cannot converge is one error line
     # from run and verify, each of which still writes its finished run's
@@ -70,6 +71,7 @@ def test_stock_configs_run_with_the_standard_library_and_numpy_alone(tmp_path):
     calls = [["verify", str(path)] for path in sorted(CONFIGS.glob("*.json"))]
     calls += [["run", str(diag_cubic)], ["oracle", str(diag_cubic)], ["run", str(near_limit)]]
     calls += [["check-schedule", "exponential", "1", "0.49"]]
+    calls += [["gallery"], ["oracle", str(CONFIGS / "fredholm.json")]]
     for command in ("run", "verify"):
         oracle_fails = tmp_path / f"oracle_fails_{command}.json"
         config = json.loads(diag_cubic.read_text())
